@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -360,14 +358,6 @@ ITEMS = [
 ]
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("CBM_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_acceptance(
     seed: int = 7,
     l_max: int = 1000,
@@ -376,16 +366,7 @@ def run_acceptance(
 ) -> dict:
     """Run every acceptance item and assemble a deterministic report."""
     cfg = {"l_max": l_max, "prime_bound": prime_bound, "grid": grid}
-    workers = thread_cap()
-    results: dict[str, dict] = {}
-    if workers == 1:
-        for name, fn in ITEMS:
-            results[name] = fn(seed, cfg)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(fn, seed, cfg) for name, fn in ITEMS}
-            for name, future in futures.items():
-                results[name] = future.result()
+    results = {name: fn(seed, cfg) for name, fn in ITEMS}
     items = [{"name": name, **results[name]} for name in sorted(results)]
     return {
         "config": {"seed": seed, **cfg},

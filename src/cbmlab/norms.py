@@ -9,16 +9,16 @@ import numpy as np
 
 from .errors import InvariantViolation, PreconditionError
 from .ordered import (
+    _SEARCH_BOUND,
     DEFAULT_L_MAX,
     Element,
     ModelKind,
     OrderedModel,
     OrderVariant,
+    _least_true,
+    _row_pred,
     rho_plus,
 )
-
-# cross-check window: +-10 * ceil(sup|arg/base|) brackets both extremal exponents
-_SCAN_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -52,31 +52,27 @@ def norm(base: Element, arg: Element) -> NormReport:
 
     Closed forms on the additive group: the least k with k*base >= arg is
     ceil(sup(arg/base)) and the greatest l with arg >= l*base is
-    floor(inf(arg/base)). Both are re-verified by scanning the order oracle
-    over a window guaranteed to bracket them.
+    floor(inf(arg/base)). Both are re-derived from the order oracle alone by
+    bracketed searches started at 0: the least k with k*base >= arg, and the
+    least m with m*base >= -arg, which gives l = -m. That takes O(log ratio)
+    oracle calls and O(sites) memory; a ratio beyond the search bound raises
+    SearchBoundError before any closed form is evaluated.
     """
     model = _additive_model_for(base)
     model._check(arg)
     if not model.is_dominant_closed_form(base):
         raise PreconditionError("norm requires a dominant base (strictly positive minimum)")
 
+    search_plus = _least_true(_row_pred(model, base, arg, 1), 0, _SEARCH_BOUND)
+    search_minus = -_least_true(_row_pred(model, base, model.inverse(arg), 1), 0, _SEARCH_BOUND)
+
     ratio = arg.data / base.data
     nu_plus = int(math.ceil(np.max(ratio)))
     nu_minus = int(math.floor(np.min(ratio)))
-
-    half_window = _SCAN_FACTOR * max(1, int(math.ceil(np.max(np.abs(ratio)))))
-    ks = np.arange(-half_window, half_window + 1)
-    powers = ks[:, None] * base.data[None, :]
-    above = np.all(powers >= arg.data[None, :], axis=1)
-    below = np.all(arg.data[None, :] >= powers, axis=1)
-    if not above.any() or not below.any():
-        raise InvariantViolation("oracle scan window failed to bracket the norm exponents")
-    scan_plus = int(ks[np.argmax(above)])          # first k with k*base >= arg
-    scan_minus = int(ks[len(ks) - 1 - np.argmax(below[::-1])])  # last k with arg >= k*base
-    if (scan_plus, scan_minus) != (nu_plus, nu_minus):
+    if (search_plus, search_minus) != (nu_plus, nu_minus):
         raise InvariantViolation(
             f"norm closed form ({nu_plus}, {nu_minus}) disagrees with "
-            f"oracle scan ({scan_plus}, {scan_minus})"
+            f"oracle search ({search_plus}, {search_minus})"
         )
     if nu_minus > nu_plus:
         raise InvariantViolation("sandwich exponents out of order (transitivity broken)")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolation,
     PreconditionError,
+    PrimePairError,
     SearchBoundError,
 )
 from .primes import PrimeTable
@@ -31,6 +32,7 @@ DEFAULT_L_MAX = 1000
 DEFAULT_PRIME_BOUND = 10_000
 PRIME_WINDOW_EXPONENT = 0.6  # prime-gap window scale for the witness search
 _SEARCH_BOUND = 10**12
+_BLOCK_ROWS = 256  # exponent rows per batched oracle evaluation
 
 
 class ModelKind(Enum):
@@ -152,12 +154,28 @@ class OrderedModel:
     def ge(self, a: Element, b: Element) -> bool:
         """Order oracle a >= b under the model's order variant."""
         self._check(a, b)
+        return bool(self.ge_powers(a, b, (1,), (1,))[0])
+
+    def ge_powers(self, a: Element, b: Element, ks, ls) -> np.ndarray:
+        """Order oracle a^k >= b^l for every row (k, l), as one block test.
+
+        ``ks`` and ``ls`` are equal-length exponent vectors; the additive
+        model evaluates a (rows x sites) block. The elements are not
+        re-checked: callers validate them once with ``_check``.
+        """
+        ks = np.asarray(ks, dtype=float)
+        ls = np.asarray(ls, dtype=float)
         if self.kind is ModelKind.MULTIPLICATIVE_REALS:
-            # for scalars "equal, or strictly greater" coincides with >=
-            return a.data >= b.data
+            # for scalars "equal, or strictly greater" coincides with >=;
+            # a log-space product past the float range is +-inf, as in plain
+            # float arithmetic, and compares correctly
+            with np.errstate(over="ignore"):
+                return ks * a.data >= ls * b.data
+        ka = ks[:, None] * a.data
+        lb = ls[:, None] * b.data
         if self.order_variant is OrderVariant.NON_STRICT:
-            return bool(np.all(a.data >= b.data))
-        return bool(np.all(a.data > b.data)) or np.array_equal(a.data, b.data)
+            return np.all(ka >= lb, axis=1)
+        return np.all(ka > lb, axis=1) | np.all(ka == lb, axis=1)
 
     def is_dominant_closed_form(self, a: Element) -> bool:
         self._check(a)
@@ -183,43 +201,10 @@ def is_dominant(model: OrderedModel, a: Element, probes: Iterable[Element] = ())
     return True
 
 
-def _pred_family(model: OrderedModel, a: Element, b: Element) -> Callable[[int], Callable[[int], bool]]:
-    """Factory l -> (predicate k |-> a^k >= b^l), with shared setup hoisted."""
-    model._check(a, b)
-    if model.kind is ModelKind.MULTIPLICATIVE_REALS:
-        la = a.data
-        lb = b.data
-
-        def family(l: int) -> Callable[[int], bool]:
-            lbl = l * lb
-            return lambda k: k * la >= lbl
-
-        return family
-    ad = a.data
-    bd = b.data
-    if model.order_variant is OrderVariant.NON_STRICT:
-
-        def family(l: int) -> Callable[[int], bool]:
-            bld = l * bd
-            return lambda k: bool(np.all(k * ad >= bld))
-
-        return family
-
-    def family(l: int) -> Callable[[int], bool]:
-        bld = l * bd
-
-        def strict(k: int) -> bool:
-            ka = k * ad
-            return bool(np.all(ka > bld)) or np.array_equal(ka, bld)
-
-        return strict
-
-    return family
-
-
-def _pred_factory(model: OrderedModel, a: Element, b: Element, l: int) -> Callable[[int], bool]:
-    """Predicate k |-> (a^k >= b^l), with b^l precomputed."""
-    return _pred_family(model, a, b)(l)
+def _row_pred(model: OrderedModel, a: Element, b: Element, l: int) -> Callable[[int], bool]:
+    """Predicate k |-> (a^k >= b^l): one row of the batched oracle."""
+    ls = np.array([float(l)])
+    return lambda k: bool(model.ge_powers(a, b, np.array([float(k)]), ls)[0])
 
 
 def _least_true(pred: Callable[[int], bool], guess: int, bound: int) -> int:
@@ -278,8 +263,32 @@ def min_power(
         raise InvalidInputError("l must be a positive integer")
     if not model.is_dominant_closed_form(a):
         raise PreconditionError("min_power requires a dominant base element")
-    pred = _pred_factory(model, a, b, l)
-    return _least_true(pred, hint if hint is not None else l, max_abs_k)
+    model._check(a, b)
+    return _least_true(_row_pred(model, a, b, l), hint if hint is not None else l, max_abs_k)
+
+
+def _least_exponents(model: OrderedModel, a: Element, b: Element, ls: np.ndarray) -> np.ndarray:
+    """Least k with a^k >= b^l for each l in one block ``ls``, for a dominant a.
+
+    The closed form ceil(l * max(b/a)) only proposes each k; the oracle
+    certifies it (k holds and k - 1 fails) in one block evaluation. Rows that
+    fail, or whose proposal is not finite or lies outside the search bound,
+    are settled by the scalar search, which also raises SearchBoundError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = np.max(b.data / a.data) if model.kind is ModelKind.ADDITIVE_GRID else b.data / a.data
+        seeds = np.ceil(ls * rate)
+    inside = np.isfinite(seeds) & (seeds > -_SEARCH_BOUND) & (seeds <= _SEARCH_BOUND)
+    ks = np.where(inside, seeds, 0.0)
+    rows = len(ls)
+    verdict = model.ge_powers(a, b, np.concatenate((ks, ks - 1.0)), np.concatenate((ls, ls)))
+    certified = inside & verdict[:rows] & ~verdict[rows:]
+    out = ks.astype(np.int64)
+    for i in np.flatnonzero(~certified):
+        l = int(ls[i])
+        guess = int(ks[i]) if inside[i] else l
+        out[i] = _least_true(_row_pred(model, a, b, l), guess, _SEARCH_BOUND)
+    return out
 
 
 @dataclass(frozen=True)
@@ -306,18 +315,13 @@ def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L
         raise InvalidInputError("l_max must be a positive integer")
     if not model.is_dominant_closed_form(a):
         raise PreconditionError("rho_plus requires a dominant base element")
-    family = _pred_family(model, a, b)
+    model._check(a, b)
     best = math.inf
-    k_prev = None
-    k = 0
-    for l in range(1, l_max + 1):
-        hint = l if k_prev is None else int(math.ceil(k_prev * l / (l - 1)))
-        k = _least_true(family(l), hint, _SEARCH_BOUND)
-        k_prev = k
-        ratio = k / l
-        if ratio < best:
-            best = ratio
-    limit = k / l_max
+    for start in range(1, l_max + 1, _BLOCK_ROWS):
+        ls = np.arange(start, min(start + _BLOCK_ROWS, l_max + 1))
+        ks = _least_exponents(model, a, b, ls)
+        best = min(best, float(np.min(ks / ls)))
+    limit = int(ks[-1]) / l_max
     if best > limit + 1e-12 or limit - best > 1.0 / l_max + 1e-12:
         raise InvariantViolation(
             f"growth-rate formulations disagree: limit={limit}, pair infimum={best}"
@@ -346,24 +350,21 @@ def rho_plus_primes(
             raise PreconditionError(f"rho_plus_primes requires dominant inputs; {name} is not")
     if table is None or table.bound < prime_bound:
         table = PrimeTable(prime_bound)
-    family = _pred_family(model, a, b)
+    model._check(a, b)
+    primes = table.primes[: np.searchsorted(table.primes, prime_bound, side="right")]
     best = None
-    q_prev = None
-    k_prev = None
-    for q in table.primes:
-        q = int(q)
-        hint = q if k_prev is None else int(math.ceil(k_prev * q / q_prev))
-        k_min = _least_true(family(q), hint, _SEARCH_BOUND)
-        k_prev, q_prev = k_min, q
-        if k_min > prime_bound:
-            continue
-        window_hi = k_min + int(k_min ** PRIME_WINDOW_EXPONENT) if k_min > 0 else 2
-        p = table.first_prime_in(max(k_min, 2), window_hi)
-        if p is None:
-            continue
-        ratio = p / q
-        if best is None or ratio < best:
-            best = ratio
+    for start in range(0, len(primes), _BLOCK_ROWS):
+        qs = primes[start : start + _BLOCK_ROWS]
+        for q, k_min in zip(qs.tolist(), _least_exponents(model, a, b, qs).tolist()):
+            if k_min > prime_bound:
+                continue
+            window_hi = k_min + int(k_min ** PRIME_WINDOW_EXPONENT) if k_min > 0 else 2
+            p = table.first_prime_in(max(k_min, 2), min(window_hi, prime_bound))
+            if p is None:
+                continue
+            ratio = p / q
+            if best is None or ratio < best:
+                best = ratio
     if best is None:
         raise PrimePairError(prime_bound)
     return best
@@ -427,14 +428,3 @@ def growth_distance(
         l_max=l_max,
         method=method,
     )
-
-
-def ordering_pairs_brute(
-    model: OrderedModel, a: Element, b: Element, pairs: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Filter (k, l) pairs by the raw oracle a^k >= b^l. Test helper."""
-    out = []
-    for k, l in pairs:
-        if model.ge(model.power(a, k), model.power(b, l)):
-            out.append((k, l))
-    return out

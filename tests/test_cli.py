@@ -59,6 +59,24 @@ def test_norm_subcommand(tmp_path, capsys):
     assert (report["nu_plus"], report["nu_minus"], report["nu"]) == (3, 2, 3)
 
 
+def test_prime_pairs_without_a_pair_exits_two(tmp_path, capsys):
+    a = write(tmp_path / "a.json", 2.0)
+    b = write(tmp_path / "b.json", 1000.0)
+    code = main(
+        ["growth", a, b, "--model", "multiplicative", "--method", "prime-pairs", "--prime-bound", "3"]
+    )
+    assert code == 2
+    assert "no prime ordering pair" in capsys.readouterr().err
+
+
+def test_norm_with_tiny_base_exits_two(tmp_path, capsys):
+    arg = write(tmp_path / "arg.json", [1.0, 1.0])
+    for base_value in (1e-300, 5e-324):  # ratio 1e300, and a subnormal base
+        base = write(tmp_path / "base.json", [base_value, 1.0])
+        assert main(["norm", base, arg]) == 2
+        assert "exceeded bound" in capsys.readouterr().err
+
+
 def test_ham2dom_unit(tmp_path, capsys):
     h = write(tmp_path / "h.json", [1.0] * 64)
     code, report = run(capsys, "ham2dom", h)

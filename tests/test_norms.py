@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbmlab.errors import PreconditionError
+from cbmlab.errors import PreconditionError, SearchBoundError
 from cbmlab.norms import norm, stabilization
 from cbmlab.ordered import OrderedModel
 
@@ -100,3 +102,22 @@ def test_stabilization_matches_closed_form():
         ratio = arg.data / base.data
         closed = max(abs(float(np.max(ratio))), abs(float(np.min(ratio))))
         assert abs(stabilization(base, arg, l_max) - closed) <= 2.0 / l_max
+
+
+def test_large_ratio_in_memory_independent_of_magnitude():
+    # sup|arg/base| = 2^21: O(log ratio) oracle calls over 3 sites each
+    _, base, arg = model_and([QUANTUM] * 3, [2.0, -2.0, 1.0])
+    tracemalloc.start()
+    try:
+        report = norm(base, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.nu_plus, report.nu_minus, report.nu) == (2**21, -(2**21), 2**21)
+    assert peak < 64 * 1024
+
+
+def test_ratio_beyond_the_search_bound_raises():
+    _, base, arg = model_and([1e-300, 1.0], [1.0, 1.0])
+    with pytest.raises(SearchBoundError):
+        norm(base, arg)

@@ -1,9 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbmlab.errors import InvalidInputError, PreconditionError, SearchBoundError
+from cbmlab import ordered
+from cbmlab.errors import (
+    InvalidInputError,
+    PreconditionError,
+    PrimePairError,
+    SearchBoundError,
+)
 from cbmlab.ordered import (
     Method,
     OrderedModel,
@@ -189,6 +198,114 @@ class TestRhoPlus:
             assert oracle <= est.pair_infimum <= oracle + 1.0 / 300
 
 
+def scalar_least_exponents(model, a, b, ls):
+    """Reference: one scalar search per row, started at l."""
+    return [
+        ordered._least_true(ordered._row_pred(model, a, b, l), l, ordered._SEARCH_BOUND)
+        for l in ls
+    ]
+
+
+def count_scalar_searches(monkeypatch):
+    calls = []
+    scalar = ordered._least_true
+
+    def counting(pred, guess, bound):
+        calls.append(guess)
+        return scalar(pred, guess, bound)
+
+    monkeypatch.setattr(ordered, "_least_true", counting)
+    return calls
+
+
+# small numerators make exact ratios, where the strict order's seed fails
+POSITIVE_Q = st.one_of(st.integers(1, 8), st.integers(1, 2**21))
+SIGNED_Q = st.one_of(st.integers(-8, 8), st.integers(-(2**21), 2**21))
+
+
+class TestBatchedSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["multiplicative", "additive"]),
+        st.sampled_from(list(OrderVariant)),
+        st.lists(POSITIVE_Q, min_size=4, max_size=4),
+        st.lists(SIGNED_Q, min_size=4, max_size=4),
+        # k stays below bound / 4, so the reference's doubling never overshoots the bound
+        st.lists(st.integers(1, 10**5), min_size=1, max_size=40),
+    )
+    def test_block_certified_exponents_equal_the_scalar_search(
+        self, kind, variant, a_q, b_q, ls
+    ):
+        if kind == "multiplicative":
+            m = OrderedModel.multiplicative(variant)
+            a, b = m.element_from_log(a_q[0] * QUANTUM), m.element_from_log(b_q[0] * QUANTUM)
+        else:
+            m = OrderedModel.additive(4, variant)
+            a, b = m.element(np.asarray(a_q) * QUANTUM), m.element(np.asarray(b_q) * QUANTUM)
+        batched = ordered._least_exponents(m, a, b, np.asarray(ls))
+        assert batched.tolist() == scalar_least_exponents(m, a, b, ls)
+
+    def test_strict_exact_ratio_takes_the_fallback(self, monkeypatch):
+        # the seed 2l has 2l*1 == l*2 at the first site only, so it fails
+        m = OrderedModel.additive(2, OrderVariant.STRICT_POSITIVE)
+        a, b = m.element([1.0, 1.0]), m.element([2.0, 1.0])
+        ls = np.arange(1, 51)
+        calls = count_scalar_searches(monkeypatch)
+        ks = ordered._least_exponents(m, a, b, ls)
+        assert ks.tolist() == (2 * ls + 1).tolist()
+        assert calls == (2 * ls).tolist()
+        est = rho_plus(m, a, b, 50)
+        assert est.pair_infimum == est.limit_estimate == 101 / 50
+
+    def test_non_strict_seed_is_certified_without_fallback(self, monkeypatch):
+        m = OrderedModel.additive(2, OrderVariant.NON_STRICT)
+        a, b = m.element([1.0, 1.0]), m.element([2.0, 1.0])
+        calls = count_scalar_searches(monkeypatch)
+        est = rho_plus(m, a, b, 300)
+        assert calls == []
+        assert est.pair_infimum == est.limit_estimate == 2.0
+
+    def test_l_max_spanning_several_blocks(self):
+        rng = rng_for(6)
+        l_max = 2 * ordered._BLOCK_ROWS + 37
+        for variant in OrderVariant:
+            m = OrderedModel.additive(6, variant)
+            a = m.element(quantized(rng, 0.5, 2.0, 6))
+            b = m.element(quantized(rng, 0.5, 2.0, 6))
+            ks = [min_power(m, a, b, l) for l in range(1, l_max + 1)]
+            est = rho_plus(m, a, b, l_max)
+            assert est.limit_estimate == ks[-1] / l_max
+            assert est.pair_infimum == min(k / l for l, k in enumerate(ks, start=1))
+
+    def test_peak_memory_does_not_grow_with_l_max(self):
+        rng = rng_for(7)
+        m = OrderedModel.additive(64)
+        a = m.element(quantized(rng, 0.5, 2.0, 64))
+        b = m.element(quantized(rng, 0.5, 2.0, 64))
+        peaks = []
+        for l_max in (ordered._BLOCK_ROWS, 16 * ordered._BLOCK_ROWS):
+            tracemalloc.start()
+            try:
+                rho_plus(m, a, b, l_max)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_non_finite_seed_raises_search_bound(self):
+        m = OrderedModel.additive(2)
+        with pytest.raises(SearchBoundError):
+            rho_plus(m, m.element([1e-300, 1.0]), m.element([1.0, 1.0]), 10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_seed_beyond_the_bound_raises_search_bound(self):
+        m = OrderedModel.multiplicative()
+        with pytest.raises(SearchBoundError):
+            rho_plus(m, m.element_from_log(1e-300), m.element_from_log(1.0), 10)
+        with pytest.raises(SearchBoundError):  # l * log b overflows to inf
+            rho_plus(m, m.element_from_log(1e-10), m.element_from_log(1e308), 10)
+
+
 class TestRhoPlusPrimes:
     def test_multiplicative_matches_brute_force(self):
         m = OrderedModel.multiplicative()
@@ -226,6 +343,20 @@ class TestRhoPlusPrimes:
         m = OrderedModel.additive(2)
         with pytest.raises(PreconditionError):
             rho_plus_primes(m, m.element([1, 1]), m.element([-1, -1]), 100)
+
+    def test_result_does_not_depend_on_table_size(self):
+        m = OrderedModel.multiplicative()
+        a, b = m.element(3.0), m.element(2.0)
+        expected = oracle_prime_infimum(m, a, b, 100)
+        assert expected == 7 / 11
+        assert rho_plus_primes(m, a, b, 100) == expected
+        for size in (100, 101, 100_000):
+            assert rho_plus_primes(m, a, b, 100, table=PrimeTable(size)) == expected
+
+    def test_no_pair_below_the_bound_raises(self):
+        m = OrderedModel.multiplicative()
+        with pytest.raises(PrimePairError):
+            rho_plus_primes(m, m.element(2.0), m.element(1000.0), 3)
 
 
 class TestGrowthDistance:
