@@ -28,6 +28,7 @@ from .domains import (
     rescale_cover,
     rgr_vs_cbm,
 )
+from .errors import CbmlabError
 from .forms import ContactFormRep, ContactMapRep, SampledManifold, dcbm_forms
 from .ordered import (
     OrderedModel,
@@ -306,7 +307,7 @@ def item_bridge(seed: int, cfg: dict) -> dict:
         h2 = quantized(rng, 0.5, 2.5, 64)
         report = rgr_vs_cbm(h1, h2, l_max=cfg["l_max"])
         worst_gap = max(worst_gap, report.gap)
-        all_hold = all_hold and report.inequality_holds
+        all_hold = all_hold and report.d_order >= report.d_cbm - report.tol
     tol = 3.0 / cfg["l_max"]
     return {
         "passed": unit_ok and all_hold and worst_gap <= tol,
@@ -364,9 +365,15 @@ def run_acceptance(
     prime_bound: int = 10_000,
     grid: int = 1024,
 ) -> dict:
-    """Run every acceptance item and assemble a deterministic report."""
+    """Run every acceptance item and assemble a deterministic report; an item
+    that raises a CbmlabError is recorded as failed and the rest still run."""
     cfg = {"l_max": l_max, "prime_bound": prime_bound, "grid": grid}
-    results = {name: fn(seed, cfg) for name, fn in ITEMS}
+    results = {}
+    for name, fn in ITEMS:
+        try:
+            results[name] = fn(seed, cfg)
+        except CbmlabError as exc:
+            results[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
     items = [{"name": name, **results[name]} for name in sorted(results)]
     return {
         "config": {"seed": seed, **cfg},

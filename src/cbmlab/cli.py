@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ from .domains import (
 from .errors import CbmlabError, InvalidInputError, InvariantViolation
 from .forms import dcbm_forms
 from .ordered import Method, OrderedModel, OrderVariant, growth_distance
-from .starshape import SkeletonSpec, delta, log_delta, qi_verify, skeleton_region
+from .starshape import SkeletonSpec, delta, qi_verify, skeleton_region
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -33,8 +34,10 @@ EXIT_INPUT = 2
 def _load(path: str):
     try:
         return serialize.load_json(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -54,7 +57,7 @@ def _element(model: OrderedModel, payload):
     if model.kind.name == "MULTIPLICATIVE_REALS":
         if not isinstance(payload, (int, float)):
             raise InvalidInputError("multiplicative elements are JSON numbers")
-        return model.element(float(payload))
+        return model.element(payload)
     return model.element(serialize.element_values_from_json(payload))
 
 
@@ -91,7 +94,8 @@ def cmd_norm(args) -> dict:
 def cmd_delta(args) -> dict:
     a = serialize.radial_set_from_dict(_load(args.a))
     b = serialize.radial_set_from_dict(_load(args.b))
-    return {"delta": delta(a, b), "log_delta": log_delta(a, b)}
+    d = delta(a, b)
+    return {"delta": d, "log_delta": math.log(d)}
 
 
 def cmd_skeleton(args) -> dict:

@@ -82,6 +82,17 @@ class ContactFormRep:
         return bool(np.all(other.f <= self.f))
 
 
+def _site_permutation(manifold: SampledManifold, perm) -> np.ndarray:
+    """perm as an int64 array, checked to be a permutation of the sites."""
+    perm = np.array(perm, dtype=np.int64)
+    n = manifold.sites
+    # n entries in [0, n) that hit every site form a bijection; O(n), no sort
+    in_range = perm.shape == (n,) and perm.min() >= 0 and perm.max() < n
+    if not (in_range and np.bincount(perm, minlength=n).all()):
+        raise InvalidInputError("phi must be a bijection on sites (a permutation)")
+    return perm
+
+
 @dataclass(frozen=True, eq=False)
 class ContactMapRep:
     """Candidate contactomorphism data: a site permutation and its conformal
@@ -96,13 +107,10 @@ class ContactMapRep:
     g: np.ndarray
 
     def __post_init__(self):
-        perm = np.array(self.perm, dtype=np.int64)
+        perm = _site_permutation(self.manifold, self.perm)
         g = np.array(self.g, dtype=float)
-        n = self.manifold.sites
-        if perm.shape != (n,) or g.shape != (n,):
-            raise InvalidInputError("perm and g must have one entry per site")
-        if not np.array_equal(np.sort(perm), np.arange(n)):
-            raise InvalidInputError("phi must be a bijection on sites (a permutation)")
+        if g.shape != (self.manifold.sites,):
+            raise InvalidInputError("g must have one entry per site")
         if not np.all(np.isfinite(g)):
             raise InvalidInputError("conformal exponent must be finite")
         object.__setattr__(self, "perm", perm)
@@ -119,7 +127,7 @@ class ContactMapRep:
     def measure_compatible(manifold: SampledManifold, perm) -> "ContactMapRep":
         """The unique conformal exponent making the permutation preserve the
         subgraph volume of every form: g = (ln w o phi - ln w) / half_dim."""
-        perm = np.asarray(perm, dtype=np.int64)
+        perm = _site_permutation(manifold, perm)
         logw = np.log(manifold.weights)
         g = (logw[perm] - logw) / manifold.half_dim
         return ContactMapRep(manifold, perm, g)
@@ -182,7 +190,10 @@ def dcbm_forms_lower_volume(f1: ContactFormRep, f2: ContactFormRep) -> float:
     """
     _check_shared(f1.manifold, f2.manifold)
     n = f1.manifold.half_dim
-    return abs(math.log(w_alpha_volume(f1) / w_alpha_volume(f2))) / n
+    vol1, vol2 = w_alpha_volume(f1), w_alpha_volume(f2)
+    if not (vol2 > 0.0 and 0.0 < vol1 / vol2 < math.inf):
+        raise InvalidInputError("subgraph volume ratio is not a positive finite double")
+    return abs(math.log(vol1 / vol2)) / n
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ predicate k |-> (a^k >= b^l) is upward-closed in k whenever a is a dominant:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -33,6 +34,9 @@ DEFAULT_PRIME_BOUND = 10_000
 PRIME_WINDOW_EXPONENT = 0.6  # prime-gap window scale for the witness search
 _SEARCH_BOUND = 10**12
 _BLOCK_ROWS = 256  # exponent rows per batched oracle evaluation
+# largest additive entry a with k*a finite for every |k| the searches try (a
+# margin of 4 over the bound); an inf product would make inf >= inf hold
+_MAX_ENTRY = sys.float_info.max / (4.0 * _SEARCH_BOUND)
 
 
 class ModelKind(Enum):
@@ -69,13 +73,6 @@ class Element:
             return math.exp(self.data)
         return self.data
 
-    def same_shape(self, other: "Element") -> bool:
-        if self.kind is not other.kind:
-            return False
-        if self.kind is ModelKind.ADDITIVE_GRID:
-            return self.data.shape == other.data.shape
-        return True
-
 
 @dataclass(frozen=True)
 class OrderedModel:
@@ -99,7 +96,10 @@ class OrderedModel:
 
     def element(self, value) -> Element:
         if self.kind is ModelKind.MULTIPLICATIVE_REALS:
-            v = float(value)
+            try:
+                v = float(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidInputError(f"bad multiplicative element: {exc}") from exc
             if not (v > 0.0) or not math.isfinite(v):
                 raise InvalidInputError("multiplicative elements must be finite positive reals")
             return Element(self.kind, math.log(v))
@@ -108,8 +108,10 @@ class OrderedModel:
             raise InvalidInputError(
                 f"grid element must have {self.site_count} sites, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("grid elements must be finite-valued")
+        if not np.all(np.abs(arr) <= _MAX_ENTRY):
+            raise InvalidInputError(
+                f"grid element entries must be finite with magnitude <= {_MAX_ENTRY:.4g}"
+            )
         arr = arr.copy()
         arr.flags.writeable = False
         return Element(self.kind, arr)

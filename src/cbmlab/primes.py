@@ -1,4 +1,4 @@
-"""Prime sieves: a simple sieve for base primes and a segmented sieve for windows."""
+"""Prime sieve and the bounded primality table behind the prime-pair growth rate."""
 
 from __future__ import annotations
 
@@ -17,28 +17,6 @@ def sieve_upto(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.flatnonzero(mask).astype(np.int64)
-
-
-def primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """Primes in the closed interval [lo, hi], via a segmented sieve.
-
-    Only base primes up to sqrt(hi) are materialized, so the window may sit
-    far beyond any previously sieved range.
-    """
-    lo = max(lo, 2)
-    if hi < lo:
-        return np.empty(0, dtype=np.int64)
-    base = sieve_upto(math.isqrt(hi))
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start > hi:
-            continue
-        mask[start - lo :: p] = False
-    if lo <= 1:
-        mask[: 2 - lo] = False
-    # base primes inside the window stay prime
-    return (np.flatnonzero(mask) + lo).astype(np.int64)
 
 
 class PrimeTable:

@@ -59,21 +59,6 @@ def load_json(path: str) -> Any:
 # -- value-type schemas -------------------------------------------------------
 
 
-def _planar_grid_from_directions(directions: np.ndarray) -> DirectionGrid:
-    """Planar grid keeping the caller's direction order; weights are the
-    half-gap arcs of the sorted angles, scattered back to that order."""
-    angles = np.mod(np.arctan2(directions[:, 1], directions[:, 0]), 2.0 * np.pi)
-    order = np.argsort(angles, kind="stable")
-    sorted_angles = angles[order]
-    if np.any(np.diff(sorted_angles) == 0.0):
-        raise InvalidInputError("duplicate directions in radial-set payload")
-    gaps = np.diff(sorted_angles, append=sorted_angles[0] + 2.0 * np.pi)
-    sorted_weights = 0.5 * (gaps + np.roll(gaps, 1))
-    weights = np.empty_like(sorted_weights)
-    weights[order] = sorted_weights
-    return DirectionGrid(2, directions, weights, angles)
-
-
 def radial_set_to_dict(s: RadialSet, include_directions: bool = True) -> dict:
     out = {
         "dimension": s.grid.dimension,
@@ -88,27 +73,19 @@ def radial_set_from_dict(data: dict) -> RadialSet:
     try:
         dimension = int(data["dimension"])
         radii = np.asarray(data["radii"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        directions = data.get("directions")
+        if directions is not None:
+            directions = np.asarray(directions, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad radial-set payload: {exc}") from exc
-    if "directions" in data and data["directions"] is not None:
-        directions = np.asarray(data["directions"], dtype=float)
+    if directions is not None:
         if directions.ndim != 2 or directions.shape[1] != dimension:
             raise InvalidInputError("directions must be a (count, dimension) matrix")
-        if dimension == 2:
-            grid = _planar_grid_from_directions(directions)
-        else:
-            count = directions.shape[0]
-            from .starshape import sphere_area
-
-            weights = np.full(count, sphere_area(dimension) / count)
-            grid = DirectionGrid(dimension, directions, weights)
+        grid = DirectionGrid.from_directions(directions)
+    elif dimension == 2:
+        grid = DirectionGrid.uniform_circle(radii.size)
     else:
-        count = radii.shape[0]
-        grid = (
-            DirectionGrid.uniform_circle(count)
-            if dimension == 2
-            else DirectionGrid.sphere(count, dimension)
-        )
+        grid = DirectionGrid.sphere(radii.size, dimension)
     return RadialSet(grid, radii)
 
 
@@ -131,7 +108,7 @@ def domain_from_dict(data: dict) -> SplitToricDomain:
             label=str(data.get("label", "")),
             cover=int(data.get("cover", 1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad domain payload: {exc}") from exc
 
 
@@ -153,7 +130,7 @@ def form_from_dict(data: dict) -> ContactFormRep:
         if "sites" in data and int(data["sites"]) != manifold.sites:
             raise InvalidInputError("declared site count disagrees with the weights")
         return ContactFormRep(manifold, np.asarray(data["f"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad contact-form payload: {exc}") from exc
 
 
@@ -164,17 +141,16 @@ def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
             g = np.asarray(data["g"], dtype=float)
             return ContactMapRep(manifold, perm, g)
         return ContactMapRep.measure_compatible(manifold, perm)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad candidate-map payload: {exc}") from exc
-
-
-def map_to_dict(m: ContactMapRep) -> dict:
-    return {"perm": m.perm, "g": m.g}
 
 
 def element_values_from_json(data: Any) -> np.ndarray:
     """Grid elements travel as bare JSON arrays of numbers."""
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"bad grid element payload: {exc}") from exc
     if arr.ndim != 1:
         raise InvalidInputError("grid element payload must be a flat array of numbers")
     return arr

@@ -37,6 +37,19 @@ def _halton(index: np.ndarray, base: int) -> np.ndarray:
     return result
 
 
+def _half_gap_weights(sorted_angles: np.ndarray) -> np.ndarray:
+    """Half of each neighbouring gap of sorted polar angles, around the circle."""
+    gaps = np.diff(sorted_angles, append=sorted_angles[:1] + 2.0 * math.pi)
+    return 0.5 * (gaps + np.roll(gaps, 1))
+
+
+def _equal_weights(dimension: int, count: int) -> np.ndarray:
+    """Equal weights summing to the sphere area, for near-uniform samples."""
+    if count < MIN_GRID_COUNT:
+        raise InvalidInputError(f"direction grids need at least {MIN_GRID_COUNT} directions")
+    return np.full(count, sphere_area(dimension) / count)
+
+
 @dataclass(frozen=True, eq=False)
 class DirectionGrid:
     """Unit directions with quadrature weights summing to the sphere area."""
@@ -70,15 +83,36 @@ class DirectionGrid:
 
     @staticmethod
     def from_angles(angles: Sequence[float]) -> "DirectionGrid":
-        """2-d grid at the given polar angles; weights are the half-gap arcs."""
-        ang = np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi)
-        ang = np.unique(ang)
-        gaps = np.diff(ang, append=ang[0] + 2.0 * math.pi)
-        weights = 0.5 * (gaps + np.roll(gaps, 1))
+        """2-d grid at the given polar angles, sorted and deduplicated; weights
+        are the half-gap arcs."""
+        ang = np.unique(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
         directions = np.column_stack([np.cos(ang), np.sin(ang)])
         # cos/sin round to norms within an ulp of 1; renormalize exactly
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return DirectionGrid(2, directions, weights, ang)
+        return DirectionGrid(2, directions, _half_gap_weights(ang), ang)
+
+    @staticmethod
+    def from_directions(directions) -> "DirectionGrid":
+        """Grid on the given unit directions, kept in the caller's order.
+
+        Planar grids weight each direction by its half-gap arc among the
+        sorted angles and reject duplicate angles; other dimensions weight
+        every direction equally.
+        """
+        directions = np.array(directions, dtype=float)
+        if directions.ndim != 2 or directions.shape[1] < 1:
+            raise InvalidInputError("directions must be a (count, dimension) matrix")
+        count, dimension = directions.shape
+        if dimension != 2:
+            return DirectionGrid(dimension, directions, _equal_weights(dimension, count))
+        angles = np.mod(np.arctan2(directions[:, 1], directions[:, 0]), 2.0 * math.pi)
+        order = np.argsort(angles, kind="stable")
+        sorted_angles = angles[order]
+        if np.any(np.diff(sorted_angles) == 0.0):
+            raise InvalidInputError("duplicate directions")
+        weights = np.empty(count)
+        weights[order] = _half_gap_weights(sorted_angles)
+        return DirectionGrid(2, directions, weights, angles)
 
     @staticmethod
     def sphere(count: int = DEFAULT_GRID_COUNT, dimension: int = 3) -> "DirectionGrid":
@@ -103,8 +137,7 @@ class DirectionGrid:
             gauss = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
             directions = gauss / np.linalg.norm(gauss, axis=1)[:, None]
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        weights = np.full(count, sphere_area(dimension) / count)
-        return DirectionGrid(dimension, directions, weights)
+        return DirectionGrid(dimension, directions, _equal_weights(dimension, count))
 
     def matches(self, other: "DirectionGrid") -> bool:
         return self is other or (

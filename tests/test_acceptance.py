@@ -4,12 +4,15 @@ Each test runs the corresponding seeded suite item (seed 7), prints a
 PASS/FAIL line, and enforces the stated runtime budget where one exists.
 """
 
+import hashlib
 import time
 
 from cbmlab import acceptance
 from cbmlab.cli import main
 
 SEED = 7
+SEED7_REPORT_BYTES = 1627
+SEED7_REPORT_SHA256 = "c9167f782e475c9cbf10ecc1323f17143e58cad75960af1268b58c90c6b0a09d"
 CFG = {"l_max": 1000, "prime_bound": 10_000, "grid": 1024}
 ITEMS = dict(acceptance.ITEMS)
 
@@ -105,4 +108,7 @@ def test_12_cli_determinism(tmp_path, capsys):
     assert main(["accept", "--seed", "7", "-o", str(second)]) == 0
     b1, b2 = first.read_bytes(), second.read_bytes()
     assert b1 == b2
+    # the seed-7 report is the yardstick that refactors must keep byte-identical
+    assert len(b1) == SEED7_REPORT_BYTES
+    assert hashlib.sha256(b1).hexdigest() == SEED7_REPORT_SHA256
     print(f"ACCEPT 12-cli-determinism: PASS (byte-identical, {len(b1)} bytes)")

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbmlab import acceptance
 from cbmlab.cli import main
+from cbmlab.errors import SearchBoundError
 from cbmlab.serialize import domain_to_dict, dumps_report, form_to_dict, radial_set_to_dict
 from cbmlab.domains import SplitToricDomain
 from cbmlab.forms import ContactFormRep, SampledManifold
@@ -131,6 +138,9 @@ def test_malformed_json_exits_two(tmp_path, capsys):
 def test_missing_file_exits_two(tmp_path, capsys):
     code = main(["csh", str(tmp_path / "nope.json")])
     assert code == 2
+    assert main(["csh", str(tmp_path)]) == 2  # a directory
+    (tmp_path / "latin1.json").write_bytes(b'["\xff"]')
+    assert main(["ham2dom", str(tmp_path / "latin1.json")]) == 2
 
 
 def test_input_precondition_exits_two(tmp_path, capsys):
@@ -144,6 +154,119 @@ def test_failing_acceptance_item_exits_one(tmp_path, capsys, monkeypatch):
     )
     code = main(["accept", "--seed", "7", "-o", str(tmp_path / "r.json")])
     assert code == 1
+
+
+def test_malformed_element_values_exit_two(tmp_path, capsys):
+    good = write(tmp_path / "good.json", [1.0, 1.0])
+    text = write(tmp_path / "text.json", ["x", 1])
+    obj = write(tmp_path / "obj.json", {"a": 1})
+    assert main(["growth", text, good]) == 2
+    assert main(["growth", obj, good]) == 2
+    assert main(["norm", obj, good]) == 2
+    assert main(["ham2dom", obj]) == 2
+    assert capsys.readouterr().err.count("error: bad grid element payload") == 4
+
+
+def test_out_of_range_candidate_permutation_exits_two(tmp_path, capsys):
+    manifold = SampledManifold(np.ones(3), half_dim=2)
+    f = write(tmp_path / "f.json", form_to_dict(ContactFormRep(manifold, np.zeros(3))))
+    m = write(tmp_path / "m.json", {"perm": [0, 1, 7]})
+    assert main(["dcbm-forms", f, f, "--maps", m]) == 2
+    assert "permutation" in capsys.readouterr().err
+
+
+def test_subgraph_volume_out_of_range_exits_two(tmp_path, capsys):
+    manifold = SampledManifold(np.ones(3), half_dim=2)
+    tiny_form, unit_form = (ContactFormRep(manifold, np.full(3, f)) for f in (-1000.0, 0.0))
+    tiny = write(tmp_path / "tiny.json", form_to_dict(tiny_form))
+    unit = write(tmp_path / "unit.json", form_to_dict(unit_form))
+    assert main(["dcbm-forms", tiny, unit]) == 2  # e^(-2000) underflows to a zero volume
+    assert main(["dcbm-forms", unit, tiny]) == 2
+    assert capsys.readouterr().err.count("volume ratio") == 2
+
+
+def test_entries_that_overflow_the_oracle_exit_two(tmp_path, capsys):
+    # k * 1e308 is inf for k >= 2, and inf >= inf would make the oracle hold
+    a = write(tmp_path / "a.json", [1e308, 1e308])
+    b = write(tmp_path / "b.json", [1e307, 1e308])
+    assert main(["growth", a, b, "--l-max", "50"]) == 2
+    assert "magnitude" in capsys.readouterr().err
+
+
+def test_raising_acceptance_item_is_recorded_and_the_rest_run(tmp_path, capsys, monkeypatch):
+    def boom(seed, cfg):
+        raise SearchBoundError(10, "forced")
+
+    items = [("01-raises", boom), ("02-passes", lambda seed, cfg: {"passed": True})]
+    monkeypatch.setattr(acceptance, "ITEMS", items)
+    out = tmp_path / "r.json"
+    assert main(["accept", "--seed", "7", "-o", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["items"] == [
+        {"name": "01-raises", "passed": False, "error": "SearchBoundError: forced"},
+        {"name": "02-passes", "passed": True},
+    ]
+    assert report["passed"] is False
+
+
+NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=8,
+)
+THREE = st.lists(NUMBERS, min_size=3, max_size=3)
+# 64 entries pass the direction-grid floor; cycling a few drawn values keeps
+# the draws cheap
+SITES_64 = st.lists(NUMBERS, min_size=1, max_size=4).map(lambda xs: (xs * 64)[:64])
+RADIAL = st.fixed_dictionaries(
+    {"dimension": st.integers(-1, 4), "radii": SITES_64},
+    optional={"directions": ANY_JSON},
+)
+# payloads shaped like each schema, so the search also reaches the checks
+# behind the parsers
+SHAPED = st.one_of(
+    st.lists(NUMBERS, min_size=1, max_size=4),
+    SITES_64,
+    RADIAL,
+    st.fixed_dictionaries(
+        {"base_dim": NUMBERS, "fiber": RADIAL}, optional={"liouville_weight": NUMBERS}
+    ),
+    st.fixed_dictionaries({"weights": THREE, "half_dim": NUMBERS, "f": THREE}),
+    st.fixed_dictionaries({"perm": THREE}),
+)
+# "@i" stands for the file holding the i-th payload
+COMMANDS = [
+    ["growth", "@0", "@1", "--l-max", "50"],
+    ["growth", "@0", "@1", "--l-max", "50", "--model", "multiplicative"],
+    ["norm", "@0", "@1"],
+    ["delta", "@0", "@1"],
+    ["dcbm-toric", "@0", "@1"],
+    ["dc-toric", "@0", "@1"],
+    ["csh", "@0"],
+    ["squeezable", "@0"],
+    ["ham2dom", "@0"],
+    ["dcbm-forms", "@0", "@1", "--maps", "@2"],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    payloads=st.lists(ANY_JSON | SHAPED, min_size=3, max_size=3),
+)
+def test_any_json_payload_keeps_the_exit_code_contract(command, payloads):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, payload in enumerate(payloads):
+            paths.append(os.path.join(tmp, f"{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        argv = [paths[int(arg[1:])] if arg.startswith("@") else arg for arg in command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
 
 
 def test_output_file_argument(tmp_path, capsys):

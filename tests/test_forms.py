@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cbmlab.acceptance import QUANTUM, item_rng
 from cbmlab.errors import InvalidInputError
 from cbmlab.forms import (
     ContactFormRep,
@@ -15,11 +16,7 @@ from cbmlab.forms import (
     w_alpha_volume,
 )
 
-QUANTUM = 2.0**-20
-
-
-def rng_for(stream):
-    return np.random.Generator(np.random.Philox(key=[31, stream]))
+SEED = 31  # Philox key of this file's draws
 
 
 def uniform_manifold(sites=64, half_dim=2):
@@ -44,7 +41,7 @@ def brute_force_volume(form, u_samples=200_000):
 class TestPullback:
     def test_identity_with_zero_factor(self):
         m = uniform_manifold()
-        rng = rng_for(0)
+        rng = item_rng(SEED, 0)
         alpha = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         same = pullback(alpha, ContactMapRep.identity(m))
         assert np.array_equal(same.f, alpha.f)
@@ -58,7 +55,7 @@ class TestPullback:
 
     def test_pure_permutation_permutes(self):
         m = uniform_manifold()
-        rng = rng_for(1)
+        rng = item_rng(SEED, 1)
         alpha = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         perm = rng.permutation(m.sites)
         moved = pullback(alpha, ContactMapRep(m, perm, np.zeros(m.sites)))
@@ -72,15 +69,19 @@ class TestPullback:
 
     def test_non_bijective_map_rejected(self):
         m = uniform_manifold(64)
-        perm = np.zeros(64, dtype=int)
-        with pytest.raises(InvalidInputError):
-            ContactMapRep(m, perm, np.zeros(64))
+        head = np.arange(63)
+        # all equal, a repeat that misses site 63, one past the end, one negative
+        for perm in (np.zeros(64, dtype=int), np.r_[head, 61], np.r_[head, 64], np.arange(-1, 63)):
+            with pytest.raises(InvalidInputError):
+                ContactMapRep(m, perm, np.zeros(64))
+            with pytest.raises(InvalidInputError):
+                ContactMapRep.measure_compatible(m, perm)
 
 
 class TestUpperBound:
     def test_identity_candidate_gives_sup_norm(self):
         m = uniform_manifold()
-        rng = rng_for(2)
+        rng = item_rng(SEED, 2)
         f1 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         f2 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         assert dcbm_forms_upper(f1, f2) == float(np.max(np.abs(f1.f - f2.f)))
@@ -91,8 +92,8 @@ class TestUpperBound:
         assert dcbm_forms_upper(f, f) == 0.0
 
     def test_exact_matching_candidate_collapses_to_zero(self):
-        m = random_manifold(rng_for(3))
-        rng = rng_for(4)
+        m = random_manifold(item_rng(SEED, 3))
+        rng = item_rng(SEED, 4)
         f2 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         cand = ContactMapRep.measure_compatible(m, rng.permutation(m.sites))
         f1 = pullback(f2, cand)
@@ -101,13 +102,13 @@ class TestUpperBound:
 
 class TestVolumes:
     def test_flat_form_volume(self):
-        m = random_manifold(rng_for(5), half_dim=3)
+        m = random_manifold(item_rng(SEED, 5), half_dim=3)
         form = ContactFormRep(m, np.zeros(m.sites))
         assert w_alpha_volume(form) == pytest.approx(float(np.sum(m.weights)) / 3.0, rel=1e-15)
 
     def test_rescaling_scales_by_capacity_power(self):
-        m = random_manifold(rng_for(6), half_dim=2)
-        rng = rng_for(7)
+        m = random_manifold(item_rng(SEED, 6), half_dim=2)
+        rng = item_rng(SEED, 7)
         form = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         for c in (2.0, math.e):
             assert w_alpha_volume(form.rescaled(c)) == pytest.approx(
@@ -116,23 +117,23 @@ class TestVolumes:
 
     def test_monotone_under_pointwise_order(self):
         m = uniform_manifold()
-        rng = rng_for(8)
+        rng = item_rng(SEED, 8)
         f1 = ContactFormRep(m, rng.uniform(-1, 0, m.sites))
         f2 = ContactFormRep(m, f1.f + rng.uniform(0, 1, m.sites))
         assert f2.dominates(f1)
         assert w_alpha_volume(f1) <= w_alpha_volume(f2)
 
     def test_matches_brute_force_quadrature(self):
-        m = random_manifold(rng_for(9), sites=16, half_dim=2)
-        rng = rng_for(10)
+        m = random_manifold(item_rng(SEED, 9), sites=16, half_dim=2)
+        rng = item_rng(SEED, 10)
         form = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         assert w_alpha_volume(form) == pytest.approx(brute_force_volume(form), rel=1e-6)
 
 
 class TestLowerBound:
     def test_rescaling_pins_log_constant(self):
-        m = random_manifold(rng_for(11))
-        rng = rng_for(12)
+        m = random_manifold(item_rng(SEED, 11))
+        rng = item_rng(SEED, 12)
         f1 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         for c in (2.0, math.e, 10.0):
             assert abs(dcbm_forms_lower_volume(f1, f1.rescaled(c)) - math.log(c)) <= 1e-9
@@ -156,7 +157,7 @@ class TestLowerBound:
 
 class TestConsistencyAndAxioms:
     def test_lower_below_upper_on_random_pairs(self):
-        rng = rng_for(13)
+        rng = item_rng(SEED, 13)
         m = random_manifold(rng)
         candidates = [
             ContactMapRep.measure_compatible(m, rng.permutation(m.sites)) for _ in range(4)
@@ -168,7 +169,7 @@ class TestConsistencyAndAxioms:
             assert report.lower <= report.upper + 1e-12
 
     def test_pinch_certifies_rescaling_distance(self):
-        rng = rng_for(14)
+        rng = item_rng(SEED, 14)
         m = random_manifold(rng)
         f1 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         for c in (2.0, math.e, 10.0):
@@ -190,7 +191,7 @@ class TestConsistencyAndAxioms:
     def test_pseudo_metric_axioms_over_rotation_group(self):
         m = uniform_manifold(sites=32)
         group = self._rotation_group(m)
-        rng = rng_for(15)
+        rng = item_rng(SEED, 15)
         for _ in range(10):
             f1, f2, f3 = (
                 ContactFormRep(m, rng.uniform(-1, 1, m.sites)) for _ in range(3)
@@ -206,7 +207,7 @@ class TestConsistencyAndAxioms:
     def test_invariance_under_common_pullback(self):
         m = uniform_manifold(sites=32)
         group = self._rotation_group(m)
-        rng = rng_for(16)
+        rng = item_rng(SEED, 16)
         f1 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         f2 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         mu = group[7]
@@ -215,8 +216,8 @@ class TestConsistencyAndAxioms:
         assert after == before
 
     def test_map_group_structure(self):
-        m = random_manifold(rng_for(17), sites=16)
-        rng = rng_for(18)
+        m = random_manifold(item_rng(SEED, 17), sites=16)
+        rng = item_rng(SEED, 18)
         a = ContactMapRep.measure_compatible(m, rng.permutation(m.sites))
         b = ContactMapRep.measure_compatible(m, rng.permutation(m.sites))
         ident = ContactMapRep.identity(m)

@@ -5,19 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbmlab.acceptance import QUANTUM, item_rng, quantized
 from cbmlab.errors import PreconditionError, SearchBoundError
 from cbmlab.norms import norm, stabilization
 from cbmlab.ordered import OrderedModel
 
-QUANTUM = 2.0**-20
-
-
-def rng_for(stream):
-    return np.random.Generator(np.random.Philox(key=[777, stream]))
-
-
-def quantized(rng, lo, hi, size):
-    return rng.integers(round(lo / QUANTUM), round(hi / QUANTUM), size=size, endpoint=True) * QUANTUM
+SEED = 777  # Philox key of this file's draws
 
 
 def model_and(base_vals, arg_vals):
@@ -70,7 +63,7 @@ def test_norm_axioms(base_q, arg1_q, arg2_q):
 
 def test_conjugation_is_exact_in_the_abelian_model():
     # quantized entries keep b + a - b bitwise equal to a
-    rng = rng_for(0)
+    rng = item_rng(SEED, 0)
     m = OrderedModel.additive(5)
     for _ in range(100):
         base = m.element(quantized(rng, 0.5, 2.0, 5))
@@ -93,7 +86,7 @@ def test_stabilization_of_identity():
 
 
 def test_stabilization_matches_closed_form():
-    rng = rng_for(1)
+    rng = item_rng(SEED, 1)
     m = OrderedModel.additive(6)
     l_max = 500
     for _ in range(50):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbmlab import ordered
+from cbmlab.acceptance import QUANTUM, item_rng, quantized
 from cbmlab.errors import (
     InvalidInputError,
     PreconditionError,
@@ -26,15 +27,7 @@ from cbmlab.ordered import (
 )
 from cbmlab.primes import PrimeTable
 
-QUANTUM = 2.0**-20
-
-
-def rng_for(stream):
-    return np.random.Generator(np.random.Philox(key=[1234, stream]))
-
-
-def quantized(rng, lo, hi, size):
-    return rng.integers(round(lo / QUANTUM), round(hi / QUANTUM), size=size, endpoint=True) * QUANTUM
+SEED = 1234  # Philox key of this file's draws
 
 
 def oracle_min_power(model, a, b, l, lo=-60, hi=60):
@@ -96,7 +89,7 @@ class TestOracle:
 
     def test_bi_invariance_on_random_triples(self):
         # quantized samples keep all sums exact, so the check is bitwise
-        rng = rng_for(0)
+        rng = item_rng(SEED, 0)
         for variant in OrderVariant:
             m = OrderedModel.additive(6, variant)
             for _ in range(100):
@@ -187,7 +180,7 @@ class TestRhoPlus:
         assert 3.5 <= est.pair_infimum <= est.limit_estimate <= 3.5 + 1.0 / 1000
 
     def test_both_forms_agree_within_inverse_l_max(self):
-        rng = rng_for(1)
+        rng = item_rng(SEED, 1)
         m = OrderedModel.additive(5)
         for _ in range(25):
             a = m.element(quantized(rng, 0.5, 2.0, 5))
@@ -266,7 +259,7 @@ class TestBatchedSearch:
         assert est.pair_infimum == est.limit_estimate == 2.0
 
     def test_l_max_spanning_several_blocks(self):
-        rng = rng_for(6)
+        rng = item_rng(SEED, 6)
         l_max = 2 * ordered._BLOCK_ROWS + 37
         for variant in OrderVariant:
             m = OrderedModel.additive(6, variant)
@@ -278,7 +271,7 @@ class TestBatchedSearch:
             assert est.pair_infimum == min(k / l for l, k in enumerate(ks, start=1))
 
     def test_peak_memory_does_not_grow_with_l_max(self):
-        rng = rng_for(7)
+        rng = item_rng(SEED, 7)
         m = OrderedModel.additive(64)
         a = m.element(quantized(rng, 0.5, 2.0, 64))
         b = m.element(quantized(rng, 0.5, 2.0, 64))
@@ -329,7 +322,7 @@ class TestRhoPlusPrimes:
 
     def test_prime_pairs_dominate_all_pairs(self):
         # prime ordering pairs are a subset of all ordering pairs
-        rng = rng_for(2)
+        rng = item_rng(SEED, 2)
         m = OrderedModel.additive(4)
         for _ in range(5):
             a = m.element(quantized(rng, 0.5, 2.0, 4))
@@ -374,7 +367,7 @@ class TestGrowthDistance:
         assert report.distance == math.log(2.0)
 
     def test_product_inequality_on_random_dominants(self):
-        rng = rng_for(3)
+        rng = item_rng(SEED, 3)
         m = OrderedModel.additive(6)
         for _ in range(20):
             a = m.element(quantized(rng, 0.5, 2.0, 6))
@@ -397,7 +390,7 @@ class TestGrowthDistance:
 
 class TestPseudoMetricAxioms:
     def test_axioms_on_randomized_triples(self):
-        rng = rng_for(4)
+        rng = item_rng(SEED, 4)
         m = OrderedModel.additive(5)
         l_max = 200
         tol = 3.0 / l_max
@@ -413,7 +406,7 @@ class TestPseudoMetricAxioms:
 
     def test_order_variant_monotonicity(self):
         # the strict order refines the non-strict one, so distances only grow
-        rng = rng_for(5)
+        rng = item_rng(SEED, 5)
         l_max = 200
         loose = OrderedModel.additive(5, OrderVariant.NON_STRICT)
         strict = OrderedModel.additive(5, OrderVariant.STRICT_POSITIVE)

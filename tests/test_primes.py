@@ -1,6 +1,6 @@
 import numpy as np
 
-from cbmlab.primes import PrimeTable, primes_in_range, sieve_upto
+from cbmlab.primes import PrimeTable, sieve_upto
 
 
 def naive_primes(limit):
@@ -10,19 +10,6 @@ def naive_primes(limit):
 def test_sieve_matches_naive():
     assert sieve_upto(200).tolist() == naive_primes(200)
     assert sieve_upto(1).size == 0
-
-
-def test_segmented_matches_slice_of_full_sieve():
-    full = sieve_upto(5000)
-    window = primes_in_range(1234, 4321)
-    assert window.tolist() == [int(p) for p in full if 1234 <= p <= 4321]
-
-
-def test_segmented_far_window():
-    # spot check against direct trial division
-    window = primes_in_range(10_000, 10_100)
-    assert window.tolist() == naive_primes(10_100)[-len(window) :]
-    assert all(p >= 10_000 for p in window)
 
 
 def test_prime_table_lookups():

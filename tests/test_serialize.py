@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cbmlab.acceptance import item_rng
 from cbmlab.domains import SplitToricDomain
 from cbmlab.errors import InvalidInputError
 from cbmlab.forms import ContactFormRep, SampledManifold
@@ -21,13 +22,9 @@ from cbmlab.serialize import (
 from cbmlab.starshape import DirectionGrid, RadialSet
 
 
-def rng():
-    return np.random.Generator(np.random.Philox(key=[12, 0]))
-
-
 def sample_set():
     grid = DirectionGrid.uniform_circle(64)
-    return RadialSet(grid, rng().uniform(0.5, 2.0, grid.count))
+    return RadialSet(grid, item_rng(12, 0).uniform(0.5, 2.0, grid.count))
 
 
 def test_float_formatting_round_trips():
@@ -78,13 +75,13 @@ def test_domain_round_trip():
 
 
 def test_form_round_trip_and_maps():
-    manifold = SampledManifold(rng().uniform(0.5, 2.0, 32), half_dim=2)
-    form = ContactFormRep(manifold, rng().uniform(-1, 1, 32))
+    manifold = SampledManifold(item_rng(12, 0).uniform(0.5, 2.0, 32), half_dim=2)
+    form = ContactFormRep(manifold, item_rng(12, 0).uniform(-1, 1, 32))
     payload = dumps_report(form_to_dict(form))
     reparsed = form_from_dict(json.loads(payload))
     assert dumps_report(form_to_dict(reparsed)) == payload
 
-    perm = rng().permutation(32)
+    perm = item_rng(12, 0).permutation(32)
     explicit = map_from_dict({"perm": perm.tolist(), "g": [0.0] * 32}, manifold)
     assert np.array_equal(explicit.perm, perm)
     derived = map_from_dict({"perm": perm.tolist()}, manifold)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbmlab.acceptance import item_rng
 from cbmlab.errors import InvalidInputError
 from cbmlab.starshape import (
     DirectionGrid,
@@ -26,10 +27,7 @@ from cbmlab.starshape import (
 )
 
 GRID = DirectionGrid.uniform_circle(1024)
-
-
-def rng_for(stream):
-    return np.random.Generator(np.random.Philox(key=[99, stream]))
+SEED = 99  # Philox key of this file's draws
 
 
 def random_set(rng, grid=GRID, lo=0.5, hi=2.0):
@@ -48,6 +46,24 @@ class TestGrids:
         grid = DirectionGrid.sphere(512, 3)
         assert abs(float(np.sum(grid.weights)) - 4 * math.pi) < 1e-9
 
+    def test_from_directions_keeps_the_callers_order(self):
+        perm = item_rng(SEED, 12).permutation(GRID.count)
+        grid = DirectionGrid.from_directions(GRID.directions[perm])
+        assert np.array_equal(grid.directions, GRID.directions[perm])
+        # planar weights are the half-gap arcs of the sorted angles, scattered back
+        order = np.argsort(grid.angles, kind="stable")
+        assert np.array_equal(grid.weights[order], DirectionGrid.from_angles(grid.angles).weights)
+        sphere = DirectionGrid.sphere(256, 3)
+        grid3 = DirectionGrid.from_directions(sphere.directions[::-1])
+        assert np.array_equal(grid3.weights, sphere.weights)  # equal weights, area / count
+
+    def test_from_directions_rejects_bad_grids(self):
+        doubled = np.concatenate([GRID.directions, GRID.directions[:1]])
+        few = DirectionGrid.sphere(256, 3).directions[:8]
+        for directions in (doubled, GRID.directions[0], np.zeros((64, 0)), few):
+            with pytest.raises(InvalidInputError):
+                DirectionGrid.from_directions(directions)
+
     def test_unit_ball_volumes(self):
         assert abs(volume(ball(1.0, GRID)) - math.pi) / math.pi < 0.005
         grid3 = DirectionGrid.sphere(2048, 3)
@@ -63,7 +79,7 @@ class TestDelta:
         assert delta(ball(1.0, GRID), ball(2.0, GRID)) == 2.0
 
     def test_self_distance_is_one(self):
-        a = random_set(rng_for(0))
+        a = random_set(item_rng(SEED, 0))
         assert delta(a, a) == 1.0
 
     def test_square_against_disk(self):
@@ -78,17 +94,17 @@ class TestDelta:
             delta(ball(1.0, GRID), ball(1.0, other))
 
     def test_dyadic_scaling_axis_exact(self):
-        a = random_set(rng_for(1))
+        a = random_set(item_rng(SEED, 1))
         for c in (2.0, 0.5, 8.0, 1.0 / 16.0):
             assert log_delta(scale(a, c), a) == abs(math.log(c))
 
     def test_generic_scaling_axis(self):
-        a = random_set(rng_for(2))
+        a = random_set(item_rng(SEED, 2))
         for c in (3.7, 0.9, 1.0001):
             assert abs(log_delta(scale(a, c), a) - abs(math.log(c))) < 1e-12
 
     def test_multiplicative_pseudo_metric(self):
-        rng = rng_for(3)
+        rng = item_rng(SEED, 3)
         for _ in range(30):
             a, b, c = (random_set(rng) for _ in range(3))
             assert delta(a, b) == delta(b, a)
@@ -104,15 +120,15 @@ class TestScaling:
         assert abs(capacity - 0.25) < 1e-15
 
     def test_identity_rescale(self):
-        a = random_set(rng_for(4))
+        a = random_set(item_rng(SEED, 4))
         assert np.array_equal(scale_pow(a, 1, 0.5).radii, a.radii)
 
     def test_weight_one_is_plain_division(self):
-        a = random_set(rng_for(5))
+        a = random_set(item_rng(SEED, 5))
         assert np.array_equal(scale_pow(a, 3, 1.0).radii, scale(a, 1.0 / 3.0).radii)
 
     def test_rescale_composition_exact(self):
-        a = random_set(rng_for(6))
+        a = random_set(item_rng(SEED, 6))
         for lam in (1.0, 0.5, 0.3):
             chained = scale_pow(scale_pow(a, 3, lam), 7, lam)
             direct = scale_pow(a, 21, lam)
@@ -121,12 +137,12 @@ class TestScaling:
 
 class TestVolume:
     def test_dyadic_homogeneity_exact(self):
-        a = random_set(rng_for(7))
+        a = random_set(item_rng(SEED, 7))
         for c in (2.0, 0.25):
             assert volume(scale(a, c)) == c**2 * volume(a)
 
     def test_generic_homogeneity(self):
-        a = random_set(rng_for(8))
+        a = random_set(item_rng(SEED, 8))
         c = 1.7
         assert abs(volume(scale(a, c)) - c**2 * volume(a)) < 1e-12 * volume(a)
 
@@ -156,7 +172,7 @@ class TestLShape:
         assert Fraction(1, 2) * gap_in <= gap_out <= gap_in
 
     def test_distortion_bounds_seeded_bulk(self):
-        rng = rng_for(9)
+        rng = item_rng(SEED, 9)
         for _ in range(10_000):
             x = [Fraction(int(v), 64) for v in rng.integers(-640, 640, 3)]
             y = [Fraction(int(v), 64) for v in rng.integers(-640, 640, 3)]
@@ -192,7 +208,7 @@ class TestSkeleton:
         assert delta(region, region) == 1.0
 
     def test_volume_matches_target_within_five_percent(self):
-        rng = rng_for(10)
+        rng = item_rng(SEED, 10)
         for v in (np.zeros(6), rng.uniform(0.0, 4.0, 6), rng.uniform(0.0, 4.0, 6)):
             region = skeleton_region(SkeletonSpec(v, 10.0, 1.0))
             assert abs(volume(region) - 1.0) <= 0.05
@@ -219,7 +235,7 @@ class TestQiVerify:
         assert report.passed
 
     def test_composed_with_lshape(self):
-        rng = rng_for(11)
+        rng = item_rng(SEED, 11)
         for _ in range(10):
             x = rng.uniform(-3.0, 3.0, 3)
             y = rng.uniform(-3.0, 3.0, 3)
