@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a certified inequality or acceptance item failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -164,7 +165,9 @@ def cmd_accept(args) -> dict:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cbmlab",
         description=(

@@ -9,6 +9,7 @@ domains in the symplectization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +37,8 @@ class SampledManifold:
             raise InvalidInputError("site weights must be positive and finite")
         if self.half_dim < 1:
             raise InvalidInputError("half dimension must be >= 1")
+        if self.half_dim > sys.float_info.max:  # volumes scale the exponents by it
+            raise InvalidInputError("half dimension must be representable as a double")
         object.__setattr__(self, "weights", weights)
         weights.flags.writeable = False
 

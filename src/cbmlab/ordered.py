@@ -357,16 +357,14 @@ def rho_plus_primes(
     best = None
     for start in range(0, len(primes), _BLOCK_ROWS):
         qs = primes[start : start + _BLOCK_ROWS]
-        for q, k_min in zip(qs.tolist(), _least_exponents(model, a, b, qs).tolist()):
-            if k_min > prime_bound:
-                continue
-            window_hi = k_min + int(k_min ** PRIME_WINDOW_EXPONENT) if k_min > 0 else 2
-            p = table.first_prime_in(max(k_min, 2), min(window_hi, prime_bound))
-            if p is None:
-                continue
-            ratio = p / q
-            if best is None or ratio < best:
-                best = ratio
+        k_min = _least_exponents(model, a, b, qs)
+        window_hi = [k + int(k**PRIME_WINDOW_EXPONENT) if k > 0 else 2 for k in k_min.tolist()]
+        # a window starting above the bound is empty once hi is capped there
+        ps = table.first_primes_in(k_min, np.minimum(window_hi, prime_bound))
+        found = ps > 0
+        if found.any():
+            ratio = float(np.min(ps[found] / qs[found]))
+            best = ratio if best is None else min(best, ratio)
     if best is None:
         raise PrimePairError(prime_bound)
     return best

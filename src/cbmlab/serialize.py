@@ -18,10 +18,19 @@ from .forms import ContactFormRep, ContactMapRep, SampledManifold
 from .starshape import DirectionGrid, RadialSet
 
 
+_NON_FINITE = "reports may not contain non-finite numbers"
+
+
 def format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise InvalidInputError("reports may not contain non-finite numbers")
+        raise InvalidInputError(_NON_FINITE)
     return format(x, ".17g")
+
+
+def _float_row(count: int) -> str:
+    """A ``%`` template printing ``count`` floats as a JSON list, with the
+    same digits as ``format_float``: '%.17g' % x == format(x, '.17g')."""
+    return "[" + ", ".join(["%.17g"] * count) + "]"
 
 
 def _render(obj: Any) -> str:
@@ -38,8 +47,28 @@ def _render(obj: Any) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, np.ndarray):
+        # float vectors and matrices print in one format call; longdouble
+        # items are not Python floats after tolist(), so they go per element
+        if (
+            type(obj) is np.ndarray
+            and obj.dtype.kind == "f"
+            and obj.dtype.itemsize <= 8
+            and obj.ndim in (1, 2)
+            and obj.size
+        ):
+            if not np.isfinite(obj).all():
+                raise InvalidInputError(_NON_FINITE)
+            row = _float_row(obj.shape[-1])
+            template = row if obj.ndim == 1 else "[" + ", ".join([row] * obj.shape[0]) + "]"
+            return template % tuple(obj.ravel().tolist())
         return _render(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        if obj and all(type(v) is float for v in obj):
+            # finite %.17g output has no "n"; inf and nan always do
+            text = _float_row(len(obj)) % tuple(obj)
+            if "n" in text:
+                raise InvalidInputError(_NON_FINITE)
+            return text
         return "[" + ", ".join(_render(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items())

@@ -23,7 +23,12 @@ _UNIT_TOL = 1e-12
 
 def sphere_area(dimension: int) -> float:
     """Surface area of the unit sphere in R^dimension."""
-    return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+    try:
+        return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+    except OverflowError as exc:
+        raise InvalidInputError(
+            f"sphere area in dimension {dimension} is out of reach: gamma({dimension}/2) overflows"
+        ) from exc
 
 
 def _halton(index: np.ndarray, base: int) -> np.ndarray:
@@ -65,9 +70,10 @@ class DirectionGrid:
         if self.count < MIN_GRID_COUNT:
             raise InvalidInputError(f"direction grids need at least {MIN_GRID_COUNT} directions")
         norms = np.linalg.norm(self.directions, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
+        # written so that NaN fails both checks
+        if not np.max(np.abs(norms - 1.0)) <= _UNIT_TOL:
             raise InvalidInputError("directions must be unit vectors")
-        if self.weights.shape != (self.count,) or np.any(self.weights <= 0):
+        if self.weights.shape != (self.count,) or not np.all(self.weights > 0):
             raise InvalidInputError("weights must be positive, one per direction")
         for arr in (self.directions, self.weights) + (() if self.angles is None else (self.angles,)):
             arr.flags.writeable = False
@@ -335,11 +341,19 @@ def skeleton_radii(spec: SkeletonSpec, angles: np.ndarray) -> np.ndarray:
     The set is the union of 2k rectangles (length L_i along spoke i,
     half-width epsilon/2) with a central disk of radius epsilon/2.
     """
+    return _radii_from_trig(spec, *_spoke_trig(spec, angles))
+
+
+def _spoke_trig(spec: SkeletonSpec, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and |sin| of each angle's offset from each spoke direction; they
+    depend on the spoke count only, so specs of equal length share them."""
+    d = angles[:, None] - spec.spoke_angles[None, :]
+    return np.cos(d), np.abs(np.sin(d))
+
+
+def _radii_from_trig(spec: SkeletonSpec, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     h = spec.epsilon / 2.0
     lengths = spec.spoke_lengths
-    d = angles[:, None] - spec.spoke_angles[None, :]
-    c = np.cos(d)
-    s = np.abs(np.sin(d))
     with np.errstate(divide="ignore", invalid="ignore"):
         along = lengths[None, :] / c
         across = h / s
@@ -362,19 +376,23 @@ def skeleton_angles(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT, fa
     return np.concatenate(pieces)
 
 
+def _warn_if_wide(spec: SkeletonSpec) -> None:
+    spacing = 2.0 * spec.c0 * math.sin(math.pi / spec.v.size / 2.0)
+    if spec.epsilon >= spacing:
+        warnings.warn(
+            f"skeleton width {spec.epsilon:.3g} is not small against the spoke "
+            f"spacing {spacing:.3g}; the leading-order volume normalization degrades",
+            stacklevel=3,
+        )
+
+
 def skeleton_region(
     spec: SkeletonSpec,
     grid: DirectionGrid | None = None,
     base_count: int = DEFAULT_GRID_COUNT,
 ) -> RadialSet:
     """Thickened-skeleton radial set on an adaptive (or caller-shared) grid."""
-    spacing = 2.0 * spec.c0 * math.sin(math.pi / spec.v.size / 2.0)
-    if spec.epsilon >= spacing:
-        warnings.warn(
-            f"skeleton width {spec.epsilon:.3g} is not small against the spoke "
-            f"spacing {spacing:.3g}; the leading-order volume normalization degrades",
-            stacklevel=2,
-        )
+    _warn_if_wide(spec)
     if grid is None:
         grid = DirectionGrid.from_angles(skeleton_angles(spec, base_count))
     if grid.dimension != 2 or grid.angles is None:
@@ -426,8 +444,11 @@ def qi_verify(
         [skeleton_angles(spec_v, base_count), skeleton_angles(spec_w, base_count)]
     )
     grid = DirectionGrid.from_angles(angles)
-    region_v = skeleton_region(spec_v, grid)
-    region_w = skeleton_region(spec_w, grid)
+    trig = _spoke_trig(spec_v, grid.angles)
+    _warn_if_wide(spec_v)
+    _warn_if_wide(spec_w)
+    region_v = RadialSet(grid, _radii_from_trig(spec_v, *trig))
+    region_w = RadialSet(grid, _radii_from_trig(spec_w, *trig))
     ld = log_delta(region_v, region_w)
     linf = float(np.max(np.abs(spec_v.v - spec_w.v)))
     lower = linf - tol

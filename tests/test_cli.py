@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -191,6 +193,64 @@ def test_entries_that_overflow_the_oracle_exit_two(tmp_path, capsys):
     b = write(tmp_path / "b.json", [1e307, 1e308])
     assert main(["growth", a, b, "--l-max", "50"]) == 2
     assert "magnitude" in capsys.readouterr().err
+
+
+def test_half_dim_beyond_a_double_exits_two(tmp_path, capsys):
+    form = {"weights": [1.0, 1.0, 1.0], "half_dim": 10**400, "f": [0.0, 0.5, 1.0]}
+    f = write(tmp_path / "f.json", form)
+    assert main(["dcbm-forms", f, f]) == 2
+    assert "half dimension" in capsys.readouterr().err
+
+
+def test_sphere_area_beyond_a_double_exits_two(tmp_path, capsys):
+    # gamma(200) overflows; 64 basis vectors pass the grid's direction floor
+    fiber = {"dimension": 400, "radii": [1.0] * 64, "directions": np.eye(64, 400).tolist()}
+    a = write(tmp_path / "a.json", fiber)
+    assert main(["delta", a, a]) == 2
+    assert "sphere area" in capsys.readouterr().err
+
+
+def test_nan_fiber_direction_exits_two(tmp_path, capsys):
+    payload = domain_to_dict(SplitToricDomain(2, ball(1.0, GRID)))
+    directions = GRID.directions.tolist()
+    directions[5] = [math.nan, math.nan]
+    payload["fiber"]["directions"] = directions
+    u = tmp_path / "u.json"
+    u.write_text(json.dumps(payload, default=lambda a: a.tolist()))  # json writes NaN
+    assert main(["squeezable", str(u)]) == 2
+    assert "unit vectors" in capsys.readouterr().err
+
+
+def test_consecutive_calls_match_fresh_processes(tmp_path, capsys):
+    n = 32
+    manifold = SampledManifold(np.ones(n), half_dim=2)
+    f1 = ContactFormRep(manifold, np.linspace(-1, 1, n))
+    f2 = ContactFormRep(manifold, f1.f[::-1])  # the reversal map pulls f2 back to f1
+    p1 = write(tmp_path / "f1.json", form_to_dict(f1))
+    p2 = write(tmp_path / "f2.json", form_to_dict(f2))
+    m = write(tmp_path / "m.json", {"perm": list(range(n))[::-1]})
+    a = write(tmp_path / "a.json", radial_set_to_dict(ball(1.0, GRID)))
+    b = write(tmp_path / "b.json", radial_set_to_dict(ball(2.0, GRID)))
+    commands = [
+        ["dcbm-forms", p1, p2, "--maps", m],
+        ["dcbm-forms", p1, p2],  # the parser's --maps default must not carry the map over
+        ["skeleton", "--v", "0,1,0,0", "--grid", "64"],
+        ["delta", a, b],
+        ["qi-verify", "--v", "1,0", "--w", "0,0", "--grid", "64"],
+    ]
+    in_process = []
+    for argv in commands:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "cbmlab.cli", *argv], capture_output=True, text=True, check=True
+        ).stdout
+        for argv in commands
+    ]
+    assert in_process == fresh
+    assert json.loads(in_process[0])["upper"] == 0.0
+    assert json.loads(in_process[1])["upper"] == 2.0
 
 
 def test_raising_acceptance_item_is_recorded_and_the_rest_run(tmp_path, capsys, monkeypatch):

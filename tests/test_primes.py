@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbmlab.primes import PrimeTable, sieve_upto
 
@@ -20,3 +22,15 @@ def test_prime_table_lookups():
     assert table.first_prime_in(9974, 10_006) is None  # next prime is 10007, beyond bound
     assert table.first_prime_in(0, 2) == 2
     assert np.array_equal(table.primes, sieve_upto(10_000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bound=st.integers(0, 300),
+    windows=st.lists(st.tuples(st.integers(-50, 350), st.integers(-50, 350)), min_size=1, max_size=20),
+)
+def test_block_lookup_matches_one_window_at_a_time(bound, windows):
+    table = PrimeTable(bound)
+    lo, hi = zip(*windows)
+    expected = [table.first_prime_in(a, b) or 0 for a, b in windows]
+    assert table.first_primes_in(lo, hi).tolist() == expected

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cbmlab.acceptance import item_rng
 from cbmlab.domains import SplitToricDomain
@@ -39,9 +42,75 @@ def test_report_rendering_is_sorted_and_stable():
     assert dumps_report(json.loads(text)) == text
 
 
+def reference_render(obj):
+    """The per-element renderer that every report was written with before
+    float arrays and float lists were printed in one format call."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, np.ndarray):
+        return reference_render(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_render(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {reference_render(v)}" for k, v in items) + "}"
+    raise InvalidInputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # includes -0.0 and subnormals
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e17]
+)
+FLOATS = FINITE | EDGE_FLOATS
+ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+    elements={"allow_nan": False, "allow_infinity": False},
+)
+LEAVES = st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=3) | ARRAYS
+FLOAT_LISTS = st.lists(FLOATS, max_size=6) | st.lists(FLOATS, max_size=6).map(tuple)
+MIXED_LISTS = st.lists(FLOATS | st.integers() | st.booleans(), max_size=6)
+REPORTS = st.recursive(
+    LEAVES | FLOAT_LISTS | MIXED_LISTS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+def test_rendering_matches_the_per_element_reference(report):
+    assert dumps_report(report) == reference_render(report) + "\n"
+
+
 def test_non_finite_rejected():
     with pytest.raises(InvalidInputError):
         dumps_report({"x": math.inf})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.array([1.0, math.inf]),
+        np.array([[1.0, 2.0], [math.nan, 0.0]]),
+        np.array([-math.inf], dtype=np.float32),
+        [1.0, -math.inf],
+        (math.nan, 2.0),
+    ],
+)
+def test_non_finite_rejected_inside_arrays_and_float_lists(value):
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        dumps_report({"x": value})
 
 
 def test_radial_set_round_trip_is_identity():
