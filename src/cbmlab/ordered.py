@@ -33,9 +33,8 @@ DEFAULT_L_MAX = 1000
 DEFAULT_PRIME_BOUND = 10_000
 PRIME_WINDOW_EXPONENT = 0.6  # prime-gap window scale for the witness search
 _SEARCH_BOUND = 10**12
-_BLOCK_ROWS = 256  # exponent rows per batched oracle evaluation
-# largest additive entry a with k*a finite for every |k| the searches try (a
-# margin of 4 over the bound); an inf product would make inf >= inf hold
+# largest additive entry a whose float powers k*a (OrderedModel.power, which stabilization
+# takes) stay finite for every |k| up to the search bound, with a margin of 4
 _MAX_ENTRY = sys.float_info.max / (4.0 * _SEARCH_BOUND)
 
 
@@ -155,29 +154,7 @@ class OrderedModel:
 
     def ge(self, a: Element, b: Element) -> bool:
         """Order oracle a >= b under the model's order variant."""
-        self._check(a, b)
-        return bool(self.ge_powers(a, b, (1,), (1,))[0])
-
-    def ge_powers(self, a: Element, b: Element, ks, ls) -> np.ndarray:
-        """Order oracle a^k >= b^l for every row (k, l), as one block test.
-
-        ``ks`` and ``ls`` are equal-length exponent vectors; the additive
-        model evaluates a (rows x sites) block. The elements are not
-        re-checked: callers validate them once with ``_check``.
-        """
-        ks = np.asarray(ks, dtype=float)
-        ls = np.asarray(ls, dtype=float)
-        if self.kind is ModelKind.MULTIPLICATIVE_REALS:
-            # for scalars "equal, or strictly greater" coincides with >=;
-            # a log-space product past the float range is +-inf, as in plain
-            # float arithmetic, and compares correctly
-            with np.errstate(over="ignore"):
-                return ks * a.data >= ls * b.data
-        ka = ks[:, None] * a.data
-        lb = ls[:, None] * b.data
-        if self.order_variant is OrderVariant.NON_STRICT:
-            return np.all(ka >= lb, axis=1)
-        return np.all(ka > lb, axis=1) | np.all(ka == lb, axis=1)
+        return _oracle(self, a, b)(1, 1)
 
     def is_dominant_closed_form(self, a: Element) -> bool:
         self._check(a)
@@ -195,18 +172,37 @@ def is_dominant(model: OrderedModel, a: Element, probes: Iterable[Element] = ())
     if not model.is_dominant_closed_form(a):
         return False
     for b in probes:
+        holds = _oracle(model, a, b)
         k = 1
-        while not model.ge(model.power(a, k), b):
+        while not holds(k, 1):
             k *= 2
             if k > 2**60:
                 return False
     return True
 
 
+def _oracle(model: OrderedModel, a: Element, b: Element) -> Callable[[int, int], bool]:
+    """Exact order oracle (k, l) |-> (a^k >= b^l), built once per pair: the
+    stored floats go over one power-of-two denominator, and k*A_i >= l*B_i
+    is tested on Python ints, so for l >= 1 it depends on k/l only."""
+    model._check(a, b)
+    try:
+        ratios = [v.as_integer_ratio() for v in np.append(a.data, b.data).tolist()]
+    except (OverflowError, ValueError) as exc:
+        raise InvalidInputError("the order oracle needs finite elements") from exc
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    sites = list(zip(ints[: len(ints) // 2], ints[len(ints) // 2 :]))
+    if model.order_variant is OrderVariant.NON_STRICT:
+        return lambda k, l: all(k * x >= l * y for x, y in sites)
+    # strictly greater at every site, or equal; at one site this is >=
+    return lambda k, l: all(k * x > l * y for x, y in sites) or all(k * x == l * y for x, y in sites)
+
+
 def _row_pred(model: OrderedModel, a: Element, b: Element, l: int) -> Callable[[int], bool]:
-    """Predicate k |-> (a^k >= b^l): one row of the batched oracle."""
-    ls = np.array([float(l)])
-    return lambda k: bool(model.ge_powers(a, b, np.array([float(k)]), ls)[0])
+    """Predicate k |-> (a^k >= b^l): one row of the oracle."""
+    holds = _oracle(model, a, b)
+    return lambda k: holds(k, l)
 
 
 def _least_true(pred: Callable[[int], bool], guess: int, bound: int) -> int:
@@ -265,32 +261,39 @@ def min_power(
         raise InvalidInputError("l must be a positive integer")
     if not model.is_dominant_closed_form(a):
         raise PreconditionError("min_power requires a dominant base element")
-    model._check(a, b)
     return _least_true(_row_pred(model, a, b, l), hint if hint is not None else l, max_abs_k)
 
 
-def _least_exponents(model: OrderedModel, a: Element, b: Element, ls: np.ndarray) -> np.ndarray:
-    """Least k with a^k >= b^l for each l in one block ``ls``, for a dominant a.
+def _bracket(holds: Callable[[int, int], bool], n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Least p/q with q <= n where a homogeneous, upward-closed oracle holds,
+    and the p_lo/q_lo below it where it fails.
 
-    The closed form ceil(l * max(b/a)) only proposes each k; the oracle
-    certifies it (k holds and k - 1 fails) in one block evaluation. Rows that
-    fail, or whose proposal is not finite or lies outside the search bound,
-    are settled by the scalar search, which also raises SearchBoundError.
+    A Stern-Brocot descent from the integer part (Graham, Knuth and
+    Patashnik, Concrete Mathematics, 4.5), with one exponential-then-binary
+    search per run of equal steps: O(log n) oracle calls. The integer
+    certificate (holds at p/q, fails at p_lo/q_lo, p*q_lo - p_lo*q = 1,
+    q + q_lo > n) leaves no fraction with denominator <= n between them, so
+    the least exponent of every l <= n is ceil(l*p/q). SearchBoundError is
+    raised when ceil(p/q) or ceil(n*p/q) passes the search bound.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rate = np.max(b.data / a.data) if model.kind is ModelKind.ADDITIVE_GRID else b.data / a.data
-        seeds = np.ceil(ls * rate)
-    inside = np.isfinite(seeds) & (seeds > -_SEARCH_BOUND) & (seeds <= _SEARCH_BOUND)
-    ks = np.where(inside, seeds, 0.0)
-    rows = len(ls)
-    verdict = model.ge_powers(a, b, np.concatenate((ks, ks - 1.0)), np.concatenate((ls, ls)))
-    certified = inside & verdict[:rows] & ~verdict[rows:]
-    out = ks.astype(np.int64)
-    for i in np.flatnonzero(~certified):
-        l = int(ls[i])
-        guess = int(ks[i]) if inside[i] else l
-        out[i] = _least_true(_row_pred(model, a, b, l), guess, _SEARCH_BOUND)
-    return out
+
+    def run(step_holds: Callable[[int], bool], cap: int) -> int:
+        # the longest run of equal steps: the least j in 1..cap+1 that fails, minus 1
+        return _least_true(lambda j: j > cap or (j > 0 and not step_holds(j)), 1, 2 * cap + 2) - 1
+
+    # twice the bound, so the doubling never stops short of an integer part inside it
+    k = _least_true(lambda k: holds(k, 1), 1, 2 * _SEARCH_BOUND)
+    (p_lo, q_lo), (p, q) = (k - 1, 1), (k, 1)
+    while q + q_lo <= n:
+        j = run(lambda j: holds(p + j * p_lo, q + j * q_lo), (n - q) // q_lo)
+        p, q = p + j * p_lo, q + j * q_lo
+        i = run(lambda i: not holds(p_lo + i * p, q_lo + i * q), (n - q_lo) // q)
+        p_lo, q_lo = p_lo + i * p, q_lo + i * q
+    if not (holds(p, q) and not holds(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n):
+        raise InvariantViolation(f"Farey bracket {p_lo}/{q_lo} < {p}/{q} fails its certificate at n={n}")
+    if max(abs(k), abs(-(-n * p // q))) > _SEARCH_BOUND:
+        raise SearchBoundError(_SEARCH_BOUND)
+    return (p, q), (p_lo, q_lo)
 
 
 @dataclass(frozen=True)
@@ -312,23 +315,22 @@ class RhoEstimate:
 
 
 def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L_MAX) -> RhoEstimate:
-    """Upper relative growth rate of b against the dominant a."""
+    """Upper relative growth rate of b against the dominant a.
+
+    The pair infimum is the p/q of one Farey bracket at l_max, and the limit
+    estimate ceil(l_max*p/q)/l_max. The closed form max(b/a) must lie in the
+    bracket, in floats and without tolerance (rounded division is monotone).
+    """
     if l_max < 1:
         raise InvalidInputError("l_max must be a positive integer")
     if not model.is_dominant_closed_form(a):
         raise PreconditionError("rho_plus requires a dominant base element")
-    model._check(a, b)
-    best = math.inf
-    for start in range(1, l_max + 1, _BLOCK_ROWS):
-        ls = np.arange(start, min(start + _BLOCK_ROWS, l_max + 1))
-        ks = _least_exponents(model, a, b, ls)
-        best = min(best, float(np.min(ks / ls)))
-    limit = int(ks[-1]) / l_max
-    if best > limit + 1e-12 or limit - best > 1.0 / l_max + 1e-12:
-        raise InvariantViolation(
-            f"growth-rate formulations disagree: limit={limit}, pair infimum={best}"
-        )
-    return RhoEstimate(limit_estimate=limit, pair_infimum=best, l_max=l_max)
+    (p, q), (p_lo, q_lo) = _bracket(_oracle(model, a, b), l_max)
+    with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
+        rate = float(np.max(np.divide(b.data, a.data)))
+    if not p_lo / q_lo <= rate <= p / q:
+        raise InvariantViolation(f"closed-form rate {rate} lies outside [{p_lo}/{q_lo}, {p}/{q}]")
+    return RhoEstimate(limit_estimate=-(-l_max * p // q) / l_max, pair_infimum=p / q, l_max=l_max)
 
 
 def rho_plus_primes(
@@ -342,8 +344,9 @@ def rho_plus_primes(
     """Infimum of p/q over prime ordering pairs with p, q <= prime_bound.
 
     For each prime q the witness exponent is sought in the prime-gap window
-    [m, m + m^0.6] above m = min_power(q); the window is truncated at the
-    bound so every returned ratio comes from a genuine pair below it.
+    [m, m + m^0.6] above m = min_power(q), which one Farey bracket at
+    prime_bound gives for every q; the window is truncated at the bound so
+    every returned ratio comes from a genuine pair below it.
     """
     if prime_bound < 2:
         raise InvalidInputError("prime_bound must be at least 2")
@@ -352,22 +355,16 @@ def rho_plus_primes(
             raise PreconditionError(f"rho_plus_primes requires dominant inputs; {name} is not")
     if table is None or table.bound < prime_bound:
         table = PrimeTable(prime_bound)
-    model._check(a, b)
-    primes = table.primes[: np.searchsorted(table.primes, prime_bound, side="right")]
-    best = None
-    for start in range(0, len(primes), _BLOCK_ROWS):
-        qs = primes[start : start + _BLOCK_ROWS]
-        k_min = _least_exponents(model, a, b, qs)
-        window_hi = [k + int(k**PRIME_WINDOW_EXPONENT) if k > 0 else 2 for k in k_min.tolist()]
-        # a window starting above the bound is empty once hi is capped there
-        ps = table.first_primes_in(k_min, np.minimum(window_hi, prime_bound))
-        found = ps > 0
-        if found.any():
-            ratio = float(np.min(ps[found] / qs[found]))
-            best = ratio if best is None else min(best, ratio)
-    if best is None:
+    (num, den), _ = _bracket(_oracle(model, a, b), prime_bound)
+    qs = table.primes[: np.searchsorted(table.primes, prime_bound, side="right")]
+    k_min = [-(-q * num // den) for q in qs.tolist()]
+    # a window starting above the bound is empty once hi is capped there
+    window_hi = [min(k + int(k**PRIME_WINDOW_EXPONENT) if k > 0 else 2, prime_bound) for k in k_min]
+    ps = table.first_primes_in(k_min, window_hi)
+    found = ps > 0
+    if not found.any():
         raise PrimePairError(prime_bound)
-    return best
+    return float(np.min(ps[found] / qs[found]))
 
 
 @dataclass(frozen=True)
@@ -401,6 +398,8 @@ def growth_distance(
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> GrowthRateReport:
     """Distance between two dominants: ln of the larger relative growth rate."""
+    if l_max < 1:  # the product check's tolerance 2/l_max needs it under every method
+        raise InvalidInputError("l_max must be a positive integer")
     for name, e in (("a", a), ("b", b)):
         if not model.is_dominant_closed_form(e):
             raise PreconditionError(f"growth_distance requires dominant inputs; {name} is not")

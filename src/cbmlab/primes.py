@@ -6,27 +6,36 @@ import math
 
 import numpy as np
 
+from .errors import InvalidInputError
 
-def sieve_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending (int64 array)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
+# largest table bound: its primality mask takes one byte per integer, 100 MB
+MAX_PRIME_BOUND = 10**8
+
+
+def _sieve_mask(limit: int) -> np.ndarray:
+    """Boolean primality mask of 0..limit, for limit >= 0."""
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return mask
+
+
+def sieve_upto(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending (int64 array)."""
+    return np.flatnonzero(_sieve_mask(max(limit, 0))).astype(np.int64, copy=False)
 
 
 class PrimeTable:
     """Primality lookups below a fixed bound, backed by one boolean sieve."""
 
     def __init__(self, bound: int):
+        if not 0 <= bound <= MAX_PRIME_BOUND:
+            raise InvalidInputError(f"prime bound must lie in [0, {MAX_PRIME_BOUND}], got {bound}")
         self.bound = int(bound)
-        self._mask = np.zeros(self.bound + 1, dtype=bool)
-        self._mask[sieve_upto(self.bound)] = True
-        self.primes = np.flatnonzero(self._mask).astype(np.int64)
+        self._mask = _sieve_mask(self.bound)
+        self.primes = np.flatnonzero(self._mask).astype(np.int64, copy=False)
 
     def is_prime(self, n: int) -> bool:
         return 0 <= n <= self.bound and bool(self._mask[n])

@@ -8,6 +8,7 @@ quasi-isometric embedding harness.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,17 +19,33 @@ from .errors import InvalidInputError
 
 MIN_GRID_COUNT = 64
 DEFAULT_GRID_COUNT = 1024
+# largest uniform base grid (uniform_circle, the skeleton base); larger
+# counts are rejected before any array is allocated
+MAX_GRID_COUNT = 10**6
 _UNIT_TOL = 1e-12
 
 
 def sphere_area(dimension: int) -> float:
-    """Surface area of the unit sphere in R^dimension."""
+    """Surface area of the unit sphere in R^dimension, while it is a normal double.
+
+    Past dimension 343, where gamma(dimension/2) overflows, the area comes
+    from lgamma; it underflows from dimension 439 on, which is rejected.
+    """
+    half = dimension / 2.0
     try:
-        return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
-    except OverflowError as exc:
-        raise InvalidInputError(
-            f"sphere area in dimension {dimension} is out of reach: gamma({dimension}/2) overflows"
-        ) from exc
+        return 2.0 * math.pi**half / math.gamma(half)
+    except OverflowError:
+        area = 2.0 * math.exp(half * math.log(math.pi) - math.lgamma(half))
+    if area < sys.float_info.min:
+        raise InvalidInputError(f"sphere area in dimension {dimension} underflows a double")
+    return area
+
+
+def _uniform_angles(count: int) -> np.ndarray:
+    """count equally spaced polar angles from 0, for 0 <= count <= MAX_GRID_COUNT."""
+    if not 0 <= count <= MAX_GRID_COUNT:
+        raise InvalidInputError(f"grid count must lie in [0, {MAX_GRID_COUNT}], got {count}")
+    return 2.0 * math.pi * np.arange(count) / count
 
 
 def _halton(index: np.ndarray, base: int) -> np.ndarray:
@@ -84,8 +101,7 @@ class DirectionGrid:
 
     @staticmethod
     def uniform_circle(count: int = DEFAULT_GRID_COUNT) -> "DirectionGrid":
-        angles = 2.0 * math.pi * np.arange(count) / count
-        return DirectionGrid.from_angles(angles)
+        return DirectionGrid.from_angles(_uniform_angles(count))
 
     @staticmethod
     def from_angles(angles: Sequence[float]) -> "DirectionGrid":
@@ -366,7 +382,7 @@ def skeleton_angles(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT, fa
     exact spoke directions and log-spaced fans resolving each spoke's width."""
     m = spec.v.size
     half_gap = math.pi / m / 2.0
-    pieces = [2.0 * math.pi * np.arange(base_count) / base_count, spec.spoke_angles]
+    pieces = [_uniform_angles(base_count), spec.spoke_angles]
     h = spec.epsilon / 2.0
     for phi, length in zip(spec.spoke_angles, spec.spoke_lengths):
         corner = math.atan2(h, length)

@@ -203,11 +203,63 @@ def test_half_dim_beyond_a_double_exits_two(tmp_path, capsys):
 
 
 def test_sphere_area_beyond_a_double_exits_two(tmp_path, capsys):
-    # gamma(200) overflows; 64 basis vectors pass the grid's direction floor
-    fiber = {"dimension": 400, "radii": [1.0] * 64, "directions": np.eye(64, 400).tolist()}
+    # the area underflows a normal double from dimension 439; 64 basis vectors
+    # pass the grid's direction floor
+    fiber = {"dimension": 439, "radii": [1.0] * 64, "directions": np.eye(64, 439).tolist()}
     a = write(tmp_path / "a.json", fiber)
     assert main(["delta", a, a]) == 2
     assert "sphere area" in capsys.readouterr().err
+
+
+def test_sphere_area_past_the_gamma_overflow_loads(tmp_path, capsys):
+    # gamma(200) overflows, but the area in dimension 400 is a normal double
+    fiber = {"dimension": 400, "radii": [1.0] * 64, "directions": np.eye(64, 400).tolist()}
+    a = write(tmp_path / "a.json", fiber)
+    code, report = run(capsys, "delta", a, a)
+    assert code == 0
+    assert report["delta"] == 1.0
+
+
+def growth_files(tmp_path):
+    # rho_plus = max(b/a) = 5/3 and rho_minus = max(a/b) = 4, so the extreme
+    # least exponent at l_max is 4 * l_max
+    a = write(tmp_path / "a.json", [1.0, 2.0, 0.75])
+    b = write(tmp_path / "b.json", [1.5, 0.5, 1.25])
+    return a, b
+
+
+def test_prime_bound_past_the_table_cap_exits_two(tmp_path, capsys):
+    a, b = growth_files(tmp_path)
+    argv = ["growth", a, b, "--method", "prime-pairs", "--prime-bound", str(10**20)]
+    assert main(argv) == 2
+    assert "prime bound" in capsys.readouterr().err
+
+
+def test_skeleton_grid_past_the_cap_exits_two(capsys):
+    assert main(["skeleton", "--v", "1,1,1,1", "--grid", str(10**20)]) == 2
+    assert "grid count" in capsys.readouterr().err
+
+
+def test_prime_pairs_with_a_non_positive_l_max_exits_two(tmp_path, capsys):
+    # the product check divides by l_max, which the prime-pair method does not use otherwise
+    a, b = growth_files(tmp_path)
+    for l_max in ("0", "-1"):
+        assert main(["growth", a, b, "--method", "prime-pairs", "--l-max", l_max]) == 2
+    assert capsys.readouterr().err.count("l_max") == 2
+
+
+def test_l_max_with_exponents_inside_the_search_bound(tmp_path, capsys):
+    a, b = growth_files(tmp_path)
+    code, report = run(capsys, "growth", a, b, "--l-max", str(10**11))
+    assert code == 0
+    assert (report["rho_plus"], report["rho_minus"]) == (5 / 3, 4.0)
+
+
+def test_l_max_with_exponents_past_the_search_bound_exits_two(tmp_path, capsys):
+    a, b = growth_files(tmp_path)
+    for l_max in (10**12, 10**20):
+        assert main(["growth", a, b, "--l-max", str(l_max)]) == 2
+    assert capsys.readouterr().err.count("exponent search exceeded bound") == 2
 
 
 def test_nan_fiber_direction_exits_two(tmp_path, capsys):
@@ -308,22 +360,36 @@ COMMANDS = [
     ["squeezable", "@0"],
     ["ham2dom", "@0"],
     ["dcbm-forms", "@0", "@1", "--maps", "@2"],
+    # "#i" stands for the i-th drawn flag value
+    ["growth", "@0", "@1", "--l-max", "#0"],
+    ["growth", "@0", "@1", "--method", "prime-pairs", "--prime-bound", "#0", "--l-max", "#1"],
+    ["growth", "@0", "@1", "--model", "multiplicative", "--method", "limit-sequence", "--l-max", "#0"],
+    ["skeleton", "--v", "1,0,0,1", "--grid", "#0"],
+    ["qi-verify", "--v", "1,0", "--w", "0,0", "--grid", "#0"],
 ]
+# numeric flag values that finish fast or fail fast: a prime bound or grid
+# count above its cap is rejected before anything is allocated, and the
+# growth rates cost O(log l_max) oracle calls
+FLAG_VALUES = st.integers(-3, 10**4) | st.integers(10**8 + 1, 10**30)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(COMMANDS),
     payloads=st.lists(ANY_JSON | SHAPED, min_size=3, max_size=3),
+    flags=st.lists(FLAG_VALUES, min_size=2, max_size=2),
 )
-def test_any_json_payload_keeps_the_exit_code_contract(command, payloads):
+def test_any_json_payload_keeps_the_exit_code_contract(command, payloads, flags):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, payload in enumerate(payloads):
             paths.append(os.path.join(tmp, f"{i}.json"))
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
-        argv = [paths[int(arg[1:])] if arg.startswith("@") else arg for arg in command]
+        argv = [
+            paths[int(arg[1:])] if arg[0] == "@" else str(flags[int(arg[1:])]) if arg[0] == "#" else arg
+            for arg in command
+        ]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2)

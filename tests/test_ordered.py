@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbmlab import ordered
-from cbmlab.acceptance import QUANTUM, item_rng, quantized
+from cbmlab.acceptance import QUANTUM, growth_pair_corpus, item_rng, quantized
 from cbmlab.errors import (
     InvalidInputError,
+    InvariantViolation,
     PreconditionError,
     PrimePairError,
     SearchBoundError,
 )
 from cbmlab.ordered import (
     Method,
+    ModelKind,
     OrderedModel,
     OrderVariant,
     ge,
@@ -190,33 +193,99 @@ class TestRhoPlus:
             oracle = float(np.max(b.data / a.data))
             assert oracle <= est.pair_infimum <= oracle + 1.0 / 300
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_site_ratio_overflowing_to_minus_infinity_is_quiet(self):
+        # -1 / 5e-324 is -inf in floats; the closed-form check takes the max over sites
+        m = OrderedModel.additive(2)
+        est = rho_plus(m, m.element([5e-324, 1.0]), m.element([-1.0, 1.0]), 10)
+        assert est.pair_infimum == est.limit_estimate == 1.0
 
-def scalar_least_exponents(model, a, b, ls):
-    """Reference: one scalar search per row, started at l."""
+
+def reference_row_holds(model, a, b, k, l):
+    """The float row oracle a^k >= b^l that the block search evaluated."""
+    if model.kind is ModelKind.MULTIPLICATIVE_REALS:
+        return bool(float(k) * a.data >= float(l) * b.data)
+    ka, lb = float(k) * a.data, float(l) * b.data
+    if model.order_variant is OrderVariant.NON_STRICT:
+        return bool(np.all(ka >= lb))
+    return bool(np.all(ka > lb) or np.all(ka == lb))
+
+
+def reference_least_true(pred, guess, bound):
+    """The exponential-then-binary search of the block search's scalar fallback."""
+    if pred(guess):
+        hi = guess
+        lo = guess - 1
+        step = 1
+        while pred(lo):
+            hi = lo
+            lo -= step
+            step *= 2
+            if lo < -bound:
+                if pred(-bound):
+                    raise SearchBoundError(bound)
+                lo = -bound
+                break
+    else:
+        lo = guess
+        hi = guess + 1
+        step = 1
+        while not pred(hi):
+            lo = hi
+            hi += step
+            step *= 2
+            if hi > bound:
+                raise SearchBoundError(bound)
+    while hi - lo > 1:
+        mid = (hi + lo) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_rows(model, a, b, ls):
+    """Reference: the least k of each row l, searched row by row from k = l."""
     return [
-        ordered._least_true(ordered._row_pred(model, a, b, l), l, ordered._SEARCH_BOUND)
+        reference_least_true(
+            lambda k: reference_row_holds(model, a, b, k, l), l, ordered._SEARCH_BOUND
+        )
         for l in ls
     ]
 
 
-def count_scalar_searches(monkeypatch):
-    calls = []
-    scalar = ordered._least_true
+def implied_rows(model, a, b, n, ls):
+    """The least k of each row l <= n, read off one Farey bracket at n."""
+    (p, q), _ = ordered._bracket(ordered._oracle(model, a, b), n)
+    return [-(-l * p // q) for l in ls]
 
-    def counting(pred, guess, bound):
-        calls.append(guess)
-        return scalar(pred, guess, bound)
 
-    monkeypatch.setattr(ordered, "_least_true", counting)
+def count_oracle_calls(monkeypatch):
+    calls = [0]
+    exact = ordered._oracle
+
+    def counting(model, a, b):
+        holds = exact(model, a, b)
+
+        def counted(k, l):
+            calls[0] += 1
+            return holds(k, l)
+
+        return counted
+
+    monkeypatch.setattr(ordered, "_oracle", counting)
     return calls
 
 
-# small numerators make exact ratios, where the strict order's seed fails
+# small numerators make exact ratios, where the strict order fails at the ratio itself
 POSITIVE_Q = st.one_of(st.integers(1, 8), st.integers(1, 2**21))
 SIGNED_Q = st.one_of(st.integers(-8, 8), st.integers(-(2**21), 2**21))
 
 
 class TestBatchedSearch:
+    """Every least exponent k_l, l <= l_max, comes from one Farey bracket."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(["multiplicative", "additive"]),
@@ -225,9 +294,10 @@ class TestBatchedSearch:
         st.lists(SIGNED_Q, min_size=4, max_size=4),
         # k stays below bound / 4, so the reference's doubling never overshoots the bound
         st.lists(st.integers(1, 10**5), min_size=1, max_size=40),
+        st.integers(1, 40),
     )
-    def test_block_certified_exponents_equal_the_scalar_search(
-        self, kind, variant, a_q, b_q, ls
+    def test_implied_rows_equal_the_reference_row_search(
+        self, kind, variant, a_q, b_q, ls, l_max
     ):
         if kind == "multiplicative":
             m = OrderedModel.multiplicative(variant)
@@ -235,40 +305,45 @@ class TestBatchedSearch:
         else:
             m = OrderedModel.additive(4, variant)
             a, b = m.element(np.asarray(a_q) * QUANTUM), m.element(np.asarray(b_q) * QUANTUM)
-        batched = ordered._least_exponents(m, a, b, np.asarray(ls))
-        assert batched.tolist() == scalar_least_exponents(m, a, b, ls)
+        assert implied_rows(m, a, b, max(ls), ls) == reference_rows(m, a, b, ls)
+        ks = reference_rows(m, a, b, range(1, l_max + 1))
+        est = rho_plus(m, a, b, l_max)
+        assert est.pair_infimum == min(k / l for l, k in enumerate(ks, start=1))
+        assert est.limit_estimate == ks[-1] / l_max
 
-    def test_strict_exact_ratio_takes_the_fallback(self, monkeypatch):
-        # the seed 2l has 2l*1 == l*2 at the first site only, so it fails
+    def test_strict_exact_ratio_is_left_out(self):
+        # 2l * 1 == l * 2 at the first site only, so k = 2l fails and 2l + 1 holds
         m = OrderedModel.additive(2, OrderVariant.STRICT_POSITIVE)
         a, b = m.element([1.0, 1.0]), m.element([2.0, 1.0])
-        ls = np.arange(1, 51)
-        calls = count_scalar_searches(monkeypatch)
-        ks = ordered._least_exponents(m, a, b, ls)
-        assert ks.tolist() == (2 * ls + 1).tolist()
-        assert calls == (2 * ls).tolist()
-        est = rho_plus(m, a, b, 50)
-        assert est.pair_infimum == est.limit_estimate == 101 / 50
+        assert reference_rows(m, a, b, range(1, 51)) == [2 * l + 1 for l in range(1, 51)]
+        for n in (1, 7, 50, 10**5, 10**11):
+            assert implied_rows(m, a, b, n, [1, n]) == [3, 2 * n + 1]
+            est = rho_plus(m, a, b, n)
+            assert est.pair_infimum == est.limit_estimate == (2 * n + 1) / n
 
-    def test_non_strict_seed_is_certified_without_fallback(self, monkeypatch):
-        m = OrderedModel.additive(2, OrderVariant.NON_STRICT)
-        a, b = m.element([1.0, 1.0]), m.element([2.0, 1.0])
-        calls = count_scalar_searches(monkeypatch)
-        est = rho_plus(m, a, b, 300)
-        assert calls == []
-        assert est.pair_infimum == est.limit_estimate == 2.0
+    def test_oracle_calls_grow_logarithmically_in_l_max(self, monkeypatch):
+        model, pairs = growth_pair_corpus(7)
+        calls = count_oracle_calls(monkeypatch)
+        for a, b in pairs[:20]:
+            counts = []
+            for l_max in (10**3, 10**11):
+                calls[0] = 0
+                rho_plus(model, a, b, l_max)
+                counts.append(calls[0])
+            # 11/3 is the ratio of the logs; a search linear in l_max makes 10^8 times more
+            assert counts[1] <= 11 / 3 * counts[0]
+            assert counts[1] <= 150
 
-    def test_l_max_spanning_several_blocks(self):
-        rng = item_rng(SEED, 6)
-        l_max = 2 * ordered._BLOCK_ROWS + 37
-        for variant in OrderVariant:
-            m = OrderedModel.additive(6, variant)
-            a = m.element(quantized(rng, 0.5, 2.0, 6))
-            b = m.element(quantized(rng, 0.5, 2.0, 6))
-            ks = [min_power(m, a, b, l) for l in range(1, l_max + 1)]
-            est = rho_plus(m, a, b, l_max)
-            assert est.limit_estimate == ks[-1] / l_max
-            assert est.pair_infimum == min(k / l for l, k in enumerate(ks, start=1))
+    def test_bracket_is_exact_where_float_products_round(self):
+        # at n = 10^11 the products k * a of quantized sites pass 2^53, so a float
+        # oracle misplaces the bracket; the certificate is rechecked here in Fractions
+        model, pairs = growth_pair_corpus(7)
+        n = 10**11
+        for a, b in pairs[:10]:
+            rate = max(Fraction(y) / Fraction(x) for x, y in zip(a.data.tolist(), b.data.tolist()))
+            (p, q), (p_lo, q_lo) = ordered._bracket(ordered._oracle(model, a, b), n)
+            assert Fraction(p_lo, q_lo) < rate <= Fraction(p, q)
+            assert q <= n < q + q_lo and p * q_lo - p_lo * q == 1
 
     def test_peak_memory_does_not_grow_with_l_max(self):
         rng = item_rng(SEED, 7)
@@ -276,7 +351,7 @@ class TestBatchedSearch:
         a = m.element(quantized(rng, 0.5, 2.0, 64))
         b = m.element(quantized(rng, 0.5, 2.0, 64))
         peaks = []
-        for l_max in (ordered._BLOCK_ROWS, 16 * ordered._BLOCK_ROWS):
+        for l_max in (10**3, 10**9):
             tracemalloc.start()
             try:
                 rho_plus(m, a, b, l_max)
@@ -284,6 +359,65 @@ class TestBatchedSearch:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_closed_form_outside_the_bracket_is_a_violation(self, monkeypatch):
+        m = OrderedModel.additive(2)
+        a, b = m.element([1.0, 1.0]), m.element([2.0, 1.0])
+        exact = ordered._oracle
+        # an oracle for b + b certifies its own bracket around 4, which max(b/a) = 2 misses
+        monkeypatch.setattr(ordered, "_oracle", lambda model, x, y: exact(model, x, model.compose(y, y)))
+        with pytest.raises(InvariantViolation, match="closed-form rate"):
+            rho_plus(m, a, b, 100)
+
+    def test_an_oracle_that_changes_its_answer_fails_the_certificate(self):
+        answers = []
+
+        def flaky(k, l):
+            # exact for 3/7 during the descent, negated once the certificate re-asks
+            answers.append((k, l))
+            holds = 7 * k >= 3 * l
+            return holds if answers.count((k, l)) == 1 else not holds
+
+        with pytest.raises(InvariantViolation, match="certificate"):
+            ordered._bracket(flaky, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-50, 50), st.integers(1, 50), st.booleans(), st.integers(1, 60))
+    def test_bracket_is_the_least_fraction_with_a_small_denominator(self, num, den, strict, n):
+        if strict:
+            holds = lambda k, l: k * den > l * num  # noqa: E731
+        else:
+            holds = lambda k, l: k * den >= l * num  # noqa: E731
+        (p, q), (p_lo, q_lo) = ordered._bracket(holds, n)
+        # the least k of row l lies within 2 of l*num/den
+        brute = min(
+            Fraction(next(k for k in range(l * num // den - 2, l * num // den + 3) if holds(k, l)), l)
+            for l in range(1, n + 1)
+        )
+        assert Fraction(p, q) == brute and q <= n
+        assert not holds(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n
+
+    def test_search_bound_is_exact_on_the_extreme_exponents(self):
+        m = OrderedModel.additive(1)
+        one = m.element([1.0])
+        bound = ordered._SEARCH_BOUND
+        cases = [  # (b, l_max, max |k_l| over l <= l_max)
+            (4.0, bound // 4, bound),
+            (4.0, bound // 4 + 1, bound + 4),
+            (-4.0, bound // 4, bound),
+            (-4.0, bound // 4 + 1, bound + 4),
+            (float(bound), 1, bound),
+            (float(bound + 1), 1, bound + 1),
+            (1.5 * bound, 1, 1.5 * bound),  # found by the integer-part search, past the bound
+        ]
+        for value, l_max, extreme in cases:
+            b = m.element([value])
+            if extreme > bound:
+                with pytest.raises(SearchBoundError):
+                    rho_plus(m, one, b, l_max)
+            else:
+                est = rho_plus(m, one, b, l_max)
+                assert abs(est.limit_estimate * l_max) == extreme
 
     def test_non_finite_seed_raises_search_bound(self):
         m = OrderedModel.additive(2)

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbmlab.primes import PrimeTable, sieve_upto
+from cbmlab.errors import InvalidInputError
+from cbmlab.primes import MAX_PRIME_BOUND, PrimeTable, sieve_upto
 
 
 def naive_primes(limit):
@@ -22,6 +24,12 @@ def test_prime_table_lookups():
     assert table.first_prime_in(9974, 10_006) is None  # next prime is 10007, beyond bound
     assert table.first_prime_in(0, 2) == 2
     assert np.array_equal(table.primes, sieve_upto(10_000))
+
+
+def test_table_bound_past_the_cap_is_rejected_before_allocation():
+    for bound in (-2, MAX_PRIME_BOUND + 1, 10**20):
+        with pytest.raises(InvalidInputError, match="prime bound"):
+            PrimeTable(bound)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cbmlab.acceptance import item_rng
 from cbmlab.errors import InvalidInputError
 from cbmlab.starshape import (
+    MAX_GRID_COUNT,
     DirectionGrid,
     RadialSet,
     SkeletonSpec,
@@ -23,6 +25,7 @@ from cbmlab.starshape import (
     scale,
     scale_pow,
     skeleton_region,
+    sphere_area,
     volume,
 )
 
@@ -38,6 +41,26 @@ class TestGrids:
     def test_count_floor(self):
         with pytest.raises(InvalidInputError):
             DirectionGrid.uniform_circle(32)
+
+    def test_grid_counts_past_the_cap_are_rejected_before_allocation(self):
+        spec = SkeletonSpec(np.zeros(4), 10.0, 1.0)
+        for count in (-1, MAX_GRID_COUNT + 1, 10**20):
+            with pytest.raises(InvalidInputError, match="grid count"):
+                DirectionGrid.uniform_circle(count)
+            with pytest.raises(InvalidInputError, match="grid count"):
+                skeleton_region(spec, base_count=count)
+
+    def test_sphere_area_past_the_gamma_overflow(self):
+        # gamma(d/2) overflows from d = 344; the lgamma form must continue the
+        # recurrence A(d + 2) = 2 pi A(d) / d until the area leaves the normal doubles
+        assert sphere_area(343) == 2.0 * math.pi**171.5 / math.gamma(171.5)
+        with pytest.raises(OverflowError):
+            math.gamma(172.0)
+        for d in (344, 438):
+            assert sphere_area(d) == pytest.approx(2.0 * math.pi * sphere_area(d - 2) / (d - 2), rel=1e-12)
+        assert sphere_area(438) >= sys.float_info.min
+        with pytest.raises(InvalidInputError, match="underflows"):
+            sphere_area(439)
 
     def test_weights_cover_circle(self):
         assert abs(float(np.sum(GRID.weights)) - 2 * math.pi) < 1e-12
