@@ -296,9 +296,10 @@ class TestBatchedSearch:
         st.lists(st.integers(1, 10**5), min_size=1, max_size=40),
         st.integers(1, 40),
     )
-    def test_implied_rows_equal_the_reference_row_search(
+    def test_block_certified_exponents_equal_the_scalar_search(
         self, kind, variant, a_q, b_q, ls, l_max
     ):
+        # the rows ceil(l*p/q) of the certified bracket against the row-by-row search
         if kind == "multiplicative":
             m = OrderedModel.multiplicative(variant)
             a, b = m.element_from_log(a_q[0] * QUANTUM), m.element_from_log(b_q[0] * QUANTUM)
@@ -310,6 +311,20 @@ class TestBatchedSearch:
         est = rho_plus(m, a, b, l_max)
         assert est.pair_infimum == min(k / l for l, k in enumerate(ks, start=1))
         assert est.limit_estimate == ks[-1] / l_max
+
+    def test_l_max_spanning_several_blocks(self):
+        # 549 rows, so the bracket's denominator search runs through several steps
+        rng = item_rng(SEED, 6)
+        l_max = 549
+        for variant in OrderVariant:
+            m = OrderedModel.additive(6, variant)
+            a = m.element(quantized(rng, 0.5, 2.0, 6))
+            b = m.element(quantized(rng, 0.5, 2.0, 6))
+            ks = [min_power(m, a, b, l) for l in range(1, l_max + 1)]
+            assert reference_rows(m, a, b, range(1, l_max + 1)) == ks
+            est = rho_plus(m, a, b, l_max)
+            assert est.limit_estimate == ks[-1] / l_max
+            assert est.pair_infimum == min(k / l for l, k in enumerate(ks, start=1))
 
     def test_strict_exact_ratio_is_left_out(self):
         # 2l * 1 == l * 2 at the first site only, so k = 2l fails and 2l + 1 holds
