@@ -28,7 +28,7 @@ from .domains import (
     rescale_cover,
     rgr_vs_cbm,
 )
-from .errors import CbmlabError
+from .errors import CbmlabError, InvalidInputError
 from .forms import ContactFormRep, ContactMapRep, SampledManifold, dcbm_forms
 from .ordered import (
     OrderedModel,
@@ -37,8 +37,10 @@ from .ordered import (
     rho_plus,
     rho_plus_primes,
 )
-from .primes import PrimeTable
+from .primes import MAX_PRIME_BOUND, PrimeTable
 from .starshape import (
+    MAX_GRID_COUNT,
+    MIN_GRID_COUNT,
     DirectionGrid,
     RadialSet,
     ball,
@@ -366,7 +368,19 @@ def run_acceptance(
     grid: int = 1024,
 ) -> dict:
     """Run every acceptance item and assemble a deterministic report; an item
-    that raises a CbmlabError is recorded as failed and the rest still run."""
+    that raises a CbmlabError is recorded as failed and the rest still run.
+    A configuration outside the items' input ranges raises InvalidInputError
+    before the first item."""
+    if l_max < 1:
+        raise InvalidInputError(f"l_max must be a positive integer, got {l_max}")
+    if not 2 <= prime_bound <= MAX_PRIME_BOUND:
+        raise InvalidInputError(
+            f"prime bound must lie in [2, {MAX_PRIME_BOUND}], got {prime_bound}"
+        )
+    if not MIN_GRID_COUNT <= grid <= MAX_GRID_COUNT:
+        raise InvalidInputError(
+            f"grid count must lie in [{MIN_GRID_COUNT}, {MAX_GRID_COUNT}], got {grid}"
+        )
     cfg = {"l_max": l_max, "prime_bound": prime_bound, "grid": grid}
     results = {}
     for name, fn in ITEMS:

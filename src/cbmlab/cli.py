@@ -255,13 +255,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
+        _emit(report, args.out)  # rendering rejects a non-finite number the inputs let through
     except InvariantViolation as exc:
         sys.stderr.write(f"assertion failed: {exc}\n")
         return EXIT_ASSERTION
     except CbmlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    _emit(report, args.out)
     if args.command == "accept" and not report["passed"]:
         return EXIT_ASSERTION
     return EXIT_OK

@@ -346,7 +346,8 @@ def rho_plus_primes(
     For each prime q the witness exponent is sought in the prime-gap window
     [m, m + m^0.6] above m = min_power(q), which one Farey bracket at
     prime_bound gives for every q; the window is truncated at the bound so
-    every returned ratio comes from a genuine pair below it.
+    every returned ratio comes from a genuine pair below it. Every m and
+    window comes from one int64 array pass over the primes.
     """
     if prime_bound < 2:
         raise InvalidInputError("prime_bound must be at least 2")
@@ -357,9 +358,13 @@ def rho_plus_primes(
         table = PrimeTable(prime_bound)
     (num, den), _ = _bracket(_oracle(model, a, b), prime_bound)
     qs = table.primes[: np.searchsorted(table.primes, prime_bound, side="right")]
-    k_min = [-(-q * num // den) for q in qs.tolist()]
+    # ceil(q*num/den) split at the integer part: the bracket keeps q*whole within
+    # the search bound and q*part < prime_bound**2, where q*num can pass int64
+    whole, part = divmod(num, den)
+    k_min = qs * whole - (-(qs * part) // den)
+    reach = np.floor(np.maximum(k_min, 0) ** PRIME_WINDOW_EXPONENT).astype(np.int64)
     # a window starting above the bound is empty once hi is capped there
-    window_hi = [min(k + int(k**PRIME_WINDOW_EXPONENT) if k > 0 else 2, prime_bound) for k in k_min]
+    window_hi = np.minimum(np.where(k_min > 0, k_min + reach, 2), prime_bound)
     ps = table.first_primes_in(k_min, window_hi)
     found = ps > 0
     if not found.any():

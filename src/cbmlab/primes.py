@@ -35,7 +35,10 @@ class PrimeTable:
             raise InvalidInputError(f"prime bound must lie in [0, {MAX_PRIME_BOUND}], got {bound}")
         self.bound = int(bound)
         self._mask = _sieve_mask(self.bound)
-        self.primes = np.flatnonzero(self._mask).astype(np.int64, copy=False)
+        primes = np.flatnonzero(self._mask).astype(np.int64, copy=False)
+        # built once: the primes, then the sentinel bound + 1, which exceeds every capped hi
+        self._primes_and_sentinel = np.append(primes, self.bound + 1)
+        self.primes = self._primes_and_sentinel[:-1]
 
     def is_prime(self, n: int) -> bool:
         return 0 <= n <= self.bound and bool(self._mask[n])
@@ -57,6 +60,5 @@ class PrimeTable:
         binary search of the primes; 0 marks a window without a prime."""
         lo = np.maximum(np.asarray(lo, dtype=np.int64), 2)
         hi = np.minimum(np.asarray(hi, dtype=np.int64), self.bound)
-        # the sentinel bound + 1 exceeds every capped hi
-        found = np.append(self.primes, self.bound + 1)[np.searchsorted(self.primes, lo)]
+        found = self._primes_and_sentinel[np.searchsorted(self.primes, lo)]
         return np.where(found <= hi, found, 0)

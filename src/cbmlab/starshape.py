@@ -326,12 +326,25 @@ class SkeletonSpec:
             raise InvalidInputError("v must have even length 2k >= 2")
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("spoke exponents must be finite")
-        if not (self.c0 > 1.0):
-            raise InvalidInputError("spoke length scale c0 must exceed 1")
-        if not (self.target_volume > 0.0):
-            raise InvalidInputError("degenerate spec: target volume must be positive")
+        if not 1.0 < self.c0 < math.inf:
+            raise InvalidInputError("spoke length scale c0 must be finite and exceed 1")
+        if not 0.0 < self.target_volume < math.inf:
+            raise InvalidInputError("degenerate spec: target volume must be finite and positive")
         object.__setattr__(self, "v", v)
         v.flags.writeable = False
+        with np.errstate(over="ignore"):
+            lengths = self.spoke_lengths
+            if not np.all(np.isfinite(lengths)):
+                raise InvalidInputError("spoke lengths c0*e^v must be finite")
+            # spokes all of length 0 leave no width to solve for: infinite, rejected below
+            epsilon = self.epsilon if np.any(lengths > 0.0) else math.inf
+        # the width fans start at the corner angle atan2(epsilon/2, L), least at the longest spoke
+        corner = math.atan2(epsilon / 2.0, float(np.max(lengths)))
+        if not (sys.float_info.min <= epsilon < math.inf and corner >= sys.float_info.min):
+            raise InvalidInputError(
+                f"degenerate spec: width {epsilon:.3g} and its corner angle {corner:.3g} "
+                "must be positive normal doubles"
+            )
 
     @property
     def k(self) -> int:
@@ -370,7 +383,7 @@ def _spoke_trig(spec: SkeletonSpec, angles: np.ndarray) -> tuple[np.ndarray, np.
 def _radii_from_trig(spec: SkeletonSpec, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     h = spec.epsilon / 2.0
     lengths = spec.spoke_lengths
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         along = lengths[None, :] / c
         across = h / s
     extent = np.where(c > 0, np.minimum(along, np.where(s > 0, across, np.inf)), 0.0)
@@ -452,6 +465,10 @@ def qi_verify(
     Both regions are sampled on one shared grid containing each spec's spoke
     directions and width fans, so the extremal radial ratios are hit exactly.
     """
+    if not 0.0 < c1 < math.inf:
+        raise InvalidInputError("width-correction constant c1 must be finite and positive")
+    if not math.isfinite(tol):
+        raise InvalidInputError("tolerance tol must be finite")
     spec_v = SkeletonSpec(v, c0, target_volume)
     spec_w = SkeletonSpec(w, c0, target_volume)
     if spec_v.v.size != spec_w.v.size:

@@ -8,6 +8,7 @@ import sys
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,6 +241,47 @@ def test_skeleton_grid_past_the_cap_exits_two(capsys):
     assert "grid count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["skeleton", "--v", "1,1,1,1", "--c0", "1e308"], "spoke lengths"),
+        (["skeleton", "--v", "1,1,1,1", "--c0", "inf"], "c0"),
+        (["skeleton", "--v", "1e308,1,1,1"], "spoke lengths"),
+        (["skeleton", "--v", "0,0,0,0", "--c0", "1e200"], "corner angle"),
+        (["skeleton", "--v", "0,0,0,0", "--target-volume", "1e-320"], "width"),
+        (["skeleton", "--v=-1000,-1000,-1000,-1000"], "width"),
+        (["skeleton", "--v", "0,0,0,0", "--target-volume", "inf"], "target volume"),
+        (["qi-verify", "--v", "1,1,1,1", "--w", "1,2,1,1", "--c1", "0"], "c1"),
+        (["qi-verify", "--v", "1,1,1,1", "--w", "1,2,1,1", "--c1", "-1"], "c1"),
+        (["qi-verify", "--v", "1,1,1,1", "--w", "1,2,1,1", "--c1", "inf"], "c1"),
+        (["qi-verify", "--v", "1,1,1,1", "--w", "1,2,1,1", "--tol", "nan"], "tol"),
+        (["qi-verify", "--v", "1,1,1,1", "--w", "1,2,1,1", "--tol", "inf"], "tol"),
+    ],
+)
+def test_skeleton_and_qi_verify_flags_out_of_range_exit_two(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--grid", str(10**20)),
+        ("--grid", "63"),
+        ("--prime-bound", str(10**8 + 1)),
+        ("--prime-bound", "1"),
+        ("--l-max", "0"),
+    ],
+)
+def test_malformed_accept_configuration_exits_two_before_any_item(flag, value, capsys, monkeypatch):
+    ran = []
+    items = [("01-runs", lambda seed, cfg: ran.append(seed) or {"passed": True})]
+    monkeypatch.setattr(acceptance, "ITEMS", items)
+    assert main(["accept", flag, value]) == 2
+    assert ran == []
+    assert capsys.readouterr().out == ""
+
+
 def test_prime_pairs_with_a_non_positive_l_max_exits_two(tmp_path, capsys):
     # the product check divides by l_max, which the prime-pair method does not use otherwise
     a, b = growth_files(tmp_path)
@@ -366,11 +408,28 @@ COMMANDS = [
     ["growth", "@0", "@1", "--model", "multiplicative", "--method", "limit-sequence", "--l-max", "#0"],
     ["skeleton", "--v", "1,0,0,1", "--grid", "#0"],
     ["qi-verify", "--v", "1,0", "--w", "0,0", "--grid", "#0"],
+    # "%i" stands for the i-th drawn real flag value
+    ["skeleton", "--v", "1,0,0,1", "--grid", "64", "--c0=%0", "--target-volume=%1"],
+    ["qi-verify", "--v", "1,0", "--w", "0,0", "--grid", "64", "--c0=%0", "--c1=%1", "--tol=%2"],
 ]
 # numeric flag values that finish fast or fail fast: a prime bound or grid
 # count above its cap is rejected before anything is allocated, and the
 # growth rates cost O(log l_max) oracle calls
 FLAG_VALUES = st.integers(-3, 10**4) | st.integers(10**8 + 1, 10**30)
+# real flags: any double, the non-finite ones included, and the edges of their ranges
+REAL_FLAG_VALUES = st.floats() | st.sampled_from(
+    [0.0, -0.0, -1.0, 1.0, math.inf, -math.inf, math.nan]
+)
+
+
+def fill(arg, paths, flags, reals):
+    """One argument of a COMMANDS template with its drawn value put in."""
+    if arg[0] == "@":
+        return paths[int(arg[1:])]
+    if arg[0] == "#":
+        return str(flags[int(arg[1:])])
+    name, sep, index = arg.partition("=%")  # "=" keeps a value such as -inf off the option list
+    return f"{name}={reals[int(index)]!r}" if sep else arg
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,18 +437,16 @@ FLAG_VALUES = st.integers(-3, 10**4) | st.integers(10**8 + 1, 10**30)
     command=st.sampled_from(COMMANDS),
     payloads=st.lists(ANY_JSON | SHAPED, min_size=3, max_size=3),
     flags=st.lists(FLAG_VALUES, min_size=2, max_size=2),
+    reals=st.lists(REAL_FLAG_VALUES, min_size=3, max_size=3),
 )
-def test_any_json_payload_keeps_the_exit_code_contract(command, payloads, flags):
+def test_any_json_payload_keeps_the_exit_code_contract(command, payloads, flags, reals):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, payload in enumerate(payloads):
             paths.append(os.path.join(tmp, f"{i}.json"))
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
-        argv = [
-            paths[int(arg[1:])] if arg[0] == "@" else str(flags[int(arg[1:])]) if arg[0] == "#" else arg
-            for arg in command
-        ]
+        argv = [fill(arg, paths, flags, reals) for arg in command]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2)

@@ -448,6 +448,36 @@ class TestBatchedSearch:
             rho_plus(m, m.element_from_log(1e-10), m.element_from_log(1e308), 10)
 
 
+def reference_rho_plus_primes(model, a, b, prime_bound):
+    """The per-prime list computation of every k_min and witness window, one
+    prime at a time on Python ints, behind the same bracket."""
+    table = PrimeTable(prime_bound)
+    (num, den), _ = ordered._bracket(ordered._oracle(model, a, b), prime_bound)
+    qs = table.primes
+    k_min = [-(-q * num // den) for q in qs.tolist()]
+    window_hi = [
+        min(k + int(k**ordered.PRIME_WINDOW_EXPONENT) if k > 0 else 2, prime_bound) for k in k_min
+    ]
+    ps = table.first_primes_in(k_min, window_hi)
+    found = ps > 0
+    if not found.any():
+        raise PrimePairError(prime_bound)
+    return float(np.min(ps[found] / qs[found]))
+
+
+def captured_prime_windows(monkeypatch, table):
+    """Record the (lo, hi) window arrays that rho_plus_primes hands the table."""
+    seen = []
+    lookup = table.first_primes_in
+
+    def recording(lo, hi):
+        seen.append((np.asarray(lo), np.asarray(hi)))
+        return lookup(lo, hi)
+
+    monkeypatch.setattr(table, "first_primes_in", recording)
+    return seen
+
+
 class TestRhoPlusPrimes:
     def test_multiplicative_matches_brute_force(self):
         m = OrderedModel.multiplicative()
@@ -499,6 +529,62 @@ class TestRhoPlusPrimes:
         m = OrderedModel.multiplicative()
         with pytest.raises(PrimePairError):
             rho_plus_primes(m, m.element(2.0), m.element(1000.0), 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["multiplicative", "additive"]),
+        st.sampled_from(list(OrderVariant)),
+        st.integers(1, 64),
+        st.integers(2, 10**4),
+        st.lists(POSITIVE_Q, min_size=2, max_size=2),
+        st.integers(0, 2**32),
+    )
+    def test_array_pass_matches_the_per_prime_lists(self, kind, variant, sites, bound, logs, key):
+        if kind == "multiplicative":
+            m = OrderedModel.multiplicative(variant)
+            a, b = m.element_from_log(logs[0] * QUANTUM), m.element_from_log(logs[1] * QUANTUM)
+        else:
+            rng = item_rng(key, 3)
+            m = OrderedModel.additive(sites, variant)
+            # rates from about 1/200 to 200: b's scale is drawn apart from a's
+            scale = float(rng.choice([0.005, 0.1, 1.0, 10.0, 100.0]))
+            a = m.element(quantized(rng, 0.5, 2.0, sites))
+            steps = np.round(quantized(rng, 0.5, 2.0, sites) * scale / QUANTUM)
+            b = m.element(np.maximum(steps, 1) * QUANTUM)
+        try:
+            expected = reference_rho_plus_primes(m, a, b, bound)
+        except PrimePairError:
+            with pytest.raises(PrimePairError):
+                rho_plus_primes(m, a, b, bound)
+            return
+        assert rho_plus_primes(m, a, b, bound) == expected
+
+    def test_least_exponents_do_not_overflow_int64(self, monkeypatch):
+        m = OrderedModel.additive(1)
+        a, b = m.element([1.0]), m.element([99923.5584980821])
+        bound = 10**7
+        num, den = 942316028430, 9430369
+        assert ordered._bracket(ordered._oracle(m, a, b), bound)[0] == (num, den)
+        table = PrimeTable(bound)
+        qs = table.primes.tolist()
+        assert qs[-1] * num > np.iinfo(np.int64).max  # the unsplit product would wrap
+        seen = captured_prime_windows(monkeypatch, table)
+        rho_plus_primes(m, a, b, bound, table=table)
+        (k_min, window_hi), = seen
+        assert k_min.tolist() == [-(-q * num // den) for q in qs]
+        assert window_hi.tolist() == [min(k + int(k**0.6), bound) for k in k_min.tolist()]
+
+    def test_numpy_window_powers_match_python_floats(self):
+        # every k up to 10^6, and the k up to 10^8 whose 0.6-th power lies
+        # within rounding of an integer, where a floor could flip
+        near = np.arange(1, math.floor((10**8) ** 0.6) + 1) ** (5 / 3)
+        ks = np.concatenate([
+            np.arange(1, 10**6 + 1),
+            (np.round(near)[:, None] + np.arange(-2, 3)).ravel().astype(np.int64),
+        ])
+        ks = ks[(ks >= 1) & (ks <= 10**8)]
+        fast = np.floor(ks.astype(np.float64) ** ordered.PRIME_WINDOW_EXPONENT).astype(np.int64)
+        assert fast.tolist() == [int(k**ordered.PRIME_WINDOW_EXPONENT) for k in ks.tolist()]
 
 
 class TestGrowthDistance:

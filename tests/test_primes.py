@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,3 +44,19 @@ def test_block_lookup_matches_one_window_at_a_time(bound, windows):
     lo, hi = zip(*windows)
     expected = [table.first_prime_in(a, b) or 0 for a, b in windows]
     assert table.first_primes_in(lo, hi).tolist() == expected
+
+
+def test_block_lookup_does_not_copy_the_prime_table():
+    table = PrimeTable(10**6)
+    assert table.primes.nbytes > 600_000
+    lo = np.arange(10) * 99_000
+    hi = lo + 1_000
+    table.first_primes_in(lo, hi)  # warm up
+    tracemalloc.start()
+    try:
+        found = table.first_primes_in(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.tolist() == [table.first_prime_in(a, b) or 0 for a, b in zip(lo, hi)]
+    assert peak < 10_000

@@ -240,6 +240,28 @@ class TestSkeleton:
         with pytest.warns(UserWarning):
             skeleton_region(SkeletonSpec(np.zeros(4), 1.5, 10.0))
 
+    def test_non_finite_or_underflowing_spec_rejected(self):
+        cases = [
+            (np.zeros(4), math.inf, 1.0),
+            (np.zeros(4), math.nan, 1.0),
+            (np.zeros(4), 10.0, math.inf),
+            (np.array([1e308, 1.0, 1.0, 1.0]), 10.0, 1.0),  # e^v overflows
+            (np.ones(4), 1e308, 1.0),  # c0 * e^v overflows
+            (np.zeros(4), 10.0, 1e-320),  # the width is subnormal
+            (np.zeros(4), 1e200, 1.0),  # the width is normal, its corner angle underflows
+            (np.full(4, -1000.0), 10.0, 1.0),  # every spoke has length 0
+        ]
+        for v, c0, target_volume in cases:
+            with pytest.raises(InvalidInputError):
+                SkeletonSpec(v, c0, target_volume)
+
+    def test_narrow_corner_angles_still_sample(self):
+        # width 2.5e-151 at spokes of length 1e150: the corner angles stay normal
+        spec = SkeletonSpec(np.zeros(4), 1e150, 1.0)
+        region = skeleton_region(spec)
+        assert np.max(region.radii) == 1e150
+        assert delta(region, region) == 1.0
+
 
 class TestQiVerify:
     def test_equal_vectors(self):
@@ -247,6 +269,19 @@ class TestQiVerify:
         report = qi_verify(v, v)
         assert report.log_delta == 0.0
         assert report.passed
+
+    def test_c1_and_tol_out_of_range_rejected(self):
+        v = np.zeros(4)
+        for kwargs in (
+            {"c1": 0.0},
+            {"c1": -1.0},
+            {"c1": math.inf},
+            {"c1": math.nan},
+            {"tol": math.nan},
+            {"tol": -math.inf},
+        ):
+            with pytest.raises(InvalidInputError):
+                qi_verify(v, v, **kwargs)
 
     def test_single_coordinate_bump(self):
         v = np.array([1.0, 2.0, 0.5, 0.0, 3.0, 1.5])
