@@ -26,7 +26,6 @@ from .ordered import (
     OrderedModel,
     OrderVariant,
     RhoEstimate,
-    ge,
     growth_distance,
     is_dominant,
     min_power,

@@ -103,7 +103,7 @@ def item_prime_pairs(seed: int, cfg: dict) -> dict:
     worst = 0.0
     for a, b in pairs:
         rpp = rho_plus_primes(model, a, b, bound, table=table)
-        rp = rho_plus(model, a, b, cfg["l_max"]).value
+        rp = rho_plus(model, a, b, cfg["l_max"]).pair_infimum
         worst = max(worst, abs(rpp - rp))
     return {"passed": worst <= 0.05, "max_gap": worst, "prime_bound": bound}
 
@@ -371,6 +371,8 @@ def run_acceptance(
     that raises a CbmlabError is recorded as failed and the rest still run.
     A configuration outside the items' input ranges raises InvalidInputError
     before the first item."""
+    if not 0 <= seed <= 2**63 - 1:  # Philox keys are exact only in this range
+        raise InvalidInputError(f"seed must lie in [0, 2^63 - 1], got {seed}")
     if l_max < 1:
         raise InvalidInputError(f"l_max must be a positive integer, got {l_max}")
     if not 2 <= prime_bound <= MAX_PRIME_BOUND:

@@ -2,23 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation, PreconditionError
-from .ordered import (
-    _SEARCH_BOUND,
-    DEFAULT_L_MAX,
-    Element,
-    ModelKind,
-    OrderedModel,
-    OrderVariant,
-    _least_true,
-    _row_pred,
-    rho_plus,
-)
+from .ordered import DEFAULT_L_MAX, Element, ModelKind, OrderedModel, OrderVariant, min_power, rho_plus
 
 
 @dataclass(frozen=True)
@@ -50,29 +39,30 @@ def _additive_model_for(base: Element) -> OrderedModel:
 def norm(base: Element, arg: Element) -> NormReport:
     """Norm of arg relative to a dominant base.
 
-    Closed forms on the additive group: the least k with k*base >= arg is
-    ceil(sup(arg/base)) and the greatest l with arg >= l*base is
-    floor(inf(arg/base)). Both are re-derived from the order oracle alone by
-    bracketed searches started at 0: the least k with k*base >= arg, and the
-    least m with m*base >= -arg, which gives l = -m. That takes O(log ratio)
+    The least k with k*base >= arg and the greatest l with arg >= l*base
+    both come from the exact order oracle through min_power: nu_plus is
+    min_power(arg) and nu_minus is -min_power(-arg). That takes O(log ratio)
     oracle calls and O(sites) memory; a ratio beyond the search bound raises
     SearchBoundError before any closed form is evaluated.
+
+    The closed forms ceil(sup(arg/base)) and floor(inf(arg/base)) cross-check
+    them on the float ratios, at the strength monotone rounding permits:
+    nu_plus - 1 <= max(ratio) <= nu_plus and nu_minus <= min(ratio) <= nu_minus + 1.
     """
     model = _additive_model_for(base)
     model._check(arg)
     if not model.is_dominant_closed_form(base):
         raise PreconditionError("norm requires a dominant base (strictly positive minimum)")
 
-    search_plus = _least_true(_row_pred(model, base, arg, 1), 0, _SEARCH_BOUND)
-    search_minus = -_least_true(_row_pred(model, base, model.inverse(arg), 1), 0, _SEARCH_BOUND)
+    nu_plus = min_power(model, base, arg, 1)
+    nu_minus = -min_power(model, base, model.inverse(arg), 1)
 
     ratio = arg.data / base.data
-    nu_plus = int(math.ceil(np.max(ratio)))
-    nu_minus = int(math.floor(np.min(ratio)))
-    if (search_plus, search_minus) != (nu_plus, nu_minus):
+    hi, lo = float(np.max(ratio)), float(np.min(ratio))
+    if not (nu_plus - 1 <= hi <= nu_plus and nu_minus <= lo <= nu_minus + 1):
         raise InvariantViolation(
-            f"norm closed form ({nu_plus}, {nu_minus}) disagrees with "
-            f"oracle search ({search_plus}, {search_minus})"
+            f"norm closed-form ratios [{lo}, {hi}] disagree with "
+            f"oracle search ({nu_plus}, {nu_minus})"
         )
     if nu_minus > nu_plus:
         raise InvariantViolation("sandwich exponents out of order (transitivity broken)")
@@ -96,8 +86,8 @@ def stabilization(base: Element, arg: Element, l_max: int = DEFAULT_L_MAX) -> fl
     report = norm(base, model.power(arg, l_max))
     stab = report.nu / l_max
 
-    rp_fwd = rho_plus(model, base, arg, l_max).value
-    rp_inv = rho_plus(model, base, model.inverse(arg), l_max).value
+    rp_fwd = rho_plus(model, base, arg, l_max).pair_infimum
+    rp_inv = rho_plus(model, base, model.inverse(arg), l_max).pair_infimum
     target = max(abs(rp_fwd), abs(rp_inv))
     if abs(stab - target) > 2.0 / l_max:
         raise InvariantViolation(

@@ -65,13 +65,6 @@ class Element:
     kind: ModelKind
     data: float | np.ndarray
 
-    @property
-    def value(self):
-        """User-facing value (exp of the stored log for multiplicative)."""
-        if self.kind is ModelKind.MULTIPLICATIVE_REALS:
-            return math.exp(self.data)
-        return self.data
-
 
 @dataclass(frozen=True)
 class OrderedModel:
@@ -124,11 +117,6 @@ class OrderedModel:
             raise InvalidInputError("log value must be finite")
         return Element(self.kind, lv)
 
-    def identity(self) -> Element:
-        if self.kind is ModelKind.MULTIPLICATIVE_REALS:
-            return Element(self.kind, 0.0)
-        return self.element(np.zeros(self.site_count))
-
     # -- semigroup structure ---------------------------------------------------
 
     def _check(self, *elems: Element) -> None:
@@ -163,21 +151,13 @@ class OrderedModel:
         return bool(np.min(a.data) > 0.0)
 
 
-def ge(model: OrderedModel, a: Element, b: Element) -> bool:
-    return model.ge(a, b)
-
-
 def is_dominant(model: OrderedModel, a: Element, probes: Iterable[Element] = ()) -> bool:
-    """Dominance test: closed form, then a finite power found for each probe."""
+    """Dominance test: closed form, then a finite power found for each probe
+    by min_power, whose SearchBoundError propagates."""
     if not model.is_dominant_closed_form(a):
         return False
     for b in probes:
-        holds = _oracle(model, a, b)
-        k = 1
-        while not holds(k, 1):
-            k *= 2
-            if k > 2**60:
-                return False
+        min_power(model, a, b, 1)
     return True
 
 
@@ -197,12 +177,6 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> Callable[[int, int],
         return lambda k, l: all(k * x >= l * y for x, y in sites)
     # strictly greater at every site, or equal; at one site this is >=
     return lambda k, l: all(k * x > l * y for x, y in sites) or all(k * x == l * y for x, y in sites)
-
-
-def _row_pred(model: OrderedModel, a: Element, b: Element, l: int) -> Callable[[int], bool]:
-    """Predicate k |-> (a^k >= b^l): one row of the oracle."""
-    holds = _oracle(model, a, b)
-    return lambda k: holds(k, l)
 
 
 def _least_true(pred: Callable[[int], bool], guess: int, bound: int) -> int:
@@ -243,25 +217,19 @@ def _least_true(pred: Callable[[int], bool], guess: int, bound: int) -> int:
     return hi
 
 
-def min_power(
-    model: OrderedModel,
-    a: Element,
-    b: Element,
-    l: int,
-    *,
-    hint: int | None = None,
-    max_abs_k: int = _SEARCH_BOUND,
-) -> int:
+def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     """Least k in Z with a^k >= b^l, for a dominant a.
 
     The search relies only on the order oracle and on upward-closedness of
-    the predicate, which both concrete models guarantee.
+    the predicate, which both concrete models guarantee; it raises
+    SearchBoundError once its doubling passes the search bound.
     """
     if l < 1:
         raise InvalidInputError("l must be a positive integer")
     if not model.is_dominant_closed_form(a):
         raise PreconditionError("min_power requires a dominant base element")
-    return _least_true(_row_pred(model, a, b, l), hint if hint is not None else l, max_abs_k)
+    holds = _oracle(model, a, b)
+    return _least_true(lambda k: holds(k, l), l, _SEARCH_BOUND)
 
 
 def _bracket(holds: Callable[[int, int], bool], n: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -307,11 +275,6 @@ class RhoEstimate:
 
     limit_estimate: float
     pair_infimum: float
-    l_max: int
-
-    @property
-    def value(self) -> float:
-        return self.pair_infimum
 
 
 def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L_MAX) -> RhoEstimate:
@@ -330,7 +293,7 @@ def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L
         rate = float(np.max(np.divide(b.data, a.data)))
     if not p_lo / q_lo <= rate <= p / q:
         raise InvariantViolation(f"closed-form rate {rate} lies outside [{p_lo}/{q_lo}, {p}/{q}]")
-    return RhoEstimate(limit_estimate=-(-l_max * p // q) / l_max, pair_infimum=p / q, l_max=l_max)
+    return RhoEstimate(limit_estimate=-(-l_max * p // q) / l_max, pair_infimum=p / q)
 
 
 def rho_plus_primes(

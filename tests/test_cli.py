@@ -79,6 +79,23 @@ def test_prime_pairs_without_a_pair_exits_two(tmp_path, capsys):
     assert "no prime ordering pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "base, arg, expected",
+    [
+        # 25.994494459100192 / 1.2378330694809616 is just below 21 and rounds onto it
+        (1.2378330694809616, 25.994494459100192, (21, 20, 21)),
+        # the least subnormal over the base underflows to -0.0
+        (9.136280215049444, -5e-324, (0, -1, 1)),
+    ],
+)
+def test_norm_of_a_ratio_that_rounds_onto_an_integer(base, arg, expected, tmp_path, capsys):
+    base_path = write(tmp_path / "base.json", [base])
+    arg_path = write(tmp_path / "arg.json", [arg])
+    code, report = run(capsys, "norm", base_path, arg_path)
+    assert code == 0
+    assert (report["nu_plus"], report["nu_minus"], report["nu"]) == expected
+
+
 def test_norm_with_tiny_base_exits_two(tmp_path, capsys):
     arg = write(tmp_path / "arg.json", [1.0, 1.0])
     for base_value in (1e-300, 5e-324):  # ratio 1e300, and a subnormal base
@@ -271,15 +288,32 @@ def test_skeleton_and_qi_verify_flags_out_of_range_exit_two(argv, message, capsy
         ("--prime-bound", str(10**8 + 1)),
         ("--prime-bound", "1"),
         ("--l-max", "0"),
+        # Philox keys are exact only for seeds in [0, 2^63 - 1]
+        ("--seed", str(2**64)),
+        ("--seed", str(2**64 - 1)),
+        ("--seed", str(2**63 + 1)),
+        ("--seed", "-1"),
     ],
 )
 def test_malformed_accept_configuration_exits_two_before_any_item(flag, value, capsys, monkeypatch):
     ran = []
     items = [("01-runs", lambda seed, cfg: ran.append(seed) or {"passed": True})]
     monkeypatch.setattr(acceptance, "ITEMS", items)
-    assert main(["accept", flag, value]) == 2
+    assert main(["accept", f"{flag}={value}"]) == 2
     assert ran == []
     assert capsys.readouterr().out == ""
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(max_value=-1) | st.integers(min_value=2**63))
+def test_seed_outside_the_philox_key_range_exits_two(seed):
+    # valid seeds run the whole suite, so only seeds outside the range are drawn
+    ran = []
+    items = [("01-runs", lambda seed, cfg: ran.append(seed) or {"passed": True})]
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(io.StringIO()):
+        mp.setattr(acceptance, "ITEMS", items)
+        assert main(["accept", f"--seed={seed}"]) == 2
+    assert ran == []
 
 
 def test_prime_pairs_with_a_non_positive_l_max_exits_two(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbmlab.acceptance import QUANTUM, item_rng, quantized
-from cbmlab.errors import PreconditionError, SearchBoundError
+from cbmlab import ordered
+from cbmlab.errors import InvariantViolation, PreconditionError, SearchBoundError
 from cbmlab.norms import norm, stabilization
 from cbmlab.ordered import OrderedModel
 
@@ -114,3 +117,39 @@ def test_ratio_beyond_the_search_bound_raises():
     _, base, arg = model_and([1e-300, 1.0], [1.0, 1.0])
     with pytest.raises(SearchBoundError):
         norm(base, arg)
+
+
+def test_oracle_disagreeing_with_the_closed_form_is_a_violation(monkeypatch):
+    m, base, arg = model_and([1.0] * 2, [2.5] * 2)
+    exact = ordered._oracle
+    # an oracle for arg + arg finds (5, 5), where the ratio 2.5 admits only (3, 2)
+    monkeypatch.setattr(ordered, "_oracle", lambda model, x, y: exact(model, x, model.compose(y, y)))
+    with pytest.raises(InvariantViolation, match="closed-form ratios"):
+        norm(base, arg)
+
+
+def near_integer_site(base, n, ulps):
+    """(base, arg) with arg a few ulps off the float n*base, whose exact ratio
+    to base may round onto the integer n or just off it."""
+    arg = n * base
+    for _ in range(abs(ulps)):
+        arg = math.nextafter(arg, math.copysign(math.inf, ulps))
+    return base, arg
+
+
+NEAR_INTEGER_SITE = st.builds(
+    near_integer_site, st.floats(1e-6, 1e6), st.integers(-10**6, 10**6), st.integers(-2, 2)
+) | st.tuples(
+    # the least subnormal over a base above 2 underflows to -0.0 or 0.0
+    st.floats(2.0, 1e6), st.sampled_from([-5e-324, 5e-324])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NEAR_INTEGER_SITE, min_size=1, max_size=3))
+def test_norm_is_exact_on_near_integer_ratios(sites):
+    m = OrderedModel.additive(len(sites))
+    base, arg = (m.element([site[i] for site in sites]) for i in (0, 1))
+    ratios = [Fraction(y) / Fraction(x) for x, y in sites]
+    report = norm(base, arg)
+    assert (report.nu_plus, report.nu_minus) == (math.ceil(max(ratios)), math.floor(min(ratios)))
