@@ -8,6 +8,7 @@ domains in the symplectization.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -45,6 +46,12 @@ class SampledManifold:
     @property
     def sites(self) -> int:
         return self.weights.size
+
+    @functools.cached_property
+    def log_weights(self) -> np.ndarray:
+        logw = np.log(self.weights)
+        logw.flags.writeable = False
+        return logw
 
     def matches(self, other: "SampledManifold") -> bool:
         return self is other or (
@@ -116,6 +123,9 @@ class ContactMapRep:
             raise InvalidInputError("g must have one entry per site")
         if not np.all(np.isfinite(g)):
             raise InvalidInputError("conformal exponent must be finite")
+        self._freeze(perm, g)
+
+    def _freeze(self, perm: np.ndarray, g: np.ndarray) -> None:
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "g", g)
         perm.flags.writeable = False
@@ -131,9 +141,13 @@ class ContactMapRep:
         """The unique conformal exponent making the permutation preserve the
         subgraph volume of every form: g = (ln w o phi - ln w) / half_dim."""
         perm = _site_permutation(manifold, perm)
-        logw = np.log(manifold.weights)
-        g = (logw[perm] - logw) / manifold.half_dim
-        return ContactMapRep(manifold, perm, g)
+        logw = manifold.log_weights
+        # perm is checked, and g is finite with one entry per site since the
+        # weights are positive and finite: __post_init__ would only repeat that
+        rep = object.__new__(ContactMapRep)
+        object.__setattr__(rep, "manifold", manifold)
+        rep._freeze(perm, (logw[perm] - logw) / manifold.half_dim)
+        return rep
 
     def compose(self, other: "ContactMapRep") -> "ContactMapRep":
         """Map whose pullback equals pulling back by self, then by other."""

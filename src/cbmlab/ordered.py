@@ -182,8 +182,10 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> Callable[[int, int],
 def _least_true(pred: Callable[[int], bool], guess: int, bound: int) -> int:
     """Least integer where an upward-closed predicate holds.
 
-    Exponential doubling from the guess brackets the boundary, then binary
-    search pins it down.
+    Exponential doubling from the guess brackets the boundary, clamped to
+    the bound on either side, then binary search pins it down. For a guess
+    in [-bound, bound], SearchBoundError is raised exactly when the least
+    integer lies outside that range.
     """
     if pred(guess):
         hi = guess
@@ -194,9 +196,9 @@ def _least_true(pred: Callable[[int], bool], guess: int, bound: int) -> int:
             lo -= step
             step *= 2
             if lo < -bound:
-                if pred(-bound):
+                if pred(-bound - 1):
                     raise SearchBoundError(bound)
-                lo = -bound
+                lo = -bound - 1
                 break
     else:
         lo = guess
@@ -207,7 +209,10 @@ def _least_true(pred: Callable[[int], bool], guess: int, bound: int) -> int:
             hi += step
             step *= 2
             if hi > bound:
-                raise SearchBoundError(bound)
+                if not pred(bound):
+                    raise SearchBoundError(bound)
+                hi = bound
+                break
     while hi - lo > 1:
         mid = (hi + lo) // 2
         if pred(mid):
@@ -222,7 +227,7 @@ def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
 
     The search relies only on the order oracle and on upward-closedness of
     the predicate, which both concrete models guarantee; it raises
-    SearchBoundError once its doubling passes the search bound.
+    SearchBoundError when the least k passes the search bound.
     """
     if l < 1:
         raise InvalidInputError("l must be a positive integer")
@@ -249,8 +254,7 @@ def _bracket(holds: Callable[[int, int], bool], n: int) -> tuple[tuple[int, int]
         # the longest run of equal steps: the least j in 1..cap+1 that fails, minus 1
         return _least_true(lambda j: j > cap or (j > 0 and not step_holds(j)), 1, 2 * cap + 2) - 1
 
-    # twice the bound, so the doubling never stops short of an integer part inside it
-    k = _least_true(lambda k: holds(k, 1), 1, 2 * _SEARCH_BOUND)
+    k = _least_true(lambda k: holds(k, 1), 1, _SEARCH_BOUND)
     (p_lo, q_lo), (p, q) = (k - 1, 1), (k, 1)
     while q + q_lo <= n:
         j = run(lambda j: holds(p + j * p_lo, q + j * q_lo), (n - q) // q_lo)

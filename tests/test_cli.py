@@ -96,6 +96,18 @@ def test_norm_of_a_ratio_that_rounds_onto_an_integer(base, arg, expected, tmp_pa
     assert (report["nu_plus"], report["nu_minus"], report["nu"]) == expected
 
 
+def test_norm_finds_least_exponents_up_to_the_search_bound(tmp_path, capsys):
+    # least exponents between 2^39 + 1 and 10^12 lie inside the bound, though
+    # a doubling from 1 passes 10^12 before it brackets them
+    base = write(tmp_path / "base.json", [1.0])
+    for ratio in (6e11, 1e12):
+        code, report = run(capsys, "norm", base, write(tmp_path / "arg.json", [ratio]))
+        assert code == 0
+        assert (report["nu_plus"], report["nu_minus"], report["nu"]) == (int(ratio), int(ratio), int(ratio))
+    assert main(["norm", base, write(tmp_path / "arg.json", [1.5e12])]) == 2
+    assert "exponent search exceeded bound 1000000000000" in capsys.readouterr().err
+
+
 def test_norm_with_tiny_base_exits_two(tmp_path, capsys):
     arg = write(tmp_path / "arg.json", [1.0, 1.0])
     for base_value in (1e-300, 5e-324):  # ratio 1e300, and a subnormal base

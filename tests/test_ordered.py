@@ -153,6 +153,19 @@ class TestMinPower:
         with pytest.raises(PreconditionError):
             min_power(m, m.element([0.0, 1.0]), m.element([1.0, 1.0]), 1)
 
+    def test_every_least_integer_inside_the_bound_is_found(self):
+        # doubling from the guess overshoots the bound before it brackets a
+        # least integer past half of it; the clamp at the bound keeps it
+        bound = 1000
+        for guess in (1, 7, -5):
+            for least in range(-bound - 2, bound + 3):
+                pred = lambda k, least=least: k >= least
+                if -bound <= least <= bound:
+                    assert ordered._least_true(pred, guess, bound) == least
+                else:
+                    with pytest.raises(SearchBoundError):
+                        ordered._least_true(pred, guess, bound)
+
     def test_search_bound_carried_in_error(self):
         m = OrderedModel.additive(2)
         a, b = m.element([1.0, 1.0]), m.element([2.5e12, 2.5e12])

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbmlab.starshape as starshape
 from cbmlab.acceptance import item_rng
 from cbmlab.errors import InvalidInputError
+from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import (
     MAX_GRID_COUNT,
     DirectionGrid,
+    QiReport,
     RadialSet,
     SkeletonSpec,
     ball,
@@ -24,6 +28,7 @@ from cbmlab.starshape import (
     qi_verify,
     scale,
     scale_pow,
+    skeleton_angles,
     skeleton_region,
     sphere_area,
     volume,
@@ -305,3 +310,149 @@ class TestQiVerify:
     def test_spoke_count_mismatch(self):
         with pytest.raises(InvalidInputError):
             qi_verify(np.zeros(4), np.zeros(6))
+
+    def test_each_wide_skeleton_warns(self):
+        with pytest.warns(UserWarning) as record:
+            qi_verify(np.zeros(4), np.full(4, 0.1), c0=1.5, target_volume=10.0)
+        assert len(record) == 2
+
+
+# -- the skeleton harness before it ran on one angle array, kept as the reference --
+
+
+def _reference_skeleton_angles(spec, base_count=1024, fan=48):
+    m = spec.v.size
+    half_gap = math.pi / m / 2.0
+    pieces = [2.0 * math.pi * np.arange(base_count) / base_count, spec.spoke_angles]
+    h = spec.epsilon / 2.0
+    for phi, length in zip(spec.spoke_angles, spec.spoke_lengths):
+        corner = math.atan2(h, length)
+        offsets = np.geomspace(corner / 8.0, half_gap, fan)
+        pieces.append(phi + offsets)
+        pieces.append(phi - offsets)
+    return np.concatenate(pieces)
+
+
+def _reference_spoke_trig(spec, angles):
+    d = angles[:, None] - spec.spoke_angles[None, :]
+    return np.cos(d), np.abs(np.sin(d))
+
+
+def _reference_radii_from_trig(spec, c, s):
+    h = spec.epsilon / 2.0
+    lengths = spec.spoke_lengths
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        along = lengths[None, :] / c
+        across = h / s
+    extent = np.where(c > 0, np.minimum(along, np.where(s > 0, across, np.inf)), 0.0)
+    return np.maximum(h, extent.max(axis=1))
+
+
+def _reference_skeleton_region(spec, base_count=1024):
+    grid = DirectionGrid.from_angles(_reference_skeleton_angles(spec, base_count))
+    return RadialSet(grid, _reference_radii_from_trig(spec, *_reference_spoke_trig(spec, grid.angles)))
+
+
+def _reference_qi_verify(v, w, c0=10.0, target_volume=1.0, tol=1e-2, c1=1.5, base_count=1024):
+    if not 0.0 < c1 < math.inf:
+        raise InvalidInputError("width-correction constant c1 must be finite and positive")
+    if not math.isfinite(tol):
+        raise InvalidInputError("tolerance tol must be finite")
+    spec_v = SkeletonSpec(v, c0, target_volume)
+    spec_w = SkeletonSpec(w, c0, target_volume)
+    if spec_v.v.size != spec_w.v.size:
+        raise InvalidInputError("spoke counts differ")
+    angles = np.concatenate(
+        [_reference_skeleton_angles(spec_v, base_count), _reference_skeleton_angles(spec_w, base_count)]
+    )
+    grid = DirectionGrid.from_angles(angles)
+    trig = _reference_spoke_trig(spec_v, grid.angles)
+    region_v = RadialSet(grid, _reference_radii_from_trig(spec_v, *trig))
+    region_w = RadialSet(grid, _reference_radii_from_trig(spec_w, *trig))
+    ld = log_delta(region_v, region_w)
+    linf = float(np.max(np.abs(spec_v.v - spec_w.v)))
+    lower = linf - tol
+    upper = linf + math.log(c1)
+    return QiReport(ld, lower, upper, lower <= ld <= upper, linf, max(1.0, math.exp(ld - linf)))
+
+
+def _region_bytes(region):
+    grid = region.grid
+    return dumps_report(
+        {"set": radial_set_to_dict(region), "weights": grid.weights, "angles": grid.angles}
+    )
+
+
+spoke_vectors = st.integers(1, 9).flatmap(
+    lambda k: st.lists(st.floats(-20.0, 20.0), min_size=2 * k, max_size=2 * k)
+)
+
+
+class TestSkeletonReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        v=spoke_vectors,
+        w_kind=st.sampled_from(["equal", "half", "free"]),
+        c0=st.floats(1.5, 100.0),
+        base_count=st.integers(64, 1024),
+    )
+    def test_reports_and_regions_match_the_reference_bytes(self, data, v, w_kind, c0, base_count):
+        v = np.array(v)
+        w = v.copy()
+        if w_kind != "equal":
+            free = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=v.size, max_size=v.size)))
+            w[v.size // 2 :] = free[v.size // 2 :]
+            if w_kind == "free":
+                w = free
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            outcomes = []
+            for verify, region in ((qi_verify, skeleton_region), (_reference_qi_verify, _reference_skeleton_region)):
+                try:
+                    report = dumps_report(verify(v, w, c0=c0, base_count=base_count).to_json_dict())
+                    outcomes.append((report, _region_bytes(region(SkeletonSpec(v, c0), base_count=base_count))))
+                except InvalidInputError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_corner_angles_come_from_libm_atan2(self):
+        # numpy's arctan2 is an ulp off libm's at the first spoke's (h, L); at
+        # spoke angle 0 the fan's first angle is corner / 8 itself, so the
+        # skeleton's bytes would change
+        spec = SkeletonSpec(np.array([-4.4, -2.8, -0.3, 1.1]), 10.0)
+        h, lengths = spec.epsilon / 2.0, spec.spoke_lengths
+        assert np.arctan2(h, lengths)[0] != math.atan2(h, float(lengths[0]))
+        assert np.array_equal(skeleton_angles(spec), _reference_skeleton_angles(spec))
+        assert _region_bytes(skeleton_region(spec)) == _region_bytes(_reference_skeleton_region(spec))
+
+    def test_a_collapsed_fan_leaves_the_other_fans_alone(self):
+        # at 8 spokes, a spoke far shorter than the width has corner angle pi/2,
+        # so its fan runs from pi/16 to the half gap pi/16 with a zero step; one
+        # np.geomspace over all spokes would then round every other fan differently
+        spec = SkeletonSpec(np.array([0.0] * 7 + [-60.0]), 10.0)
+        corners = np.array([math.atan2(spec.epsilon / 2.0, length) for length in spec.spoke_lengths.tolist()])
+        assert corners[7] == math.pi / 2.0
+        reference = _reference_skeleton_angles(spec)
+        joint = np.geomspace(corners / 8.0, math.pi / 16.0, 48, axis=1)
+        # spoke 0 lies at angle 0, so its first fan, after the 1024 base and
+        # 8 spoke angles, is its offsets themselves
+        assert not np.array_equal(joint[0], reference[1032:1080])
+        assert np.array_equal(skeleton_angles(spec), reference)
+        w = spec.v.copy()
+        w[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert qi_verify(spec.v, w) == _reference_qi_verify(spec.v, w)
+
+    def test_bad_radii_are_rejected_with_the_radial_set_messages(self, monkeypatch):
+        v = np.zeros(4)
+        for bad, message in ((np.nan, "strictly positive"), (0.0, "strictly positive"), (np.inf, "finite")):
+            def radii(spec, c, s, bad=bad):
+                out = _reference_radii_from_trig(spec, c, s)
+                out[5] = bad
+                return out
+
+            monkeypatch.setattr(starshape, "_radii_from_trig", radii)
+            with pytest.raises(InvalidInputError, match=message):
+                qi_verify(v, v)
