@@ -1,7 +1,7 @@
 """Command-line front end: file I/O, subcommands, and the acceptance driver.
 
 Exit codes: 0 success, 1 a certified inequality or acceptance item failed,
-2 malformed input.
+2 malformed input; an acceptance item that raises exits as the command would.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, norms, serialize
+from . import acceptance, errors, norms, serialize
 from .domains import (
     csh,
     dc_toric,
@@ -250,21 +250,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(error: type) -> int:
+    """1 for a failed check, 2 for any other package error (malformed input,
+    or an input past a bound or precondition)."""
+    return EXIT_ASSERTION if issubclass(error, InvariantViolation) else EXIT_INPUT
+
+
+def _accept_exit_code(report: dict) -> int:
+    """The greatest exit code over the failed items, each by the class name its
+    error is recorded under; a failed check counts as an InvariantViolation."""
+    failed = [item for item in report["items"] if not item["passed"]]
+    names = [item.get("error", "InvariantViolation").split(":")[0] for item in failed]
+    return max((_exit_code(getattr(errors, name, CbmlabError)) for name in names), default=EXIT_OK)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
         _emit(report, args.out)  # rendering rejects a non-finite number the inputs let through
-    except InvariantViolation as exc:
-        sys.stderr.write(f"assertion failed: {exc}\n")
-        return EXIT_ASSERTION
     except CbmlabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    if args.command == "accept" and not report["passed"]:
-        return EXIT_ASSERTION
-    return EXIT_OK
+        code = _exit_code(type(exc))
+        sys.stderr.write(f"{'assertion failed' if code == EXIT_ASSERTION else 'error'}: {exc}\n")
+        return code
+    return _accept_exit_code(report) if args.command == "accept" else EXIT_OK
 
 
 if __name__ == "__main__":

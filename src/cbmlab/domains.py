@@ -19,7 +19,6 @@ from .ordered import DEFAULT_L_MAX, Element, Method, OrderedModel, OrderVariant,
 from .starshape import DirectionGrid, RadialSet, log_delta, scale_pow
 
 TORIC_WEIGHT = 1.0  # cotangent-fiber Liouville weight
-EUCLIDEAN_WEIGHT = 0.5  # R^{2n} Liouville weight (coordinates flow at half speed)
 
 
 @dataclass(frozen=True, eq=False)

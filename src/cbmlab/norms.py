@@ -40,10 +40,11 @@ def norm(base: Element, arg: Element) -> NormReport:
     """Norm of arg relative to a dominant base.
 
     The least k with k*base >= arg and the greatest l with arg >= l*base
-    both come from the exact order oracle through min_power: nu_plus is
-    min_power(arg) and nu_minus is -min_power(-arg). That takes O(log ratio)
-    oracle calls and O(sites) memory; a ratio beyond the search bound raises
-    SearchBoundError before any closed form is evaluated.
+    both come from the exact order oracle through min_power, so each from
+    one certified Farey bracket: nu_plus is min_power(arg) and nu_minus is
+    -min_power(-arg). That takes O(log ratio) oracle calls and O(sites)
+    memory; a ratio beyond the search bound raises SearchBoundError before
+    any closed form is evaluated.
 
     The closed forms ceil(sup(arg/base)) and floor(inf(arg/base)) cross-check
     them on the float ratios, at the strength monotone rounding permits:
@@ -64,8 +65,6 @@ def norm(base: Element, arg: Element) -> NormReport:
             f"norm closed-form ratios [{lo}, {hi}] disagree with "
             f"oracle search ({nu_plus}, {nu_minus})"
         )
-    if nu_minus > nu_plus:
-        raise InvariantViolation("sandwich exponents out of order (transitivity broken)")
     return NormReport(
         nu_plus=nu_plus,
         nu_minus=nu_minus,

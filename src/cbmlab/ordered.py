@@ -179,91 +179,63 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> Callable[[int, int],
     return lambda k, l: all(k * x > l * y for x, y in sites) or all(k * x == l * y for x, y in sites)
 
 
-def _least_true(pred: Callable[[int], bool], guess: int, bound: int) -> int:
-    """Least integer where an upward-closed predicate holds.
-
-    Exponential doubling from the guess brackets the boundary, clamped to
-    the bound on either side, then binary search pins it down. For a guess
-    in [-bound, bound], SearchBoundError is raised exactly when the least
-    integer lies outside that range.
-    """
-    if pred(guess):
-        hi = guess
-        lo = guess - 1
-        step = 1
-        while pred(lo):
-            hi = lo
-            lo -= step
-            step *= 2
-            if lo < -bound:
-                if pred(-bound - 1):
-                    raise SearchBoundError(bound)
-                lo = -bound - 1
-                break
-    else:
-        lo = guess
-        hi = guess + 1
-        step = 1
-        while not pred(hi):
-            lo = hi
-            hi += step
-            step *= 2
-            if hi > bound:
-                if not pred(bound):
-                    raise SearchBoundError(bound)
-                hi = bound
-                break
-    while hi - lo > 1:
-        mid = (hi + lo) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     """Least k in Z with a^k >= b^l, for a dominant a.
 
-    The search relies only on the order oracle and on upward-closedness of
-    the predicate, which both concrete models guarantee; it raises
-    SearchBoundError when the least k passes the search bound.
+    It is ceil(l*p/q) off the certified Farey bracket at n = l, so it relies
+    only on the order oracle and on upward-closedness of the predicate, which
+    both concrete models guarantee, and raises SearchBoundError exactly when
+    |k| passes the search bound.
     """
     if l < 1:
         raise InvalidInputError("l must be a positive integer")
     if not model.is_dominant_closed_form(a):
         raise PreconditionError("min_power requires a dominant base element")
-    holds = _oracle(model, a, b)
-    return _least_true(lambda k: holds(k, l), l, _SEARCH_BOUND)
+    (p, q), _ = _bracket(_oracle(model, a, b), l)
+    return -(-l * p // q)
+
+
+def _run(step_holds: Callable[[int], bool], cap: int) -> int:
+    """Greatest j in [0, cap] with step_holds true at 1..j, for a predicate
+    true on a prefix: doubling (clamped at cap) brackets j, bisection pins it."""
+    lo, hi = 0, 1  # step_holds is true at 1..lo; hi is the next probe
+    while lo < cap and step_holds(hi):
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:  # now step_holds fails at hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if step_holds(mid) else (lo, mid)
+    return lo
 
 
 def _bracket(holds: Callable[[int, int], bool], n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Least p/q with q <= n where a homogeneous, upward-closed oracle holds,
-    and the p_lo/q_lo below it where it fails.
+    and the p_lo/q_lo below it where it fails; the package's one exponent search.
 
-    A Stern-Brocot descent from the integer part (Graham, Knuth and
-    Patashnik, Concrete Mathematics, 4.5), with one exponential-then-binary
-    search per run of equal steps: O(log n) oracle calls. The integer
-    certificate (holds at p/q, fails at p_lo/q_lo, p*q_lo - p_lo*q = 1,
-    q + q_lo > n) leaves no fraction with denominator <= n between them, so
-    the least exponent of every l <= n is ceil(l*p/q). SearchBoundError is
-    raised when ceil(p/q) or ceil(n*p/q) passes the search bound.
+    The integer part k is the least k with holds(k, 1), found by one _run
+    from 1, downward or upward. A Stern-Brocot descent from it (Graham, Knuth
+    and Patashnik, Concrete Mathematics, 4.5) takes one _run per stretch of
+    equal steps: O(log n) oracle calls. The integer certificate (holds at p/q,
+    fails at p_lo/q_lo, p*q_lo - p_lo*q = 1, q + q_lo > n) leaves no fraction
+    with denominator <= n between them, so the least exponent of every l <= n
+    is ceil(l*p/q). SearchBoundError is raised when |k| or |ceil(n*p/q)|
+    passes the search bound, that is when some least exponent of an l <= n does.
     """
-
-    def run(step_holds: Callable[[int], bool], cap: int) -> int:
-        # the longest run of equal steps: the least j in 1..cap+1 that fails, minus 1
-        return _least_true(lambda j: j > cap or (j > 0 and not step_holds(j)), 1, 2 * cap + 2) - 1
-
-    k = _least_true(lambda k: holds(k, 1), 1, _SEARCH_BOUND)
+    cap = _SEARCH_BOUND + 2  # far enough to see -bound - 1 below 1 and bound + 1 above it
+    if holds(1, 1):
+        k = 1 - _run(lambda j: holds(1 - j, 1), cap)
+    else:
+        k = 2 + _run(lambda j: not holds(1 + j, 1), cap)
+    if abs(k) > _SEARCH_BOUND:
+        raise SearchBoundError(_SEARCH_BOUND)
     (p_lo, q_lo), (p, q) = (k - 1, 1), (k, 1)
     while q + q_lo <= n:
-        j = run(lambda j: holds(p + j * p_lo, q + j * q_lo), (n - q) // q_lo)
+        j = _run(lambda j: holds(p + j * p_lo, q + j * q_lo), (n - q) // q_lo)
         p, q = p + j * p_lo, q + j * q_lo
-        i = run(lambda i: not holds(p_lo + i * p, q_lo + i * q), (n - q_lo) // q)
+        i = _run(lambda i: not holds(p_lo + i * p, q_lo + i * q), (n - q_lo) // q)
         p_lo, q_lo = p_lo + i * p, q_lo + i * q
     if not (holds(p, q) and not holds(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n):
         raise InvariantViolation(f"Farey bracket {p_lo}/{q_lo} < {p}/{q} fails its certificate at n={n}")
-    if max(abs(k), abs(-(-n * p // q))) > _SEARCH_BOUND:
+    if abs(-(-n * p // q)) > _SEARCH_BOUND:  # |k_l| never shrinks as l grows, and k_1 = k
         raise SearchBoundError(_SEARCH_BOUND)
     return (p, q), (p_lo, q_lo)
 

@@ -22,11 +22,6 @@ def _sieve_mask(limit: int) -> np.ndarray:
     return mask
 
 
-def sieve_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending (int64 array)."""
-    return np.flatnonzero(_sieve_mask(max(limit, 0))).astype(np.int64, copy=False)
-
-
 class PrimeTable:
     """Primality lookups below a fixed bound, backed by one boolean sieve."""
 

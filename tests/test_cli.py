@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cbmlab import acceptance
 from cbmlab.cli import main
-from cbmlab.errors import SearchBoundError
+from cbmlab.errors import InvariantViolation, SearchBoundError
 from cbmlab.serialize import domain_to_dict, dumps_report, form_to_dict, radial_set_to_dict
 from cbmlab.domains import SplitToricDomain
 from cbmlab.forms import ContactFormRep, SampledManifold
@@ -393,20 +393,34 @@ def test_consecutive_calls_match_fresh_processes(tmp_path, capsys):
     assert json.loads(in_process[1])["upper"] == 2.0
 
 
-def test_raising_acceptance_item_is_recorded_and_the_rest_run(tmp_path, capsys, monkeypatch):
-    def boom(seed, cfg):
-        raise SearchBoundError(10, "forced")
+def raising(error):
+    def item(seed, cfg):
+        raise error
 
-    items = [("01-raises", boom), ("02-passes", lambda seed, cfg: {"passed": True})]
-    monkeypatch.setattr(acceptance, "ITEMS", items)
+    return item
+
+
+def test_raising_acceptance_item_is_recorded_and_the_rest_run(tmp_path, capsys, monkeypatch):
+    # a raising item exits as its command would: 2 for a search bound the
+    # configuration passes, as in `growth`, and 1 for a failed check
     out = tmp_path / "r.json"
-    assert main(["accept", "--seed", "7", "-o", str(out)]) == 1
-    report = json.loads(out.read_text())
-    assert report["items"] == [
-        {"name": "01-raises", "passed": False, "error": "SearchBoundError: forced"},
-        {"name": "02-passes", "passed": True},
-    ]
-    assert report["passed"] is False
+    bound, violation = SearchBoundError(10, "forced"), InvariantViolation("forced")
+    for error, code in [(bound, 2), (violation, 1)]:
+        items = [("01-raises", raising(error)), ("02-passes", lambda seed, cfg: {"passed": True})]
+        monkeypatch.setattr(acceptance, "ITEMS", items)
+        assert main(["accept", "--seed", "7", "-o", str(out)]) == code
+        report = json.loads(out.read_text())
+        assert report["items"] == [
+            {"name": "01-raises", "passed": False, "error": f"{type(error).__name__}: forced"},
+            {"name": "02-passes", "passed": True},
+        ]
+        assert report["passed"] is False
+    # the greatest code over the failed items wins
+    fails = ("03-fails", lambda seed, cfg: {"passed": False})
+    for errors, code in [([violation], 1), ([violation, bound], 2)]:
+        items = [(f"0{i}-raises", raising(e)) for i, e in enumerate(errors)] + [fails]
+        monkeypatch.setattr(acceptance, "ITEMS", items)
+        assert main(["accept", "--seed", "7", "-o", str(out)]) == code
 
 
 NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)

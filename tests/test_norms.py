@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbmlab.acceptance import QUANTUM, item_rng, quantized
-from cbmlab import ordered
+from cbmlab import norms, ordered
 from cbmlab.errors import InvariantViolation, PreconditionError, SearchBoundError
 from cbmlab.norms import norm, stabilization
 from cbmlab.ordered import OrderedModel
@@ -126,6 +126,14 @@ def test_oracle_disagreeing_with_the_closed_form_is_a_violation(monkeypatch):
     monkeypatch.setattr(ordered, "_oracle", lambda model, x, y: exact(model, x, model.compose(y, y)))
     with pytest.raises(InvariantViolation, match="closed-form ratios"):
         norm(base, arg)
+
+
+def test_stabilization_disagreeing_with_the_growth_rates_is_a_violation(monkeypatch):
+    m, base, arg = model_and([1.0] * 2, [2.5] * 2)
+    # the stabilization of arg is 2.5; a growth rate of 3 lies beyond 2/l_max of it
+    monkeypatch.setattr(norms, "rho_plus", lambda *args: ordered.RhoEstimate(3.0, 3.0))
+    with pytest.raises(InvariantViolation, match="stabilization"):
+        stabilization(base, arg, 100)
 
 
 def near_integer_site(base, n, ulps):

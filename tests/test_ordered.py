@@ -154,24 +154,33 @@ class TestMinPower:
             min_power(m, m.element([0.0, 1.0]), m.element([1.0, 1.0]), 1)
 
     def test_every_least_integer_inside_the_bound_is_found(self):
-        # doubling from the guess overshoots the bound before it brackets a
-        # least integer past half of it; the clamp at the bound keeps it
-        bound = 1000
-        for guess in (1, 7, -5):
-            for least in range(-bound - 2, bound + 3):
-                pred = lambda k, least=least: k >= least
-                if -bound <= least <= bound:
-                    assert ordered._least_true(pred, guess, bound) == least
+        # the integer part runs from 1 down or up to the bound, so each side of the
+        # bound is probed; at row n the least exponent is least * n
+        bound = ordered._SEARCH_BOUND
+        leasts = [c + d for c in (-bound, 0, bound) for d in range(-2, 3)]
+        for n in (1, 7):
+            for least in leasts:
+                holds = lambda k, l, least=least: k >= least * l  # noqa: E731
+                if abs(least * n) <= bound:
+                    assert ordered._bracket(holds, n)[0] == (least, 1)
                 else:
                     with pytest.raises(SearchBoundError):
-                        ordered._least_true(pred, guess, bound)
+                        ordered._bracket(holds, n)
+
+    def test_run_is_the_longest_prefix_up_to_the_cap(self):
+        for cap in range(0, 40):
+            for longest in range(0, 45):
+                assert ordered._run(lambda j, longest=longest: j <= longest, cap) == min(longest, cap)
 
     def test_search_bound_carried_in_error(self):
         m = OrderedModel.additive(2)
         a, b = m.element([1.0, 1.0]), m.element([2.5e12, 2.5e12])
-        with pytest.raises(SearchBoundError) as err:
-            min_power(m, a, b, 1)
-        assert err.value.bound == 10**12
+        # the least exponent of (a, a, l) is l, so an l past the bound passes it too
+        assert min_power(m, a, a, 10**12) == 10**12
+        for other, l in ((b, 1), (a, 2 * 10**12)):
+            with pytest.raises(SearchBoundError) as err:
+                min_power(m, a, other, l)
+            assert err.value.bound == 10**12
 
 
 class TestRhoPlus:
@@ -355,14 +364,15 @@ class TestBatchedSearch:
         model, pairs = growth_pair_corpus(7)
         calls = count_oracle_calls(monkeypatch)
         for a, b in pairs[:20]:
-            counts = []
-            for l_max in (10**3, 10**11):
-                calls[0] = 0
-                rho_plus(model, a, b, l_max)
-                counts.append(calls[0])
-            # 11/3 is the ratio of the logs; a search linear in l_max makes 10^8 times more
-            assert counts[1] <= 11 / 3 * counts[0]
-            assert counts[1] <= 150
+            for search in (rho_plus, min_power):
+                counts = []
+                for l_max in (10**3, 10**11):
+                    calls[0] = 0
+                    search(model, a, b, l_max)
+                    counts.append(calls[0])
+                # 11/3 is the ratio of the logs; a search linear in l_max makes 10^8 times more
+                assert counts[1] <= 11 / 3 * counts[0]
+                assert counts[1] <= 150
 
     def test_bracket_is_exact_where_float_products_round(self):
         # at n = 10^11 the products k * a of quantized sites pass 2^53, so a float
@@ -636,6 +646,16 @@ class TestGrowthDistance:
         m = OrderedModel.additive(2)
         with pytest.raises(PreconditionError):
             growth_distance(m, m.element([1, 1]), m.element([0, 1]), 100)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_rates_below_the_product_inequality_are_a_violation(self, method, monkeypatch):
+        # rates of 1/2 each way give the product 1/4, far below 1 - 2/l_max
+        monkeypatch.setattr(ordered, "rho_plus", lambda *args: ordered.RhoEstimate(0.5, 0.5))
+        monkeypatch.setattr(ordered, "rho_plus_primes", lambda *args, **kwargs: 0.5)
+        m = OrderedModel.additive(2)
+        a = m.element([1.0, 1.0])
+        with pytest.raises(InvariantViolation, match="product inequality"):
+            growth_distance(m, a, a, 100, method)
 
 
 class TestPseudoMetricAxioms:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbmlab.errors import InvalidInputError
-from cbmlab.primes import MAX_PRIME_BOUND, PrimeTable, sieve_upto
+from cbmlab.primes import MAX_PRIME_BOUND, PrimeTable
 
 
 def naive_primes(limit):
@@ -14,8 +14,8 @@ def naive_primes(limit):
 
 
 def test_sieve_matches_naive():
-    assert sieve_upto(200).tolist() == naive_primes(200)
-    assert sieve_upto(1).size == 0
+    for n in (0, 1, 2, 200):
+        assert PrimeTable(n).primes.tolist() == naive_primes(n)
 
 
 def test_prime_table_lookups():
@@ -25,7 +25,7 @@ def test_prime_table_lookups():
     assert table.first_prime_in(9948, 10_000) == 9949
     assert table.first_prime_in(9974, 10_006) is None  # next prime is 10007, beyond bound
     assert table.first_prime_in(0, 2) == 2
-    assert np.array_equal(table.primes, sieve_upto(10_000))
+    assert table.primes.tolist() == naive_primes(10_000)
 
 
 def test_table_bound_past_the_cap_is_rejected_before_allocation():
