@@ -15,7 +15,6 @@ from .errors import (
     PreconditionError,
     PrimePairError,
     SearchBoundError,
-    UnknownVerdictError,
     UnsupportedDomainError,
 )
 from .ordered import (

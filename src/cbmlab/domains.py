@@ -12,10 +12,9 @@ from .errors import (
     InvalidInputError,
     InvariantViolation,
     PreconditionError,
-    UnknownVerdictError,
     UnsupportedDomainError,
 )
-from .ordered import DEFAULT_L_MAX, Element, Method, OrderedModel, OrderVariant, growth_distance
+from .ordered import DEFAULT_L_MAX, Method, OrderedModel, OrderVariant, growth_distance
 from .starshape import DirectionGrid, RadialSet, log_delta, scale_pow
 
 TORIC_WEIGHT = 1.0  # cotangent-fiber Liouville weight
@@ -182,13 +181,8 @@ def is_squeezable_toric(domain: SplitToricDomain) -> SqueezabilityVerdict:
         raise UnsupportedDomainError(
             "squeezability certificate covers only torus-based domains"
         )
-    fiber = domain.fiber
-    if not fiber.bounded or not np.all(fiber.radii > 0):
-        raise UnknownVerdictError(
-            "no certificate available: fiber must be bounded with 0 interior"
-        )
-    r_min = float(np.min(fiber.radii))
-    r_max = float(np.max(fiber.radii))
+    r_min = float(np.min(domain.fiber.radii))
+    r_max = float(np.max(domain.fiber.radii))
     certificate = (
         "non-squeezable: suppose an isotopy carried the k-th covering rescale into "
         "the l-th with k < l. Monotonicity of the fiber shape invariant under such "
@@ -239,8 +233,8 @@ class HamiltonianDomain:
 
 
 def hamiltonian_to_domain(h, grid: DirectionGrid | None = None) -> HamiltonianDomain:
-    """Domain of a positive autonomous contact Hamiltonian sampled on sites."""
-    values = np.asarray(h.data if isinstance(h, Element) else h, dtype=float)
+    """Domain of a positive autonomous contact Hamiltonian, a flat array of site samples."""
+    values = np.asarray(h, dtype=float)
     if values.ndim != 1:
         raise InvalidInputError("hamiltonian samples must form a vector")
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
@@ -277,22 +271,24 @@ class RgrCbmReport:
         }
 
 
-def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX, grid: DirectionGrid | None = None) -> RgrCbmReport:
-    """Check that the order distance dominates the domain distance.
+def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
+    """Check that the order distance of two positive generators, flat arrays
+    on one site set, dominates the distance of their domains, whose fibers
+    share the uniform circle grid with one direction per site.
 
     In the commuting autonomous model the two sides agree: both reduce to
     the log of the extremal ratio of the generators.
     """
-    v1 = np.asarray(h1.data if isinstance(h1, Element) else h1, dtype=float)
-    v2 = np.asarray(h2.data if isinstance(h2, Element) else h2, dtype=float)
-    if v1.shape != v2.shape:
-        raise InvalidInputError("generators must share one site set")
+    v1 = np.asarray(h1, dtype=float)
+    v2 = np.asarray(h2, dtype=float)
+    if v1.ndim != 1 or v1.shape != v2.shape:
+        raise InvalidInputError("generators must be flat arrays on one site set")
     model = OrderedModel.additive(v1.shape[0], OrderVariant.STRICT_POSITIVE)
     a, b = model.element(v1), model.element(v2)
     report = growth_distance(model, a, b, l_max=l_max, method=Method.PAIR_INFIMUM)
 
-    dom1 = hamiltonian_to_domain(v1, grid)
-    dom2 = hamiltonian_to_domain(v2, grid if grid is not None else dom1.fiber.grid)
+    dom1 = hamiltonian_to_domain(v1)
+    dom2 = hamiltonian_to_domain(v2, dom1.fiber.grid)
     interval = dcbm_toric(dom1.as_domain("U(h1)"), dom2.as_domain("U(h2)"))
     d_cbm = interval.upper
 

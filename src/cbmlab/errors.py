@@ -16,27 +16,21 @@ class PreconditionError(CbmlabError):
 class SearchBoundError(CbmlabError):
     """An exponent search exceeded its safety bound."""
 
-    def __init__(self, bound: int, message: str | None = None):
+    def __init__(self, bound: int):
         self.bound = bound
-        super().__init__(message or f"exponent search exceeded bound {bound}")
+        super().__init__(f"exponent search exceeded bound {bound}")
 
 
 class PrimePairError(CbmlabError):
     """No prime ordering pair exists below the given bound."""
 
-    def __init__(self, prime_bound: int, message: str | None = None):
+    def __init__(self, prime_bound: int):
         self.prime_bound = prime_bound
-        super().__init__(
-            message or f"no prime ordering pair found with entries <= {prime_bound}"
-        )
+        super().__init__(f"no prime ordering pair found with entries <= {prime_bound}")
 
 
 class UnsupportedDomainError(CbmlabError):
     """The operation's closed form is only valid for torus-based split domains."""
-
-
-class UnknownVerdictError(CbmlabError):
-    """No certificate is available for this input; the verdict is unknown."""
 
 
 class InvariantViolation(CbmlabError):

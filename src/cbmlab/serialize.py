@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Any
 
 import numpy as np
@@ -88,19 +89,31 @@ def load_json(path: str) -> Any:
 # -- value-type schemas -------------------------------------------------------
 
 
-def radial_set_to_dict(s: RadialSet, include_directions: bool = True) -> dict:
-    out = {
+def _integer(value: Any, name: str) -> int:
+    """An integer field: a float, string or boolean is rejected, not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
+def _number(value: Any, name: str) -> float:
+    """A number field: a string or boolean is rejected, not parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
+def radial_set_to_dict(s: RadialSet) -> dict:
+    return {
         "dimension": s.grid.dimension,
         "radii": s.radii,
+        "directions": s.grid.directions,
     }
-    if include_directions:
-        out["directions"] = s.grid.directions
-    return out
 
 
 def radial_set_from_dict(data: dict) -> RadialSet:
     try:
-        dimension = int(data["dimension"])
+        dimension = _integer(data["dimension"], "dimension")
         radii = np.asarray(data["radii"], dtype=float)
         directions = data.get("directions")
         if directions is not None:
@@ -131,11 +144,11 @@ def domain_to_dict(d: SplitToricDomain) -> dict:
 def domain_from_dict(data: dict) -> SplitToricDomain:
     try:
         return SplitToricDomain(
-            base_dim=int(data["base_dim"]),
+            base_dim=_integer(data["base_dim"], "base_dim"),
             fiber=radial_set_from_dict(data["fiber"]),
-            liouville_weight=float(data.get("liouville_weight", 1.0)),
+            liouville_weight=_number(data.get("liouville_weight", 1.0), "liouville_weight"),
             label=str(data.get("label", "")),
-            cover=int(data.get("cover", 1)),
+            cover=_integer(data.get("cover", 1), "cover"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad domain payload: {exc}") from exc
@@ -154,9 +167,9 @@ def form_from_dict(data: dict) -> ContactFormRep:
     try:
         manifold = SampledManifold(
             weights=np.asarray(data["weights"], dtype=float),
-            half_dim=int(data["half_dim"]),
+            half_dim=_integer(data["half_dim"], "half_dim"),
         )
-        if "sites" in data and int(data["sites"]) != manifold.sites:
+        if "sites" in data and _integer(data["sites"], "sites") != manifold.sites:
             raise InvalidInputError("declared site count disagrees with the weights")
         return ContactFormRep(manifold, np.asarray(data["f"], dtype=float))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -165,7 +178,9 @@ def form_from_dict(data: dict) -> ContactFormRep:
 
 def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
     try:
-        perm = np.asarray(data["perm"], dtype=np.int64)
+        perm = np.asarray(data["perm"])
+        if perm.dtype.kind not in "iu":
+            raise InvalidInputError("perm must be an array of integers")
         if "g" in data and data["g"] is not None:
             g = np.asarray(data["g"], dtype=float)
             return ContactMapRep(manifold, perm, g)

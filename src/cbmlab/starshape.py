@@ -172,7 +172,8 @@ class DirectionGrid:
 
 @dataclass(frozen=True, eq=False)
 class RadialSet:
-    """Star-shaped set about 0 given by radial samples on a direction grid.
+    """Bounded star-shaped set with 0 in its interior, given by radial samples
+    on a direction grid: every radius is positive and finite.
 
     The private scale fields remember the original radii of a covering
     rescale chain so that rescaling by k then m is bit-identical to
@@ -181,7 +182,6 @@ class RadialSet:
 
     grid: DirectionGrid
     radii: np.ndarray
-    allow_unbounded: bool = False
     _scale_base: np.ndarray | None = field(default=None, repr=False)
     _scale_k: int = field(default=1, repr=False)
     _scale_lam: float = field(default=0.0, repr=False)
@@ -190,20 +190,16 @@ class RadialSet:
         radii = np.array(self.radii, dtype=float)
         if radii.shape != (self.grid.count,):
             raise InvalidInputError("radii must have one sample per grid direction")
-        _check_radii(radii, self.allow_unbounded)
+        _check_radii(radii)
         object.__setattr__(self, "radii", radii)
         radii.flags.writeable = False
 
-    @property
-    def bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.radii)))
 
-
-def _check_radii(radii: np.ndarray, allow_unbounded: bool = False) -> None:
+def _check_radii(radii: np.ndarray) -> None:
     # written so that NaN fails the first check
     if not np.all(radii > 0):
         raise InvalidInputError("radii must be strictly positive (0 is an interior point)")
-    if not allow_unbounded and not np.all(radii < math.inf):
+    if not np.all(radii < math.inf):
         raise InvalidInputError("radii must be finite (the set is bounded)")
 
 
@@ -212,16 +208,9 @@ def _require_same_grid(a: RadialSet, b: RadialSet) -> None:
         raise InvalidInputError("radial sets live on different direction grids")
 
 
-def _require_bounded(*sets: RadialSet) -> None:
-    for s in sets:
-        if not s.bounded:
-            raise InvalidInputError("operation requires a bounded radial set")
-
-
 def delta(a: RadialSet, b: RadialSet) -> float:
     """Least C >= 1 with (1/C)a inside b inside C*a, exact on the grid."""
     _require_same_grid(a, b)
-    _require_bounded(a, b)
     return _radial_delta(a.radii, b.radii)
 
 
@@ -237,7 +226,7 @@ def log_delta(a: RadialSet, b: RadialSet) -> float:
 def scale(a: RadialSet, c: float) -> RadialSet:
     if not (c > 0) or not math.isfinite(c):
         raise InvalidInputError("scale factor must be a finite positive real")
-    return RadialSet(a.grid, a.radii * c, allow_unbounded=not a.bounded)
+    return RadialSet(a.grid, a.radii * c)
 
 
 def _pow_factor(k: int, lam: float) -> float:
@@ -262,7 +251,6 @@ def scale_pow(a: RadialSet, k: int, lam: float) -> RadialSet:
     return RadialSet(
         a.grid,
         base * _pow_factor(k_total, lam),
-        allow_unbounded=not a.bounded,
         _scale_base=base,
         _scale_k=k_total,
         _scale_lam=lam,
@@ -271,7 +259,6 @@ def scale_pow(a: RadialSet, k: int, lam: float) -> RadialSet:
 
 def volume(a: RadialSet) -> float:
     """Polar quadrature (1/n) * sum r_i^n w_i over the direction grid."""
-    _require_bounded(a)
     n = a.grid.dimension
     return float(np.sum(a.radii**n * a.grid.weights) / n)
 
@@ -357,10 +344,6 @@ class SkeletonSpec:
             )
 
     @property
-    def k(self) -> int:
-        return self.v.size // 2
-
-    @property
     def spoke_angles(self) -> np.ndarray:
         m = self.v.size
         return np.arange(m) * math.pi / m
@@ -372,15 +355,6 @@ class SkeletonSpec:
     @property
     def epsilon(self) -> float:
         return self.target_volume / (self.c0 * float(np.sum(np.exp(self.v))))
-
-
-def skeleton_radii(spec: SkeletonSpec, angles: np.ndarray) -> np.ndarray:
-    """Radial function of the thickened skeleton at the given polar angles.
-
-    The set is the union of 2k rectangles (length L_i along spoke i,
-    half-width epsilon/2) with a central disk of radius epsilon/2.
-    """
-    return _radii_from_trig(spec, *_spoke_trig(spec, angles))
 
 
 def _spoke_trig(spec: SkeletonSpec, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,18 +417,16 @@ def _warn_if_wide(spec: SkeletonSpec) -> None:
         )
 
 
-def skeleton_region(
-    spec: SkeletonSpec,
-    grid: DirectionGrid | None = None,
-    base_count: int = DEFAULT_GRID_COUNT,
-) -> RadialSet:
-    """Thickened-skeleton radial set on an adaptive (or caller-shared) grid."""
+def skeleton_region(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT) -> RadialSet:
+    """The thickened skeleton, sampled on the grid of its adaptive angles
+    (``skeleton_angles`` with ``base_count`` uniform base directions).
+
+    The set is the union of 2k rectangles (length L_i along spoke i,
+    half-width epsilon/2) with a central disk of radius epsilon/2.
+    """
     _warn_if_wide(spec)
-    if grid is None:
-        grid = DirectionGrid.from_angles(skeleton_angles(spec, base_count))
-    if grid.dimension != 2 or grid.angles is None:
-        raise InvalidInputError("skeleton regions are planar; use an angle-based grid")
-    return RadialSet(grid, skeleton_radii(spec, grid.angles))
+    grid = DirectionGrid.from_angles(skeleton_angles(spec, base_count))
+    return RadialSet(grid, _radii_from_trig(spec, *_spoke_trig(spec, grid.angles)))
 
 
 @dataclass(frozen=True)

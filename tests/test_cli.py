@@ -207,6 +207,38 @@ def test_out_of_range_candidate_permutation_exits_two(tmp_path, capsys):
     assert "permutation" in capsys.readouterr().err
 
 
+FIBER = {"dimension": 2, "radii": [1.0] * 64}
+DOMAIN = {"base_dim": 2, "liouville_weight": 1.0, "fiber": FIBER, "cover": 1}
+FORM = {"sites": 4, "weights": [1.0] * 4, "half_dim": 2, "f": [0.0] * 4}
+
+
+@pytest.mark.parametrize(
+    "command, payload, field, value",
+    [
+        ("delta", FIBER, "dimension", 2.5),
+        ("dcbm-toric", DOMAIN, "base_dim", 2.9),
+        ("dcbm-toric", DOMAIN, "cover", "3"),
+        ("dcbm-toric", DOMAIN, "liouville_weight", "1"),
+        ("dcbm-forms", FORM, "half_dim", 1.5),
+        ("dcbm-forms", FORM, "sites", 4.7),
+    ],
+    ids=["dimension", "base_dim", "cover", "liouville_weight", "half_dim", "sites"],
+)
+def test_integer_and_number_fields_are_not_coerced(command, payload, field, value, tmp_path, capsys):
+    good = write(tmp_path / "good.json", payload)
+    assert main([command, good, good]) == 0
+    bad = write(tmp_path / "bad.json", {**payload, field: value})
+    assert main([command, bad, bad]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_fractional_candidate_permutation_exits_two(tmp_path, capsys):
+    f = write(tmp_path / "f.json", FORM)
+    m = write(tmp_path / "m.json", {"perm": [0.5, 1, 2, 3]})
+    assert main(["dcbm-forms", f, f, "--maps", m]) == 2
+    assert "perm must be" in capsys.readouterr().err
+
+
 def test_subgraph_volume_out_of_range_exits_two(tmp_path, capsys):
     manifold = SampledManifold(np.ones(3), half_dim=2)
     tiny_form, unit_form = (ContactFormRep(manifold, np.full(3, f)) for f in (-1000.0, 0.0))
@@ -404,14 +436,14 @@ def test_raising_acceptance_item_is_recorded_and_the_rest_run(tmp_path, capsys, 
     # a raising item exits as its command would: 2 for a search bound the
     # configuration passes, as in `growth`, and 1 for a failed check
     out = tmp_path / "r.json"
-    bound, violation = SearchBoundError(10, "forced"), InvariantViolation("forced")
+    bound, violation = SearchBoundError(10), InvariantViolation("forced")
     for error, code in [(bound, 2), (violation, 1)]:
         items = [("01-raises", raising(error)), ("02-passes", lambda seed, cfg: {"passed": True})]
         monkeypatch.setattr(acceptance, "ITEMS", items)
         assert main(["accept", "--seed", "7", "-o", str(out)]) == code
         report = json.loads(out.read_text())
         assert report["items"] == [
-            {"name": "01-raises", "passed": False, "error": f"{type(error).__name__}: forced"},
+            {"name": "01-raises", "passed": False, "error": f"{type(error).__name__}: {error}"},
             {"name": "02-passes", "passed": True},
         ]
         assert report["passed"] is False

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import cbmlab.domains as domains
 from cbmlab.acceptance import QUANTUM, item_rng
 from cbmlab.domains import (
+    BoundInterval,
     SplitToricDomain,
     csh,
     dc_toric,
@@ -16,8 +19,8 @@ from cbmlab.domains import (
 )
 from cbmlab.errors import (
     InvalidInputError,
+    InvariantViolation,
     PreconditionError,
-    UnknownVerdictError,
     UnsupportedDomainError,
 )
 from cbmlab.starshape import DirectionGrid, RadialSet, ball, ball_of_capacity, scale
@@ -195,13 +198,6 @@ class TestSqueezability:
         assert not verdict.squeezable
         assert "shape invariant" in verdict.certificate
 
-    def test_unbounded_fiber_has_no_verdict(self):
-        radii = np.full(GRID.count, 1.0)
-        radii[3] = np.inf
-        fiber = RadialSet(GRID, radii, allow_unbounded=True)
-        with pytest.raises(UnknownVerdictError):
-            is_squeezable_toric(toric(fiber))
-
     def test_non_toric_base_unsupported(self):
         with pytest.raises(UnsupportedDomainError):
             is_squeezable_toric(SplitToricDomain(2, ball(1.0, GRID), 0.5))
@@ -271,3 +267,28 @@ class TestRgrVsCbm:
     def test_site_mismatch(self):
         with pytest.raises(InvalidInputError):
             rgr_vs_cbm(np.ones(64), np.ones(128))
+        with pytest.raises(InvalidInputError):
+            rgr_vs_cbm(1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "offset, message", [(-2.0, "fell below"), (2.0, "commuting-model equality")]
+    )
+    def test_order_distance_off_the_domain_distance_is_a_violation(self, offset, message, monkeypatch):
+        # equal generators give d_cbm = 0 and tol = 3 / 200; a substituted
+        # order distance two tolerances below it fails both checks, two above
+        # it only the equality
+        real = domains.growth_distance
+
+        def shifted(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, distance=report.distance + offset * 3.0 / 200)
+
+        monkeypatch.setattr(domains, "growth_distance", shifted)
+        h = np.full(64, 1.5)
+        with pytest.raises(InvariantViolation, match=message):
+            rgr_vs_cbm(h, h, l_max=200)
+
+
+def test_crossed_bounds_are_a_violation():
+    with pytest.raises(InvariantViolation, match="crossed"):
+        BoundInterval(1.0, 0.0, "", "")

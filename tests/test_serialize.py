@@ -121,7 +121,8 @@ def test_radial_set_round_trip_is_identity():
 
 def test_radial_set_without_directions_regenerates_grid():
     original = sample_set()
-    data = radial_set_to_dict(original, include_directions=False)
+    data = radial_set_to_dict(original)
+    del data["directions"]
     reparsed = radial_set_from_dict(json.loads(dumps_report(data)))
     assert reparsed.grid.matches(original.grid)
     assert np.array_equal(reparsed.radii, original.radii)

@@ -456,3 +456,6 @@ class TestSkeletonReference:
             monkeypatch.setattr(starshape, "_radii_from_trig", radii)
             with pytest.raises(InvalidInputError, match=message):
                 qi_verify(v, v)
+        # a scale whose radii overflow to inf leaves the bounded sets
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="finite"):
+            scale(ball(2.0, GRID), 1e308)
