@@ -43,6 +43,8 @@ def _load(path: str):
         raise InvalidInputError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's int-string digit limit
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -56,7 +58,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 def _element(model: OrderedModel, payload):
     if model.kind.name == "MULTIPLICATIVE_REALS":
-        if not isinstance(payload, (int, float)):
+        if isinstance(payload, bool) or not isinstance(payload, (int, float)):
             raise InvalidInputError("multiplicative elements are JSON numbers")
         return model.element(payload)
     return model.element(serialize.element_values_from_json(payload))

@@ -141,7 +141,8 @@ class OrderedModel:
         return Element(self.kind, -a.data)
 
     def ge(self, a: Element, b: Element) -> bool:
-        """Order oracle a >= b under the model's order variant."""
+        """Order oracle a >= b under the model's order variant: _oracle at
+        (k, l) = (1, 1), inside its contract l >= 1."""
         return _oracle(self, a, b)(1, 1)
 
     def is_dominant_closed_form(self, a: Element) -> bool:
@@ -161,22 +162,72 @@ def is_dominant(model: OrderedModel, a: Element, probes: Iterable[Element] = ())
     return True
 
 
+def _ratio(x: float, y: float) -> tuple[int, int]:
+    """The exact y/x of a finite x != 0 as (n, d) with d > 0."""
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    return (yn * xd, xn * yd) if xn > 0 else (-yn * xd, -xn * yd)
+
+
+def _extreme(ratios: list, sign: int, empty: tuple[int, int]) -> tuple[int, int]:
+    """The largest (sign 1) or smallest (sign -1) of the exact ratios, or empty."""
+    best_n, best_d = ratios[0] if ratios else empty
+    for n, d in ratios:
+        if sign * (n * best_d - best_n * d) > 0:
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
 def _oracle(model: OrderedModel, a: Element, b: Element) -> Callable[[int, int], bool]:
-    """Exact order oracle (k, l) |-> (a^k >= b^l), built once per pair: the
-    stored floats go over one power-of-two denominator, and k*A_i >= l*B_i
-    is tested on Python ints, so for l >= 1 it depends on k/l only."""
+    """Exact order oracle (k, l) |-> (a^k >= b^l) for l >= 1, built once per pair.
+
+    Every caller passes l >= 1: _bracket probes only q >= 1, and ge (1, 1).
+    Then k*x >= l*y at every site (x of a, y of b) is a test of t = k/l:
+    t >= y/x where x > 0, t <= y/x where x < 0, and y <= 0 where x == 0. The
+    build keeps the exact largest and smallest of these ratios as integer
+    pairs (n, d), d >= 0, with (-1, 0) and (1, 0) standing for -inf and +inf,
+    so each call is two integer cross-multiplications. Rounded division is
+    monotone, so the exact extreme lies among the sites whose float ratio
+    equals the float extreme; only those go through as_integer_ratio. The
+    strict-positive order takes the strict bounds, or else equality at the
+    one ratio every site shares, if any: (0, 0), any t, when all of a and b
+    is zero.
+    """
     model._check(a, b)
-    try:
-        ratios = [v.as_integer_ratio() for v in np.append(a.data, b.data).tolist()]
-    except (OverflowError, ValueError) as exc:
-        raise InvalidInputError("the order oracle needs finite elements") from exc
-    den = max(d for _, d in ratios)
-    ints = [n * (den // d) for n, d in ratios]
-    sites = list(zip(ints[: len(ints) // 2], ints[len(ints) // 2 :]))
+    xs, ys = np.atleast_1d(a.data).tolist(), np.atleast_1d(b.data).tolist()
+    if not all(map(math.isfinite, xs + ys)):
+        raise InvalidInputError("the order oracle needs finite elements")
+    lower, upper = -math.inf, math.inf  # float max y/x over x > 0, min over x < 0
+    lows, ups, zeros = [], [], []  # the sites at those extremes; the y where x == 0
+    for x, y in zip(xs, ys):
+        if x > 0:
+            r = y / x
+            if r > lower:
+                lower, lows = r, [(x, y)]
+            elif r == lower:
+                lows.append((x, y))
+        elif x < 0:
+            r = y / x
+            if r < upper:
+                upper, ups = r, [(x, y)]
+            elif r == upper:
+                ups.append((x, y))
+        else:
+            zeros.append(y)
+    lows, ups = [_ratio(x, y) for x, y in lows], [_ratio(x, y) for x, y in ups]  # exact ratios
+    (ln, ld), (un, ud) = _extreme(lows, 1, (-1, 0)), _extreme(ups, -1, (1, 0))
+    top = max(zeros, default=-math.inf)
     if model.order_variant is OrderVariant.NON_STRICT:
-        return lambda k, l: all(k * x >= l * y for x, y in sites)
-    # strictly greater at every site, or equal; at one site this is >=
-    return lambda k, l: all(k * x > l * y for x, y in sites) or all(k * x == l * y for x, y in sites)
+        if top > 0:
+            ln, ld = 1, 0
+        return lambda k, l: k * ld >= l * ln and k * ud <= l * un
+    if top >= 0:
+        ln, ld = 1, 0
+    shared = lows + ups  # one exact ratio at every site, if every site is here
+    en, ed = shared[0] if shared else (0, 0)
+    if any(zeros) or len(shared) < len(xs) - len(zeros) or any(n * ed != en * d for n, d in shared):
+        en, ed = 1, 0
+    return lambda k, l: k * ld > l * ln and k * ud < l * un or k * ed == l * en
 
 
 def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:

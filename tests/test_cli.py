@@ -167,6 +167,21 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_integer_literal_past_the_digit_limit_exits_two(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text("[" + "1" * 5000 + "]")
+    assert main(["growth", str(big), str(big)]) == 2
+    assert "digits" in capsys.readouterr().err
+
+
+def test_boolean_multiplicative_element_exits_two(tmp_path, capsys):
+    t = write(tmp_path / "t.json", True)
+    two = write(tmp_path / "two.json", 2.0)
+    for pair in ((t, two), (two, t)):
+        assert main(["growth", *pair, "--model", "multiplicative"]) == 2
+        assert "multiplicative elements are JSON numbers" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code = main(["csh", str(tmp_path / "nope.json")])
     assert code == 2

@@ -1,6 +1,8 @@
+import importlib
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cbmlab.errors import (
     SearchBoundError,
 )
 from cbmlab.ordered import (
+    Element,
     Method,
     ModelKind,
     OrderedModel,
@@ -30,6 +33,7 @@ from cbmlab.ordered import (
 from cbmlab.primes import PrimeTable
 
 SEED = 1234  # Philox key of this file's draws
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def oracle_min_power(model, a, b, l, lo=-60, hi=60):
@@ -62,7 +66,83 @@ def oracle_prime_infimum(model, a, b, bound):
     return best
 
 
+def reference_oracle(model, a, b):
+    """The per-site oracle on Python ints: the stored floats over one
+    power-of-two denominator, and k*A_i >= l*B_i tested at every site."""
+    ratios = [v.as_integer_ratio() for v in np.append(a.data, b.data).tolist()]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    sites = list(zip(ints[: len(ints) // 2], ints[len(ints) // 2 :]))
+    if model.order_variant is OrderVariant.NON_STRICT:
+        return lambda k, l: all(k * x >= l * y for x, y in sites)
+    return lambda k, l: all(k * x > l * y for x, y in sites) or all(k * x == l * y for x, y in sites)
+
+
+# zeros of both signs, subnormals, huge and quantized entries, and any finite float
+ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 3e-310, 1e300, -1e300, 1.0, -2.0]),
+    st.integers(-8, 8).map(lambda n: n * QUANTUM),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# b = scale * a keeps one ratio at every site unless the product rounds
+SCALE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 2.0**-40, 3.0 * QUANTUM])
+EXPONENT = st.one_of(st.integers(-10, 10), st.integers(-(10**13), 10**13))
+PROBES = st.lists(st.tuples(EXPONENT, EXPONENT.map(lambda l: abs(l) + 1)), max_size=20)  # l >= 1
+
+
 class TestOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_reduced_oracle_matches_the_per_site_reference(self, data):
+        kind = data.draw(st.sampled_from(list(ModelKind)))
+        variant = data.draw(st.sampled_from(list(OrderVariant)))
+        sites = 1 if kind is ModelKind.MULTIPLICATIVE_REALS else data.draw(st.integers(1, 6))
+        pairing = data.draw(st.sampled_from(["free", "scaled", "zero"]))
+        if pairing == "zero":
+            xs = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=sites, max_size=sites))
+            ys = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=sites, max_size=sites))
+        else:
+            xs = data.draw(st.lists(ENTRY, min_size=sites, max_size=sites))
+            if pairing == "scaled":
+                scale = data.draw(SCALE)
+                ys = [scale * x for x in xs]
+            else:
+                ys = data.draw(st.lists(ENTRY, min_size=sites, max_size=sites))
+        if kind is ModelKind.MULTIPLICATIVE_REALS:
+            m = OrderedModel.multiplicative(variant)
+            a, b = Element(m.kind, xs[0]), Element(m.kind, ys[0])
+        else:
+            # Element directly: entries past the grid bound still reach the oracle as powers
+            m = OrderedModel.additive(sites, variant)
+            a, b = Element(m.kind, np.asarray(xs)), Element(m.kind, np.asarray(ys))
+        reduced, reference = ordered._oracle(m, a, b), reference_oracle(m, a, b)
+        probes = data.draw(PROBES) + [(1, 1), (0, 1), (-1, 1)]
+        # each site's ratio and its neighbours, where a bound or its strictness decides
+        for x, y in zip(xs, ys):
+            t = Fraction(y) / Fraction(x) if x else Fraction(0)
+            if t.denominator <= 10**13:
+                probes += [(t.numerator + step, t.denominator) for step in (-1, 0, 1)]
+        for k, l in probes:
+            assert reduced(k, l) == reference(k, l), (k, l)
+
+    def test_float_ratio_ties_are_broken_exactly(self):
+        # 1/3 and fl(1/3)/1 round to one float ratio. Over x > 0 the exact largest is
+        # 1/3, where the non-strict order holds and the strict one fails at the first
+        # site; over x < 0 the exact smallest is fl(1/3), below 1/3, where both fail
+        cases = [(1.0, OrderVariant.NON_STRICT, True), (1.0, OrderVariant.STRICT_POSITIVE, False)]
+        cases += [(-1.0, variant, False) for variant in OrderVariant]
+        for sign, variant, holds in cases:
+            m = OrderedModel.additive(2, variant)
+            for order in (slice(None), slice(None, None, -1)):
+                a = m.element([3.0 * sign, 1.0 * sign][order])
+                b = m.element([1.0 * sign, sign / 3][order])
+                assert ordered._oracle(m, a, b)(1, 3) is holds is reference_oracle(m, a, b)(1, 3)
+
+    def test_non_finite_element_is_rejected(self):
+        m = OrderedModel.additive(2)
+        with pytest.raises(InvalidInputError, match="finite elements"):
+            m.ge(Element(m.kind, np.array([math.inf, 1.0])), m.element([1.0, 1.0]))
+
     def test_constant_comparison(self):
         m = OrderedModel.additive(3)
         assert m.ge(m.element([2, 2, 2]), m.element([1, 1, 1]))
@@ -286,10 +366,12 @@ def implied_rows(model, a, b, n, ls):
 
 
 def count_oracle_calls(monkeypatch):
-    calls = [0]
+    """Count the calls into every oracle built from here on in [0], and the builds in [1]."""
+    calls = [0, 0]
     exact = ordered._oracle
 
     def counting(model, a, b):
+        calls[1] += 1
         holds = exact(model, a, b)
 
         def counted(k, l):
@@ -373,6 +455,17 @@ class TestBatchedSearch:
                 # 11/3 is the ratio of the logs; a search linear in l_max makes 10^8 times more
                 assert counts[1] <= 11 / 3 * counts[0]
                 assert counts[1] <= 150
+
+    def test_order_stream_pool_oracle_counts_are_pinned(self, monkeypatch):
+        # one seed-7 pass over the benchmark's order-stream pool; the counts follow
+        # from the descent alone, so they hold on every machine
+        monkeypatch.syspath_prepend(str(BENCH))
+        stream = importlib.import_module("order_stream")
+        counts = count_oracle_calls(monkeypatch)
+        shared = stream.shared_objects(7)
+        for index, spec in enumerate(stream.pool_specs(7)):
+            stream.run_op(stream.make_entry(7, index, spec, shared), shared)
+        assert counts == [3425, 116]
 
     def test_bracket_is_exact_where_float_products_round(self):
         # at n = 10^11 the products k * a of quantized sites pass 2^53, so a float

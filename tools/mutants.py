@@ -2,11 +2,11 @@
 
 For every ``if <condition>: raise InvariantViolation(...)`` in
 ``src/cbmlab``, this script sets the condition to ``False`` in a temporary
-copy of ``src/`` and ``tests/`` and runs that module's test file,
-``tests/test_<module>.py``, with ``-x -q``. A check whose mutant still
-passes every test survives: no test can make it fire. Each check is
-printed as killed or survived; the exit code is 1 if any survives, or if
-a test file fails before any mutation.
+copy of ``src/``, ``tests/`` and ``bench/`` (tests read its input pools)
+and runs that module's test file, ``tests/test_<module>.py``, with
+``-x -q``. A check whose mutant still passes every test survives: no test
+can make it fire. Each check is printed as killed or survived; the exit
+code is 1 if any survives, or if a test file fails before any mutation.
 
 Run from anywhere, with the standard library and pytest only:
 
@@ -69,8 +69,8 @@ def main() -> int:
     survivors = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        for part in ("src", "tests", "bench"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", "out"))
         for module in sorted((ROOT / PACKAGE).glob("*.py")):
             source = module.read_text(encoding="utf-8")
             found = checks(source)
