@@ -42,9 +42,9 @@ def norm(base: Element, arg: Element) -> NormReport:
     The least k with k*base >= arg and the greatest l with arg >= l*base
     both come from the exact order oracle through min_power, so each from
     one certified Farey bracket: nu_plus is min_power(arg) and nu_minus is
-    -min_power(-arg). That takes O(log ratio) oracle calls and O(sites)
-    memory; a ratio beyond the search bound raises SearchBoundError before
-    any closed form is evaluated.
+    -min_power(-arg). At l = 1 each bracket is the threshold's integer part
+    and its two certificate calls, in O(sites) memory; a ratio beyond the
+    search bound raises SearchBoundError before any closed form is evaluated.
 
     The closed forms ceil(sup(arg/base)) and floor(inf(arg/base)) cross-check
     them on the float ratios, at the strength monotone rounding permits:

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     PrimePairError,
     SearchBoundError,
 )
-from .primes import PrimeTable
+from .primes import PrimeTable, prime_table
 
 DEFAULT_L_MAX = 1000
 DEFAULT_PRIME_BOUND = 10_000
@@ -149,7 +149,7 @@ class OrderedModel:
         self._check(a)
         if self.kind is ModelKind.MULTIPLICATIVE_REALS:
             return a.data > 0.0
-        return bool(np.min(a.data) > 0.0)
+        return bool(a.data.min() > 0.0)
 
 
 def is_dominant(model: OrderedModel, a: Element, probes: Iterable[Element] = ()) -> bool:
@@ -178,23 +178,54 @@ def _extreme(ratios: list, sign: int, empty: tuple[int, int]) -> tuple[int, int]
     return best_n, best_d
 
 
-def _oracle(model: OrderedModel, a: Element, b: Element) -> Callable[[int, int], bool]:
+@dataclass(frozen=True, slots=True)
+class _Oracle:
+    """The exact order oracle of one pair, as the extreme ratios _oracle finds.
+
+    ``lower`` and ``upper`` are the greatest y/x over x > 0 and the least
+    over x < 0 as integer pairs (n, d), d >= 0, with (-1, 0) and (1, 0)
+    standing for -inf and +inf. ``equal`` is None under the non-strict order
+    and otherwise the one ratio every site shares, (1, 0) if there is none.
+    ``threshold`` is (N, D, strict) when no site of the base has x <= 0, as
+    for every dominant base: then upper is +inf, and (k, l) holds exactly
+    when k*D >= l*N, or k*D > l*N if strict. It is None otherwise. strict is
+    False under the non-strict order, and also when every site shares the
+    one ratio N/D, where the equality clause makes k*D == l*N hold.
+    """
+
+    lower: tuple[int, int]
+    upper: tuple[int, int]
+    equal: tuple[int, int] | None
+    threshold: tuple[int, int, bool] | None
+
+    def __call__(self, k: int, l: int) -> bool:
+        """a^k >= b^l, for l >= 1: two integer cross-multiplications."""
+        (ln, ld), (un, ud) = self.lower, self.upper
+        if self.equal is None:
+            return k * ld >= l * ln and k * ud <= l * un
+        en, ed = self.equal
+        return k * ld > l * ln and k * ud < l * un or k * ed == l * en
+
+
+def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
     """Exact order oracle (k, l) |-> (a^k >= b^l) for l >= 1, built once per pair.
 
     Every caller passes l >= 1: _bracket probes only q >= 1, and ge (1, 1).
     Then k*x >= l*y at every site (x of a, y of b) is a test of t = k/l:
     t >= y/x where x > 0, t <= y/x where x < 0, and y <= 0 where x == 0. The
     build keeps the exact largest and smallest of these ratios as integer
-    pairs (n, d), d >= 0, with (-1, 0) and (1, 0) standing for -inf and +inf,
-    so each call is two integer cross-multiplications. Rounded division is
-    monotone, so the exact extreme lies among the sites whose float ratio
-    equals the float extreme; only those go through as_integer_ratio. The
-    strict-positive order takes the strict bounds, or else equality at the
-    one ratio every site shares, if any: (0, 0), any t, when all of a and b
-    is zero.
+    pairs (see _Oracle), so each call is two integer cross-multiplications.
+    Rounded division is monotone, so the exact extreme lies among the sites
+    whose float ratio equals the float extreme; only those go through
+    as_integer_ratio. The strict-positive order takes the strict bounds, or
+    else equality at the one ratio every site shares, if any: (0, 0), any t,
+    when all of a and b is zero.
     """
     model._check(a, b)
-    xs, ys = np.atleast_1d(a.data).tolist(), np.atleast_1d(b.data).tolist()
+    if model.kind is ModelKind.MULTIPLICATIVE_REALS:
+        xs, ys = [a.data], [b.data]
+    else:
+        xs, ys = a.data.tolist(), b.data.tolist()
     if not all(map(math.isfinite, xs + ys)):
         raise InvalidInputError("the order oracle needs finite elements")
     lower, upper = -math.inf, math.inf  # float max y/x over x > 0, min over x < 0
@@ -216,27 +247,29 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> Callable[[int, int],
             zeros.append(y)
     lows, ups = [_ratio(x, y) for x, y in lows], [_ratio(x, y) for x, y in ups]  # exact ratios
     (ln, ld), (un, ud) = _extreme(lows, 1, (-1, 0)), _extreme(ups, -1, (1, 0))
+    dominant = not ups and not zeros  # every x > 0, so ld > 0 and upper is +inf
     top = max(zeros, default=-math.inf)
     if model.order_variant is OrderVariant.NON_STRICT:
         if top > 0:
             ln, ld = 1, 0
-        return lambda k, l: k * ld >= l * ln and k * ud <= l * un
+        return _Oracle((ln, ld), (un, ud), None, (ln, ld, False) if dominant else None)
     if top >= 0:
         ln, ld = 1, 0
     shared = lows + ups  # one exact ratio at every site, if every site is here
     en, ed = shared[0] if shared else (0, 0)
     if any(zeros) or len(shared) < len(xs) - len(zeros) or any(n * ed != en * d for n, d in shared):
         en, ed = 1, 0
-    return lambda k, l: k * ld > l * ln and k * ud < l * un or k * ed == l * en
+    return _Oracle((ln, ld), (un, ud), (en, ed), (ln, ld, ed == 0) if dominant else None)
 
 
 def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     """Least k in Z with a^k >= b^l, for a dominant a.
 
-    It is ceil(l*p/q) off the certified Farey bracket at n = l, so it relies
-    only on the order oracle and on upward-closedness of the predicate, which
-    both concrete models guarantee, and raises SearchBoundError exactly when
-    |k| passes the search bound.
+    It is ceil(l*p/q) off the certified Farey bracket at n = l: two oracle
+    calls and O(log l) integer steps. It relies only on the exact oracle's
+    threshold and on upward-closedness of the predicate, which both concrete
+    models guarantee, and raises SearchBoundError exactly when |k| passes
+    the search bound.
     """
     if l < 1:
         raise InvalidInputError("l must be a positive integer")
@@ -246,45 +279,44 @@ def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     return -(-l * p // q)
 
 
-def _run(step_holds: Callable[[int], bool], cap: int) -> int:
-    """Greatest j in [0, cap] with step_holds true at 1..j, for a predicate
-    true on a prefix: doubling (clamped at cap) brackets j, bisection pins it."""
-    lo, hi = 0, 1  # step_holds is true at 1..lo; hi is the next probe
-    while lo < cap and step_holds(hi):
-        lo, hi = hi, min(2 * hi, cap)
-    while hi - lo > 1:  # now step_holds fails at hi
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if step_holds(mid) else (lo, mid)
-    return lo
+def _bracket(oracle: _Oracle, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Least p/q with q <= n where the oracle holds, and the p_lo/q_lo below
+    it where it fails; the package's one exponent search.
 
-
-def _bracket(holds: Callable[[int, int], bool], n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Least p/q with q <= n where a homogeneous, upward-closed oracle holds,
-    and the p_lo/q_lo below it where it fails; the package's one exponent search.
-
-    The integer part k is the least k with holds(k, 1), found by one _run
-    from 1, downward or upward. A Stern-Brocot descent from it (Graham, Knuth
-    and Patashnik, Concrete Mathematics, 4.5) takes one _run per stretch of
-    equal steps: O(log n) oracle calls. The integer certificate (holds at p/q,
-    fails at p_lo/q_lo, p*q_lo - p_lo*q = 1, q + q_lo > n) leaves no fraction
-    with denominator <= n between them, so the least exponent of every l <= n
-    is ceil(l*p/q). SearchBoundError is raised when |k| or |ceil(n*p/q)|
-    passes the search bound, that is when some least exponent of an l <= n does.
+    The oracle of a dominant base is its threshold (N, D, strict): (k, l)
+    holds exactly when k/l >= N/D, or k/l > N/D if strict, so p/q is the best
+    upper rational approximation of N/D with denominator <= n (Khinchin,
+    Continued Fractions). The integer part k is ceil(N/D), or N//D + 1 if
+    strict. A Stern-Brocot descent from k-1/1 < k/1 (Graham, Knuth and
+    Patashnik, Concrete Mathematics, 4.5) takes each stretch of equal steps
+    in one integer division: with the slack s = p*D - q*N at p/q and the
+    deficit t = q_lo*N - p_lo*D at p_lo/q_lo, the mediants p + j*p_lo over
+    q + j*q_lo hold while j*t <= s (< s if strict), and the mediants p_lo + i*p
+    over q_lo + i*q fail while i*s < t (<= t if strict), each capped to keep
+    the denominator <= n; a zero divisor leaves the whole cap. That is
+    O(log n) integer steps and no oracle call. The integer certificate,
+    evaluated through the oracle (holds at p/q, fails at p_lo/q_lo,
+    p*q_lo - p_lo*q = 1, q + q_lo > n), cross-checks the descent against the
+    cross-multiplication in two calls and leaves no fraction with denominator
+    <= n between them, so the least exponent of every l <= n is ceil(l*p/q).
+    SearchBoundError is raised when |k| or |ceil(n*p/q)| passes the search
+    bound, that is when some least exponent of an l <= n does.
     """
-    cap = _SEARCH_BOUND + 2  # far enough to see -bound - 1 below 1 and bound + 1 above it
-    if holds(1, 1):
-        k = 1 - _run(lambda j: holds(1 - j, 1), cap)
-    else:
-        k = 2 + _run(lambda j: not holds(1 + j, 1), cap)
+    if oracle.threshold is None:
+        raise PreconditionError("the Farey bracket needs a dominant base")
+    num, den, strict = oracle.threshold
+    k = num // den + 1 if strict else -(-num // den)
     if abs(k) > _SEARCH_BOUND:
         raise SearchBoundError(_SEARCH_BOUND)
     (p_lo, q_lo), (p, q) = (k - 1, 1), (k, 1)
     while q + q_lo <= n:
-        j = _run(lambda j: holds(p + j * p_lo, q + j * q_lo), (n - q) // q_lo)
+        cap, t = (n - q) // q_lo, q_lo * num - p_lo * den  # t > 0, or t >= 0 if strict
+        j = min(cap, (p * den - q * num - strict) // t) if t else cap
         p, q = p + j * p_lo, q + j * q_lo
-        i = _run(lambda i: not holds(p_lo + i * p, q_lo + i * q), (n - q_lo) // q)
+        cap, s = (n - q_lo) // q, p * den - q * num  # s >= 0, or s > 0 if strict
+        i = min(cap, (t - (not strict)) // s) if s else cap
         p_lo, q_lo = p_lo + i * p, q_lo + i * q
-    if not (holds(p, q) and not holds(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n):
+    if not (oracle(p, q) and not oracle(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n):
         raise InvariantViolation(f"Farey bracket {p_lo}/{q_lo} < {p}/{q} fails its certificate at n={n}")
     if abs(-(-n * p // q)) > _SEARCH_BOUND:  # |k_l| never shrinks as l grows, and k_1 = k
         raise SearchBoundError(_SEARCH_BOUND)
@@ -337,7 +369,9 @@ def rho_plus_primes(
     [m, m + m^0.6] above m = min_power(q), which one Farey bracket at
     prime_bound gives for every q; the window is truncated at the bound so
     every returned ratio comes from a genuine pair below it. Every m and
-    window comes from one int64 array pass over the primes.
+    window comes from one int64 array pass over the primes. They are read
+    from ``table`` if it reaches prime_bound, else from prime_table, which
+    sieves each bound once.
     """
     if prime_bound < 2:
         raise InvalidInputError("prime_bound must be at least 2")
@@ -345,7 +379,7 @@ def rho_plus_primes(
         if not model.is_dominant_closed_form(e):
             raise PreconditionError(f"rho_plus_primes requires dominant inputs; {name} is not")
     if table is None or table.bound < prime_bound:
-        table = PrimeTable(prime_bound)
+        table = prime_table(prime_bound)
     (num, den), _ = _bracket(_oracle(model, a, b), prime_bound)
     qs = table.primes[: np.searchsorted(table.primes, prime_bound, side="right")]
     # ceil(q*num/den) split at the integer part: the bracket keeps q*whole within
@@ -399,9 +433,8 @@ def growth_distance(
         if not model.is_dominant_closed_form(e):
             raise PreconditionError(f"growth_distance requires dominant inputs; {name} is not")
     if method is Method.PRIME_PAIRS:
-        table = PrimeTable(prime_bound)
-        rp = rho_plus_primes(model, a, b, prime_bound, table=table)
-        rm = rho_plus_primes(model, b, a, prime_bound, table=table)
+        rp = rho_plus_primes(model, a, b, prime_bound)
+        rm = rho_plus_primes(model, b, a, prime_bound)
     else:
         est_p = rho_plus(model, a, b, l_max)
         est_m = rho_plus(model, b, a, l_max)

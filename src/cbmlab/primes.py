@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-# largest table bound: its primality mask takes one byte per integer, 100 MB
+# largest table bound: its sieve takes one byte per integer, 100 MB, while the table is built
 MAX_PRIME_BOUND = 10**8
 
 
@@ -23,20 +24,25 @@ def _sieve_mask(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Primality lookups below a fixed bound, backed by one boolean sieve."""
+    """Primality lookups below a fixed bound, backed by the sorted primes.
+
+    The boolean sieve, one byte per integer, lives only while the table is
+    built; the table keeps the primes, 8 bytes each, and answers every
+    lookup by binary search.
+    """
 
     def __init__(self, bound: int):
         if not 0 <= bound <= MAX_PRIME_BOUND:
             raise InvalidInputError(f"prime bound must lie in [0, {MAX_PRIME_BOUND}], got {bound}")
         self.bound = int(bound)
-        self._mask = _sieve_mask(self.bound)
-        primes = np.flatnonzero(self._mask).astype(np.int64, copy=False)
+        primes = np.flatnonzero(_sieve_mask(self.bound)).astype(np.int64, copy=False)
         # built once: the primes, then the sentinel bound + 1, which exceeds every capped hi
         self._primes_and_sentinel = np.append(primes, self.bound + 1)
+        self._primes_and_sentinel.flags.writeable = False  # tables are shared by prime_table
         self.primes = self._primes_and_sentinel[:-1]
 
     def is_prime(self, n: int) -> bool:
-        return 0 <= n <= self.bound and bool(self._mask[n])
+        return self.first_prime_in(n, n) is not None
 
     def first_prime_in(self, lo: int, hi: int) -> int | None:
         """Smallest prime in [lo, hi] capped at the table bound, or None."""
@@ -44,11 +50,8 @@ class PrimeTable:
         hi = min(int(hi), self.bound)
         if hi < lo:
             return None
-        window = self._mask[lo : hi + 1]
-        idx = int(np.argmax(window))
-        if not window[idx]:
-            return None
-        return lo + idx
+        found = int(self._primes_and_sentinel[np.searchsorted(self.primes, lo)])
+        return found if found <= hi else None
 
     def first_primes_in(self, lo, hi) -> np.ndarray:
         """``first_prime_in`` over many windows [lo_i, hi_i] at once, with one
@@ -57,3 +60,9 @@ class PrimeTable:
         hi = np.minimum(np.asarray(hi, dtype=np.int64), self.bound)
         found = self._primes_and_sentinel[np.searchsorted(self.primes, lo)]
         return np.where(found <= hi, found, 0)
+
+
+@functools.lru_cache(maxsize=1)
+def prime_table(bound: int) -> PrimeTable:
+    """The PrimeTable of a bound, sieved once and kept until another bound is asked for."""
+    return PrimeTable(bound)

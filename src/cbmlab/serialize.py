@@ -178,8 +178,14 @@ def form_from_dict(data: dict) -> ContactFormRep:
 
 def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
     try:
-        perm = np.asarray(data["perm"])
+        raw = data["perm"]
+        perm = np.asarray(raw)
         if perm.dtype.kind not in "iu":
+            raise InvalidInputError("perm must be an array of integers")
+        # numpy reads a JSON boolean among integers as 0 or 1, which a permutation
+        # holds at most once each, so only those entries can be booleans
+        low = np.flatnonzero((perm == 0) | (perm == 1)) if perm.ndim == 1 else ()
+        if any(type(raw[i]) is bool for i in low):
             raise InvalidInputError("perm must be an array of integers")
         if "g" in data and data["g"] is not None:
             g = np.asarray(data["g"], dtype=float)

@@ -254,6 +254,13 @@ def test_fractional_candidate_permutation_exits_two(tmp_path, capsys):
     assert "perm must be" in capsys.readouterr().err
 
 
+def test_boolean_in_candidate_permutation_exits_two(tmp_path, capsys):
+    f = write(tmp_path / "f.json", FORM)
+    m = write(tmp_path / "m.json", {"perm": [True, 0, 2, 3]})
+    assert main(["dcbm-forms", f, f, "--maps", m]) == 2
+    assert "perm must be" in capsys.readouterr().err
+
+
 def test_subgraph_volume_out_of_range_exits_two(tmp_path, capsys):
     manifold = SampledManifold(np.ones(3), half_dim=2)
     tiny_form, unit_form = (ContactFormRep(manifold, np.full(3, f)) for f in (-1000.0, 0.0))

@@ -30,7 +30,7 @@ from cbmlab.ordered import (
     rho_plus,
     rho_plus_primes,
 )
-from cbmlab.primes import PrimeTable
+from cbmlab.primes import PrimeTable, prime_table
 
 SEED = 1234  # Philox key of this file's draws
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -76,6 +76,60 @@ def reference_oracle(model, a, b):
     if model.order_variant is OrderVariant.NON_STRICT:
         return lambda k, l: all(k * x >= l * y for x, y in sites)
     return lambda k, l: all(k * x > l * y for x, y in sites) or all(k * x == l * y for x, y in sites)
+
+
+class StubOracle:
+    """A threshold (N, D, strict) for _bracket's descent and a predicate for its calls."""
+
+    def __init__(self, threshold, holds):
+        self.threshold, self.holds = threshold, holds
+
+    def __call__(self, k, l):
+        return self.holds(k, l)
+
+
+def threshold_oracle(num, den, strict):
+    """The exact oracle of a threshold, as _bracket reads a dominant base:
+    (k, l) holds when k*D >= l*N, or k*D > l*N if strict."""
+    if strict:
+        return StubOracle((num, den, strict), lambda k, l: k * den > l * num)
+    return StubOracle((num, den, strict), lambda k, l: k * den >= l * num)
+
+
+def reference_run(step_holds, cap):
+    """Greatest j in [0, cap] with step_holds true at 1..j, for a predicate
+    true on a prefix: doubling (clamped at cap) brackets j, bisection pins it."""
+    lo, hi = 0, 1  # step_holds is true at 1..lo; hi is the next probe
+    while lo < cap and step_holds(hi):
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:  # now step_holds fails at hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if step_holds(mid) else (lo, mid)
+    return lo
+
+
+def reference_bracket(holds, n):
+    """The Farey bracket searched through the oracle alone: the integer part by
+    one reference_run from 1, then one reference_run per Stern-Brocot stretch."""
+    bound = ordered._SEARCH_BOUND
+    cap = bound + 2  # far enough to see -bound - 1 below 1 and bound + 1 above it
+    if holds(1, 1):
+        k = 1 - reference_run(lambda j: holds(1 - j, 1), cap)
+    else:
+        k = 2 + reference_run(lambda j: not holds(1 + j, 1), cap)
+    if abs(k) > bound:
+        raise SearchBoundError(bound)
+    (p_lo, q_lo), (p, q) = (k - 1, 1), (k, 1)
+    while q + q_lo <= n:
+        j = reference_run(lambda j: holds(p + j * p_lo, q + j * q_lo), (n - q) // q_lo)
+        p, q = p + j * p_lo, q + j * q_lo
+        i = reference_run(lambda i: not holds(p_lo + i * p, q_lo + i * q), (n - q_lo) // q)
+        p_lo, q_lo = p_lo + i * p, q_lo + i * q
+    if not (holds(p, q) and not holds(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n):
+        raise InvariantViolation(f"Farey bracket {p_lo}/{q_lo} < {p}/{q} fails its certificate at n={n}")
+    if abs(-(-n * p // q)) > bound:
+        raise SearchBoundError(bound)
+    return (p, q), (p_lo, q_lo)
 
 
 # zeros of both signs, subnormals, huge and quantized entries, and any finite float
@@ -124,6 +178,11 @@ class TestOracle:
                 probes += [(t.numerator + step, t.denominator) for step in (-1, 0, 1)]
         for k, l in probes:
             assert reduced(k, l) == reference(k, l), (k, l)
+        # the threshold exists exactly for a base with every site positive, and agrees
+        assert (reduced.threshold is not None) == all(x > 0 for x in xs)
+        if reduced.threshold is not None:
+            threshold = threshold_oracle(*reduced.threshold)
+            assert all(reduced(k, l) == threshold(k, l) for k, l in probes)
 
     def test_float_ratio_ties_are_broken_exactly(self):
         # 1/3 and fl(1/3)/1 round to one float ratio. Over x > 0 the exact largest is
@@ -240,7 +299,7 @@ class TestMinPower:
         leasts = [c + d for c in (-bound, 0, bound) for d in range(-2, 3)]
         for n in (1, 7):
             for least in leasts:
-                holds = lambda k, l, least=least: k >= least * l  # noqa: E731
+                holds = threshold_oracle(least, 1, False)
                 if abs(least * n) <= bound:
                     assert ordered._bracket(holds, n)[0] == (least, 1)
                 else:
@@ -250,7 +309,14 @@ class TestMinPower:
     def test_run_is_the_longest_prefix_up_to_the_cap(self):
         for cap in range(0, 40):
             for longest in range(0, 45):
-                assert ordered._run(lambda j, longest=longest: j <= longest, cap) == min(longest, cap)
+                assert reference_run(lambda j, longest=longest: j <= longest, cap) == min(longest, cap)
+
+    def test_bracket_needs_the_threshold_of_a_dominant_base(self):
+        m = OrderedModel.additive(2)
+        oracle = ordered._oracle(m, m.element([0.0, 1.0]), m.element([1.0, 1.0]))
+        assert oracle.threshold is None
+        with pytest.raises(PreconditionError, match="dominant base"):
+            ordered._bracket(oracle, 10)
 
     def test_search_bound_carried_in_error(self):
         m = OrderedModel.additive(2)
@@ -378,11 +444,26 @@ def count_oracle_calls(monkeypatch):
             calls[0] += 1
             return holds(k, l)
 
-        return counted
+        return StubOracle(holds.threshold, counted)
 
     monkeypatch.setattr(ordered, "_oracle", counting)
     return calls
 
+
+# a positive x from subnormal to huge, and thresholds N/D: small fractions, integers
+# around the search bound, and the unreduced exact y/x of floats, whose D reaches
+# 2^1074 for a subnormal x
+POSITIVE_X = st.one_of(
+    st.sampled_from([5e-324, 3e-310, 2.0**-1022, 1.0, 1e300]), st.floats(min_value=5e-324, max_value=1e300)
+)
+THRESHOLD = st.one_of(
+    st.tuples(st.integers(-50, 50), st.integers(1, 50)),
+    st.tuples(st.integers(-(10**12) - 3, 10**12 + 3), st.integers(1, 3)),
+    st.tuples(POSITIVE_X, st.one_of(st.floats(-1, 1), st.floats(-1e6, 1e6))).map(
+        lambda xr: ordered._ratio(xr[0], xr[0] * xr[1])
+    ),
+    st.tuples(POSITIVE_X, ENTRY).map(lambda xy: ordered._ratio(*xy)),
+)
 
 # small numerators make exact ratios, where the strict order fails at the ratio itself
 POSITIVE_Q = st.one_of(st.integers(1, 8), st.integers(1, 2**21))
@@ -442,19 +523,16 @@ class TestBatchedSearch:
             est = rho_plus(m, a, b, n)
             assert est.pair_infimum == est.limit_estimate == (2 * n + 1) / n
 
-    def test_oracle_calls_grow_logarithmically_in_l_max(self, monkeypatch):
+    def test_each_bracket_makes_two_oracle_calls(self, monkeypatch):
+        # the descent runs on the threshold; only the certificate asks the oracle
         model, pairs = growth_pair_corpus(7)
         calls = count_oracle_calls(monkeypatch)
         for a, b in pairs[:20]:
             for search in (rho_plus, min_power):
-                counts = []
-                for l_max in (10**3, 10**11):
-                    calls[0] = 0
-                    search(model, a, b, l_max)
-                    counts.append(calls[0])
-                # 11/3 is the ratio of the logs; a search linear in l_max makes 10^8 times more
-                assert counts[1] <= 11 / 3 * counts[0]
-                assert counts[1] <= 150
+                for n in (1, 10**3, 10**11):
+                    calls[:] = [0, 0]
+                    search(model, a, b, n)
+                    assert calls == [2, 1], (search.__name__, n)
 
     def test_order_stream_pool_oracle_counts_are_pinned(self, monkeypatch):
         # one seed-7 pass over the benchmark's order-stream pool; the counts follow
@@ -465,7 +543,7 @@ class TestBatchedSearch:
         shared = stream.shared_objects(7)
         for index, spec in enumerate(stream.pool_specs(7)):
             stream.run_op(stream.make_entry(7, index, spec, shared), shared)
-        assert counts == [3425, 116]
+        assert counts == [232, 116]
 
     def test_bracket_is_exact_where_float_products_round(self):
         # at n = 10^11 the products k * a of quantized sites pass 2^53, so a float
@@ -502,25 +580,22 @@ class TestBatchedSearch:
         with pytest.raises(InvariantViolation, match="closed-form rate"):
             rho_plus(m, a, b, 100)
 
-    def test_an_oracle_that_changes_its_answer_fails_the_certificate(self):
-        answers = []
-
-        def flaky(k, l):
-            # exact for 3/7 during the descent, negated once the certificate re-asks
-            answers.append((k, l))
-            holds = 7 * k >= 3 * l
-            return holds if answers.count((k, l)) == 1 else not holds
-
-        with pytest.raises(InvariantViolation, match="certificate"):
-            ordered._bracket(flaky, 10)
+    def test_an_oracle_disagreeing_with_its_threshold_fails_the_certificate(self):
+        # the threshold 3/7 steers the descent to 2/5 < 3/7 at n = 10; each call
+        # below answers otherwise at one end of that bracket
+        calls = [
+            lambda k, l: not 7 * k >= 3 * l,  # negated
+            lambda k, l: 7 * k > 3 * l,  # strict, so it fails at 3/7 itself
+            lambda k, l: 5 * k >= 2 * l,  # the threshold 2/5, so it holds at 2/5
+        ]
+        for call in calls:
+            with pytest.raises(InvariantViolation, match="certificate"):
+                ordered._bracket(StubOracle((3, 7, False), call), 10)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-50, 50), st.integers(1, 50), st.booleans(), st.integers(1, 60))
     def test_bracket_is_the_least_fraction_with_a_small_denominator(self, num, den, strict, n):
-        if strict:
-            holds = lambda k, l: k * den > l * num  # noqa: E731
-        else:
-            holds = lambda k, l: k * den >= l * num  # noqa: E731
+        holds = threshold_oracle(num, den, strict)
         (p, q), (p_lo, q_lo) = ordered._bracket(holds, n)
         # the least k of row l lies within 2 of l*num/den
         brute = min(
@@ -529,6 +604,19 @@ class TestBatchedSearch:
         )
         assert Fraction(p, q) == brute and q <= n
         assert not holds(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n
+
+    @settings(max_examples=300, deadline=None)
+    @given(THRESHOLD, st.booleans(), st.one_of(st.integers(1, 60), st.integers(1, 10**12), st.just(10**12)))
+    def test_division_bracket_matches_the_oracle_search(self, threshold, strict, n):
+        # the descent by division against the parent's galloping search through the oracle
+        oracle = threshold_oracle(*threshold, strict)
+        try:
+            expected = reference_bracket(oracle, n)
+        except SearchBoundError:
+            with pytest.raises(SearchBoundError):
+                ordered._bracket(oracle, n)
+            return
+        assert ordered._bracket(oracle, n) == expected
 
     def test_search_bound_is_exact_on_the_extreme_exponents(self):
         m = OrderedModel.additive(1)
@@ -739,6 +827,17 @@ class TestGrowthDistance:
         m = OrderedModel.additive(2)
         with pytest.raises(PreconditionError):
             growth_distance(m, m.element([1, 1]), m.element([0, 1]), 100)
+
+    def test_prime_pairs_distances_at_one_bound_sieve_once(self, monkeypatch):
+        builds = []
+        init = PrimeTable.__init__
+        monkeypatch.setattr(PrimeTable, "__init__", lambda table, bound: builds.append(bound) or init(table, bound))
+        prime_table.cache_clear()
+        m = OrderedModel.multiplicative()
+        a, b = m.element_from_log(1.0), m.element_from_log(2.0)
+        reports = [growth_distance(m, a, b, method=Method.PRIME_PAIRS, prime_bound=5000) for _ in range(2)]
+        assert builds == [5000]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("method", list(Method))
     def test_rates_below_the_product_inequality_are_a_violation(self, method, monkeypatch):

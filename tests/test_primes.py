@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbmlab.errors import InvalidInputError
-from cbmlab.primes import MAX_PRIME_BOUND, PrimeTable
+from cbmlab.primes import MAX_PRIME_BOUND, PrimeTable, prime_table
 
 
 def naive_primes(limit):
@@ -15,7 +15,9 @@ def naive_primes(limit):
 
 def test_sieve_matches_naive():
     for n in (0, 1, 2, 200):
-        assert PrimeTable(n).primes.tolist() == naive_primes(n)
+        table = PrimeTable(n)
+        assert table.primes.tolist() == naive_primes(n)
+        assert [m for m in range(-3, n + 4) if table.is_prime(m)] == naive_primes(n)
 
 
 def test_prime_table_lookups():
@@ -41,8 +43,10 @@ def test_table_bound_past_the_cap_is_rejected_before_allocation():
 )
 def test_block_lookup_matches_one_window_at_a_time(bound, windows):
     table = PrimeTable(bound)
+    primes = naive_primes(bound)
     lo, hi = zip(*windows)
     expected = [table.first_prime_in(a, b) or 0 for a, b in windows]
+    assert expected == [next((p for p in primes if a <= p <= b), 0) for a, b in windows]
     assert table.first_primes_in(lo, hi).tolist() == expected
 
 
@@ -60,3 +64,24 @@ def test_block_lookup_does_not_copy_the_prime_table():
         tracemalloc.stop()
     assert found.tolist() == [table.first_prime_in(a, b) or 0 for a, b in zip(lo, hi)]
     assert peak < 10_000
+
+
+def test_built_table_keeps_eight_bytes_per_prime():
+    # the sieve's mask, one byte per integer, is freed once the primes are read off it
+    tracemalloc.start()
+    try:
+        table = PrimeTable(10**6)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.primes.size == 78_498
+    assert 8 * table.primes.size <= kept <= 8 * (table.primes.size + 1) + 4_096
+
+
+def test_tables_are_shared_per_bound_and_read_only():
+    prime_table.cache_clear()
+    table = prime_table(1000)
+    assert prime_table(1000) is table
+    assert prime_table(2000) is not table and prime_table(2000).bound == 2000
+    with pytest.raises(ValueError):
+        table.primes[0] = 4
