@@ -37,7 +37,7 @@ from .ordered import (
     rho_plus,
     rho_plus_primes,
 )
-from .primes import MAX_PRIME_BOUND, PrimeTable
+from .primes import MAX_PRIME_BOUND
 from .starshape import (
     MAX_GRID_COUNT,
     MIN_GRID_COUNT,
@@ -99,10 +99,9 @@ def item_growth_oracle(seed: int, cfg: dict) -> dict:
 def item_prime_pairs(seed: int, cfg: dict) -> dict:
     model, pairs = growth_pair_corpus(seed)
     bound = cfg["prime_bound"]
-    table = PrimeTable(bound)
     worst = 0.0
     for a, b in pairs:
-        rpp = rho_plus_primes(model, a, b, bound, table=table)
+        rpp = rho_plus_primes(model, a, b, bound)
         rp = rho_plus(model, a, b, cfg["l_max"]).pair_infimum
         worst = max(worst, abs(rpp - rp))
     return {"passed": worst <= 0.05, "max_gap": worst, "prime_bound": bound}

@@ -141,9 +141,15 @@ class OrderedModel:
         return Element(self.kind, -a.data)
 
     def ge(self, a: Element, b: Element) -> bool:
-        """Order oracle a >= b under the model's order variant: _oracle at
-        (k, l) = (1, 1), inside its contract l >= 1."""
-        return _oracle(self, a, b)(1, 1)
+        """Order oracle a >= b under the model's order variant, pointwise on
+        the stored floats, whose comparisons are exact."""
+        self._check(a, b)
+        x, y = np.asarray(a.data), np.asarray(b.data)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InvalidInputError("the order oracle needs finite elements")
+        if self.order_variant is OrderVariant.NON_STRICT:
+            return bool(np.all(x >= y))
+        return bool(np.all(x > y) or np.all(x == y))
 
     def is_dominant_closed_form(self, a: Element) -> bool:
         self._check(a)
@@ -163,63 +169,38 @@ def is_dominant(model: OrderedModel, a: Element, probes: Iterable[Element] = ())
 
 
 def _ratio(x: float, y: float) -> tuple[int, int]:
-    """The exact y/x of a finite x != 0 as (n, d) with d > 0."""
+    """The exact y/x of a finite x > 0 as (n, d) with d > 0."""
     xn, xd = x.as_integer_ratio()
     yn, yd = y.as_integer_ratio()
-    return (yn * xd, xn * yd) if xn > 0 else (-yn * xd, -xn * yd)
-
-
-def _extreme(ratios: list, sign: int, empty: tuple[int, int]) -> tuple[int, int]:
-    """The largest (sign 1) or smallest (sign -1) of the exact ratios, or empty."""
-    best_n, best_d = ratios[0] if ratios else empty
-    for n, d in ratios:
-        if sign * (n * best_d - best_n * d) > 0:
-            best_n, best_d = n, d
-    return best_n, best_d
+    return yn * xd, xn * yd
 
 
 @dataclass(frozen=True, slots=True)
 class _Oracle:
-    """The exact order oracle of one pair, as the extreme ratios _oracle finds.
-
-    ``lower`` and ``upper`` are the greatest y/x over x > 0 and the least
-    over x < 0 as integer pairs (n, d), d >= 0, with (-1, 0) and (1, 0)
-    standing for -inf and +inf. ``equal`` is None under the non-strict order
-    and otherwise the one ratio every site shares, (1, 0) if there is none.
-    ``threshold`` is (N, D, strict) when no site of the base has x <= 0, as
-    for every dominant base: then upper is +inf, and (k, l) holds exactly
-    when k*D >= l*N, or k*D > l*N if strict. It is None otherwise. strict is
-    False under the non-strict order, and also when every site shares the
-    one ratio N/D, where the equality clause makes k*D == l*N hold.
+    """The exact order oracle of one pair over a dominant base, as the
+    threshold (N, D, strict) that _oracle finds: (k, l) holds exactly when
+    k*D >= l*N, or k*D > l*N if strict.
     """
 
-    lower: tuple[int, int]
-    upper: tuple[int, int]
-    equal: tuple[int, int] | None
-    threshold: tuple[int, int, bool] | None
+    threshold: tuple[int, int, bool]
 
     def __call__(self, k: int, l: int) -> bool:
-        """a^k >= b^l, for l >= 1: two integer cross-multiplications."""
-        (ln, ld), (un, ud) = self.lower, self.upper
-        if self.equal is None:
-            return k * ld >= l * ln and k * ud <= l * un
-        en, ed = self.equal
-        return k * ld > l * ln and k * ud < l * un or k * ed == l * en
+        """a^k >= b^l, for l >= 1: one integer cross-multiplication."""
+        num, den, strict = self.threshold
+        return k * den > l * num if strict else k * den >= l * num
 
 
 def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
-    """Exact order oracle (k, l) |-> (a^k >= b^l) for l >= 1, built once per pair.
+    """Exact order oracle (k, l) |-> (a^k >= b^l) for l >= 1 and a dominant a,
+    built once per pair.
 
-    Every caller passes l >= 1: _bracket probes only q >= 1, and ge (1, 1).
-    Then k*x >= l*y at every site (x of a, y of b) is a test of t = k/l:
-    t >= y/x where x > 0, t <= y/x where x < 0, and y <= 0 where x == 0. The
-    build keeps the exact largest and smallest of these ratios as integer
-    pairs (see _Oracle), so each call is two integer cross-multiplications.
-    Rounded division is monotone, so the exact extreme lies among the sites
-    whose float ratio equals the float extreme; only those go through
-    as_integer_ratio. The strict-positive order takes the strict bounds, or
-    else equality at the one ratio every site shares, if any: (0, 0), any t,
-    when all of a and b is zero.
+    Every caller passes l >= 1: _bracket probes only q >= 1. With every site
+    x of a positive, k*x >= l*y at every site (y of b) holds exactly when
+    k/l >= N/D, the largest exact ratio y/x. Rounded division is monotone, so
+    that ratio lies among the sites whose float y/x equals the float maximum;
+    only those go through as_integer_ratio. The strict-positive order needs
+    k/l > N/D, unless every site has the one ratio N/D, where equality at
+    every site holds too; the non-strict order is never strict.
     """
     model._check(a, b)
     if model.kind is ModelKind.MULTIPLICATIVE_REALS:
@@ -228,38 +209,24 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
         xs, ys = a.data.tolist(), b.data.tolist()
     if not all(map(math.isfinite, xs + ys)):
         raise InvalidInputError("the order oracle needs finite elements")
-    lower, upper = -math.inf, math.inf  # float max y/x over x > 0, min over x < 0
-    lows, ups, zeros = [], [], []  # the sites at those extremes; the y where x == 0
+    if not min(xs) > 0:
+        raise PreconditionError("the order oracle needs a dominant base")
+    top, tops = -math.inf, []  # the float max of y/x, and the sites at it
     for x, y in zip(xs, ys):
-        if x > 0:
-            r = y / x
-            if r > lower:
-                lower, lows = r, [(x, y)]
-            elif r == lower:
-                lows.append((x, y))
-        elif x < 0:
-            r = y / x
-            if r < upper:
-                upper, ups = r, [(x, y)]
-            elif r == upper:
-                ups.append((x, y))
-        else:
-            zeros.append(y)
-    lows, ups = [_ratio(x, y) for x, y in lows], [_ratio(x, y) for x, y in ups]  # exact ratios
-    (ln, ld), (un, ud) = _extreme(lows, 1, (-1, 0)), _extreme(ups, -1, (1, 0))
-    dominant = not ups and not zeros  # every x > 0, so ld > 0 and upper is +inf
-    top = max(zeros, default=-math.inf)
-    if model.order_variant is OrderVariant.NON_STRICT:
-        if top > 0:
-            ln, ld = 1, 0
-        return _Oracle((ln, ld), (un, ud), None, (ln, ld, False) if dominant else None)
-    if top >= 0:
-        ln, ld = 1, 0
-    shared = lows + ups  # one exact ratio at every site, if every site is here
-    en, ed = shared[0] if shared else (0, 0)
-    if any(zeros) or len(shared) < len(xs) - len(zeros) or any(n * ed != en * d for n, d in shared):
-        en, ed = 1, 0
-    return _Oracle((ln, ld), (un, ud), (en, ed), (ln, ld, ed == 0) if dominant else None)
+        r = y / x
+        if r > top:
+            top, tops = r, [(x, y)]
+        elif r == top:
+            tops.append((x, y))
+    ratios = [_ratio(x, y) for x, y in tops]
+    num, den = ratios[0]
+    for n, d in ratios:
+        if n * den > num * d:
+            num, den = n, d
+    strict = model.order_variant is OrderVariant.STRICT_POSITIVE and (
+        len(tops) < len(xs) or any(n * den != num * d for n, d in ratios)
+    )
+    return _Oracle((num, den, strict))
 
 
 def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
@@ -269,12 +236,11 @@ def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     calls and O(log l) integer steps. It relies only on the exact oracle's
     threshold and on upward-closedness of the predicate, which both concrete
     models guarantee, and raises SearchBoundError exactly when |k| passes
-    the search bound.
+    the search bound. The oracle raises PreconditionError for a base that is
+    not dominant.
     """
     if l < 1:
         raise InvalidInputError("l must be a positive integer")
-    if not model.is_dominant_closed_form(a):
-        raise PreconditionError("min_power requires a dominant base element")
     (p, q), _ = _bracket(_oracle(model, a, b), l)
     return -(-l * p // q)
 
@@ -302,8 +268,6 @@ def _bracket(oracle: _Oracle, n: int) -> tuple[tuple[int, int], tuple[int, int]]
     SearchBoundError is raised when |k| or |ceil(n*p/q)| passes the search
     bound, that is when some least exponent of an l <= n does.
     """
-    if oracle.threshold is None:
-        raise PreconditionError("the Farey bracket needs a dominant base")
     num, den, strict = oracle.threshold
     k = num // den + 1 if strict else -(-num // den)
     if abs(k) > _SEARCH_BOUND:
@@ -342,11 +306,10 @@ def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L
     The pair infimum is the p/q of one Farey bracket at l_max, and the limit
     estimate ceil(l_max*p/q)/l_max. The closed form max(b/a) must lie in the
     bracket, in floats and without tolerance (rounded division is monotone).
+    The oracle raises PreconditionError for a base that is not dominant.
     """
     if l_max < 1:
         raise InvalidInputError("l_max must be a positive integer")
-    if not model.is_dominant_closed_form(a):
-        raise PreconditionError("rho_plus requires a dominant base element")
     (p, q), (p_lo, q_lo) = _bracket(_oracle(model, a, b), l_max)
     with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
         rate = float(np.max(np.divide(b.data, a.data)))

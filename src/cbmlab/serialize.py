@@ -103,6 +103,28 @@ def _number(value: Any, name: str) -> float:
     return float(value)
 
 
+def _array(value: Any, name: str, integer: bool = False) -> np.ndarray:
+    """A JSON array of numbers, read as floats, or as integers if ``integer``.
+
+    A boolean or string entry is rejected, not read as 0, 1 or the number it
+    spells; integer literals of any size read as floats.
+    """
+    message = f"{name} must be an array of {'integers' if integer else 'numbers'}"
+    arr = np.asarray(value)
+    if not integer and arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
+        arr = arr.astype(float)  # integers past int64; OverflowError past the float range
+    if arr.dtype.kind not in ("iu" if integer else "iuf"):
+        raise InvalidInputError(message)
+    # numpy reads a JSON boolean among numbers as 0 or 1, so only those entries can be one
+    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        entry = value
+        for i in index:
+            entry = entry[i]
+        if type(entry) is bool:
+            raise InvalidInputError(message)
+    return arr if integer else arr.astype(float, copy=False)
+
+
 def radial_set_to_dict(s: RadialSet) -> dict:
     return {
         "dimension": s.grid.dimension,
@@ -114,10 +136,10 @@ def radial_set_to_dict(s: RadialSet) -> dict:
 def radial_set_from_dict(data: dict) -> RadialSet:
     try:
         dimension = _integer(data["dimension"], "dimension")
-        radii = np.asarray(data["radii"], dtype=float)
+        radii = _array(data["radii"], "radii")
         directions = data.get("directions")
         if directions is not None:
-            directions = np.asarray(directions, dtype=float)
+            directions = _array(directions, "directions")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad radial-set payload: {exc}") from exc
     if directions is not None:
@@ -166,29 +188,21 @@ def form_to_dict(form: ContactFormRep) -> dict:
 def form_from_dict(data: dict) -> ContactFormRep:
     try:
         manifold = SampledManifold(
-            weights=np.asarray(data["weights"], dtype=float),
+            weights=_array(data["weights"], "weights"),
             half_dim=_integer(data["half_dim"], "half_dim"),
         )
         if "sites" in data and _integer(data["sites"], "sites") != manifold.sites:
             raise InvalidInputError("declared site count disagrees with the weights")
-        return ContactFormRep(manifold, np.asarray(data["f"], dtype=float))
+        return ContactFormRep(manifold, _array(data["f"], "f"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad contact-form payload: {exc}") from exc
 
 
 def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
     try:
-        raw = data["perm"]
-        perm = np.asarray(raw)
-        if perm.dtype.kind not in "iu":
-            raise InvalidInputError("perm must be an array of integers")
-        # numpy reads a JSON boolean among integers as 0 or 1, which a permutation
-        # holds at most once each, so only those entries can be booleans
-        low = np.flatnonzero((perm == 0) | (perm == 1)) if perm.ndim == 1 else ()
-        if any(type(raw[i]) is bool for i in low):
-            raise InvalidInputError("perm must be an array of integers")
+        perm = _array(data["perm"], "perm", integer=True)
         if "g" in data and data["g"] is not None:
-            g = np.asarray(data["g"], dtype=float)
+            g = _array(data["g"], "g")
             return ContactMapRep(manifold, perm, g)
         return ContactMapRep.measure_compatible(manifold, perm)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -198,8 +212,8 @@ def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
 def element_values_from_json(data: Any) -> np.ndarray:
     """Grid elements travel as bare JSON arrays of numbers."""
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = _array(data, "a grid element")
+    except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad grid element payload: {exc}") from exc
     if arr.ndim != 1:
         raise InvalidInputError("grid element payload must be a flat array of numbers")

@@ -9,6 +9,7 @@ import time
 
 from cbmlab import acceptance
 from cbmlab.cli import main
+from cbmlab.primes import PrimeTable, prime_table
 
 SEED = 7
 SEED7_REPORT_BYTES = 1627
@@ -38,6 +39,16 @@ def test_01_growth_rate_oracle_equivalence():
 def test_02_prime_pair_formula():
     details = run_item("02-prime-pairs", budget=10.0)
     assert details["max_gap"] <= 0.05
+
+
+def test_02_reads_the_shared_prime_table(monkeypatch):
+    builds = []
+    init = PrimeTable.__init__
+    monkeypatch.setattr(PrimeTable, "__init__", lambda table, bound: builds.append(bound) or init(table, bound))
+    prime_table.cache_clear()
+    first, second = (ITEMS["02-prime-pairs"](SEED, CFG) for _ in range(2))
+    assert builds == [CFG["prime_bound"]]
+    assert first == second
 
 
 def test_03_growth_rate_product_inequality():

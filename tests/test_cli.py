@@ -261,6 +261,37 @@ def test_boolean_in_candidate_permutation_exits_two(tmp_path, capsys):
     assert "perm must be" in capsys.readouterr().err
 
 
+CIRCLE = {**FIBER, "directions": DirectionGrid.uniform_circle(64).directions.tolist()}
+MAP = {"perm": [0, 1, 2, 3], "g": [0.0] * 4}
+# each float-array reader: (command, good payloads, the last with a boolean or string entry)
+FLOAT_ARRAYS = {
+    "element-bool": ("norm", [[1.0, 1.0, 2.0]] * 2, [True, 1.0, 2.0]),
+    "element-str": ("norm", [[1.0, 1.0, 2.0]] * 2, ["1.5", 2.0, 3.0]),
+    "hamiltonian": ("ham2dom", [[1.0] * 64], [True] + [1.0] * 63),
+    "radii-bool": ("delta", [FIBER] * 2, {**FIBER, "radii": [True] + [1.0] * 63}),
+    "radii-str": ("delta", [FIBER] * 2, {**FIBER, "radii": ["1.0"] + [1.0] * 63}),
+    "directions": ("delta", [CIRCLE] * 2, {**CIRCLE, "directions": [[True, False]] + CIRCLE["directions"][1:]}),
+    "weights": ("dcbm-forms", [FORM] * 2, {**FORM, "weights": [True, 1.0, 1.0, 1.0]}),
+    "f": ("dcbm-forms", [FORM] * 2, {**FORM, "f": [False, 0.0, 0.0, 0.0]}),
+    "g": ("dcbm-forms", [FORM, FORM, MAP], {**MAP, "g": [False, 0.0, 0.0, 0.0]}),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_ARRAYS)
+def test_booleans_and_strings_in_float_arrays_exit_two(case, tmp_path, capsys):
+    # each bad payload used to read as 1.0, 0.0 or the number its string spells
+    command, good, bad = FLOAT_ARRAYS[case]
+    assert CIRCLE["directions"][0] == [1.0, 0.0]  # so [true, false] read as a unit vector
+
+    def argv(payloads):
+        paths = [write(tmp_path / f"{i}.json", payload) for i, payload in enumerate(payloads)]
+        return [command] + paths[:2] + (["--maps"] + paths[2:] if paths[2:] else [])
+
+    assert main(argv(good)) == 0
+    assert main(argv(good[:-1] + [bad])) == 2
+    assert "must be an array of numbers" in capsys.readouterr().err
+
+
 def test_subgraph_volume_out_of_range_exits_two(tmp_path, capsys):
     manifold = SampledManifold(np.ones(3), half_dim=2)
     tiny_form, unit_form = (ContactFormRep(manifold, np.full(3, f)) for f in (-1000.0, 0.0))

@@ -138,63 +138,88 @@ ENTRY = st.one_of(
     st.integers(-8, 8).map(lambda n: n * QUANTUM),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+# a positive x from subnormal to huge, and an x <= 0 of either zero and any size
+POSITIVE_X = st.one_of(
+    st.sampled_from([5e-324, 3e-310, 2.0**-1022, 1.0, 1e300]), st.floats(min_value=5e-324, max_value=1e300)
+)
+NON_POSITIVE_X = st.one_of(
+    st.sampled_from([0.0, -0.0, -5e-324, -1e300]), st.floats(max_value=0.0, allow_infinity=False)
+)
 # b = scale * a keeps one ratio at every site unless the product rounds
 SCALE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 2.0**-40, 3.0 * QUANTUM])
 EXPONENT = st.one_of(st.integers(-10, 10), st.integers(-(10**13), 10**13))
 PROBES = st.lists(st.tuples(EXPONENT, EXPONENT.map(lambda l: abs(l) + 1)), max_size=20)  # l >= 1
 
 
+def draw_pair(data, base):
+    """A model of either kind and variant and a pair a, b. The base a is
+    "dominant" (every site positive), "any", or "non-dominant" (some site <= 0);
+    b is free, a multiple of a (one ratio at every site unless the product
+    rounds), or zero."""
+    kind = data.draw(st.sampled_from(list(ModelKind)))
+    variant = data.draw(st.sampled_from(list(OrderVariant)))
+    sites = 1 if kind is ModelKind.MULTIPLICATIVE_REALS else data.draw(st.integers(1, 6))
+    xs = data.draw(st.lists(POSITIVE_X if base == "dominant" else ENTRY, min_size=sites, max_size=sites))
+    if base == "non-dominant":
+        xs[data.draw(st.integers(0, sites - 1))] = data.draw(NON_POSITIVE_X)
+    pairing = data.draw(st.sampled_from(["free", "scaled", "zero"]))
+    if pairing == "free":
+        ys = data.draw(st.lists(ENTRY, min_size=sites, max_size=sites))
+    elif pairing == "scaled":
+        scale = data.draw(SCALE)
+        ys = [scale * x for x in xs]
+    else:
+        ys = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=sites, max_size=sites))
+    if kind is ModelKind.MULTIPLICATIVE_REALS:
+        m = OrderedModel.multiplicative(variant)
+        return m, xs, ys, Element(m.kind, xs[0]), Element(m.kind, ys[0])
+    # Element directly: entries past the grid bound still reach the oracle as powers
+    m = OrderedModel.additive(sites, variant)
+    return m, xs, ys, Element(m.kind, np.asarray(xs)), Element(m.kind, np.asarray(ys))
+
+
 class TestOracle:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_reduced_oracle_matches_the_per_site_reference(self, data):
-        kind = data.draw(st.sampled_from(list(ModelKind)))
-        variant = data.draw(st.sampled_from(list(OrderVariant)))
-        sites = 1 if kind is ModelKind.MULTIPLICATIVE_REALS else data.draw(st.integers(1, 6))
-        pairing = data.draw(st.sampled_from(["free", "scaled", "zero"]))
-        if pairing == "zero":
-            xs = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=sites, max_size=sites))
-            ys = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=sites, max_size=sites))
-        else:
-            xs = data.draw(st.lists(ENTRY, min_size=sites, max_size=sites))
-            if pairing == "scaled":
-                scale = data.draw(SCALE)
-                ys = [scale * x for x in xs]
-            else:
-                ys = data.draw(st.lists(ENTRY, min_size=sites, max_size=sites))
-        if kind is ModelKind.MULTIPLICATIVE_REALS:
-            m = OrderedModel.multiplicative(variant)
-            a, b = Element(m.kind, xs[0]), Element(m.kind, ys[0])
-        else:
-            # Element directly: entries past the grid bound still reach the oracle as powers
-            m = OrderedModel.additive(sites, variant)
-            a, b = Element(m.kind, np.asarray(xs)), Element(m.kind, np.asarray(ys))
+        # every base here is dominant, from subnormal to huge entries
+        m, xs, ys, a, b = draw_pair(data, "dominant")
         reduced, reference = ordered._oracle(m, a, b), reference_oracle(m, a, b)
+        ratios = [Fraction(y) / Fraction(x) for x, y in zip(xs, ys)]
+        # the threshold is the exact largest ratio, strict unless every site shares it
+        num, den, strict = reduced.threshold
+        assert Fraction(num, den) == max(ratios)
+        assert strict == (m.order_variant is OrderVariant.STRICT_POSITIVE and len(set(ratios)) > 1)
         probes = data.draw(PROBES) + [(1, 1), (0, 1), (-1, 1)]
-        # each site's ratio and its neighbours, where a bound or its strictness decides
-        for x, y in zip(xs, ys):
-            t = Fraction(y) / Fraction(x) if x else Fraction(0)
+        # each site's ratio and its neighbours, where the threshold or its strictness decides
+        for t in ratios:
             if t.denominator <= 10**13:
                 probes += [(t.numerator + step, t.denominator) for step in (-1, 0, 1)]
         for k, l in probes:
             assert reduced(k, l) == reference(k, l), (k, l)
-        # the threshold exists exactly for a base with every site positive, and agrees
-        assert (reduced.threshold is not None) == all(x > 0 for x in xs)
-        if reduced.threshold is not None:
-            threshold = threshold_oracle(*reduced.threshold)
-            assert all(reduced(k, l) == threshold(k, l) for k, l in probes)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_ge_matches_the_per_site_reference(self, data):
+        # dominant or not: bases with zeros and entries of either sign and any size
+        m, _, _, a, b = draw_pair(data, "any")
+        assert m.ge(a, b) == reference_oracle(m, a, b)(1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_oracle_rejects_a_base_with_a_site_at_most_zero(self, data):
+        m, _, _, a, b = draw_pair(data, "non-dominant")
+        with pytest.raises(PreconditionError, match="dominant base"):
+            ordered._oracle(m, a, b)
 
     def test_float_ratio_ties_are_broken_exactly(self):
-        # 1/3 and fl(1/3)/1 round to one float ratio. Over x > 0 the exact largest is
-        # 1/3, where the non-strict order holds and the strict one fails at the first
-        # site; over x < 0 the exact smallest is fl(1/3), below 1/3, where both fail
-        cases = [(1.0, OrderVariant.NON_STRICT, True), (1.0, OrderVariant.STRICT_POSITIVE, False)]
-        cases += [(-1.0, variant, False) for variant in OrderVariant]
-        for sign, variant, holds in cases:
+        # 1/3 and fl(1/3)/1 round to one float ratio; the exact largest is 1/3, where
+        # the non-strict order holds and the strict one fails at the first site
+        for variant, holds in ((OrderVariant.NON_STRICT, True), (OrderVariant.STRICT_POSITIVE, False)):
             m = OrderedModel.additive(2, variant)
             for order in (slice(None), slice(None, None, -1)):
-                a = m.element([3.0 * sign, 1.0 * sign][order])
-                b = m.element([1.0 * sign, sign / 3][order])
+                a = m.element([3.0, 1.0][order])
+                b = m.element([1.0, 1 / 3][order])
                 assert ordered._oracle(m, a, b)(1, 3) is holds is reference_oracle(m, a, b)(1, 3)
 
     def test_non_finite_element_is_rejected(self):
@@ -310,13 +335,6 @@ class TestMinPower:
         for cap in range(0, 40):
             for longest in range(0, 45):
                 assert reference_run(lambda j, longest=longest: j <= longest, cap) == min(longest, cap)
-
-    def test_bracket_needs_the_threshold_of_a_dominant_base(self):
-        m = OrderedModel.additive(2)
-        oracle = ordered._oracle(m, m.element([0.0, 1.0]), m.element([1.0, 1.0]))
-        assert oracle.threshold is None
-        with pytest.raises(PreconditionError, match="dominant base"):
-            ordered._bracket(oracle, 10)
 
     def test_search_bound_carried_in_error(self):
         m = OrderedModel.additive(2)
@@ -450,12 +468,8 @@ def count_oracle_calls(monkeypatch):
     return calls
 
 
-# a positive x from subnormal to huge, and thresholds N/D: small fractions, integers
-# around the search bound, and the unreduced exact y/x of floats, whose D reaches
-# 2^1074 for a subnormal x
-POSITIVE_X = st.one_of(
-    st.sampled_from([5e-324, 3e-310, 2.0**-1022, 1.0, 1e300]), st.floats(min_value=5e-324, max_value=1e300)
-)
+# thresholds N/D: small fractions, integers around the search bound, and the
+# unreduced exact y/x of floats, whose D reaches 2^1074 for a subnormal x
 THRESHOLD = st.one_of(
     st.tuples(st.integers(-50, 50), st.integers(1, 50)),
     st.tuples(st.integers(-(10**12) - 3, 10**12 + 3), st.integers(1, 3)),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cbmlab import serialize
 from cbmlab.acceptance import item_rng
 from cbmlab.domains import SplitToricDomain
 from cbmlab.errors import InvalidInputError
@@ -133,6 +134,31 @@ def test_radial_set_bad_payloads():
         radial_set_from_dict({"radii": [1, 2, 3]})
     with pytest.raises(InvalidInputError):
         radial_set_from_dict({"dimension": 2, "radii": [[1, 2], [3, 4]]})
+
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False), st.integers(-(2**80), 2**80), st.sampled_from([0, 1, 0.0, 1.0, -0.0])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_float_arrays_read_numbers_as_floats_and_reject_booleans_and_strings(rows, cols, data):
+    # integers of any size read as numbers; numpy alone reads true as 1.0 and "0" as 0.0
+    matrix = [data.draw(st.lists(NUMBER, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for value in (matrix[0], matrix):
+        read = serialize._array(value, "x")
+        assert read.dtype == np.float64 and np.array_equal(read, np.asarray(value, dtype=float))
+    i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    matrix[i][j] = data.draw(st.sampled_from([True, False, "1.0", "0"]))
+    for value in (matrix[i], matrix):
+        with pytest.raises(InvalidInputError, match="x must be an array of numbers"):
+            serialize._array(value, "x")
+
+
+def test_float_arrays_past_the_float_range_are_rejected():
+    with pytest.raises(InvalidInputError, match="bad grid element payload"):
+        serialize.element_values_from_json([1.0, 10**400])
 
 
 def test_domain_round_trip():
