@@ -26,7 +26,6 @@ from .ordered import (
     OrderVariant,
     RhoEstimate,
     growth_distance,
-    is_dominant,
     min_power,
     rho_plus,
     rho_plus_primes,
@@ -38,17 +37,14 @@ from .starshape import (
     RadialSet,
     SkeletonSpec,
     ball,
-    ball_of_capacity,
     centered_square,
     delta,
     log_delta,
-    lshape,
     lshape_array,
     qi_verify,
     scale,
     scale_pow,
     skeleton_region,
-    volume,
 )
 from .domains import (
     BoundInterval,

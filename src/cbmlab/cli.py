@@ -1,7 +1,8 @@
 """Command-line front end: file I/O, subcommands, and the acceptance driver.
 
-Exit codes: 0 success, 1 a certified inequality or acceptance item failed,
-2 malformed input; an acceptance item that raises exits as the command would.
+Exit codes: 0 success, 1 a certified inequality, qi-verify harness or
+acceptance item failed, 2 malformed input; an acceptance item that raises
+exits as the command would. A failed harness or item still prints its report.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ EXIT_INPUT = 2
 
 def _load(path: str):
     try:
-        return serialize.load_json(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -276,7 +278,9 @@ def main(argv=None) -> int:
         code = _exit_code(type(exc))
         sys.stderr.write(f"{'assertion failed' if code == EXIT_ASSERTION else 'error'}: {exc}\n")
         return code
-    return _accept_exit_code(report) if args.command == "accept" else EXIT_OK
+    if args.command == "accept":
+        return _accept_exit_code(report)
+    return EXIT_ASSERTION if args.command == "qi-verify" and not report["pass"] else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -246,8 +246,10 @@ def hamiltonian_to_domain(h, grid: DirectionGrid | None = None) -> HamiltonianDo
         grid = DirectionGrid.uniform_circle(values.shape[0])
     elif grid.count != values.shape[0]:
         raise InvalidInputError("site count does not match the direction grid")
+    with np.errstate(over="ignore"):  # RadialSet rejects a radius that overflows
+        radii = 1.0 / values
     return HamiltonianDomain(
-        fiber=RadialSet(grid, 1.0 / values),
+        fiber=RadialSet(grid, radii),
         m_minus=float(np.min(values)),
         m_plus=float(np.max(values)),
     )

@@ -86,11 +86,6 @@ class ContactFormRep:
             raise InvalidInputError("rescaling constant must be positive")
         return ContactFormRep(self.manifold, self.f + math.log(c))
 
-    def dominates(self, other: "ContactFormRep") -> bool:
-        """Pointwise partial order on exponents."""
-        _check_shared(self.manifold, other.manifold)
-        return bool(np.all(other.f <= self.f))
-
 
 def _site_permutation(manifold: SampledManifold, perm) -> np.ndarray:
     """perm as an int64 array, checked to be a permutation of the sites."""
@@ -132,11 +127,6 @@ class ContactMapRep:
         g.flags.writeable = False
 
     @staticmethod
-    def identity(manifold: SampledManifold) -> "ContactMapRep":
-        n = manifold.sites
-        return ContactMapRep(manifold, np.arange(n), np.zeros(n))
-
-    @staticmethod
     def measure_compatible(manifold: SampledManifold, perm) -> "ContactMapRep":
         """The unique conformal exponent making the permutation preserve the
         subgraph volume of every form: g = (ln w o phi - ln w) / half_dim."""
@@ -148,18 +138,6 @@ class ContactMapRep:
         object.__setattr__(rep, "manifold", manifold)
         rep._freeze(perm, (logw[perm] - logw) / manifold.half_dim)
         return rep
-
-    def compose(self, other: "ContactMapRep") -> "ContactMapRep":
-        """Map whose pullback equals pulling back by self, then by other."""
-        _check_shared(self.manifold, other.manifold)
-        return ContactMapRep(
-            self.manifold, self.perm[other.perm], self.g[other.perm] + other.g
-        )
-
-    def inverse(self) -> "ContactMapRep":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
-        return ContactMapRep(self.manifold, inv, -self.g[inv])
 
 
 def pullback(alpha: ContactFormRep, m: ContactMapRep) -> ContactFormRep:
@@ -179,12 +157,15 @@ def dcbm_forms_upper(
     f1 - (f2 o phi + g); the identity candidate is always included.
     """
     _check_shared(f1.manifold, f2.manifold)
-    best = float(np.max(np.abs(f1.f - f2.f)))  # identity candidate
-    for m in candidates:
-        _check_shared(f1.manifold, m.manifold)
-        width = float(np.max(np.abs(f1.f - pullback(f2, m).f)))
-        if width < best:
-            best = width
+    # a pulled-back exponent that overflows is rejected by ContactFormRep, and
+    # a width that overflows to inf when the report is written
+    with np.errstate(over="ignore"):
+        best = float(np.max(np.abs(f1.f - f2.f)))  # identity candidate
+        for m in candidates:
+            _check_shared(f1.manifold, m.manifold)
+            width = float(np.max(np.abs(f1.f - pullback(f2, m).f)))
+            if width < best:
+                best = width
     return best
 
 
@@ -195,7 +176,8 @@ def w_alpha_volume(alpha: ContactFormRep) -> float:
     gives (1/n') * sum e^(n' f) w.
     """
     n = alpha.manifold.half_dim
-    return float(np.sum(np.exp(n * alpha.f) * alpha.manifold.weights) / n)
+    with np.errstate(over="ignore"):  # dcbm_forms_lower_volume rejects a volume that overflows
+        return float(np.sum(np.exp(n * alpha.f) * alpha.manifold.weights) / n)
 
 
 def dcbm_forms_lower_volume(f1: ContactFormRep, f2: ContactFormRep) -> float:

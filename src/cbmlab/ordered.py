@@ -16,7 +16,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -108,15 +107,6 @@ class OrderedModel:
         arr.flags.writeable = False
         return Element(self.kind, arr)
 
-    def element_from_log(self, log_value: float) -> Element:
-        """Multiplicative element specified by its exact natural log."""
-        if self.kind is not ModelKind.MULTIPLICATIVE_REALS:
-            raise InvalidInputError("element_from_log only applies to the multiplicative model")
-        lv = float(log_value)
-        if not math.isfinite(lv):
-            raise InvalidInputError("log value must be finite")
-        return Element(self.kind, lv)
-
     # -- semigroup structure ---------------------------------------------------
 
     def _check(self, *elems: Element) -> None:
@@ -156,16 +146,6 @@ class OrderedModel:
         if self.kind is ModelKind.MULTIPLICATIVE_REALS:
             return a.data > 0.0
         return bool(a.data.min() > 0.0)
-
-
-def is_dominant(model: OrderedModel, a: Element, probes: Iterable[Element] = ()) -> bool:
-    """Dominance test: closed form, then a finite power found for each probe
-    by min_power, whose SearchBoundError propagates."""
-    if not model.is_dominant_closed_form(a):
-        return False
-    for b in probes:
-        min_power(model, a, b, 1)
-    return True
 
 
 def _ratio(x: float, y: float) -> tuple[int, int]:

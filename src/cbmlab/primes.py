@@ -41,9 +41,6 @@ class PrimeTable:
         self._primes_and_sentinel.flags.writeable = False  # tables are shared by prime_table
         self.primes = self._primes_and_sentinel[:-1]
 
-    def is_prime(self, n: int) -> bool:
-        return self.first_prime_in(n, n) is not None
-
     def first_prime_in(self, lo: int, hi: int) -> int | None:
         """Smallest prime in [lo, hi] capped at the table bound, or None."""
         lo = max(int(lo), 2)

@@ -1,8 +1,7 @@
 """Star-shaped subsets of R^n about the origin, sampled as radial functions.
 
-Carries the containment distance delta, scaling/covering rescales, polar
-volume quadrature, and the spoke-skeleton construction used by the
-quasi-isometric embedding harness.
+Carries the containment distance delta, scaling/covering rescales, and the
+spoke-skeleton construction used by the quasi-isometric embedding harness.
 """
 
 from __future__ import annotations
@@ -22,6 +21,9 @@ DEFAULT_GRID_COUNT = 1024
 # largest uniform base grid (uniform_circle, the skeleton base); larger
 # counts are rejected before any array is allocated
 MAX_GRID_COUNT = 10**6
+# the Halton bases of the sphere sample, one per coordinate, cap its dimension
+_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_SPHERE_DIMENSION = len(_HALTON_BASES)
 _UNIT_TOL = 1e-12
 _FAN = 48  # fan angles on each side of a spoke
 
@@ -152,11 +154,12 @@ class DirectionGrid:
         else:
             from scipy.special import ndtri  # inverse normal CDF
 
-            primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-            if dimension > len(primes):
-                raise InvalidInputError(f"sphere sampling supports dimension <= {len(primes)}")
+            if dimension > MAX_SPHERE_DIMENSION:
+                raise InvalidInputError(
+                    f"sphere sampling supports dimension <= {MAX_SPHERE_DIMENSION}"
+                )
             i = np.arange(count)
-            u = np.column_stack([_halton(i, primes[d]) for d in range(dimension)])
+            u = np.column_stack([_halton(i, _HALTON_BASES[d]) for d in range(dimension)])
             gauss = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
             directions = gauss / np.linalg.norm(gauss, axis=1)[:, None]
         directions /= np.linalg.norm(directions, axis=1)[:, None]
@@ -215,8 +218,10 @@ def delta(a: RadialSet, b: RadialSet) -> float:
 
 
 def _radial_delta(ra: np.ndarray, rb: np.ndarray) -> float:
-    """delta of two positive, finite radial samples taken at the same directions."""
-    return max(float(np.max(ra / rb)), float(np.max(rb / ra)), 1.0)
+    """delta of two positive, finite radial samples taken at the same directions;
+    a ratio past the float range gives inf, which no report accepts."""
+    with np.errstate(over="ignore"):
+        return max(float(np.max(ra / rb)), float(np.max(rb / ra)), 1.0)
 
 
 def log_delta(a: RadialSet, b: RadialSet) -> float:
@@ -257,21 +262,8 @@ def scale_pow(a: RadialSet, k: int, lam: float) -> RadialSet:
     )
 
 
-def volume(a: RadialSet) -> float:
-    """Polar quadrature (1/n) * sum r_i^n w_i over the direction grid."""
-    n = a.grid.dimension
-    return float(np.sum(a.radii**n * a.grid.weights) / n)
-
-
 def ball(radius: float, grid: DirectionGrid) -> RadialSet:
     return RadialSet(grid, np.full(grid.count, float(radius)))
-
-
-def ball_of_capacity(capacity: float, grid: DirectionGrid) -> RadialSet:
-    """Round set of prescribed 2-d capacity pi*r^2 (grid must be planar)."""
-    if grid.dimension != 2:
-        raise InvalidInputError("capacity parameterization is planar")
-    return ball(math.sqrt(capacity / math.pi), grid)
 
 
 def centered_square(half_side: float, grid: DirectionGrid) -> RadialSet:
@@ -283,24 +275,15 @@ def centered_square(half_side: float, grid: DirectionGrid) -> RadialSet:
     return RadialSet(grid, half_side / denom)
 
 
-def lshape(x: Sequence) -> list:
+def lshape_array(x) -> np.ndarray:
     """Componentwise hockey-stick embedding of R^k into [0, inf)^(2k).
 
     Each coordinate maps to a pair: (1 + x, 1) for x >= 0 and (1, 1 - x)
-    for x < 0. Scalar types are preserved, so exact Fraction inputs stay
-    exact.
+    for x < 0, so a NaN coordinate maps to (NaN, 1).
     """
-    out = []
-    for xi in x:
-        if xi < 0:
-            out.extend((1, 1 - xi))
-        else:
-            out.extend((1 + xi, 1))
-    return out
-
-
-def lshape_array(x) -> np.ndarray:
-    return np.asarray(lshape(np.asarray(x, dtype=float)), dtype=float)
+    x = np.asarray(x, dtype=float)
+    neg = x < 0
+    return np.column_stack([np.where(neg, 1.0, 1.0 + x), np.where(neg, 1.0 - x, 1.0)]).ravel()
 
 
 @dataclass(frozen=True, eq=False)

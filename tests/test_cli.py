@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ def test_skeleton_and_qi_verify(tmp_path, capsys):
     assert code == 0
     assert report["pass"] is True
     assert abs(report["log_delta"] - 1.0) < 1e-9
+
+
+def test_failed_qi_harness_prints_its_report_and_exits_one(capsys):
+    argv = ["qi-verify", "--v", "1.86,-0.53", "--w", "2.17,-1.56", "--c0", "1.5"]
+    code, report = run(capsys, *argv, "--target-volume", "20")
+    assert code == 1
+    assert report["pass"] is False
+    assert not report["lower"] <= report["log_delta"] <= report["upper"]
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -324,6 +333,48 @@ def test_sphere_area_beyond_a_double_exits_two(tmp_path, capsys):
     a = write(tmp_path / "a.json", fiber)
     assert main(["delta", a, a]) == 2
     assert "sphere area" in capsys.readouterr().err
+
+
+def test_radial_set_below_dimension_two_without_directions_exits_two(tmp_path, capsys):
+    a = write(tmp_path / "a.json", {"dimension": 1, "radii": [1.0] * 64})
+    assert main(["delta", a, a]) == 2
+    assert capsys.readouterr().err == (
+        "error: dimension must lie in [2, 12] when directions are omitted, got 1\n"
+    )
+
+
+def form(f):
+    return {"weights": [1.0, 1.0], "half_dim": 2, "f": f}
+
+
+# inputs whose result overflows a double at the named site; each is rejected with exit 2
+OVERFLOWS = {
+    "w_alpha_volume": (["dcbm-forms", "@0", "@1"], [form([700, 0]), form([-700, 0])]),
+    "dcbm_forms_upper": (
+        ["dcbm-forms", "@0", "@1"],
+        [form([1e308, 1e308]), form([-1e308, -1e308])],
+    ),
+    "pullback": (
+        ["dcbm-forms", "@0", "@0", "--maps", "@1"],
+        [form([1e308, 1e308]), {"perm": [0, 1], "g": [1e308, 1e308]}],
+    ),
+    "hamiltonian_to_domain": (["ham2dom", "@0"], [[1e-310] + [1.0] * 63]),
+    "_radial_delta": (
+        ["delta", "@0", "@1"],
+        [{"dimension": 2, "radii": [r] * 64} for r in (1e308, 1e-308)],
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OVERFLOWS))
+def test_overflow_on_an_exit_two_path_prints_one_error_line(site, tmp_path, capsys):
+    command, payloads = OVERFLOWS[site]
+    paths = [write(tmp_path / f"{i}.json", payload) for i, payload in enumerate(payloads)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would print before the error line
+        assert main([fill(arg, paths, (), ()) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sphere_area_past_the_gamma_overflow_loads(tmp_path, capsys):

@@ -23,7 +23,7 @@ from cbmlab.errors import (
     PreconditionError,
     UnsupportedDomainError,
 )
-from cbmlab.starshape import DirectionGrid, RadialSet, ball, ball_of_capacity, scale
+from cbmlab.starshape import DirectionGrid, RadialSet, ball, scale
 
 GRID = DirectionGrid.uniform_circle(256)
 SEED = 55  # Philox key of this file's draws
@@ -39,7 +39,7 @@ def toric(fiber, label=""):
 
 class TestRescaleCover:
     def test_ball_capacity_quarters(self):
-        u = SplitToricDomain(2, ball_of_capacity(1.0, GRID), 0.5, "round")
+        u = SplitToricDomain(2, ball(math.sqrt(1.0 / math.pi), GRID), 0.5, "round")  # capacity 1
         shrunk = rescale_cover(u, 4)
         assert abs(math.pi * float(shrunk.fiber.radii[0]) ** 2 - 0.25) < 1e-15
         assert shrunk.cover == 4

@@ -43,7 +43,7 @@ class TestPullback:
         m = uniform_manifold()
         rng = item_rng(SEED, 0)
         alpha = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
-        same = pullback(alpha, ContactMapRep.identity(m))
+        same = pullback(alpha, ContactMapRep(m, np.arange(m.sites), np.zeros(m.sites)))
         assert np.array_equal(same.f, alpha.f)
 
     def test_identity_with_constant_factor_rescales(self):
@@ -63,7 +63,7 @@ class TestPullback:
 
     def test_manifold_mismatch(self):
         alpha = ContactFormRep(uniform_manifold(64), np.zeros(64))
-        other = ContactMapRep.identity(uniform_manifold(32))
+        other = ContactMapRep(uniform_manifold(32), np.arange(32), np.zeros(32))
         with pytest.raises(InvalidInputError):
             pullback(alpha, other)
 
@@ -120,7 +120,7 @@ class TestVolumes:
         rng = item_rng(SEED, 8)
         f1 = ContactFormRep(m, rng.uniform(-1, 0, m.sites))
         f2 = ContactFormRep(m, f1.f + rng.uniform(0, 1, m.sites))
-        assert f2.dominates(f1)
+        assert np.all(f1.f <= f2.f)
         assert w_alpha_volume(f1) <= w_alpha_volume(f2)
 
     def test_matches_brute_force_quadrature(self):
@@ -180,13 +180,7 @@ class TestConsistencyAndAxioms:
 
     def _rotation_group(self, m):
         n = m.sites
-        shift = np.roll(np.arange(n), 1)
-        maps = []
-        current = ContactMapRep.identity(m)
-        for _ in range(n):
-            maps.append(current)
-            current = current.compose(ContactMapRep(m, shift, np.zeros(n)))
-        return maps
+        return [ContactMapRep(m, np.roll(np.arange(n), k), np.zeros(n)) for k in range(n)]
 
     def test_pseudo_metric_axioms_over_rotation_group(self):
         m = uniform_manifold(sites=32)
@@ -214,17 +208,3 @@ class TestConsistencyAndAxioms:
         before = dcbm_forms_upper(f1, f2, group)
         after = dcbm_forms_upper(pullback(f1, mu), pullback(f2, mu), group)
         assert after == before
-
-    def test_map_group_structure(self):
-        m = random_manifold(item_rng(SEED, 17), sites=16)
-        rng = item_rng(SEED, 18)
-        a = ContactMapRep.measure_compatible(m, rng.permutation(m.sites))
-        b = ContactMapRep.measure_compatible(m, rng.permutation(m.sites))
-        ident = ContactMapRep.identity(m)
-        round_trip = a.compose(a.inverse())
-        assert np.array_equal(round_trip.perm, ident.perm)
-        assert np.allclose(round_trip.g, 0.0, atol=1e-15)
-        form = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
-        chained = pullback(pullback(form, a), b)
-        composed = pullback(form, a.compose(b))
-        assert np.allclose(chained.f, composed.f, atol=1e-14)

@@ -25,7 +25,6 @@ from cbmlab.ordered import (
     OrderedModel,
     OrderVariant,
     growth_distance,
-    is_dominant,
     min_power,
     rho_plus,
     rho_plus_primes,
@@ -34,6 +33,11 @@ from cbmlab.primes import PrimeTable, prime_table
 
 SEED = 1234  # Philox key of this file's draws
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def from_log(log_value):
+    """The multiplicative element of an exact natural log."""
+    return Element(ModelKind.MULTIPLICATIVE_REALS, float(log_value))
 
 
 def oracle_min_power(model, a, b, l, lo=-60, hi=60):
@@ -268,24 +272,32 @@ class TestOracle:
 class TestDominance:
     def test_small_positive_constant_is_dominant(self):
         m = OrderedModel.additive(4)
-        probes = [m.element([5, 7, 1, 3]), m.element([100, 0, 0, 0])]
-        assert is_dominant(m, m.element([0.1] * 4), probes)
+        a = m.element([0.1] * 4)
+        assert m.is_dominant_closed_form(a)
+        assert min_power(m, a, m.element([5, 7, 1, 3]), 1) == 70
+        assert min_power(m, a, m.element([100, 0, 0, 0]), 1) == 1000
 
     def test_zero_site_blocks_dominance(self):
         m = OrderedModel.additive(3)
-        assert not is_dominant(m, m.element([1.0, 0.0, 1.0]))
+        a = m.element([1.0, 0.0, 1.0])
+        assert not m.is_dominant_closed_form(a)
+        with pytest.raises(PreconditionError):
+            min_power(m, a, m.element([1.0, 1.0, 1.0]), 1)
 
     def test_multiplicative_below_one(self):
         m = OrderedModel.multiplicative()
-        assert not is_dominant(m, m.element(0.5))
+        a = m.element(0.5)
+        assert not m.is_dominant_closed_form(a)
+        with pytest.raises(PreconditionError):
+            min_power(m, a, m.element(2.0), 1)
 
     def test_probe_past_the_search_bound_raises(self):
         # the least power of a probe of ratio 2e12 passes the bound 10^12
         m = OrderedModel.additive(2)
         one = m.element([1.0, 1.0])
-        assert is_dominant(m, one, [m.element([5e11, 1.0])])
+        assert min_power(m, one, m.element([5e11, 1.0]), 1) == 5 * 10**11
         with pytest.raises(SearchBoundError) as err:
-            is_dominant(m, one, [m.element([2e12, 1.0])])
+            min_power(m, one, m.element([2e12, 1.0]), 1)
         assert err.value.bound == 10**12
 
 
@@ -303,7 +315,7 @@ class TestMinPower:
 
     def test_multiplicative_example(self):
         m = OrderedModel.multiplicative()
-        a, b = m.element_from_log(1.0), m.element_from_log(2.0)
+        a, b = from_log(1.0), from_log(2.0)
         assert oracle_min_power(m, a, b, 3) == 6
         assert min_power(m, a, b, 3) == 6
 
@@ -350,7 +362,7 @@ class TestMinPower:
 class TestRhoPlus:
     def test_multiplicative_closed_form_exact(self):
         m = OrderedModel.multiplicative()
-        a, b = m.element_from_log(1.0), m.element_from_log(2.0)
+        a, b = from_log(1.0), from_log(2.0)
         for l_max in (10, 100, 400):
             est = rho_plus(m, a, b, l_max)
             assert est.pair_infimum == 2.0
@@ -503,7 +515,7 @@ class TestBatchedSearch:
         # the rows ceil(l*p/q) of the certified bracket against the row-by-row search
         if kind == "multiplicative":
             m = OrderedModel.multiplicative(variant)
-            a, b = m.element_from_log(a_q[0] * QUANTUM), m.element_from_log(b_q[0] * QUANTUM)
+            a, b = from_log(a_q[0] * QUANTUM), from_log(b_q[0] * QUANTUM)
         else:
             m = OrderedModel.additive(4, variant)
             a, b = m.element(np.asarray(a_q) * QUANTUM), m.element(np.asarray(b_q) * QUANTUM)
@@ -663,9 +675,9 @@ class TestBatchedSearch:
     def test_seed_beyond_the_bound_raises_search_bound(self):
         m = OrderedModel.multiplicative()
         with pytest.raises(SearchBoundError):
-            rho_plus(m, m.element_from_log(1e-300), m.element_from_log(1.0), 10)
+            rho_plus(m, from_log(1e-300), from_log(1.0), 10)
         with pytest.raises(SearchBoundError):  # l * log b overflows to inf
-            rho_plus(m, m.element_from_log(1e-10), m.element_from_log(1e308), 10)
+            rho_plus(m, from_log(1e-10), from_log(1e308), 10)
 
 
 def reference_rho_plus_primes(model, a, b, prime_bound):
@@ -701,7 +713,7 @@ def captured_prime_windows(monkeypatch, table):
 class TestRhoPlusPrimes:
     def test_multiplicative_matches_brute_force(self):
         m = OrderedModel.multiplicative()
-        a, b = m.element_from_log(1.0), m.element_from_log(2.0)
+        a, b = from_log(1.0), from_log(2.0)
         value = rho_plus_primes(m, a, b, 10_000)
         assert value == oracle_prime_infimum(m, a, b, 10_000)
         assert 2.0 <= value <= 2.05
@@ -762,7 +774,7 @@ class TestRhoPlusPrimes:
     def test_array_pass_matches_the_per_prime_lists(self, kind, variant, sites, bound, logs, key):
         if kind == "multiplicative":
             m = OrderedModel.multiplicative(variant)
-            a, b = m.element_from_log(logs[0] * QUANTUM), m.element_from_log(logs[1] * QUANTUM)
+            a, b = from_log(logs[0] * QUANTUM), from_log(logs[1] * QUANTUM)
         else:
             rng = item_rng(key, 3)
             m = OrderedModel.additive(sites, variant)
@@ -815,7 +827,7 @@ class TestGrowthDistance:
 
     def test_multiplicative_anchor(self):
         m = OrderedModel.multiplicative()
-        report = growth_distance(m, m.element_from_log(1.0), m.element_from_log(2.0), 100)
+        report = growth_distance(m, from_log(1.0), from_log(2.0), 100)
         assert report.rho_plus == 2.0
         assert report.rho_minus == 0.5
         assert report.gamma == 2.0
@@ -833,7 +845,7 @@ class TestGrowthDistance:
     def test_prime_pairs_method(self):
         m = OrderedModel.multiplicative()
         report = growth_distance(
-            m, m.element_from_log(1.0), m.element_from_log(2.0), method=Method.PRIME_PAIRS
+            m, from_log(1.0), from_log(2.0), method=Method.PRIME_PAIRS
         )
         assert abs(report.gamma - 2.0) <= 0.05
 
@@ -848,7 +860,7 @@ class TestGrowthDistance:
         monkeypatch.setattr(PrimeTable, "__init__", lambda table, bound: builds.append(bound) or init(table, bound))
         prime_table.cache_clear()
         m = OrderedModel.multiplicative()
-        a, b = m.element_from_log(1.0), m.element_from_log(2.0)
+        a, b = from_log(1.0), from_log(2.0)
         reports = [growth_distance(m, a, b, method=Method.PRIME_PAIRS, prime_bound=5000) for _ in range(2)]
         assert builds == [5000]
         assert reports[0] == reports[1]

@@ -17,13 +17,13 @@ def test_sieve_matches_naive():
     for n in (0, 1, 2, 200):
         table = PrimeTable(n)
         assert table.primes.tolist() == naive_primes(n)
-        assert [m for m in range(-3, n + 4) if table.is_prime(m)] == naive_primes(n)
+        assert [m for m in range(-3, n + 4) if table.first_prime_in(m, m) == m] == naive_primes(n)
 
 
 def test_prime_table_lookups():
     table = PrimeTable(10_000)
-    assert table.is_prime(9973)
-    assert not table.is_prime(9999)
+    assert table.first_prime_in(9973, 9973) == 9973
+    assert table.first_prime_in(9999, 9999) is None
     assert table.first_prime_in(9948, 10_000) == 9949
     assert table.first_prime_in(9974, 10_006) is None  # next prime is 10007, beyond bound
     assert table.first_prime_in(0, 2) == 2
