@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -374,6 +375,8 @@ def run_acceptance(
         raise InvalidInputError(f"seed must lie in [0, 2^63 - 1], got {seed}")
     if l_max < 1:
         raise InvalidInputError(f"l_max must be a positive integer, got {l_max}")
+    if l_max > sys.float_info.max:  # the items' tolerances divide by it
+        raise InvalidInputError("l_max must be representable as a double")
     if not 2 <= prime_bound <= MAX_PRIME_BOUND:
         raise InvalidInputError(
             f"prime bound must lie in [2, {MAX_PRIME_BOUND}], got {prime_bound}"

@@ -372,6 +372,8 @@ def growth_distance(
     """Distance between two dominants: ln of the larger relative growth rate."""
     if l_max < 1:  # the product check's tolerance 2/l_max needs it under every method
         raise InvalidInputError("l_max must be a positive integer")
+    if l_max > sys.float_info.max:
+        raise InvalidInputError("l_max must be representable as a double")
     for name, e in (("a", a), ("b", b)):
         if not model.is_dominant_closed_form(e):
             raise PreconditionError(f"growth_distance requires dominant inputs; {name} is not")

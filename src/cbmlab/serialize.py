@@ -98,6 +98,13 @@ def _number(value: Any, name: str) -> float:
     return float(value)
 
 
+def _string(value: Any, name: str) -> str:
+    """A string field: null, a number or a boolean is rejected, not printed as text."""
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{name} must be a string, not {type(value).__name__}")
+    return value
+
+
 def _array(value: Any, name: str, integer: bool = False) -> np.ndarray:
     """A JSON array of numbers, read as floats, or as integers if ``integer``.
 
@@ -169,7 +176,7 @@ def domain_from_dict(data: dict) -> SplitToricDomain:
             base_dim=_integer(data["base_dim"], "base_dim"),
             fiber=radial_set_from_dict(data["fiber"]),
             liouville_weight=_number(data.get("liouville_weight", 1.0), "liouville_weight"),
-            label=str(data.get("label", "")),
+            label=_string(data.get("label", ""), "label"),
             cover=_integer(data.get("cover", 1), "cover"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

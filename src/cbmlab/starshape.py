@@ -28,22 +28,6 @@ _UNIT_TOL = 1e-12
 _FAN = 48  # fan angles on each side of a spoke
 
 
-def sphere_area(dimension: int) -> float:
-    """Surface area of the unit sphere in R^dimension, while it is a normal double.
-
-    Past dimension 343, where gamma(dimension/2) overflows, the area comes
-    from lgamma; it underflows from dimension 439 on, which is rejected.
-    """
-    half = dimension / 2.0
-    try:
-        return 2.0 * math.pi**half / math.gamma(half)
-    except OverflowError:
-        area = 2.0 * math.exp(half * math.log(math.pi) - math.lgamma(half))
-    if area < sys.float_info.min:
-        raise InvalidInputError(f"sphere area in dimension {dimension} underflows a double")
-    return area
-
-
 def _uniform_angles(count: int) -> np.ndarray:
     """count equally spaced polar angles from 0, for 0 <= count <= MAX_GRID_COUNT."""
     if not 0 <= count <= MAX_GRID_COUNT:
@@ -62,26 +46,13 @@ def _halton(index: np.ndarray, base: int) -> np.ndarray:
     return result
 
 
-def _half_gap_weights(sorted_angles: np.ndarray) -> np.ndarray:
-    """Half of each neighbouring gap of sorted polar angles, around the circle."""
-    gaps = np.diff(sorted_angles, append=sorted_angles[:1] + 2.0 * math.pi)
-    return 0.5 * (gaps + np.roll(gaps, 1))
-
-
-def _equal_weights(dimension: int, count: int) -> np.ndarray:
-    """Equal weights summing to the sphere area, for near-uniform samples."""
-    if count < MIN_GRID_COUNT:
-        raise InvalidInputError(f"direction grids need at least {MIN_GRID_COUNT} directions")
-    return np.full(count, sphere_area(dimension) / count)
-
-
 @dataclass(frozen=True, eq=False)
 class DirectionGrid:
-    """Unit directions with quadrature weights summing to the sphere area."""
+    """At least MIN_GRID_COUNT unit directions in R^dimension, the shared
+    sample points of radial sets; every factory drops or rejects duplicates."""
 
     dimension: int
     directions: np.ndarray
-    weights: np.ndarray
     angles: np.ndarray | None = None  # polar angles, 2-d grids only
 
     def __post_init__(self):
@@ -93,9 +64,7 @@ class DirectionGrid:
         # written so that NaN fails both checks
         if not np.max(np.abs(norms - 1.0)) <= _UNIT_TOL:
             raise InvalidInputError("directions must be unit vectors")
-        if self.weights.shape != (self.count,) or not np.all(self.weights > 0):
-            raise InvalidInputError("weights must be positive, one per direction")
-        for arr in (self.directions, self.weights) + (() if self.angles is None else (self.angles,)):
+        for arr in (self.directions,) + (() if self.angles is None else (self.angles,)):
             arr.flags.writeable = False
 
     @property
@@ -108,36 +77,32 @@ class DirectionGrid:
 
     @staticmethod
     def from_angles(angles: Sequence[float]) -> "DirectionGrid":
-        """2-d grid at the given polar angles, sorted and deduplicated; weights
-        are the half-gap arcs."""
+        """2-d grid at the given polar angles, sorted and deduplicated."""
         ang = np.unique(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
         directions = np.column_stack([np.cos(ang), np.sin(ang)])
         # cos/sin round to norms within an ulp of 1; renormalize exactly
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return DirectionGrid(2, directions, _half_gap_weights(ang), ang)
+        return DirectionGrid(2, directions, ang)
 
     @staticmethod
     def from_directions(directions) -> "DirectionGrid":
-        """Grid on the given unit directions, kept in the caller's order.
-
-        Planar grids weight each direction by its half-gap arc among the
-        sorted angles and reject duplicate angles; other dimensions weight
-        every direction equally.
-        """
+        """Grid on the given unit directions, kept in the caller's order;
+        duplicate directions are rejected, in the plane as equal polar angles."""
         directions = np.array(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] < 1:
             raise InvalidInputError("directions must be a (count, dimension) matrix")
-        count, dimension = directions.shape
-        if dimension != 2:
-            return DirectionGrid(dimension, directions, _equal_weights(dimension, count))
-        angles = np.mod(np.arctan2(directions[:, 1], directions[:, 0]), 2.0 * math.pi)
-        order = np.argsort(angles, kind="stable")
-        sorted_angles = angles[order]
-        if np.any(np.diff(sorted_angles) == 0.0):
+        dimension = directions.shape[1]
+        if dimension == 2:
+            angles = np.mod(np.arctan2(directions[:, 1], directions[:, 0]), 2.0 * math.pi)
+            duplicate = np.any(np.diff(np.sort(angles)) == 0.0)
+        else:
+            # equal rows are adjacent once sorted; NaN rows never compare equal
+            angles = None
+            rows = directions[np.lexsort(directions.T)]
+            duplicate = np.any(np.all(rows[1:] == rows[:-1], axis=1))
+        if duplicate:
             raise InvalidInputError("duplicate directions")
-        weights = np.empty(count)
-        weights[order] = _half_gap_weights(sorted_angles)
-        return DirectionGrid(2, directions, weights, angles)
+        return DirectionGrid(dimension, directions, angles)
 
     @staticmethod
     def sphere(count: int = DEFAULT_GRID_COUNT, dimension: int = 3) -> "DirectionGrid":
@@ -145,7 +110,7 @@ class DirectionGrid:
         if dimension < 3:
             raise InvalidInputError("use uniform_circle / from_angles for dimension 2")
         if dimension == 3:
-            # Fibonacci spiral: near-uniform, equal weights
+            # Fibonacci spiral: near-uniform
             i = np.arange(count)
             z = 1.0 - (2.0 * i + 1.0) / count
             phi = math.pi * (1.0 + math.sqrt(5.0)) * i
@@ -163,7 +128,7 @@ class DirectionGrid:
             gauss = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
             directions = gauss / np.linalg.norm(gauss, axis=1)[:, None]
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return DirectionGrid(dimension, directions, _equal_weights(dimension, count))
+        return DirectionGrid(dimension, directions)
 
     def matches(self, other: "DirectionGrid") -> bool:
         return self is other or (
@@ -446,9 +411,10 @@ def qi_verify(
     """Compare ln delta of two skeleton regions with the sup-norm of v - w.
 
     Both regions are sampled at one array of angles, reduced mod 2 pi: the
-    uniform base, the spoke directions and each spec's width fans, so the
-    extremal radial ratios are hit exactly. A max over those angles depends
-    neither on their order nor on repeats, so no grid is sorted or built.
+    uniform base, the spoke directions and each spec's width fans. ln delta
+    is the maximum over those samples, so it can fall short of the value of
+    the continuous regions. A max over those angles depends neither on their
+    order nor on repeats, so no grid is sorted or built.
     """
     if not 0.0 < c1 < math.inf:
         raise InvalidInputError("width-correction constant c1 must be finite and positive")

@@ -245,8 +245,10 @@ FORM = {"sites": 4, "weights": [1.0] * 4, "half_dim": 2, "f": [0.0] * 4}
         ("dcbm-toric", DOMAIN, "liouville_weight", "1"),
         ("dcbm-forms", FORM, "half_dim", 1.5),
         ("dcbm-forms", FORM, "sites", 4.7),
+        ("dcbm-toric", DOMAIN, "label", None),  # str() printed these as "None" and "True"
+        ("dcbm-toric", DOMAIN, "label", True),
     ],
-    ids=["dimension", "base_dim", "cover", "liouville_weight", "half_dim", "sites"],
+    ids=["dimension", "base_dim", "cover", "liouville_weight", "half_dim", "sites", "label-null", "label-true"],
 )
 def test_integer_and_number_fields_are_not_coerced(command, payload, field, value, tmp_path, capsys):
     good = write(tmp_path / "good.json", payload)
@@ -326,13 +328,21 @@ def test_half_dim_beyond_a_double_exits_two(tmp_path, capsys):
     assert "half dimension" in capsys.readouterr().err
 
 
-def test_sphere_area_beyond_a_double_exits_two(tmp_path, capsys):
-    # the area underflows a normal double from dimension 439; 64 basis vectors
-    # pass the grid's direction floor
+def test_radial_set_of_dimension_439_loads(tmp_path, capsys):
+    # no dimension cap; 64 basis vectors pass the grid's direction floor
     fiber = {"dimension": 439, "radii": [1.0] * 64, "directions": np.eye(64, 439).tolist()}
     a = write(tmp_path / "a.json", fiber)
+    code, report = run(capsys, "delta", a, a)
+    assert code == 0
+    assert report["delta"] == 1.0
+
+
+def test_repeated_directions_exit_two(tmp_path, capsys):
+    # one direction with two radii; the planar check compares polar angles
+    fiber = {"dimension": 3, "directions": [[1.0, 0.0, 0.0]] * 64, "radii": [1.0] * 63 + [2.0]}
+    a = write(tmp_path / "a.json", fiber)
     assert main(["delta", a, a]) == 2
-    assert "sphere area" in capsys.readouterr().err
+    assert "duplicate directions" in capsys.readouterr().err
 
 
 def test_radial_set_below_dimension_two_without_directions_exits_two(tmp_path, capsys):
@@ -378,7 +388,7 @@ def test_overflow_on_an_exit_two_path_prints_one_error_line(site, tmp_path, caps
 
 
 def test_sphere_area_past_the_gamma_overflow_loads(tmp_path, capsys):
-    # gamma(200) overflows, but the area in dimension 400 is a normal double
+    # gamma(200) overflows a double; a radial set in dimension 400 still loads
     fiber = {"dimension": 400, "radii": [1.0] * 64, "directions": np.eye(64, 400).tolist()}
     a = write(tmp_path / "a.json", fiber)
     code, report = run(capsys, "delta", a, a)
@@ -436,6 +446,7 @@ def test_skeleton_and_qi_verify_flags_out_of_range_exit_two(argv, message, capsy
         ("--prime-bound", str(10**8 + 1)),
         ("--prime-bound", "1"),
         ("--l-max", "0"),
+        pytest.param("--l-max", str(10**400), id="--l-max-10^400"),  # the items divide by it
         # Philox keys are exact only for seeds in [0, 2^63 - 1]
         ("--seed", str(2**64)),
         ("--seed", str(2**64 - 1)),
@@ -470,6 +481,13 @@ def test_prime_pairs_with_a_non_positive_l_max_exits_two(tmp_path, capsys):
     for l_max in ("0", "-1"):
         assert main(["growth", a, b, "--method", "prime-pairs", "--l-max", l_max]) == 2
     assert capsys.readouterr().err.count("l_max") == 2
+
+
+def test_l_max_past_the_float_range_exits_two(tmp_path, capsys):
+    # the product check divides by l_max as a double
+    a, b = growth_files(tmp_path)
+    assert main(["growth", a, b, "--method", "prime-pairs", "--l-max", str(10**400)]) == 2
+    assert "l_max must be representable as a double" in capsys.readouterr().err
 
 
 def test_l_max_with_exponents_inside_the_search_bound(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ from cbmlab.starshape import (
     scale_pow,
     skeleton_angles,
     skeleton_region,
-    sphere_area,
 )
 
 GRID = DirectionGrid.uniform_circle(1024)
@@ -36,9 +34,19 @@ SEED = 99  # Philox key of this file's draws
 
 
 def polar_volume(a):
-    """Reference polar quadrature (1/n) * sum r_i^n w_i over the direction grid."""
-    n = a.grid.dimension
-    return float(np.sum(a.radii**n * a.grid.weights) / n)
+    """Reference polar quadrature (1/n) * sum r_i^n w_i over the direction grid:
+    w_i is the half-gap arc of the sorted angles on planar grids and the
+    equal weight (sphere area) / count on the sphere samples of dimension <= 4."""
+    grid, n = a.grid, a.grid.dimension
+    if n == 2:
+        order = np.argsort(grid.angles, kind="stable")
+        sorted_angles = grid.angles[order]
+        gaps = np.diff(sorted_angles, append=sorted_angles[:1] + 2.0 * math.pi)
+        weights = np.empty(grid.count)
+        weights[order] = 0.5 * (gaps + np.roll(gaps, 1))
+    else:
+        weights = np.full(grid.count, 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) / grid.count)
+    return float(np.sum(a.radii**n * weights) / n)
 
 
 def lshape_exact(x):
@@ -67,42 +75,35 @@ class TestGrids:
             with pytest.raises(InvalidInputError, match="grid count"):
                 skeleton_region(spec, base_count=count)
 
-    def test_sphere_area_past_the_gamma_overflow(self):
-        # gamma(d/2) overflows from d = 344; the lgamma form must continue the
-        # recurrence A(d + 2) = 2 pi A(d) / d until the area leaves the normal doubles
-        assert sphere_area(343) == 2.0 * math.pi**171.5 / math.gamma(171.5)
-        with pytest.raises(OverflowError):
-            math.gamma(172.0)
-        for d in (344, 438):
-            assert sphere_area(d) == pytest.approx(2.0 * math.pi * sphere_area(d - 2) / (d - 2), rel=1e-12)
-        assert sphere_area(438) >= sys.float_info.min
-        with pytest.raises(InvalidInputError, match="underflows"):
-            sphere_area(439)
-
-    def test_weights_cover_circle(self):
-        assert abs(float(np.sum(GRID.weights)) - 2 * math.pi) < 1e-12
-
-    def test_sphere_weights_cover_sphere(self):
-        grid = DirectionGrid.sphere(512, 3)
-        assert abs(float(np.sum(grid.weights)) - 4 * math.pi) < 1e-9
-
     def test_from_directions_keeps_the_callers_order(self):
         perm = item_rng(SEED, 12).permutation(GRID.count)
         grid = DirectionGrid.from_directions(GRID.directions[perm])
         assert np.array_equal(grid.directions, GRID.directions[perm])
-        # planar weights are the half-gap arcs of the sorted angles, scattered back
-        order = np.argsort(grid.angles, kind="stable")
-        assert np.array_equal(grid.weights[order], DirectionGrid.from_angles(grid.angles).weights)
+        # GRID's angles increase, so the given rows' angles sort as perm does
+        assert np.array_equal(np.argsort(grid.angles), np.argsort(perm))
         sphere = DirectionGrid.sphere(256, 3)
         grid3 = DirectionGrid.from_directions(sphere.directions[::-1])
-        assert np.array_equal(grid3.weights, sphere.weights)  # equal weights, area / count
+        assert np.array_equal(grid3.directions, sphere.directions[::-1])
+        assert grid3.angles is None
 
     def test_from_directions_rejects_bad_grids(self):
         doubled = np.concatenate([GRID.directions, GRID.directions[:1]])
-        few = DirectionGrid.sphere(256, 3).directions[:8]
+        sphere = DirectionGrid.sphere(256, 3).directions
+        few = sphere[:8]
         for directions in (doubled, GRID.directions[0], np.zeros((64, 0)), few):
             with pytest.raises(InvalidInputError):
                 DirectionGrid.from_directions(directions)
+        # equal rows give one direction two radii in every dimension
+        wide = np.eye(64, 439)
+        for directions in (
+            [[1.0, 0.0, 0.0]] * 64,
+            np.concatenate([sphere, sphere[7:8]]),
+            np.concatenate([sphere[:62], [[0.0, 1.0, 0.0], [-0.0, 1.0, 0.0]]]),  # equal, not bytewise
+            wide[[*range(64), 5]],
+        ):
+            with pytest.raises(InvalidInputError, match="duplicate directions"):
+                DirectionGrid.from_directions(directions)
+        assert DirectionGrid.from_directions(wide).count == 64
 
     def test_unit_ball_volumes(self):
         assert abs(polar_volume(ball(1.0, GRID)) - math.pi) / math.pi < 0.005
@@ -383,10 +384,7 @@ def _reference_qi_verify(v, w, c0=10.0, target_volume=1.0, tol=1e-2, c1=1.5, bas
 
 
 def _region_bytes(region):
-    grid = region.grid
-    return dumps_report(
-        {"set": radial_set_to_dict(region), "weights": grid.weights, "angles": grid.angles}
-    )
+    return dumps_report({"set": radial_set_to_dict(region), "angles": region.grid.angles})
 
 
 spoke_vectors = st.integers(1, 9).flatmap(

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import cbmlab
 from cbmlab import acceptance
+from test_acceptance import SEED7_REPORT_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(cbmlab.__file__).parent
 MUTANTS = ROOT / "tools" / "mutants.py"
-SPANS = ROOT / "bench" / "spans.py"
+BENCH = ROOT / "bench"
+SPANS = BENCH / "spans.py"
 # every InvariantViolation cross-check, as (module, message up to its first
 # placeholder); dropping or adding one means editing this pin
 INVARIANT_CHECKS = [
@@ -114,3 +116,9 @@ def test_every_traced_name_resolves():
         else:
             assert callable(getattr(module, attr, None))
     assert spans.ACCEPTANCE_ITEMS == [name for name, _ in acceptance.ITEMS]
+
+
+def test_the_benchmark_pins_the_seed7_report(monkeypatch):
+    # bench/run.py checks each accept run against its own copy of the pin
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports its sibling modules
+    assert load(BENCH / "run.py").ACCEPT_SEED7 == (1627, SEED7_REPORT_SHA256)
