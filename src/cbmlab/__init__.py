@@ -15,7 +15,6 @@ from .errors import (
     PreconditionError,
     PrimePairError,
     SearchBoundError,
-    UnsupportedDomainError,
 )
 from .ordered import (
     Element,
@@ -43,7 +42,6 @@ from .starshape import (
     lshape_array,
     qi_verify,
     scale,
-    scale_pow,
     skeleton_region,
 )
 from .domains import (

@@ -1,74 +1,62 @@
-"""Split toric contact domains: covering rescales, toric shape invariants,
-certified distance bounds, squeezability certificates, and the bridge from
-positive autonomous Hamiltonians to fiberwise star-shaped domains."""
+"""Split toric contact domains, the star-shaped domains of T^*T^n x S^1:
+covering rescales, toric shape invariants, certified distance bounds,
+squeezability certificates, and the bridge from positive autonomous
+Hamiltonians to fiberwise star-shaped domains."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    InvariantViolation,
-    PreconditionError,
-    UnsupportedDomainError,
-)
+from .errors import InvalidInputError, InvariantViolation, PreconditionError
 from .ordered import DEFAULT_L_MAX, Method, OrderedModel, OrderVariant, growth_distance
-from .starshape import DirectionGrid, RadialSet, log_delta, scale_pow
-
-TORIC_WEIGHT = 1.0  # cotangent-fiber Liouville weight
+from .starshape import DirectionGrid, RadialSet, log_delta, scale
 
 
 @dataclass(frozen=True, eq=False)
 class SplitToricDomain:
-    """T^n x fiber x S^1 with a Liouville scaling weight.
+    """T^n x fiber x S^1 inside T^*T^n x S^1, the fiber a star-shaped subset
+    of the cotangent fibers R^n.
 
     ``cover`` is bookkeeping for how many times the circle factor has been
     unrolled by covering rescales; for split domains it never affects
-    containment.
+    containment. ``_origin`` is the fiber and cover that a chain of
+    ``rescale_cover`` calls started from; any other construction, including
+    ``dataclasses.replace``, starts a new chain.
     """
 
     base_dim: int
     fiber: RadialSet
-    liouville_weight: float = TORIC_WEIGHT
     label: str = ""
     cover: int = 1
+    _origin: tuple[RadialSet, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.base_dim < 1:
             raise InvalidInputError("base dimension must be >= 1")
-        if not (0.0 < self.liouville_weight <= 1.0):
-            raise InvalidInputError("liouville weight must lie in (0, 1]")
         if self.cover < 1:
             raise InvalidInputError("cover index must be a positive integer")
 
-    @property
-    def is_toric(self) -> bool:
-        return self.liouville_weight == TORIC_WEIGHT
-
 
 def rescale_cover(domain: SplitToricDomain, k: int) -> SplitToricDomain:
-    """Covering rescale: fiber shrunk by k^(-weight), circle unrolled k times."""
+    """Covering rescale: fiber divided by k, circle unrolled k times.
+
+    The fiber is recomputed from the one its ``rescale_cover`` chain started
+    from, so rescaling by k then m is bit-identical to rescaling by k*m.
+    """
     if k < 1:
         raise InvalidInputError("covering index k must be a positive integer")
-    return replace(
-        domain,
-        fiber=scale_pow(domain.fiber, k, domain.liouville_weight),
-        cover=domain.cover * k,
-    )
+    origin, start = domain._origin or (domain.fiber, domain.cover)
+    cover = domain.cover * k
+    rescaled = replace(domain, fiber=scale(origin, 1.0 / (cover // start)), cover=cover)
+    object.__setattr__(rescaled, "_origin", (origin, start))
+    return rescaled
 
 
 def csh(domain: SplitToricDomain) -> RadialSet:
-    """Toric contact shape invariant: exactly the fiber.
-
-    Valid only for torus-based split domains, where exact Lagrangian tori
-    realize every fiber point and nothing else.
-    """
-    if not domain.is_toric:
-        raise UnsupportedDomainError(
-            "shape invariant closed form requires a torus base (liouville weight 1)"
-        )
+    """Toric contact shape invariant: exactly the fiber, since exact
+    Lagrangian tori realize every fiber point and nothing else."""
     return domain.fiber
 
 
@@ -96,15 +84,6 @@ class BoundInterval:
         }
 
 
-def _check_toric_pair(u: SplitToricDomain, v: SplitToricDomain) -> None:
-    if u.base_dim != v.base_dim:
-        raise InvalidInputError("base dimensions differ")
-    if u.liouville_weight != v.liouville_weight:
-        raise InvalidInputError("liouville weights differ")
-    if not u.is_toric:
-        raise UnsupportedDomainError("certified bounds require torus-based domains")
-
-
 def dcbm_toric(u: SplitToricDomain, v: SplitToricDomain) -> BoundInterval:
     """Certified bracket for the covering-rescale distance of toric domains.
 
@@ -114,7 +93,8 @@ def dcbm_toric(u: SplitToricDomain, v: SplitToricDomain) -> BoundInterval:
     sup(rU/rV) and rationals approach that supremum from above. No independent
     upper witness (an explicit pair (k, l) checked on the grid) is computed.
     """
-    _check_toric_pair(u, v)
+    if u.base_dim != v.base_dim:
+        raise InvalidInputError("base dimensions differ")
     value = log_delta(csh(u), csh(v))
     return BoundInterval(
         lower=value,
@@ -171,16 +151,12 @@ class SqueezabilityVerdict:
 
 
 def is_squeezable_toric(domain: SplitToricDomain) -> SqueezabilityVerdict:
-    """Squeezability certificate for torus-based split domains: always no.
+    """Squeezability certificate for split toric domains: always no.
 
     Squeezing a coarser covering rescale into a finer one would shrink the
     fiber invariant into a strictly smaller scaling of itself, impossible
     for a bounded set with 0 in its interior.
     """
-    if not domain.is_toric:
-        raise UnsupportedDomainError(
-            "squeezability certificate covers only torus-based domains"
-        )
     r_min = float(np.min(domain.fiber.radii))
     r_max = float(np.max(domain.fiber.radii))
     certificate = (
@@ -216,12 +192,7 @@ class HamiltonianDomain:
         return 1.0 / self.m_plus
 
     def as_domain(self, label: str = "") -> SplitToricDomain:
-        return SplitToricDomain(
-            base_dim=self.fiber.grid.dimension,
-            fiber=self.fiber,
-            liouville_weight=TORIC_WEIGHT,
-            label=label,
-        )
+        return SplitToricDomain(self.fiber.grid.dimension, self.fiber, label)
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,14 +234,6 @@ class RgrCbmReport:
     d_cbm: float
     gap: float
     tol: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d_order": self.d_order,
-            "d_cbm": self.d_cbm,
-            "gap": self.gap,
-            "tol": self.tol,
-        }
 
 
 def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:

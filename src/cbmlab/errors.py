@@ -29,9 +29,5 @@ class PrimePairError(CbmlabError):
         super().__init__(f"no prime ordering pair found with entries <= {prime_bound}")
 
 
-class UnsupportedDomainError(CbmlabError):
-    """The operation's closed form is only valid for torus-based split domains."""
-
-
 class InvariantViolation(CbmlabError):
     """A mathematically guaranteed relation failed numerically (build bug)."""

@@ -163,7 +163,6 @@ def radial_set_from_dict(data: dict) -> RadialSet:
 def domain_to_dict(d: SplitToricDomain) -> dict:
     return {
         "base_dim": d.base_dim,
-        "liouville_weight": d.liouville_weight,
         "fiber": radial_set_to_dict(d.fiber),
         "label": d.label,
         "cover": d.cover,
@@ -171,11 +170,15 @@ def domain_to_dict(d: SplitToricDomain) -> dict:
 
 
 def domain_from_dict(data: dict) -> SplitToricDomain:
+    """A split toric domain; an optional ``liouville_weight`` must be 1, the
+    weight of the cotangent fibers of a torus."""
     try:
+        base_dim = _integer(data["base_dim"], "base_dim")
+        if _number(data.get("liouville_weight", 1), "liouville_weight") != 1:
+            raise InvalidInputError("liouville_weight must be 1: split domains are toric")
         return SplitToricDomain(
-            base_dim=_integer(data["base_dim"], "base_dim"),
+            base_dim=base_dim,
             fiber=radial_set_from_dict(data["fiber"]),
-            liouville_weight=_number(data.get("liouville_weight", 1.0), "liouville_weight"),
             label=_string(data.get("label", ""), "label"),
             cover=_integer(data.get("cover", 1), "cover"),
         )

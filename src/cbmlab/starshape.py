@@ -1,7 +1,7 @@
 """Star-shaped subsets of R^n about the origin, sampled as radial functions.
 
-Carries the containment distance delta, scaling/covering rescales, and the
-spoke-skeleton construction used by the quasi-isometric embedding harness.
+Carries the containment distance delta, scaling, and the spoke-skeleton
+construction used by the quasi-isometric embedding harness.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,9 @@ _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_SPHERE_DIMENSION = len(_HALTON_BASES)
 _UNIT_TOL = 1e-12
 _FAN = 48  # fan angles on each side of a spoke
+# most (sample angle, spoke) pairs in one skeleton's trig arrays; checked
+# before they are allocated
+MAX_SPOKE_SAMPLES = 2**24
 
 
 def _uniform_angles(count: int) -> np.ndarray:
@@ -141,18 +144,10 @@ class DirectionGrid:
 @dataclass(frozen=True, eq=False)
 class RadialSet:
     """Bounded star-shaped set with 0 in its interior, given by radial samples
-    on a direction grid: every radius is positive and finite.
-
-    The private scale fields remember the original radii of a covering
-    rescale chain so that rescaling by k then m is bit-identical to
-    rescaling by k*m.
-    """
+    on a direction grid: every radius is positive and finite."""
 
     grid: DirectionGrid
     radii: np.ndarray
-    _scale_base: np.ndarray | None = field(default=None, repr=False)
-    _scale_k: int = field(default=1, repr=False)
-    _scale_lam: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
         radii = np.array(self.radii, dtype=float)
@@ -197,34 +192,6 @@ def scale(a: RadialSet, c: float) -> RadialSet:
     if not (c > 0) or not math.isfinite(c):
         raise InvalidInputError("scale factor must be a finite positive real")
     return RadialSet(a.grid, a.radii * c)
-
-
-def _pow_factor(k: int, lam: float) -> float:
-    # reciprocal for weight 1 keeps covering rescales bit-compatible with scale(1/k)
-    return 1.0 / k if lam == 1.0 else float(k) ** (-lam)
-
-
-def scale_pow(a: RadialSet, k: int, lam: float) -> RadialSet:
-    """Covering rescale of the radial data: radii multiplied by k^(-lam).
-
-    Chained calls with the same weight recompute from the original radii so
-    composition over k then m equals a single rescale by k*m exactly.
-    """
-    if k < 1:
-        raise InvalidInputError("covering index k must be a positive integer")
-    if not (0.0 < lam <= 1.0):
-        raise InvalidInputError("liouville weight must lie in (0, 1]")
-    if a._scale_base is not None and a._scale_lam == lam:
-        base, k_total = a._scale_base, a._scale_k * k
-    else:
-        base, k_total = a.radii, k
-    return RadialSet(
-        a.grid,
-        base * _pow_factor(k_total, lam),
-        _scale_base=base,
-        _scale_k=k_total,
-        _scale_lam=lam,
-    )
 
 
 def ball(radius: float, grid: DirectionGrid) -> RadialSet:
@@ -308,7 +275,12 @@ class SkeletonSpec:
 def _spoke_trig(spec: SkeletonSpec, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and |sin| of each angle's offset from each spoke direction, as
     (angles, spokes) arrays; they depend on the spoke count only, so specs of
-    equal length share them."""
+    equal length share them. More than MAX_SPOKE_SAMPLES entries are rejected."""
+    if angles.size * spec.v.size > MAX_SPOKE_SAMPLES:
+        raise InvalidInputError(
+            f"{angles.size} sample angles x {spec.v.size} spokes exceed the cap of "
+            f"{MAX_SPOKE_SAMPLES} trig samples; use fewer spokes or a smaller grid"
+        )
     d = angles[:, None] - spec.spoke_angles[None, :]
     return np.cos(d), np.abs(np.sin(d))
 

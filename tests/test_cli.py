@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -134,6 +135,18 @@ def test_csh_and_squeezable(tmp_path, capsys):
     assert code == 0
     assert report["squeezable"] is False
     assert "contradiction" in report["certificate"]
+
+
+@pytest.mark.parametrize("command", ["csh", "dcbm-toric", "squeezable"])
+def test_only_toric_domains_load(command, tmp_path, capsys):
+    # liouville_weight is optional, and a weight other than 1 is not a split toric domain
+    toric = {key: value for key, value in DOMAIN.items() if key != "liouville_weight"}
+    for weight, code in [(None, 0), (1, 0), (0.5, 2), (0, 2), (1.5, 2)]:
+        payload = toric if weight is None else {**toric, "liouville_weight": weight}
+        u = write(tmp_path / "u.json", payload)
+        assert main([command] + [u] * (2 if command == "dcbm-toric" else 1)) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == (["error"] if code else [])
 
 
 def test_dcbm_forms_pinch(tmp_path, capsys):
@@ -414,6 +427,29 @@ def test_prime_bound_past_the_table_cap_exits_two(tmp_path, capsys):
 def test_skeleton_grid_past_the_cap_exits_two(capsys):
     assert main(["skeleton", "--v", "1,1,1,1", "--grid", str(10**20)]) == 2
     assert "grid count" in capsys.readouterr().err
+
+
+def limit_address_space():
+    # an allocation past the cap then fails at once instead of filling the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+@pytest.mark.parametrize("command, spokes", [("qi-verify", 1_000), ("skeleton", 20_000)])
+def test_spokes_past_the_trig_sample_cap_exit_two(command, spokes):
+    # the trig arrays hold (sample angles) x (spokes) entries, and there are
+    # about 100 to 200 sample angles per spoke
+    zeros = ",".join(["0"] * spokes)
+    argv = [command, "--v", zeros] + (["--w", zeros] if command == "qi-verify" else [])
+    run = subprocess.run(
+        [sys.executable, "-m", "cbmlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=limit_address_space,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert "trig samples" in run.stderr
 
 
 @pytest.mark.parametrize(

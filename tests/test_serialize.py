@@ -162,7 +162,7 @@ def test_float_arrays_past_the_float_range_are_rejected():
 
 
 def test_domain_round_trip():
-    domain = SplitToricDomain(2, sample_set(), 1.0, "test-domain", cover=3)
+    domain = SplitToricDomain(2, sample_set(), "test-domain", cover=3)
     payload = dumps_report(domain_to_dict(domain))
     reparsed = domain_from_dict(json.loads(payload))
     assert reparsed.label == "test-domain"

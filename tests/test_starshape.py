@@ -24,7 +24,6 @@ from cbmlab.starshape import (
     lshape_array,
     qi_verify,
     scale,
-    scale_pow,
     skeleton_angles,
     skeleton_region,
 )
@@ -150,30 +149,6 @@ class TestDelta:
             a, b, c = (random_set(rng) for _ in range(3))
             assert delta(a, b) == delta(b, a)
             assert delta(a, c) <= delta(a, b) * delta(b, c) * (1 + 1e-12)
-
-
-class TestScaling:
-    def test_capacity_quarter(self):
-        # round fiber of capacity R, weight 1/2, covering index 4
-        a = ball(math.sqrt(1.0 / math.pi), GRID)
-        shrunk = scale_pow(a, 4, 0.5)
-        capacity = math.pi * float(shrunk.radii[0]) ** 2
-        assert abs(capacity - 0.25) < 1e-15
-
-    def test_identity_rescale(self):
-        a = random_set(item_rng(SEED, 4))
-        assert np.array_equal(scale_pow(a, 1, 0.5).radii, a.radii)
-
-    def test_weight_one_is_plain_division(self):
-        a = random_set(item_rng(SEED, 5))
-        assert np.array_equal(scale_pow(a, 3, 1.0).radii, scale(a, 1.0 / 3.0).radii)
-
-    def test_rescale_composition_exact(self):
-        a = random_set(item_rng(SEED, 6))
-        for lam in (1.0, 0.5, 0.3):
-            chained = scale_pow(scale_pow(a, 3, lam), 7, lam)
-            direct = scale_pow(a, 21, lam)
-            assert np.array_equal(chained.radii, direct.radii)
 
 
 class TestLShape:
