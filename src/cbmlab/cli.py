@@ -78,10 +78,11 @@ def cmd_growth(args) -> dict:
     variant = OrderVariant(args.variant)
     if args.model == "multiplicative":
         model = OrderedModel.multiplicative(variant)
+        a = _element(model, payload_a)
     else:
         values = serialize.element_values_from_json(payload_a)
         model = OrderedModel.additive(values.shape[0], variant)
-    a = _element(model, payload_a)
+        a = model.element(values)
     b = _element(model, payload_b)
     report = growth_distance(
         model, a, b, l_max=args.l_max, method=Method(args.method), prime_bound=args.prime_bound

@@ -35,6 +35,8 @@ class SplitToricDomain:
     def __post_init__(self):
         if self.base_dim < 1:
             raise InvalidInputError("base dimension must be >= 1")
+        if self.base_dim != self.fiber.grid.dimension:  # the fiber lies in R^base_dim
+            raise InvalidInputError("base dimension must equal the fiber dimension")
         if self.cover < 1:
             raise InvalidInputError("cover index must be a positive integer")
 

@@ -3,11 +3,11 @@
 Two concrete finite models are provided, each with the contract that the
 predicate k |-> (a^k >= b^l) is upward-closed in k whenever a is a dominant:
 
-* positive reals under multiplication (elements kept in log space so that
-  large powers never overflow and both growth-rate formulations agree to
-  the last bit), and
 * real grid functions under pointwise addition, the commuting autonomous
-  model where composing flows adds their generating functions.
+  model where composing flows adds their generating functions, and
+* positive reals under multiplication, which ln maps order-isomorphically
+  onto the one-site grid model; an element is stored as that one site, so
+  large powers never overflow and one code path serves both models.
 """
 
 from __future__ import annotations
@@ -55,14 +55,16 @@ class Method(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """One semigroup element.
-
-    ``data`` is the natural log of the value in the multiplicative model and
-    the sample vector in the additive model.
+    """One semigroup element: ``data`` is its 1-D float64 array of site values,
+    the sample vector in the additive model and the one site [ln v] of the
+    value v in the multiplicative model, and construction makes it read-only.
     """
 
     kind: ModelKind
-    data: float | np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        self.data.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class OrderedModel:
 
     @staticmethod
     def multiplicative(variant: OrderVariant = OrderVariant.NON_STRICT) -> "OrderedModel":
-        return OrderedModel(ModelKind.MULTIPLICATIVE_REALS, 0, variant)
+        return OrderedModel(ModelKind.MULTIPLICATIVE_REALS, 1, variant)
 
     @staticmethod
     def additive(site_count: int, variant: OrderVariant = OrderVariant.NON_STRICT) -> "OrderedModel":
@@ -93,7 +95,7 @@ class OrderedModel:
                 raise InvalidInputError(f"bad multiplicative element: {exc}") from exc
             if not (v > 0.0) or not math.isfinite(v):
                 raise InvalidInputError("multiplicative elements must be finite positive reals")
-            return Element(self.kind, math.log(v))
+            value = [math.log(v)]
         arr = np.asarray(value, dtype=float)
         if arr.shape != (self.site_count,):
             raise InvalidInputError(
@@ -103,9 +105,7 @@ class OrderedModel:
             raise InvalidInputError(
                 f"grid element entries must be finite with magnitude <= {_MAX_ENTRY:.4g}"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        return Element(self.kind, arr)
+        return Element(self.kind, arr.copy())
 
     # -- semigroup structure ---------------------------------------------------
 
@@ -113,7 +113,7 @@ class OrderedModel:
         for e in elems:
             if e.kind is not self.kind:
                 raise InvalidInputError("element does not belong to this model")
-            if self.kind is ModelKind.ADDITIVE_GRID and e.data.shape != (self.site_count,):
+            if e.data.shape != (self.site_count,):
                 raise InvalidInputError(
                     f"site count mismatch: model has {self.site_count}, element has {e.data.shape[0]}"
                 )
@@ -134,7 +134,7 @@ class OrderedModel:
         """Order oracle a >= b under the model's order variant, pointwise on
         the stored floats, whose comparisons are exact."""
         self._check(a, b)
-        x, y = np.asarray(a.data), np.asarray(b.data)
+        x, y = a.data, b.data
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise InvalidInputError("the order oracle needs finite elements")
         if self.order_variant is OrderVariant.NON_STRICT:
@@ -143,8 +143,6 @@ class OrderedModel:
 
     def is_dominant_closed_form(self, a: Element) -> bool:
         self._check(a)
-        if self.kind is ModelKind.MULTIPLICATIVE_REALS:
-            return a.data > 0.0
         return bool(a.data.min() > 0.0)
 
 
@@ -183,10 +181,7 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
     every site holds too; the non-strict order is never strict.
     """
     model._check(a, b)
-    if model.kind is ModelKind.MULTIPLICATIVE_REALS:
-        xs, ys = [a.data], [b.data]
-    else:
-        xs, ys = a.data.tolist(), b.data.tolist()
+    xs, ys = a.data.tolist(), b.data.tolist()
     if not all(map(math.isfinite, xs + ys)):
         raise InvalidInputError("the order oracle needs finite elements")
     if not min(xs) > 0:

@@ -28,12 +28,6 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _float_row(count: int) -> str:
-    """A ``%`` template printing ``count`` floats as a JSON list, with the
-    same digits as ``format_float``: '%.17g' % x == format(x, '.17g')."""
-    return "[" + ", ".join(["%.17g"] * count) + "]"
-
-
 def _render(obj: Any) -> str:
     if obj is None:
         return "null"
@@ -59,17 +53,11 @@ def _render(obj: Any) -> str:
         ):
             if not np.isfinite(obj).all():
                 raise InvalidInputError(_NON_FINITE)
-            row = _float_row(obj.shape[-1])
+            row = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"  # '%.17g' % x == format_float(x)
             template = row if obj.ndim == 1 else "[" + ", ".join([row] * obj.shape[0]) + "]"
             return template % tuple(obj.ravel().tolist())
         return _render(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        if obj and all(type(v) is float for v in obj):
-            # finite %.17g output has no "n"; inf and nan always do
-            text = _float_row(len(obj)) % tuple(obj)
-            if "n" in text:
-                raise InvalidInputError(_NON_FINITE)
-            return text
         return "[" + ", ".join(_render(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items())

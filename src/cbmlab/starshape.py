@@ -31,11 +31,16 @@ _FAN = 48  # fan angles on each side of a spoke
 MAX_SPOKE_SAMPLES = 2**24
 
 
-def _uniform_angles(count: int) -> np.ndarray:
-    """count equally spaced polar angles from 0, for 0 <= count <= MAX_GRID_COUNT."""
+def _grid_count(count: int) -> int:
+    """count, rejected unless 0 <= count <= MAX_GRID_COUNT."""
     if not 0 <= count <= MAX_GRID_COUNT:
         raise InvalidInputError(f"grid count must lie in [0, {MAX_GRID_COUNT}], got {count}")
-    return 2.0 * math.pi * np.arange(count) / count
+    return count
+
+
+def _uniform_angles(count: int) -> np.ndarray:
+    """count equally spaced polar angles from 0, for 0 <= count <= MAX_GRID_COUNT."""
+    return 2.0 * math.pi * np.arange(_grid_count(count)) / count
 
 
 def _halton(index: np.ndarray, base: int) -> np.ndarray:
@@ -272,15 +277,19 @@ class SkeletonSpec:
         return self.target_volume / (self.c0 * float(np.sum(np.exp(self.v))))
 
 
+def _check_spoke_samples(angle_count: int, spoke_count: int) -> None:
+    if angle_count * spoke_count > MAX_SPOKE_SAMPLES:
+        raise InvalidInputError(
+            f"{angle_count} sample angles x {spoke_count} spokes exceed the cap of "
+            f"{MAX_SPOKE_SAMPLES} trig samples; use fewer spokes or a smaller grid"
+        )
+
+
 def _spoke_trig(spec: SkeletonSpec, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and |sin| of each angle's offset from each spoke direction, as
     (angles, spokes) arrays; they depend on the spoke count only, so specs of
     equal length share them. More than MAX_SPOKE_SAMPLES entries are rejected."""
-    if angles.size * spec.v.size > MAX_SPOKE_SAMPLES:
-        raise InvalidInputError(
-            f"{angles.size} sample angles x {spec.v.size} spokes exceed the cap of "
-            f"{MAX_SPOKE_SAMPLES} trig samples; use fewer spokes or a smaller grid"
-        )
+    _check_spoke_samples(angles.size, spec.v.size)
     d = angles[:, None] - spec.spoke_angles[None, :]
     return np.cos(d), np.abs(np.sin(d))
 
@@ -345,6 +354,8 @@ def skeleton_region(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT) ->
     half-width epsilon/2) with a central disk of radius epsilon/2.
     """
     _warn_if_wide(spec)
+    m = spec.v.size  # a lower bound before any angle is built: base and spoke angles are distinct
+    _check_spoke_samples(max(_grid_count(base_count), m), m)
     grid = DirectionGrid.from_angles(skeleton_angles(spec, base_count))
     return RadialSet(grid, _radii_from_trig(spec, *_spoke_trig(spec, grid.angles)))
 
@@ -396,6 +407,8 @@ def qi_verify(
     spec_w = SkeletonSpec(w, c0, target_volume)
     if spec_v.v.size != spec_w.v.size:
         raise InvalidInputError("spoke counts differ")
+    m = spec_v.v.size  # the exact count of the angles below, before any is built
+    _check_spoke_samples(_grid_count(base_count) + (1 + 4 * _FAN) * m, m)
     angles = np.mod(
         np.concatenate([skeleton_angles(spec_v, base_count), _width_fans(spec_w)]), 2.0 * math.pi
     )

@@ -149,6 +149,16 @@ def test_only_toric_domains_load(command, tmp_path, capsys):
         assert [line.split(":")[0] for line in lines] == (["error"] if code else [])
 
 
+@pytest.mark.parametrize("command", ["csh", "dcbm-toric", "squeezable"])
+def test_base_dim_must_equal_the_fiber_dimension(command, tmp_path, capsys):
+    # the fiber of T^*T^n lies in R^n: a planar fiber needs base_dim 2
+    for base_dim, code in [(2, 0), (1, 2), (3, 2)]:
+        u = write(tmp_path / "u.json", {"base_dim": base_dim, "fiber": FIBER})
+        assert main([command] + [u] * (2 if command == "dcbm-toric" else 1)) == code
+        err = capsys.readouterr().err
+        assert ("fiber dimension" in err) == bool(code)
+
+
 def test_dcbm_forms_pinch(tmp_path, capsys):
     manifold = SampledManifold(np.ones(32), half_dim=2)
     f1 = ContactFormRep(manifold, np.linspace(-1, 1, 32))

@@ -153,8 +153,8 @@ class TestDcbmToric:
 
     def test_mismatches_rejected(self):
         u = toric(ball(1.0, GRID))
-        with pytest.raises(InvalidInputError):
-            dcbm_toric(u, SplitToricDomain(3, ball(1.0, GRID)))
+        with pytest.raises(InvalidInputError, match="base dimensions differ"):
+            dcbm_toric(u, SplitToricDomain(3, ball(1.0, DirectionGrid.sphere(64, 3))))
 
 
 class TestDcToric:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cbmlab import ordered
 from cbmlab.acceptance import QUANTUM, growth_pair_corpus, item_rng, quantized
 from cbmlab.errors import (
+    CbmlabError,
     InvalidInputError,
     InvariantViolation,
     PreconditionError,
@@ -36,8 +37,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def from_log(log_value):
-    """The multiplicative element of an exact natural log."""
-    return Element(ModelKind.MULTIPLICATIVE_REALS, float(log_value))
+    """The multiplicative element of an exact natural log, its one site."""
+    return Element(ModelKind.MULTIPLICATIVE_REALS, np.array([float(log_value)]))
 
 
 def oracle_min_power(model, a, b, l, lo=-60, hi=60):
@@ -176,9 +177,9 @@ def draw_pair(data, base):
         ys = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=sites, max_size=sites))
     if kind is ModelKind.MULTIPLICATIVE_REALS:
         m = OrderedModel.multiplicative(variant)
-        return m, xs, ys, Element(m.kind, xs[0]), Element(m.kind, ys[0])
+    else:
+        m = OrderedModel.additive(sites, variant)
     # Element directly: entries past the grid bound still reach the oracle as powers
-    m = OrderedModel.additive(sites, variant)
     return m, xs, ys, Element(m.kind, np.asarray(xs)), Element(m.kind, np.asarray(ys))
 
 
@@ -403,8 +404,6 @@ class TestRhoPlus:
 
 def reference_row_holds(model, a, b, k, l):
     """The float row oracle a^k >= b^l that the block search evaluated."""
-    if model.kind is ModelKind.MULTIPLICATIVE_REALS:
-        return bool(float(k) * a.data >= float(l) * b.data)
     ka, lb = float(k) * a.data, float(l) * b.data
     if model.order_variant is OrderVariant.NON_STRICT:
         return bool(np.all(ka >= lb))
@@ -874,6 +873,46 @@ class TestGrowthDistance:
         a = m.element([1.0, 1.0])
         with pytest.raises(InvariantViolation, match="product inequality"):
             growth_distance(m, a, a, 100, method)
+
+
+def outcome(call, *args):
+    """A call's result, or its package error's type and message."""
+    try:
+        return call(*args)
+    except CbmlabError as exc:
+        return type(exc), str(exc)
+
+
+# positive reals below and above 1, so bases of either sign of ln v
+POSITIVE_V = st.one_of(
+    st.sampled_from([5e-324, 0.5, 1.0, 1.0 + 2**-52, 2.0, math.e, 1e300]),
+    st.floats(min_value=5e-324, max_value=1e300),
+)
+
+
+class TestLogIsomorphism:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(list(OrderVariant)),
+        st.sampled_from(list(Method)),
+        POSITIVE_V,
+        POSITIVE_V,
+        st.integers(1, 10**4),
+        st.integers(2, 2000),
+        st.integers(1, 10**6),
+    )
+    def test_multiplicative_reals_are_the_one_site_model_in_logs(
+        self, variant, method, va, vb, l_max, bound, l
+    ):
+        # ln is an order isomorphism from (R>0, *) onto (R, +), so every answer
+        # on v equals the one on [ln v], errors included
+        mult, grid = OrderedModel.multiplicative(variant), OrderedModel.additive(1, variant)
+        a, b = mult.element(va), mult.element(vb)
+        la, lb = grid.element([math.log(va)]), grid.element([math.log(vb)])
+        assert outcome(growth_distance, mult, a, b, l_max, method, bound) == outcome(
+            growth_distance, grid, la, lb, l_max, method, bound
+        )
+        assert outcome(min_power, mult, a, b, l) == outcome(min_power, grid, la, lb, l)
 
 
 class TestPseudoMetricAxioms:

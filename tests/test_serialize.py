@@ -45,7 +45,7 @@ def test_report_rendering_is_sorted_and_stable():
 
 def reference_render(obj):
     """The per-element renderer that every report was written with before
-    float arrays and float lists were printed in one format call."""
+    float arrays were printed in one format call."""
     if obj is None:
         return "null"
     if obj is True:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -292,6 +293,22 @@ class TestQiVerify:
     def test_spoke_count_mismatch(self):
         with pytest.raises(InvalidInputError):
             qi_verify(np.zeros(4), np.zeros(6))
+
+    def test_spokes_past_the_trig_sample_cap_are_rejected_before_the_angles_are_built(self):
+        zeros = np.zeros(5_000)
+        for reject in (lambda: skeleton_region(SkeletonSpec(zeros, 10.0)), lambda: qi_verify(zeros, zeros)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidInputError, match="trig samples"):
+                    reject()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+        # 500 spokes pass the skeleton's count bound max(1024, 500) * 500, and
+        # its grid of about 49,000 angles is rejected once built
+        with pytest.raises(InvalidInputError, match="trig samples"):
+            skeleton_region(SkeletonSpec(np.zeros(500), 10.0))
 
     def test_each_wide_skeleton_warns(self):
         with pytest.warns(UserWarning) as record:
