@@ -281,7 +281,7 @@ def item_forms_pinch(seed: int, cfg: dict) -> dict:
         )
     chain_ok = True
     perms = [rng.permutation(128) for _ in range(3)]
-    candidates = [ContactMapRep.measure_compatible(manifold, p) for p in perms]
+    candidates = [ContactMapRep(manifold, p) for p in perms]
     for _ in range(100):
         g1 = ContactFormRep(manifold, rng.uniform(-1.0, 1.0, 128))
         g2 = ContactFormRep(manifold, rng.uniform(-1.0, 1.0, 128))

@@ -11,12 +11,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantViolation
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,57 +87,31 @@ class ContactFormRep:
         return ContactFormRep(self.manifold, self.f + math.log(c))
 
 
-def _site_permutation(manifold: SampledManifold, perm) -> np.ndarray:
-    """perm as an int64 array, checked to be a permutation of the sites."""
-    perm = np.array(perm, dtype=np.int64)
-    n = manifold.sites
-    # n entries in [0, n) that hit every site form a bijection; O(n), no sort
-    in_range = perm.shape == (n,) and perm.min() >= 0 and perm.max() < n
-    if not (in_range and np.bincount(perm, minlength=n).all()):
-        raise InvalidInputError("phi must be a bijection on sites (a permutation)")
-    return perm
-
-
 @dataclass(frozen=True, eq=False)
 class ContactMapRep:
-    """Candidate contactomorphism data: a site permutation and its conformal
-    exponent g, so pulling back e^f alpha0 yields e^(f o phi + g) alpha0.
-
-    Whether (phi, g) arises from a genuine contactomorphism is not checkable
-    at this discretization; candidates are trusted inputs.
+    """Candidate contactomorphism data: a site permutation phi. Its conformal
+    exponent g = (ln w o phi - ln w) / half_dim is derived, the unique one that
+    preserves the subgraph volume of every form, and pulling back e^f alpha0
+    yields e^(f o phi + g) alpha0.
     """
 
     manifold: SampledManifold
     perm: np.ndarray
-    g: np.ndarray
+    g: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        perm = _site_permutation(self.manifold, self.perm)
-        g = np.array(self.g, dtype=float)
-        if g.shape != (self.manifold.sites,):
-            raise InvalidInputError("g must have one entry per site")
-        if not np.all(np.isfinite(g)):
-            raise InvalidInputError("conformal exponent must be finite")
-        self._freeze(perm, g)
-
-    def _freeze(self, perm: np.ndarray, g: np.ndarray) -> None:
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "g", g)
+        perm = np.array(self.perm, dtype=np.int64)
+        n = self.manifold.sites
+        # n entries in [0, n) that hit every site form a bijection; O(n), no sort
+        in_range = perm.shape == (n,) and perm.min() >= 0 and perm.max() < n
+        if not (in_range and np.bincount(perm, minlength=n).all()):
+            raise InvalidInputError("phi must be a bijection on sites (a permutation)")
+        logw = self.manifold.log_weights
+        g = (logw[perm] - logw) / self.manifold.half_dim
         perm.flags.writeable = False
         g.flags.writeable = False
-
-    @staticmethod
-    def measure_compatible(manifold: SampledManifold, perm) -> "ContactMapRep":
-        """The unique conformal exponent making the permutation preserve the
-        subgraph volume of every form: g = (ln w o phi - ln w) / half_dim."""
-        perm = _site_permutation(manifold, perm)
-        logw = manifold.log_weights
-        # perm is checked, and g is finite with one entry per site since the
-        # weights are positive and finite: __post_init__ would only repeat that
-        rep = object.__new__(ContactMapRep)
-        object.__setattr__(rep, "manifold", manifold)
-        rep._freeze(perm, (logw[perm] - logw) / manifold.half_dim)
-        return rep
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "g", g)
 
 
 def pullback(alpha: ContactFormRep, m: ContactMapRep) -> ContactFormRep:
@@ -157,8 +131,8 @@ def dcbm_forms_upper(
     f1 - (f2 o phi + g); the identity candidate is always included.
     """
     _check_shared(f1.manifold, f2.manifold)
-    # a pulled-back exponent that overflows is rejected by ContactFormRep, and
-    # a width that overflows to inf when the report is written
+    # a derived |g| is below 1,455, so a pulled-back exponent stays finite; a
+    # width that overflows to inf is rejected when the report is written
     with np.errstate(over="ignore"):
         best = float(np.max(np.abs(f1.f - f2.f)))  # identity candidate
         for m in candidates:
@@ -213,8 +187,21 @@ def dcbm_forms(
     f2: ContactFormRep,
     candidates: Sequence[ContactMapRep] = (),
 ) -> FormsDistanceReport:
-    """Both one-sided bounds at once; ``pinched`` marks a certified value."""
-    return FormsDistanceReport(
-        upper=dcbm_forms_upper(f1, f2, candidates),
-        lower=dcbm_forms_lower_volume(f1, f2),
-    )
+    """Both one-sided bounds at once; ``pinched`` marks a certified value.
+
+    Every candidate preserves the subgraph volumes, so lower <= upper holds
+    in exact arithmetic. In doubles, rounding n' f and f o phi + g moves each
+    exponent by about eps (|f| + |ln w|), and each volume sum is off by
+    about (sites + 2) eps relative, which the log and the division by n'
+    turn into (sites + 2) eps / n'. So the check allows
+    tol = 4 eps (max(|f1|, |f2|) + max |ln w|) + 2 (sites + 2) eps / n'.
+    """
+    upper = dcbm_forms_upper(f1, f2, candidates)
+    lower = dcbm_forms_lower_volume(f1, f2)
+    if lower > upper:  # only then is the rounding bound needed, and it costs a tenth of the call
+        manifold, eps = f1.manifold, sys.float_info.epsilon
+        magnitude = max(np.abs(f1.f).max(), np.abs(f2.f).max()) + np.abs(manifold.log_weights).max()
+        tol = float(4 * eps * magnitude + 2 * (manifold.sites + 2) * eps / manifold.half_dim)
+        if lower > upper + tol:
+            raise InvariantViolation(f"forms bracket crossed: lower {lower!r} > upper {upper!r} + {tol!r}")
+    return FormsDistanceReport(upper=upper, lower=lower)

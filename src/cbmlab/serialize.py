@@ -197,12 +197,12 @@ def form_from_dict(data: dict) -> ContactFormRep:
 
 
 def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
+    """A candidate map is its permutation; its conformal exponent is derived,
+    so a payload with a ``g`` key is rejected."""
     try:
-        perm = _array(data["perm"], "perm", integer=True)
-        if "g" in data and data["g"] is not None:
-            g = _array(data["g"], "g")
-            return ContactMapRep(manifold, perm, g)
-        return ContactMapRep.measure_compatible(manifold, perm)
+        if "g" in data:
+            raise InvalidInputError("g is derived from perm; a candidate map has no g key")
+        return ContactMapRep(manifold, _array(data["perm"], "perm", integer=True))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad candidate-map payload: {exc}") from exc
 

@@ -288,8 +288,8 @@ def _check_spoke_samples(angle_count: int, spoke_count: int) -> None:
 def _spoke_trig(spec: SkeletonSpec, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and |sin| of each angle's offset from each spoke direction, as
     (angles, spokes) arrays; they depend on the spoke count only, so specs of
-    equal length share them. More than MAX_SPOKE_SAMPLES entries are rejected."""
-    _check_spoke_samples(angles.size, spec.v.size)
+    equal length share them. Callers check MAX_SPOKE_SAMPLES before they
+    build the angles."""
     d = angles[:, None] - spec.spoke_angles[None, :]
     return np.cos(d), np.abs(np.sin(d))
 
@@ -354,8 +354,8 @@ def skeleton_region(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT) ->
     half-width epsilon/2) with a central disk of radius epsilon/2.
     """
     _warn_if_wide(spec)
-    m = spec.v.size  # a lower bound before any angle is built: base and spoke angles are distinct
-    _check_spoke_samples(max(_grid_count(base_count), m), m)
+    m = spec.v.size  # the angle count before deduplication, before any angle is built
+    _check_spoke_samples(_grid_count(base_count) + (1 + 2 * _FAN) * m, m)
     grid = DirectionGrid.from_angles(skeleton_angles(spec, base_count))
     return RadialSet(grid, _radii_from_trig(spec, *_spoke_trig(spec, grid.angles)))
 

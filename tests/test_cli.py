@@ -295,8 +295,26 @@ def test_boolean_in_candidate_permutation_exits_two(tmp_path, capsys):
     assert "perm must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "g",
+    [[-1.0] * 4, [0.0] * 4, [False, 0.0, 0.0, 0.0], None],
+    ids=["below-the-volume-bound", "zero", "boolean", "null"],
+)
+def test_candidate_map_with_a_g_key_exits_two(g, tmp_path, capsys):
+    # with g = -1 the identity map pulled f2 = 1 back onto f1 = 0, and the
+    # report read upper 0 under lower 1; g is derived from perm, so no key
+    f1 = write(tmp_path / "f1.json", FORM)
+    f2 = write(tmp_path / "f2.json", {**FORM, "f": [1.0] * 4})
+    m = write(tmp_path / "m.json", {"perm": [0, 1, 2, 3], "g": g})
+    assert main(["dcbm-forms", f1, f2, "--maps", m]) == 2
+    assert "no g key" in capsys.readouterr().err
+    perm_only = write(tmp_path / "perm.json", {"perm": [0, 1, 2, 3]})
+    code, report = run(capsys, "dcbm-forms", f1, f2, "--maps", perm_only)
+    assert code == 0
+    assert report == {"lower": 1.0, "pinched": True, "upper": 1.0}
+
+
 CIRCLE = {**FIBER, "directions": DirectionGrid.uniform_circle(64).directions.tolist()}
-MAP = {"perm": [0, 1, 2, 3], "g": [0.0] * 4}
 # each float-array reader: (command, good payloads, the last with a boolean or string entry)
 FLOAT_ARRAYS = {
     "element-bool": ("norm", [[1.0, 1.0, 2.0]] * 2, [True, 1.0, 2.0]),
@@ -307,7 +325,6 @@ FLOAT_ARRAYS = {
     "directions": ("delta", [CIRCLE] * 2, {**CIRCLE, "directions": [[True, False]] + CIRCLE["directions"][1:]}),
     "weights": ("dcbm-forms", [FORM] * 2, {**FORM, "weights": [True, 1.0, 1.0, 1.0]}),
     "f": ("dcbm-forms", [FORM] * 2, {**FORM, "f": [False, 0.0, 0.0, 0.0]}),
-    "g": ("dcbm-forms", [FORM, FORM, MAP], {**MAP, "g": [False, 0.0, 0.0, 0.0]}),
 }
 
 
@@ -386,10 +403,6 @@ OVERFLOWS = {
     "dcbm_forms_upper": (
         ["dcbm-forms", "@0", "@1"],
         [form([1e308, 1e308]), form([-1e308, -1e308])],
-    ),
-    "pullback": (
-        ["dcbm-forms", "@0", "@0", "--maps", "@1"],
-        [form([1e308, 1e308]), {"perm": [0, 1], "g": [1e308, 1e308]}],
     ),
     "hamiltonian_to_domain": (["ham2dom", "@0"], [[1e-310] + [1.0] * 63]),
     "_radial_delta": (

@@ -1,10 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbmlab import forms
 from cbmlab.acceptance import QUANTUM, item_rng
-from cbmlab.errors import InvalidInputError
+from cbmlab.errors import InvalidInputError, InvariantViolation
 from cbmlab.forms import (
     ContactFormRep,
     ContactMapRep,
@@ -28,6 +32,23 @@ def random_manifold(rng, sites=64, half_dim=2):
     return SampledManifold(w, half_dim)
 
 
+def rounding_bound(f1, f2):
+    """dcbm_forms' tolerance: 4 eps (max |f| + max |ln w|) + 2 (sites + 2) eps / n'."""
+    m, eps = f1.manifold, sys.float_info.epsilon
+    magnitude = max(np.abs(f1.f).max(), np.abs(f2.f).max()) + np.abs(np.log(m.weights)).max()
+    return 4 * eps * magnitude + 2 * (m.sites + 2) * eps / m.half_dim
+
+
+@st.composite
+def form_and_maps(draw):
+    """A form on random weights (ln w in [-5, 5]) and one to three candidate maps."""
+    sites = draw(st.integers(1, 40))
+    samples = lambda bound: st.lists(st.floats(-bound, bound), min_size=sites, max_size=sites)
+    m = SampledManifold(np.exp(draw(samples(5.0))), draw(st.integers(1, 5)))
+    perms = draw(st.lists(st.permutations(range(sites)), min_size=1, max_size=3))
+    return ContactFormRep(m, draw(samples(3.0))), [ContactMapRep(m, p) for p in perms]
+
+
 def brute_force_volume(form, u_samples=200_000):
     """Independent quadrature: integrate u^(n'-1) du numerically per site."""
     n = form.manifold.half_dim
@@ -43,27 +64,39 @@ class TestPullback:
         m = uniform_manifold()
         rng = item_rng(SEED, 0)
         alpha = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
-        same = pullback(alpha, ContactMapRep(m, np.arange(m.sites), np.zeros(m.sites)))
+        same = pullback(alpha, ContactMapRep(m, np.arange(m.sites)))
         assert np.array_equal(same.f, alpha.f)
 
-    def test_identity_with_constant_factor_rescales(self):
-        m = uniform_manifold()
-        alpha = ContactFormRep(m, np.linspace(-1, 1, m.sites))
-        c = 0.75
-        shifted = pullback(alpha, ContactMapRep(m, np.arange(m.sites), np.full(m.sites, c)))
-        assert np.array_equal(shifted.f, alpha.f + c)
+    def test_exponent_is_derived_from_the_weights(self):
+        m = random_manifold(item_rng(SEED, 17), half_dim=3)
+        perm = item_rng(SEED, 18).permutation(m.sites)
+        g = ContactMapRep(m, perm).g
+        logw = np.log(m.weights)
+        assert np.array_equal(g, (logw[perm] - logw) / 3)
+        assert not g.flags.writeable
+        with pytest.raises(TypeError):
+            ContactMapRep(m, perm, np.zeros(m.sites))  # a map is its permutation
+
+    @settings(max_examples=200, deadline=None)
+    @given(form_and_maps())
+    def test_derived_exponent_preserves_the_subgraph_volume(self, case):
+        alpha, maps = case
+        for m in maps:
+            moved = pullback(alpha, m)
+            drift = abs(math.log(w_alpha_volume(moved) / w_alpha_volume(alpha)))
+            assert drift / alpha.manifold.half_dim <= rounding_bound(alpha, moved)
 
     def test_pure_permutation_permutes(self):
         m = uniform_manifold()
         rng = item_rng(SEED, 1)
         alpha = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         perm = rng.permutation(m.sites)
-        moved = pullback(alpha, ContactMapRep(m, perm, np.zeros(m.sites)))
+        moved = pullback(alpha, ContactMapRep(m, perm))
         assert np.array_equal(moved.f, alpha.f[perm])
 
     def test_manifold_mismatch(self):
         alpha = ContactFormRep(uniform_manifold(64), np.zeros(64))
-        other = ContactMapRep(uniform_manifold(32), np.arange(32), np.zeros(32))
+        other = ContactMapRep(uniform_manifold(32), np.arange(32))
         with pytest.raises(InvalidInputError):
             pullback(alpha, other)
 
@@ -73,9 +106,7 @@ class TestPullback:
         # all equal, a repeat that misses site 63, one past the end, one negative
         for perm in (np.zeros(64, dtype=int), np.r_[head, 61], np.r_[head, 64], np.arange(-1, 63)):
             with pytest.raises(InvalidInputError):
-                ContactMapRep(m, perm, np.zeros(64))
-            with pytest.raises(InvalidInputError):
-                ContactMapRep.measure_compatible(m, perm)
+                ContactMapRep(m, perm)
 
 
 class TestUpperBound:
@@ -95,7 +126,7 @@ class TestUpperBound:
         m = random_manifold(item_rng(SEED, 3))
         rng = item_rng(SEED, 4)
         f2 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
-        cand = ContactMapRep.measure_compatible(m, rng.permutation(m.sites))
+        cand = ContactMapRep(m, rng.permutation(m.sites))
         f1 = pullback(f2, cand)
         assert dcbm_forms_upper(f1, f2, [cand]) == 0.0
 
@@ -159,14 +190,32 @@ class TestConsistencyAndAxioms:
     def test_lower_below_upper_on_random_pairs(self):
         rng = item_rng(SEED, 13)
         m = random_manifold(rng)
-        candidates = [
-            ContactMapRep.measure_compatible(m, rng.permutation(m.sites)) for _ in range(4)
-        ]
+        candidates = [ContactMapRep(m, rng.permutation(m.sites)) for _ in range(4)]
         for _ in range(50):
             f1 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
             f2 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
             report = dcbm_forms(f1, f2, candidates)
             assert report.lower <= report.upper + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(form_and_maps(), st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-13, 1e-9, 1.0]), st.data())
+    def test_bracket_holds_on_pinched_near_pinched_and_random_pairs(self, case, c, spread, data):
+        # f2 = phi^* f1 + c + noise; the inverse of phi pulls it back to f1 + c + noise
+        f1, maps = case
+        m = f1.manifold
+        noise = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m.sites, max_size=m.sites)))
+        f2 = ContactFormRep(m, pullback(f1, maps[0]).f + c + spread * noise)
+        inverse = ContactMapRep(m, np.argsort(maps[0].perm))
+        report = dcbm_forms(f1, f2, maps + [inverse])  # raises if lower > upper + tol
+        assert report.pinched or spread > 0.0
+
+    def test_crossed_bracket_is_an_invariant_violation(self, monkeypatch):
+        # a volume that ignores f puts lower at ln 2 / n' over the identity's upper 0
+        m = uniform_manifold()
+        f1, f2 = (ContactFormRep(m, np.zeros(m.sites)) for _ in range(2))
+        monkeypatch.setattr(forms, "w_alpha_volume", lambda alpha: 2.0 if alpha is f1 else 1.0)
+        with pytest.raises(InvariantViolation, match="forms bracket crossed"):
+            dcbm_forms(f1, f2)
 
     def test_pinch_certifies_rescaling_distance(self):
         rng = item_rng(SEED, 14)
@@ -180,7 +229,7 @@ class TestConsistencyAndAxioms:
 
     def _rotation_group(self, m):
         n = m.sites
-        return [ContactMapRep(m, np.roll(np.arange(n), k), np.zeros(n)) for k in range(n)]
+        return [ContactMapRep(m, np.roll(np.arange(n), k)) for k in range(n)]
 
     def test_pseudo_metric_axioms_over_rotation_group(self):
         m = uniform_manifold(sites=32)

@@ -178,10 +178,13 @@ def test_form_round_trip_and_maps():
     assert dumps_report(form_to_dict(reparsed)) == payload
 
     perm = item_rng(12, 0).permutation(32)
-    explicit = map_from_dict({"perm": perm.tolist(), "g": [0.0] * 32}, manifold)
-    assert np.array_equal(explicit.perm, perm)
     derived = map_from_dict({"perm": perm.tolist()}, manifold)
+    assert np.array_equal(derived.perm, perm)
     assert np.all(np.isfinite(derived.g))
+    # g is derived from perm, so an explicit g, even an empty one, is rejected
+    for g in ([0.0] * 32, derived.g.tolist(), None):
+        with pytest.raises(InvalidInputError, match="no g key"):
+            map_from_dict({"perm": perm.tolist(), "g": g}, manifold)
 
 
 def test_form_site_count_consistency():

@@ -296,7 +296,13 @@ class TestQiVerify:
 
     def test_spokes_past_the_trig_sample_cap_are_rejected_before_the_angles_are_built(self):
         zeros = np.zeros(5_000)
-        for reject in (lambda: skeleton_region(SkeletonSpec(zeros, 10.0)), lambda: qi_verify(zeros, zeros)):
+        rejects = (
+            lambda: skeleton_region(SkeletonSpec(zeros, 10.0)),
+            lambda: qi_verify(zeros, zeros),
+            # 1,024 + 97 * 4,000 angles before deduplication, times 4,000 spokes
+            lambda: skeleton_region(SkeletonSpec(np.zeros(4_000), 10.0)),
+        )
+        for reject in rejects:
             tracemalloc.start()
             try:
                 with pytest.raises(InvalidInputError, match="trig samples"):
@@ -305,10 +311,6 @@ class TestQiVerify:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20
-        # 500 spokes pass the skeleton's count bound max(1024, 500) * 500, and
-        # its grid of about 49,000 angles is rejected once built
-        with pytest.raises(InvalidInputError, match="trig samples"):
-            skeleton_region(SkeletonSpec(np.zeros(500), 10.0))
 
     def test_each_wide_skeleton_warns(self):
         with pytest.warns(UserWarning) as record:

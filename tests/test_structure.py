@@ -20,6 +20,7 @@ INVARIANT_CHECKS = [
     ("domains", "certified bounds crossed: lower"),
     ("domains", "commuting-model equality failed: |"),
     ("domains", "order distance"),
+    ("forms", "forms bracket crossed: lower"),
     ("norms", "norm closed-form ratios ["),
     ("norms", "stabilization"),
     ("ordered", "Farey bracket"),
