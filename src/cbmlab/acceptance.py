@@ -32,6 +32,8 @@ from .domains import (
 from .errors import CbmlabError, InvalidInputError
 from .forms import ContactFormRep, ContactMapRep, SampledManifold, dcbm_forms
 from .ordered import (
+    DEFAULT_L_MAX,
+    DEFAULT_PRIME_BOUND,
     OrderedModel,
     OrderVariant,
     growth_distance,
@@ -40,6 +42,7 @@ from .ordered import (
 )
 from .primes import MAX_PRIME_BOUND
 from .starshape import (
+    DEFAULT_GRID_COUNT,
     MAX_GRID_COUNT,
     MIN_GRID_COUNT,
     DirectionGrid,
@@ -363,9 +366,9 @@ ITEMS = [
 
 def run_acceptance(
     seed: int = 7,
-    l_max: int = 1000,
-    prime_bound: int = 10_000,
-    grid: int = 1024,
+    l_max: int = DEFAULT_L_MAX,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+    grid: int = DEFAULT_GRID_COUNT,
 ) -> dict:
     """Run every acceptance item and assemble a deterministic report; an item
     that raises a CbmlabError is recorded as failed and the rest still run.

@@ -25,8 +25,8 @@ from .domains import (
 )
 from .errors import CbmlabError, InvalidInputError, InvariantViolation
 from .forms import dcbm_forms
-from .ordered import Method, OrderedModel, OrderVariant, growth_distance
-from .starshape import SkeletonSpec, delta, qi_verify, skeleton_region
+from .ordered import DEFAULT_L_MAX, DEFAULT_PRIME_BOUND, Method, OrderedModel, OrderVariant, growth_distance
+from .starshape import DEFAULT_GRID_COUNT, SkeletonSpec, delta, qi_verify, skeleton_region
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -58,14 +58,6 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _element(model: OrderedModel, payload):
-    if model.kind.name == "MULTIPLICATIVE_REALS":
-        if isinstance(payload, bool) or not isinstance(payload, (int, float)):
-            raise InvalidInputError("multiplicative elements are JSON numbers")
-        return model.element(payload)
-    return model.element(serialize.element_values_from_json(payload))
-
-
 def _vector(text: str) -> np.ndarray:
     try:
         return np.asarray([float(part) for part in text.split(",")], dtype=float)
@@ -77,13 +69,14 @@ def cmd_growth(args) -> dict:
     payload_a, payload_b = _load(args.a), _load(args.b)
     variant = OrderVariant(args.variant)
     if args.model == "multiplicative":
+        if not all(type(payload) in (int, float) for payload in (payload_a, payload_b)):
+            raise InvalidInputError("multiplicative elements are JSON numbers")  # not a bool
         model = OrderedModel.multiplicative(variant)
-        a = _element(model, payload_a)
+        a, b = model.element(payload_a), model.element(payload_b)
     else:
         values = serialize.element_values_from_json(payload_a)
         model = OrderedModel.additive(values.shape[0], variant)
-        a = model.element(values)
-    b = _element(model, payload_b)
+        a, b = model.element(values), model.element(serialize.element_values_from_json(payload_b))
     report = growth_distance(
         model, a, b, l_max=args.l_max, method=Method(args.method), prime_bound=args.prime_bound
     )
@@ -198,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=OrderVariant.NON_STRICT.value,
     )
     p.add_argument("--method", choices=[m.value for m in Method], default=Method.PAIR_INFIMUM.value)
-    p.add_argument("--l-max", type=int, default=1000)
-    p.add_argument("--prime-bound", type=int, default=10_000)
+    p.add_argument("--l-max", type=int, default=DEFAULT_L_MAX)
+    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
 
     p = add("norm", cmd_norm, "sandwich norm of arg relative to a dominant base")
     p.add_argument("base")
@@ -213,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True, help="comma-separated spoke exponents (length 2k)")
     p.add_argument("--c0", type=float, default=10.0)
     p.add_argument("--target-volume", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_COUNT)
 
     p = add("qi-verify", cmd_qi_verify, "check one quasi-isometry pair")
     p.add_argument("--v", required=True)
@@ -222,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-volume", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-2)
     p.add_argument("--c1", type=float, default=1.5)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_COUNT)
 
     p = add("dcbm-toric", cmd_dcbm_toric, "certified distance bracket of two toric domains")
     p.add_argument("u")
@@ -248,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("accept", cmd_accept, "run the seeded acceptance suite")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--l-max", type=int, default=1000)
-    p.add_argument("--prime-bound", type=int, default=10_000)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--l-max", type=int, default=DEFAULT_L_MAX)
+    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_COUNT)
 
     return parser
 

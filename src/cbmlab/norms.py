@@ -1,4 +1,8 @@
-"""Order-derived norms on the additive grid group and their stabilization."""
+"""Order-derived norms on the additive grid group and their stabilization.
+
+A multiplicative element is its one site [ln v], so its norm is the one-site
+norm in logs.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, PreconditionError
-from .ordered import DEFAULT_L_MAX, Element, ModelKind, OrderedModel, OrderVariant, min_power, rho_plus
+from .ordered import DEFAULT_L_MAX, Element, OrderedModel, min_power, rho_plus
 
 
 @dataclass(frozen=True)
@@ -30,12 +34,6 @@ class NormReport:
         }
 
 
-def _additive_model_for(base: Element) -> OrderedModel:
-    if base.kind is not ModelKind.ADDITIVE_GRID:
-        raise PreconditionError("norms are defined on the additive grid group")
-    return OrderedModel.additive(base.data.shape[0], OrderVariant.NON_STRICT)
-
-
 def norm(base: Element, arg: Element) -> NormReport:
     """Norm of arg relative to a dominant base.
 
@@ -50,7 +48,7 @@ def norm(base: Element, arg: Element) -> NormReport:
     them on the float ratios, at the strength monotone rounding permits:
     nu_plus - 1 <= max(ratio) <= nu_plus and nu_minus <= min(ratio) <= nu_minus + 1.
     """
-    model = _additive_model_for(base)
+    model = OrderedModel.additive(base.data.size)
     model._check(arg)
     if not model.is_dominant_closed_form(base):
         raise PreconditionError("norm requires a dominant base (strictly positive minimum)")
@@ -80,7 +78,7 @@ def stabilization(base: Element, arg: Element, l_max: int = DEFAULT_L_MAX) -> fl
     Agrees with the larger of the growth rates of arg and its inverse against
     the base; the agreement is enforced within 2/l_max.
     """
-    model = _additive_model_for(base)
+    model = OrderedModel.additive(base.data.size)
     model._check(arg)
     report = norm(base, model.power(arg, l_max))
     stab = report.nu / l_max

@@ -55,16 +55,20 @@ class Method(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """One semigroup element: ``data`` is its 1-D float64 array of site values,
-    the sample vector in the additive model and the one site [ln v] of the
-    value v in the multiplicative model, and construction makes it read-only.
+    """One semigroup element: ``data`` is its 1-D float64 array of finite site
+    values, the sample vector in the additive model and the one site [ln v] of
+    the value v in the multiplicative model. Construction takes a read-only
+    copy and rejects any other array, so every element is finite.
     """
 
-    kind: ModelKind
     data: np.ndarray
 
     def __post_init__(self):
-        self.data.flags.writeable = False
+        data = np.array(self.data, dtype=float)
+        if data.ndim != 1 or not np.isfinite(data).all():
+            raise InvalidInputError("an element is a 1-D array of finite site values")
+        object.__setattr__(self, "data", data)
+        data.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -105,14 +109,12 @@ class OrderedModel:
             raise InvalidInputError(
                 f"grid element entries must be finite with magnitude <= {_MAX_ENTRY:.4g}"
             )
-        return Element(self.kind, arr.copy())
+        return Element(arr)
 
     # -- semigroup structure ---------------------------------------------------
 
     def _check(self, *elems: Element) -> None:
         for e in elems:
-            if e.kind is not self.kind:
-                raise InvalidInputError("element does not belong to this model")
             if e.data.shape != (self.site_count,):
                 raise InvalidInputError(
                     f"site count mismatch: model has {self.site_count}, element has {e.data.shape[0]}"
@@ -120,23 +122,23 @@ class OrderedModel:
 
     def compose(self, a: Element, b: Element) -> Element:
         self._check(a, b)
-        return Element(self.kind, a.data + b.data)
+        return Element(a.data + b.data)
 
     def power(self, a: Element, k: int) -> Element:
         self._check(a)
-        return Element(self.kind, k * a.data)
+        with np.errstate(over="ignore"):  # a product past the float range fails the element's own check
+            data = k * a.data
+        return Element(data)
 
     def inverse(self, a: Element) -> Element:
         self._check(a)
-        return Element(self.kind, -a.data)
+        return Element(-a.data)
 
     def ge(self, a: Element, b: Element) -> bool:
         """Order oracle a >= b under the model's order variant, pointwise on
         the stored floats, whose comparisons are exact."""
         self._check(a, b)
         x, y = a.data, b.data
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise InvalidInputError("the order oracle needs finite elements")
         if self.order_variant is OrderVariant.NON_STRICT:
             return bool(np.all(x >= y))
         return bool(np.all(x > y) or np.all(x == y))
@@ -182,8 +184,6 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
     """
     model._check(a, b)
     xs, ys = a.data.tolist(), b.data.tolist()
-    if not all(map(math.isfinite, xs + ys)):
-        raise InvalidInputError("the order oracle needs finite elements")
     if not min(xs) > 0:
         raise PreconditionError("the order oracle needs a dominant base")
     top, tops = -math.inf, []  # the float max of y/x, and the sites at it

@@ -1,6 +1,7 @@
 import importlib
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbmlab import ordered
+from cbmlab import norms, ordered
 from cbmlab.acceptance import QUANTUM, growth_pair_corpus, item_rng, quantized
 from cbmlab.errors import (
     CbmlabError,
@@ -38,7 +39,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 def from_log(log_value):
     """The multiplicative element of an exact natural log, its one site."""
-    return Element(ModelKind.MULTIPLICATIVE_REALS, np.array([float(log_value)]))
+    return Element([float(log_value)])
 
 
 def oracle_min_power(model, a, b, l, lo=-60, hi=60):
@@ -180,7 +181,7 @@ def draw_pair(data, base):
     else:
         m = OrderedModel.additive(sites, variant)
     # Element directly: entries past the grid bound still reach the oracle as powers
-    return m, xs, ys, Element(m.kind, np.asarray(xs)), Element(m.kind, np.asarray(ys))
+    return m, xs, ys, Element(xs), Element(ys)
 
 
 class TestOracle:
@@ -228,9 +229,23 @@ class TestOracle:
                 assert ordered._oracle(m, a, b)(1, 3) is holds is reference_oracle(m, a, b)(1, 3)
 
     def test_non_finite_element_is_rejected(self):
-        m = OrderedModel.additive(2)
-        with pytest.raises(InvalidInputError, match="finite elements"):
-            m.ge(Element(m.kind, np.array([math.inf, 1.0])), m.element([1.0, 1.0]))
+        for bad in ([math.inf, 1.0], [1.0, math.nan], [[1.0, 2.0]]):
+            with pytest.raises(InvalidInputError, match="1-D array of finite site values"):
+                Element(np.array(bad))
+
+    def test_an_element_owns_a_read_only_copy(self):
+        x = np.array([1.0, 2.0])
+        e = Element(x[:])
+        x[0] = 5.0
+        assert e.data.tolist() == [1.0, 2.0] and not e.data.flags.writeable
+
+    def test_a_power_past_the_float_range_is_one_input_error(self):
+        m = OrderedModel.additive(1)
+        a = m.element([1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(InvalidInputError, match="finite site values"):
+                m.power(a, 10**300)
 
     def test_constant_comparison(self):
         m = OrderedModel.additive(3)
@@ -913,6 +928,22 @@ class TestLogIsomorphism:
             growth_distance, grid, la, lb, l_max, method, bound
         )
         assert outcome(min_power, mult, a, b, l) == outcome(min_power, grid, la, lb, l)
+
+    @settings(max_examples=200, deadline=None)
+    @given(POSITIVE_V, POSITIVE_V, st.integers(1, 10**4))
+    def test_norms_of_multiplicative_reals_are_the_one_site_norms_in_logs(self, vb, va, l_max):
+        mult, grid = OrderedModel.multiplicative(), OrderedModel.additive(1)
+        base, arg = mult.element(vb), mult.element(va)
+        lbase, larg = grid.element([math.log(vb)]), grid.element([math.log(va)])
+
+        def norm_outcome(base, arg):
+            answer = outcome(norms.norm, base, arg)
+            return answer.to_json_dict() if isinstance(answer, norms.NormReport) else answer
+
+        assert norm_outcome(base, arg) == norm_outcome(lbase, larg)
+        assert outcome(norms.stabilization, base, arg, l_max) == outcome(
+            norms.stabilization, lbase, larg, l_max
+        )
 
 
 class TestPseudoMetricAxioms:

@@ -86,6 +86,24 @@ def loads(tree, name):
     return here + sum(loads(child, name) for child in ast.iter_child_nodes(tree))
 
 
+def test_only_ordered_reads_the_model_kind():
+    # a model's kind chooses the multiplicative reader in ordered.py and nothing
+    # else; an array's dtype.kind is not a model's
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("ordered.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        dtype_kinds = sum(
+            isinstance(node, ast.Attribute) and node.attr == "kind"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
+            for node in ast.walk(tree)
+        )
+        if reads := loads(tree, "ModelKind") + loads(tree, "kind") - dtype_kinds:
+            offenders[path.name] = reads
+    assert offenders == {}
+
+
 def readme_sketch_names():
     """The names the README's library sketch imports from cbmlab."""
     sketch = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library sketch", 1)[1]
