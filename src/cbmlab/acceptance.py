@@ -69,8 +69,9 @@ def quantized(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarra
     return rng.integers(lo_i, hi_i, size=size, endpoint=True) * QUANTUM
 
 
-def growth_pair_corpus(seed: int, count: int = 100, sites: int = 12):
+def growth_pair_corpus(seed: int, count: int = 100):
     """The shared dominant additive pairs used by the growth-rate items."""
+    sites = 12
     rng = item_rng(seed, _PAIR_STREAM)
     model = OrderedModel.additive(sites, OrderVariant.NON_STRICT)
     pairs = []

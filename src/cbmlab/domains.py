@@ -205,8 +205,9 @@ class HamiltonianDomain:
         }
 
 
-def hamiltonian_to_domain(h, grid: DirectionGrid | None = None) -> HamiltonianDomain:
-    """Domain of a positive autonomous contact Hamiltonian, a flat array of site samples."""
+def hamiltonian_to_domain(h) -> HamiltonianDomain:
+    """Domain of a positive autonomous contact Hamiltonian, a flat array of site
+    samples, on the uniform circle grid with one direction per site."""
     values = np.asarray(h, dtype=float)
     if values.ndim != 1:
         raise InvalidInputError("hamiltonian samples must form a vector")
@@ -215,14 +216,10 @@ def hamiltonian_to_domain(h, grid: DirectionGrid | None = None) -> HamiltonianDo
             "hamiltonian must be strictly positive and finite at every site "
             "(positive contact isotopy)"
         )
-    if grid is None:
-        grid = DirectionGrid.uniform_circle(values.shape[0])
-    elif grid.count != values.shape[0]:
-        raise InvalidInputError("site count does not match the direction grid")
     with np.errstate(over="ignore"):  # RadialSet rejects a radius that overflows
         radii = 1.0 / values
     return HamiltonianDomain(
-        fiber=RadialSet(grid, radii),
+        fiber=RadialSet(DirectionGrid.uniform_circle(values.shape[0]), radii),
         m_minus=float(np.min(values)),
         m_plus=float(np.max(values)),
     )
@@ -255,7 +252,7 @@ def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
     report = growth_distance(model, a, b, l_max=l_max, method=Method.PAIR_INFIMUM)
 
     dom1 = hamiltonian_to_domain(v1)
-    dom2 = hamiltonian_to_domain(v2, dom1.fiber.grid)
+    dom2 = hamiltonian_to_domain(v2)
     interval = dcbm_toric(dom1.as_domain("U(h1)"), dom2.as_domain("U(h2)"))
     d_cbm = interval.upper
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvalidInputError, InvariantViolation, PreconditionError
 from .ordered import DEFAULT_L_MAX, Element, OrderedModel, min_power, rho_plus
 
 
@@ -78,8 +78,9 @@ def stabilization(base: Element, arg: Element, l_max: int = DEFAULT_L_MAX) -> fl
     Agrees with the larger of the growth rates of arg and its inverse against
     the base; the agreement is enforced within 2/l_max.
     """
+    if l_max < 1:
+        raise InvalidInputError("l_max must be a positive integer")
     model = OrderedModel.additive(base.data.size)
-    model._check(arg)
     report = norm(base, model.power(arg, l_max))
     stab = report.nu / l_max
 

@@ -125,16 +125,16 @@ class DirectionGrid:
             rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
             directions = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
         else:
-            from scipy.special import ndtri  # inverse normal CDF
-
             if dimension > MAX_SPHERE_DIMENSION:
                 raise InvalidInputError(
                     f"sphere sampling supports dimension <= {MAX_SPHERE_DIMENSION}"
                 )
+            # Box-Muller maps each Halton pair, strictly inside (0, 1)^2, to two normals
             i = np.arange(count)
-            u = np.column_stack([_halton(i, _HALTON_BASES[d]) for d in range(dimension)])
-            gauss = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-            directions = gauss / np.linalg.norm(gauss, axis=1)[:, None]
+            u = np.column_stack([_halton(i, b) for b in _HALTON_BASES[: dimension + dimension % 2]])
+            r, t = np.sqrt(-2.0 * np.log(u[:, 0::2])), 2.0 * math.pi * u[:, 1::2]
+            u[:, 0::2], u[:, 1::2] = r * np.cos(t), r * np.sin(t)
+            directions = u[:, :dimension]
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         return DirectionGrid(dimension, directions)
 

@@ -353,12 +353,13 @@ def test_subgraph_volume_out_of_range_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("volume ratio") == 2
 
 
-def test_entries_that_overflow_the_oracle_exit_two(tmp_path, capsys):
-    # k * 1e308 is inf for k >= 2, and inf >= inf would make the oracle hold
+def test_entries_near_the_float_maximum_compute(tmp_path, capsys):
+    # the oracle is an exact threshold on the site ratios and never forms k * 1e308
     a = write(tmp_path / "a.json", [1e308, 1e308])
     b = write(tmp_path / "b.json", [1e307, 1e308])
-    assert main(["growth", a, b, "--l-max", "50"]) == 2
-    assert "magnitude" in capsys.readouterr().err
+    code, report = run(capsys, "growth", a, b, "--l-max", "50")
+    assert code == 0
+    assert (report["rho_plus"], report["rho_minus"]) == (1.0, 501 / 50)
 
 
 def test_half_dim_beyond_a_double_exits_two(tmp_path, capsys):

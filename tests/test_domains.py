@@ -195,7 +195,7 @@ class TestHamiltonianBridge:
         rng = item_rng(SEED, 16)
         h = rng.uniform(0.5, 2.0, 128)
         base = hamiltonian_to_domain(h)
-        doubled = hamiltonian_to_domain(2.0 * h, base.fiber.grid)
+        doubled = hamiltonian_to_domain(2.0 * h)
         assert np.array_equal(doubled.fiber.radii, base.fiber.radii / 2.0)
 
     def test_slices_and_thresholds(self):
@@ -210,7 +210,7 @@ class TestHamiltonianBridge:
         h1 = rng.uniform(0.5, 1.5, 64)
         h2 = h1 + rng.uniform(0.0, 1.0, 64)
         d1 = hamiltonian_to_domain(h1)
-        d2 = hamiltonian_to_domain(h2, d1.fiber.grid)
+        d2 = hamiltonian_to_domain(h2)
         assert np.all(d2.fiber.radii <= d1.fiber.radii)
 
     def test_positivity_required(self):

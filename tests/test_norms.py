@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cbmlab.acceptance import QUANTUM, item_rng, quantized
 from cbmlab import norms, ordered
-from cbmlab.errors import InvariantViolation, PreconditionError, SearchBoundError
+from cbmlab.errors import InvalidInputError, InvariantViolation, PreconditionError, SearchBoundError
 from cbmlab.norms import norm, stabilization
 from cbmlab.ordered import OrderedModel
 
@@ -86,6 +86,20 @@ def test_stabilization_constant_example():
 def test_stabilization_of_identity():
     m = OrderedModel.additive(3)
     assert stabilization(m.element([1.0] * 3), m.element([0.0] * 3), 500) == 0.0
+
+
+def test_stabilization_rejects_a_bad_l_max_before_any_norm(monkeypatch):
+    _, base, arg = model_and([1.0] * 3, [2.5] * 3)
+    monkeypatch.setattr(norms, "norm", lambda *args: pytest.fail("norm ran"))
+    for l_max in (0, -3):
+        with pytest.raises(InvalidInputError, match="l_max"):
+            stabilization(base, arg, l_max)
+
+
+def test_stabilization_rejects_an_exponent_past_the_float_range():
+    _, base, arg = model_and([1.0], [1.0])
+    with pytest.raises(InvalidInputError, match="exponent"):
+        stabilization(base, arg, 10**400)
 
 
 def test_stabilization_matches_closed_form():

@@ -247,6 +247,22 @@ class TestOracle:
             with pytest.raises(InvalidInputError, match="finite site values"):
                 m.power(a, 10**300)
 
+    def test_an_exponent_past_the_float_range_is_one_input_error(self):
+        # k * a.data would convert k to a double and raise a bare OverflowError
+        m = OrderedModel.additive(1)
+        a = m.element([1.0])
+        for k in (10**400, -(10**400)):
+            with pytest.raises(InvalidInputError, match="exponent"):
+                m.power(a, k)
+
+    def test_a_sum_past_the_float_range_is_one_input_error(self):
+        m = OrderedModel.additive(2)
+        a = m.element([1e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(InvalidInputError, match="finite site values"):
+                m.compose(a, a)
+
     def test_constant_comparison(self):
         m = OrderedModel.additive(3)
         assert m.ge(m.element([2, 2, 2]), m.element([1, 1, 1]))

@@ -14,6 +14,7 @@ from cbmlab.errors import InvalidInputError
 from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import (
     MAX_GRID_COUNT,
+    MAX_SPHERE_DIMENSION,
     DirectionGrid,
     QiReport,
     RadialSet,
@@ -104,6 +105,13 @@ class TestGrids:
             with pytest.raises(InvalidInputError, match="duplicate directions"):
                 DirectionGrid.from_directions(directions)
         assert DirectionGrid.from_directions(wide).count == 64
+
+    def test_sphere_samples_are_isotropic(self):
+        # mean(x x^T) of a uniform sphere sample is I/d; a reused Halton base
+        # would correlate two coordinates
+        for d in range(3, MAX_SPHERE_DIMENSION + 1):
+            x = DirectionGrid.sphere(4096, d).directions
+            assert np.abs(x.T @ x / len(x) - np.eye(d) / d).max() < 0.02
 
     def test_unit_ball_volumes(self):
         assert abs(polar_volume(ball(1.0, GRID)) - math.pi) / math.pi < 0.005

@@ -2,11 +2,16 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import cbmlab
 from cbmlab import acceptance
+from cbmlab.serialize import radial_set_from_dict
+from cbmlab.starshape import MAX_SPHERE_DIMENSION
 from test_acceptance import SEED7_REPORT_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +52,38 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert len(modules) > 1
     offenders = {path.name: hits for path in modules if (hits := private_sibling_imports(path))}
     assert offenders == {}
+
+
+def absolute_imports(path):
+    """(line, top-level module) of every absolute import in path, function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (hits := [(line, m) for line, m in absolute_imports(path) if m not in allowed])
+    }
+    assert offenders == {}
+
+
+def test_default_sphere_grids_read_without_scipy(monkeypatch):
+    # a radial set without directions in dimension 4 to 12 reads on its default sphere sample
+    for name in ("scipy", "scipy.special"):
+        monkeypatch.setitem(sys.modules, name, None)  # importing either raises ImportError
+    for d in range(4, MAX_SPHERE_DIMENSION + 1):
+        x = radial_set_from_dict({"dimension": d, "radii": [1.0] * 256}).grid.directions
+        assert x.shape == (256, d)
+        assert len(np.unique(x, axis=0)) == 256
+        assert np.all(np.abs(np.linalg.norm(x, axis=1) - 1.0) <= 1e-12)
 
 
 def message_prefix(check):
