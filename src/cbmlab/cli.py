@@ -47,6 +47,8 @@ def _load(path: str):
         ) from exc
     except ValueError as exc:  # an integer literal past Python's int-string digit limit
         raise InvalidInputError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError(f"{path}: JSON nested too deeply") from exc
 
 
 def _emit(report: dict, out: str | None) -> None:

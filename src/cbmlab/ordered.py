@@ -301,12 +301,12 @@ def rho_plus_primes(
     """Infimum of p/q over prime ordering pairs with p, q <= prime_bound.
 
     For each prime q the witness exponent is sought in the prime-gap window
-    [m, m + m^0.6] above m = min_power(q), which one Farey bracket at
-    prime_bound gives for every q; the window is truncated at the bound so
-    every returned ratio comes from a genuine pair below it. Every m and
-    window comes from one int64 array pass over the primes. They are read
-    from ``table`` if it reaches prime_bound, else from prime_table, which
-    sieves each bound once.
+    [m, m + m^0.6] above m = min_power(q) = ceil(q*num/den), num/den the one
+    Farey bracket at prime_bound; windows are capped at the bound, so every
+    ratio comes from a genuine pair below it. Only the primes with q*num <=
+    prime_bound*den start a window there, and as den <= prime_bound their
+    q*num fit int64: one int64 array pass forms every window. Primes come
+    from ``table`` if it reaches prime_bound, else from prime_table.
     """
     if prime_bound < 2:
         raise InvalidInputError("prime_bound must be at least 2")
@@ -316,14 +316,11 @@ def rho_plus_primes(
     if table is None or table.bound < prime_bound:
         table = prime_table(prime_bound)
     (num, den), _ = _bracket(_oracle(model, a, b), prime_bound)
-    qs = table.primes[: np.searchsorted(table.primes, prime_bound, side="right")]
-    # ceil(q*num/den) split at the integer part: the bracket keeps q*whole within
-    # the search bound and q*part < prime_bound**2, where q*num can pass int64
-    whole, part = divmod(num, den)
-    k_min = qs * whole - (-(qs * part) // den)
-    reach = np.floor(np.maximum(k_min, 0) ** PRIME_WINDOW_EXPONENT).astype(np.int64)
-    # a window starting above the bound is empty once hi is capped there
-    window_hi = np.minimum(np.where(k_min > 0, k_min + reach, 2), prime_bound)
+    last_q = min(prime_bound, prime_bound * den // num)  # num >= 1, as b is dominant
+    qs = table.primes[: np.searchsorted(table.primes, last_q, side="right")]
+    k_min = -(-(qs * num) // den)
+    reach = np.floor(k_min**PRIME_WINDOW_EXPONENT).astype(np.int64)
+    window_hi = np.minimum(k_min + reach, prime_bound)
     ps = table.first_primes_in(k_min, window_hi)
     found = ps > 0
     if not found.any():

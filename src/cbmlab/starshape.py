@@ -86,7 +86,8 @@ class DirectionGrid:
     @staticmethod
     def from_angles(angles: Sequence[float]) -> "DirectionGrid":
         """2-d grid at the given polar angles, sorted and deduplicated."""
-        ang = np.unique(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
+        ang = np.sort(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
+        ang = ang[np.diff(ang, prepend=-1.0) != 0.0]  # np.unique, without importing numpy.ma
         directions = np.column_stack([np.cos(ang), np.sin(ang)])
         # cos/sin round to norms within an ulp of 1; renormalize exactly
         directions /= np.linalg.norm(directions, axis=1)[:, None]

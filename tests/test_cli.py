@@ -314,6 +314,37 @@ def test_candidate_map_with_a_g_key_exits_two(g, tmp_path, capsys):
     assert report == {"lower": 1.0, "pinched": True, "upper": 1.0}
 
 
+# each subcommand that reads files, "@i" standing for its i-th file, with a valid payload for each
+FILE_ARGUMENTS = [
+    (["growth", "@0", "@1"], [[1.0, 2.0], [2.0, 1.0]]),
+    (["norm", "@0", "@1"], [[1.0, 1.0], [2.0, 1.0]]),
+    (["delta", "@0", "@1"], [FIBER, FIBER]),
+    (["dcbm-toric", "@0", "@1"], [DOMAIN, DOMAIN]),
+    (["dc-toric", "@0", "@1"], [FIBER, FIBER]),
+    (["csh", "@0"], [DOMAIN]),
+    (["squeezable", "@0"], [DOMAIN]),
+    (["ham2dom", "@0"], [[1.0] * 64]),
+    (["dcbm-forms", "@0", "@1", "--maps", "@2"], [FORM, FORM, {"perm": [0, 1, 2, 3]}]),
+]
+
+
+@pytest.mark.parametrize(
+    "template, payloads, slot",
+    [(template, payloads, i) for template, payloads in FILE_ARGUMENTS for i in range(len(payloads))],
+    ids=[f"{template[0]}-{i}" for template, payloads in FILE_ARGUMENTS for i in range(len(payloads))],
+)
+def test_json_nested_past_the_recursion_limit_exits_two(template, payloads, slot, tmp_path, capsys):
+    # the decoder recurses once per level; depth 100 already exits 2 as a bad payload
+    paths = [write(tmp_path / f"{i}.json", payload) for i, payload in enumerate(payloads)]
+    assert main([fill(arg, paths, [], []) for arg in template]) == 0
+    paths[slot] = str(tmp_path / "deep.json")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert main([fill(arg, paths, [], []) for arg in template]) == 2
+    err = capsys.readouterr().err
+    assert "JSON nested too deeply" in err and "Traceback" not in err
+
+
 CIRCLE = {**FIBER, "directions": DirectionGrid.uniform_circle(64).directions.tolist()}
 # each float-array reader: (command, good payloads, the last with a boolean or string entry)
 FLOAT_ARRAYS = {

@@ -510,6 +510,15 @@ def count_oracle_calls(monkeypatch):
     return calls
 
 
+def run_order_stream_pool(monkeypatch):
+    """One seed-7 pass over the benchmark's order-stream pool."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    stream = importlib.import_module("order_stream")
+    shared = stream.shared_objects(7)
+    for index, spec in enumerate(stream.pool_specs(7)):
+        stream.run_op(stream.make_entry(7, index, spec, shared), shared)
+
+
 # thresholds N/D: small fractions, integers around the search bound, and the
 # unreduced exact y/x of floats, whose D reaches 2^1074 for a subnormal x
 THRESHOLD = st.one_of(
@@ -591,15 +600,24 @@ class TestBatchedSearch:
                     assert calls == [2, 1], (search.__name__, n)
 
     def test_order_stream_pool_oracle_counts_are_pinned(self, monkeypatch):
-        # one seed-7 pass over the benchmark's order-stream pool; the counts follow
-        # from the descent alone, so they hold on every machine
-        monkeypatch.syspath_prepend(str(BENCH))
-        stream = importlib.import_module("order_stream")
+        # the counts follow from the descent alone, so they hold on every machine
         counts = count_oracle_calls(monkeypatch)
-        shared = stream.shared_objects(7)
-        for index, spec in enumerate(stream.pool_specs(7)):
-            stream.run_op(stream.make_entry(7, index, spec, shared), shared)
+        run_order_stream_pool(monkeypatch)
         assert counts == [232, 116]
+
+    def test_order_stream_pool_prime_windows_are_pinned(self, monkeypatch):
+        # the windows handed to the prime tables: a machine-free count of the
+        # prime-pair work, which forms no window that starts past the bound
+        windows = [0]
+        lookup = PrimeTable.first_primes_in
+
+        def counting(table, lo, hi):
+            windows[0] += len(lo)
+            return lookup(table, lo, hi)
+
+        monkeypatch.setattr(PrimeTable, "first_primes_in", counting)
+        run_order_stream_pool(monkeypatch)
+        assert windows == [13_824]
 
     def test_bracket_is_exact_where_float_products_round(self):
         # at n = 10^11 the products k * a of quantized sites pass 2^53, so a float
@@ -813,13 +831,18 @@ class TestRhoPlusPrimes:
             a = m.element(quantized(rng, 0.5, 2.0, sites))
             steps = np.round(quantized(rng, 0.5, 2.0, sites) * scale / QUANTUM)
             b = m.element(np.maximum(steps, 1) * QUANTUM)
-        try:
-            expected = reference_rho_plus_primes(m, a, b, bound)
-        except PrimePairError:
-            with pytest.raises(PrimePairError):
-                rho_plus_primes(m, a, b, bound)
-            return
-        assert rho_plus_primes(m, a, b, bound) == expected
+        table = PrimeTable(bound)
+        with pytest.MonkeyPatch.context() as patch:
+            seen = captured_prime_windows(patch, table)
+            try:
+                expected = reference_rho_plus_primes(m, a, b, bound)
+            except PrimePairError:
+                with pytest.raises(PrimePairError):
+                    rho_plus_primes(m, a, b, bound, table=table)
+            else:
+                assert rho_plus_primes(m, a, b, bound, table=table) == expected
+        (k_min, _), = seen
+        assert k_min.max(initial=0) <= bound  # no window starts past the bound
 
     def test_least_exponents_do_not_overflow_int64(self, monkeypatch):
         m = OrderedModel.additive(1)
@@ -829,11 +852,15 @@ class TestRhoPlusPrimes:
         assert ordered._bracket(ordered._oracle(m, a, b), bound)[0] == (num, den)
         table = PrimeTable(bound)
         qs = table.primes.tolist()
-        assert qs[-1] * num > np.iinfo(np.int64).max  # the unsplit product would wrap
+        assert qs[-1] * num > np.iinfo(np.int64).max  # the product of an uncut prime would wrap
         seen = captured_prime_windows(monkeypatch, table)
         rho_plus_primes(m, a, b, bound, table=table)
         (k_min, window_hi), = seen
-        assert k_min.tolist() == [-(-q * num // den) for q in qs]
+        kept = [q for q in qs if q * num <= bound * den]
+        assert len(kept) == len(k_min) < len(qs)
+        assert k_min.tolist() == [-(-q * num // den) for q in kept]
+        assert max(k_min.tolist()) <= bound
+        assert all(-(-q * num // den) > bound for q in qs[len(kept) :])
         assert window_hi.tolist() == [min(k + int(k**0.6), bound) for k in k_min.tolist()]
 
     def test_numpy_window_powers_match_python_floats(self):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -112,6 +114,28 @@ class TestGrids:
         for d in range(3, MAX_SPHERE_DIMENSION + 1):
             x = DirectionGrid.sphere(4096, d).directions
             assert np.abs(x.T @ x / len(x) - np.eye(d) / d).max() < 0.02
+
+    def test_planar_grids_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use, about 18 ms of a fresh process
+        script = (
+            "import contextlib, io, sys\n"
+            "from cbmlab import cli\n"
+            "from cbmlab.starshape import DirectionGrid\n"
+            "DirectionGrid.uniform_circle(1024)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['skeleton', '--v', '0,1']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True)
+
+    def test_from_angles_sorts_and_deduplicates_as_np_unique_does(self):
+        # repeats, signed zeros and whole turns, each reduced to one angle
+        rng = item_rng(SEED, 13)
+        pool = np.concatenate([rng.uniform(-10.0, 10.0, 64), [0.0, -0.0, math.pi, 2.0 * math.pi, -2.0 * math.pi]])
+        for _ in range(200):
+            angles = rng.permutation(np.concatenate([pool, rng.choice(pool, len(pool))]))
+            grid = DirectionGrid.from_angles(angles)
+            assert grid.angles.tobytes() == np.unique(np.mod(angles, 2.0 * math.pi)).tobytes()
 
     def test_unit_ball_volumes(self):
         assert abs(polar_volume(ball(1.0, GRID)) - math.pi) / math.pi < 0.005
