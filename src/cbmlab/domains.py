@@ -33,8 +33,6 @@ class SplitToricDomain:
     _origin: tuple[RadialSet, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.base_dim < 1:
-            raise InvalidInputError("base dimension must be >= 1")
         if self.base_dim != self.fiber.grid.dimension:  # the fiber lies in R^base_dim
             raise InvalidInputError("base dimension must equal the fiber dimension")
         if self.cover < 1:
@@ -51,7 +49,9 @@ def rescale_cover(domain: SplitToricDomain, k: int) -> SplitToricDomain:
         raise InvalidInputError("covering index k must be a positive integer")
     origin, start = domain._origin or (domain.fiber, domain.cover)
     cover = domain.cover * k
-    rescaled = replace(domain, fiber=scale(origin, 1.0 / (cover // start)), cover=cover)
+    # int true division rounds correctly; past the float range it gives 0.0,
+    # which scale rejects, where 1.0 / n would raise OverflowError
+    rescaled = replace(domain, fiber=scale(origin, 1 / (cover // start)), cover=cover)
     object.__setattr__(rescaled, "_origin", (origin, start))
     return rescaled
 

@@ -135,8 +135,7 @@ def dcbm_forms_upper(
     # width that overflows to inf is rejected when the report is written
     with np.errstate(over="ignore"):
         best = float(np.max(np.abs(f1.f - f2.f)))  # identity candidate
-        for m in candidates:
-            _check_shared(f1.manifold, m.manifold)
+        for m in candidates:  # pullback checks m against f2, which matches f1
             width = float(np.max(np.abs(f1.f - pullback(f2, m).f)))
             if width < best:
                 best = width

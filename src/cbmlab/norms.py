@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation, PreconditionError
+from .errors import InvalidInputError, InvariantViolation
 from .ordered import DEFAULT_L_MAX, Element, OrderedModel, min_power, rho_plus
 
 
@@ -43,16 +43,14 @@ def norm(base: Element, arg: Element) -> NormReport:
     -min_power(-arg). At l = 1 each bracket is the threshold's integer part
     and its two certificate calls, in O(sites) memory; a ratio beyond the
     search bound raises SearchBoundError before any closed form is evaluated.
+    The oracle also checks arg's site count and raises PreconditionError for
+    a base that is not dominant.
 
     The closed forms ceil(sup(arg/base)) and floor(inf(arg/base)) cross-check
     them on the float ratios, at the strength monotone rounding permits:
     nu_plus - 1 <= max(ratio) <= nu_plus and nu_minus <= min(ratio) <= nu_minus + 1.
     """
     model = OrderedModel.additive(base.data.size)
-    model._check(arg)
-    if not model.is_dominant_closed_form(base):
-        raise PreconditionError("norm requires a dominant base (strictly positive minimum)")
-
     nu_plus = min_power(model, base, arg, 1)
     nu_minus = -min_power(model, base, model.inverse(arg), 1)
 

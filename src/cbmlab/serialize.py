@@ -16,7 +16,7 @@ import numpy as np
 from .domains import SplitToricDomain
 from .errors import InvalidInputError
 from .forms import ContactFormRep, ContactMapRep, SampledManifold
-from .starshape import MAX_SPHERE_DIMENSION, DirectionGrid, RadialSet
+from .starshape import DirectionGrid, RadialSet
 
 
 _NON_FINITE = "reports may not contain non-finite numbers"
@@ -136,15 +136,12 @@ def radial_set_from_dict(data: dict) -> RadialSet:
         if directions.ndim != 2 or directions.shape[1] != dimension:
             raise InvalidInputError("directions must be a (count, dimension) matrix")
         grid = DirectionGrid.from_directions(directions)
-    elif not 2 <= dimension <= MAX_SPHERE_DIMENSION:
-        raise InvalidInputError(
-            f"dimension must lie in [2, {MAX_SPHERE_DIMENSION}] when directions are omitted, "
-            f"got {dimension}"
-        )
     elif dimension == 2:
         grid = DirectionGrid.uniform_circle(radii.size)
+    elif dimension == 3:
+        grid = DirectionGrid.sphere(radii.size)
     else:
-        grid = DirectionGrid.sphere(radii.size, dimension)
+        raise InvalidInputError(f"dimension must be 2 or 3 when directions are omitted, got {dimension}")
     return RadialSet(grid, radii)
 
 

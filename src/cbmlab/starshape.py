@@ -21,9 +21,6 @@ DEFAULT_GRID_COUNT = 1024
 # largest uniform base grid (uniform_circle, the skeleton base); larger
 # counts are rejected before any array is allocated
 MAX_GRID_COUNT = 10**6
-# the Halton bases of the sphere sample, one per coordinate, cap its dimension
-_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-MAX_SPHERE_DIMENSION = len(_HALTON_BASES)
 _UNIT_TOL = 1e-12
 _FAN = 48  # fan angles on each side of a spoke
 # most (sample angle, spoke) pairs in one skeleton's trig arrays; checked
@@ -41,17 +38,6 @@ def _grid_count(count: int) -> int:
 def _uniform_angles(count: int) -> np.ndarray:
     """count equally spaced polar angles from 0, for 0 <= count <= MAX_GRID_COUNT."""
     return 2.0 * math.pi * np.arange(_grid_count(count)) / count
-
-
-def _halton(index: np.ndarray, base: int) -> np.ndarray:
-    result = np.zeros(index.shape, dtype=float)
-    f = 1.0
-    i = index.astype(np.int64) + 1
-    while np.any(i > 0):
-        f /= base
-        result += f * (i % base)
-        i //= base
-    return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,29 +101,17 @@ class DirectionGrid:
 
     @staticmethod
     def sphere(count: int = DEFAULT_GRID_COUNT, dimension: int = 3) -> "DirectionGrid":
-        """Low-discrepancy sample of the unit sphere for dimension >= 3."""
-        if dimension < 3:
-            raise InvalidInputError("use uniform_circle / from_angles for dimension 2")
-        if dimension == 3:
-            # Fibonacci spiral: near-uniform
-            i = np.arange(count)
-            z = 1.0 - (2.0 * i + 1.0) / count
-            phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-            rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-            directions = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-        else:
-            if dimension > MAX_SPHERE_DIMENSION:
-                raise InvalidInputError(
-                    f"sphere sampling supports dimension <= {MAX_SPHERE_DIMENSION}"
-                )
-            # Box-Muller maps each Halton pair, strictly inside (0, 1)^2, to two normals
-            i = np.arange(count)
-            u = np.column_stack([_halton(i, b) for b in _HALTON_BASES[: dimension + dimension % 2]])
-            r, t = np.sqrt(-2.0 * np.log(u[:, 0::2])), 2.0 * math.pi * u[:, 1::2]
-            u[:, 0::2], u[:, 1::2] = r * np.cos(t), r * np.sin(t)
-            directions = u[:, :dimension]
+        """Fibonacci spiral on the unit sphere in R^3, near-uniform; the one
+        default grid past the plane, so any other dimension is rejected."""
+        if dimension != 3:
+            raise InvalidInputError(f"the default sphere grid is 3-d, got dimension {dimension}")
+        i = np.arange(count)
+        z = 1.0 - (2.0 * i + 1.0) / count
+        phi = math.pi * (1.0 + math.sqrt(5.0)) * i
+        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        directions = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return DirectionGrid(dimension, directions)
+        return DirectionGrid(3, directions)
 
     def matches(self, other: "DirectionGrid") -> bool:
         return self is other or (

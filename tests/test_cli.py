@@ -421,8 +421,29 @@ def test_radial_set_below_dimension_two_without_directions_exits_two(tmp_path, c
     a = write(tmp_path / "a.json", {"dimension": 1, "radii": [1.0] * 64})
     assert main(["delta", a, a]) == 2
     assert capsys.readouterr().err == (
-        "error: dimension must lie in [2, 12] when directions are omitted, got 1\n"
+        "error: dimension must be 2 or 3 when directions are omitted, got 1\n"
     )
+
+
+@pytest.mark.parametrize("dimension", [4, 12, 13])
+def test_radial_set_past_dimension_three_without_directions_exits_two(tmp_path, capsys, dimension):
+    a = write(tmp_path / "a.json", {"dimension": dimension, "radii": [1.0] * 64})
+    assert main(["delta", a, a]) == 2
+    assert capsys.readouterr().err == (
+        f"error: dimension must be 2 or 3 when directions are omitted, got {dimension}\n"
+    )
+
+
+def test_radial_set_in_r4_with_its_own_directions_reads(tmp_path, capsys):
+    # 64 points of the Clifford torus (cos s, sin s, cos t, sin t) / sqrt(2)
+    s, t = np.meshgrid(*[2.0 * math.pi * np.arange(8) / 8] * 2)
+    x = np.column_stack([np.cos(s.flat), np.sin(s.flat), np.cos(t.flat), np.sin(t.flat)])
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    a = write(tmp_path / "a.json", {"dimension": 4, "directions": x.tolist(), "radii": [1.0] * 64})
+    b = write(tmp_path / "b.json", {"dimension": 4, "directions": x.tolist(), "radii": [2.0] * 64})
+    code, report = run(capsys, "delta", a, b)
+    assert code == 0
+    assert report["delta"] == 2.0
 
 
 def form(f):

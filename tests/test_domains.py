@@ -65,6 +65,23 @@ class TestRescaleCover:
         chained = rescale_cover(rescaled, 5)
         assert np.array_equal(chained.fiber.radii, scale(fiber, 1.0 / 10.0).radii)
 
+    def test_a_cover_past_the_float_range_is_invalid_input(self):
+        u = toric(ball(1.0, GRID))
+        with pytest.raises(InvalidInputError, match="scale factor"):
+            rescale_cover(u, 10**400)
+        # a chain past 10^308 rescales by the correctly rounded 1/cover, a
+        # subnormal at 10^310, and rejects the factor once it rounds to 0
+        chain = rescale_cover(rescale_cover(u, 10**300), 10**10)
+        assert chain.cover == 10**310
+        assert np.all(chain.fiber.radii == 1 / 10**310) and 0.0 < 1 / 10**310 < 1e-308
+        with pytest.raises(InvalidInputError, match="scale factor"):
+            rescale_cover(chain, 10**90)
+
+    def test_base_dim_must_equal_the_fiber_dimension(self):
+        for base_dim in (0, -1, 3):
+            with pytest.raises(InvalidInputError, match="base dimension must equal the fiber dimension"):
+                SplitToricDomain(base_dim, ball(1.0, GRID))
+
 
 class TestCsh:
     def test_returns_the_fiber(self):

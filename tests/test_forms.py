@@ -130,6 +130,12 @@ class TestUpperBound:
         f1 = pullback(f2, cand)
         assert dcbm_forms_upper(f1, f2, [cand]) == 0.0
 
+    def test_candidate_on_another_manifold_rejected(self):
+        f = ContactFormRep(uniform_manifold(64), np.zeros(64))
+        for other in (uniform_manifold(32), uniform_manifold(64, half_dim=3)):
+            with pytest.raises(InvalidInputError, match="different sampled manifolds"):
+                dcbm_forms_upper(f, f, [ContactMapRep(other, np.arange(other.sites))])
+
 
 class TestVolumes:
     def test_flat_form_volume(self):

@@ -42,8 +42,15 @@ def test_negated_argument():
 
 def test_non_dominant_base_rejected():
     m = OrderedModel.additive(2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="dominant base"):
         norm(m.element([0.0, 1.0]), m.element([1.0, 1.0]))
+
+
+def test_site_count_mismatch_rejected_before_dominance():
+    m = OrderedModel.additive(2)
+    for base in ([1.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(InvalidInputError, match="site count mismatch"):
+            norm(m.element(base), OrderedModel.additive(3).element([1.0] * 3))
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,7 +16,6 @@ from cbmlab.errors import InvalidInputError
 from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import (
     MAX_GRID_COUNT,
-    MAX_SPHERE_DIMENSION,
     DirectionGrid,
     QiReport,
     RadialSet,
@@ -109,11 +108,14 @@ class TestGrids:
         assert DirectionGrid.from_directions(wide).count == 64
 
     def test_sphere_samples_are_isotropic(self):
-        # mean(x x^T) of a uniform sphere sample is I/d; a reused Halton base
-        # would correlate two coordinates
-        for d in range(3, MAX_SPHERE_DIMENSION + 1):
-            x = DirectionGrid.sphere(4096, d).directions
-            assert np.abs(x.T @ x / len(x) - np.eye(d) / d).max() < 0.02
+        # mean(x x^T) of a uniform sphere sample is I/3
+        x = DirectionGrid.sphere(4096, 3).directions
+        assert np.abs(x.T @ x / len(x) - np.eye(3) / 3).max() < 0.02
+
+    def test_the_sphere_grid_is_3_d_only(self):
+        for d in (-1, 0, 1, 2, 4, 12, 13):
+            with pytest.raises(InvalidInputError, match=f"default sphere grid is 3-d, got dimension {d}$"):
+                DirectionGrid.sphere(256, d)
 
     def test_planar_grids_do_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on first use, about 18 ms of a fresh process
@@ -142,9 +144,6 @@ class TestGrids:
         grid3 = DirectionGrid.sphere(2048, 3)
         target3 = 4.0 * math.pi / 3.0
         assert abs(polar_volume(ball(1.0, grid3)) - target3) / target3 < 0.01
-        grid4 = DirectionGrid.sphere(4096, 4)
-        target4 = math.pi**2 / 2.0
-        assert abs(polar_volume(ball(1.0, grid4)) - target4) / target4 < 0.05
 
 
 class TestDelta:

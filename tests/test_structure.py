@@ -6,12 +6,8 @@ import sys
 import types
 from pathlib import Path
 
-import numpy as np
-
 import cbmlab
 from cbmlab import acceptance
-from cbmlab.serialize import radial_set_from_dict
-from cbmlab.starshape import MAX_SPHERE_DIMENSION
 from test_acceptance import SEED7_REPORT_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,17 +69,6 @@ def test_numpy_is_the_one_runtime_dependency():
         if (hits := [(line, m) for line, m in absolute_imports(path) if m not in allowed])
     }
     assert offenders == {}
-
-
-def test_default_sphere_grids_read_without_scipy(monkeypatch):
-    # a radial set without directions in dimension 4 to 12 reads on its default sphere sample
-    for name in ("scipy", "scipy.special"):
-        monkeypatch.setitem(sys.modules, name, None)  # importing either raises ImportError
-    for d in range(4, MAX_SPHERE_DIMENSION + 1):
-        x = radial_set_from_dict({"dimension": d, "radii": [1.0] * 256}).grid.directions
-        assert x.shape == (256, d)
-        assert len(np.unique(x, axis=0)) == 256
-        assert np.all(np.abs(np.linalg.norm(x, axis=1) - 1.0) <= 1e-12)
 
 
 def message_prefix(check):
