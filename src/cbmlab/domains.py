@@ -193,9 +193,6 @@ class HamiltonianDomain:
     def s_full(self) -> float:
         return 1.0 / self.m_plus
 
-    def as_domain(self, label: str = "") -> SplitToricDomain:
-        return SplitToricDomain(self.fiber.grid.dimension, self.fiber, label)
-
     def to_json_dict(self) -> dict:
         return {
             "m_minus": self.m_minus,
@@ -253,7 +250,7 @@ def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
 
     dom1 = hamiltonian_to_domain(v1)
     dom2 = hamiltonian_to_domain(v2)
-    interval = dcbm_toric(dom1.as_domain("U(h1)"), dom2.as_domain("U(h2)"))
+    interval = dcbm_toric(SplitToricDomain(2, dom1.fiber), SplitToricDomain(2, dom2.fiber))
     d_cbm = interval.upper
 
     tol = 3.0 / l_max

@@ -73,8 +73,12 @@ class OrderedModel:
     """A semigroup with composition, an order oracle, and a dominance test."""
 
     kind: ModelKind
-    site_count: int = 0
+    site_count: int
     order_variant: OrderVariant = OrderVariant.NON_STRICT
+
+    def __post_init__(self):
+        if self.site_count < 1:
+            raise InvalidInputError("an ordered model needs at least one site")
 
     @staticmethod
     def multiplicative(variant: OrderVariant = OrderVariant.NON_STRICT) -> "OrderedModel":
@@ -82,8 +86,6 @@ class OrderedModel:
 
     @staticmethod
     def additive(site_count: int, variant: OrderVariant = OrderVariant.NON_STRICT) -> "OrderedModel":
-        if site_count < 1:
-            raise InvalidInputError("additive model needs at least one site")
         return OrderedModel(ModelKind.ADDITIVE_GRID, site_count, variant)
 
     # -- element construction -------------------------------------------------

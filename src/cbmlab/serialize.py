@@ -145,15 +145,6 @@ def radial_set_from_dict(data: dict) -> RadialSet:
     return RadialSet(grid, radii)
 
 
-def domain_to_dict(d: SplitToricDomain) -> dict:
-    return {
-        "base_dim": d.base_dim,
-        "fiber": radial_set_to_dict(d.fiber),
-        "label": d.label,
-        "cover": d.cover,
-    }
-
-
 def domain_from_dict(data: dict) -> SplitToricDomain:
     """A split toric domain; an optional ``liouville_weight`` must be 1, the
     weight of the cotangent fibers of a torus."""
@@ -169,15 +160,6 @@ def domain_from_dict(data: dict) -> SplitToricDomain:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad domain payload: {exc}") from exc
-
-
-def form_to_dict(form: ContactFormRep) -> dict:
-    return {
-        "sites": form.manifold.sites,
-        "weights": form.manifold.weights,
-        "half_dim": form.manifold.half_dim,
-        "f": form.f,
-    }
 
 
 def form_from_dict(data: dict) -> ContactFormRep:

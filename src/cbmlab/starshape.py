@@ -42,16 +42,14 @@ def _uniform_angles(count: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DirectionGrid:
-    """At least MIN_GRID_COUNT unit directions in R^dimension, the shared
-    sample points of radial sets; every factory drops or rejects duplicates."""
+    """A grid is its (count, dimension) matrix of at least MIN_GRID_COUNT unit
+    directions, the shared sample points of radial sets; every factory drops
+    or rejects duplicates."""
 
-    dimension: int
     directions: np.ndarray
     angles: np.ndarray | None = None  # polar angles, 2-d grids only
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InvalidInputError("dimension must be >= 1")
         if self.count < MIN_GRID_COUNT:
             raise InvalidInputError(f"direction grids need at least {MIN_GRID_COUNT} directions")
         norms = np.linalg.norm(self.directions, axis=1)
@@ -65,6 +63,10 @@ class DirectionGrid:
     def count(self) -> int:
         return self.directions.shape[0]
 
+    @property
+    def dimension(self) -> int:
+        return self.directions.shape[1]
+
     @staticmethod
     def uniform_circle(count: int = DEFAULT_GRID_COUNT) -> "DirectionGrid":
         return DirectionGrid.from_angles(_uniform_angles(count))
@@ -77,7 +79,7 @@ class DirectionGrid:
         directions = np.column_stack([np.cos(ang), np.sin(ang)])
         # cos/sin round to norms within an ulp of 1; renormalize exactly
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return DirectionGrid(2, directions, ang)
+        return DirectionGrid(directions, ang)
 
     @staticmethod
     def from_directions(directions) -> "DirectionGrid":
@@ -86,8 +88,7 @@ class DirectionGrid:
         directions = np.array(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] < 1:
             raise InvalidInputError("directions must be a (count, dimension) matrix")
-        dimension = directions.shape[1]
-        if dimension == 2:
+        if directions.shape[1] == 2:
             angles = np.mod(np.arctan2(directions[:, 1], directions[:, 0]), 2.0 * math.pi)
             duplicate = np.any(np.diff(np.sort(angles)) == 0.0)
         else:
@@ -97,7 +98,7 @@ class DirectionGrid:
             duplicate = np.any(np.all(rows[1:] == rows[:-1], axis=1))
         if duplicate:
             raise InvalidInputError("duplicate directions")
-        return DirectionGrid(dimension, directions, angles)
+        return DirectionGrid(directions, angles)
 
     @staticmethod
     def sphere(count: int = DEFAULT_GRID_COUNT, dimension: int = 3) -> "DirectionGrid":
@@ -111,14 +112,10 @@ class DirectionGrid:
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         directions = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return DirectionGrid(3, directions)
+        return DirectionGrid(directions)
 
     def matches(self, other: "DirectionGrid") -> bool:
-        return self is other or (
-            self.dimension == other.dimension
-            and self.count == other.count
-            and np.array_equal(self.directions, other.directions)
-        )
+        return self is other or np.array_equal(self.directions, other.directions)
 
 
 @dataclass(frozen=True, eq=False)

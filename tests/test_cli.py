@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 from cbmlab import acceptance
 from cbmlab.cli import main
 from cbmlab.errors import InvariantViolation, SearchBoundError
-from cbmlab.serialize import domain_to_dict, dumps_report, form_to_dict, radial_set_to_dict
-from cbmlab.domains import SplitToricDomain
-from cbmlab.forms import ContactFormRep, SampledManifold
+from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import DirectionGrid, ball
 
 GRID = DirectionGrid.uniform_circle(128)
@@ -46,7 +44,7 @@ def test_delta_on_nested_balls(tmp_path, capsys):
 
 
 def test_dcbm_toric_self_is_zero(tmp_path, capsys):
-    u = write(tmp_path / "u.json", domain_to_dict(SplitToricDomain(2, ball(1.5, GRID))))
+    u = write(tmp_path / "u.json", {"base_dim": 2, "fiber": radial_set_to_dict(ball(1.5, GRID))})
     code, report = run(capsys, "dcbm-toric", u, u)
     assert code == 0
     assert report["lower"] == 0.0
@@ -127,7 +125,7 @@ def test_ham2dom_unit(tmp_path, capsys):
 
 
 def test_csh_and_squeezable(tmp_path, capsys):
-    u = write(tmp_path / "u.json", domain_to_dict(SplitToricDomain(2, ball(2.0, GRID), label="B")))
+    u = write(tmp_path / "u.json", {"base_dim": 2, "fiber": radial_set_to_dict(ball(2.0, GRID)), "label": "B"})
     code, report = run(capsys, "csh", u)
     assert code == 0
     assert all(r == 2.0 for r in report["csh"]["radii"])
@@ -160,11 +158,9 @@ def test_base_dim_must_equal_the_fiber_dimension(command, tmp_path, capsys):
 
 
 def test_dcbm_forms_pinch(tmp_path, capsys):
-    manifold = SampledManifold(np.ones(32), half_dim=2)
-    f1 = ContactFormRep(manifold, np.linspace(-1, 1, 32))
-    f2 = f1.rescaled(2.0)
-    p1 = write(tmp_path / "f1.json", form_to_dict(f1))
-    p2 = write(tmp_path / "f2.json", form_to_dict(f2))
+    f1 = np.linspace(-1, 1, 32)
+    p1 = write(tmp_path / "f1.json", {"weights": [1.0] * 32, "half_dim": 2, "f": f1})
+    p2 = write(tmp_path / "f2.json", {"weights": [1.0] * 32, "half_dim": 2, "f": f1 + math.log(2.0)})
     code, report = run(capsys, "dcbm-forms", p1, p2)
     assert code == 0
     assert abs(report["upper"] - math.log(2.0)) <= 1e-9
@@ -247,8 +243,7 @@ def test_malformed_element_values_exit_two(tmp_path, capsys):
 
 
 def test_out_of_range_candidate_permutation_exits_two(tmp_path, capsys):
-    manifold = SampledManifold(np.ones(3), half_dim=2)
-    f = write(tmp_path / "f.json", form_to_dict(ContactFormRep(manifold, np.zeros(3))))
+    f = write(tmp_path / "f.json", {"weights": [1.0] * 3, "half_dim": 2, "f": [0.0] * 3})
     m = write(tmp_path / "m.json", {"perm": [0, 1, 7]})
     assert main(["dcbm-forms", f, f, "--maps", m]) == 2
     assert "permutation" in capsys.readouterr().err
@@ -375,10 +370,8 @@ def test_booleans_and_strings_in_float_arrays_exit_two(case, tmp_path, capsys):
 
 
 def test_subgraph_volume_out_of_range_exits_two(tmp_path, capsys):
-    manifold = SampledManifold(np.ones(3), half_dim=2)
-    tiny_form, unit_form = (ContactFormRep(manifold, np.full(3, f)) for f in (-1000.0, 0.0))
-    tiny = write(tmp_path / "tiny.json", form_to_dict(tiny_form))
-    unit = write(tmp_path / "unit.json", form_to_dict(unit_form))
+    tiny = write(tmp_path / "tiny.json", {"weights": [1.0] * 3, "half_dim": 2, "f": [-1000.0] * 3})
+    unit = write(tmp_path / "unit.json", {"weights": [1.0] * 3, "half_dim": 2, "f": [0.0] * 3})
     assert main(["dcbm-forms", tiny, unit]) == 2  # e^(-2000) underflows to a zero volume
     assert main(["dcbm-forms", unit, tiny]) == 2
     assert capsys.readouterr().err.count("volume ratio") == 2
@@ -617,23 +610,21 @@ def test_l_max_with_exponents_past_the_search_bound_exits_two(tmp_path, capsys):
 
 
 def test_nan_fiber_direction_exits_two(tmp_path, capsys):
-    payload = domain_to_dict(SplitToricDomain(2, ball(1.0, GRID)))
     directions = GRID.directions.tolist()
     directions[5] = [math.nan, math.nan]
-    payload["fiber"]["directions"] = directions
+    payload = {"base_dim": 2, "fiber": {"dimension": 2, "radii": [1.0] * GRID.count, "directions": directions}}
     u = tmp_path / "u.json"
-    u.write_text(json.dumps(payload, default=lambda a: a.tolist()))  # json writes NaN
+    u.write_text(json.dumps(payload))  # json writes NaN
     assert main(["squeezable", str(u)]) == 2
     assert "unit vectors" in capsys.readouterr().err
 
 
 def test_consecutive_calls_match_fresh_processes(tmp_path, capsys):
     n = 32
-    manifold = SampledManifold(np.ones(n), half_dim=2)
-    f1 = ContactFormRep(manifold, np.linspace(-1, 1, n))
-    f2 = ContactFormRep(manifold, f1.f[::-1])  # the reversal map pulls f2 back to f1
-    p1 = write(tmp_path / "f1.json", form_to_dict(f1))
-    p2 = write(tmp_path / "f2.json", form_to_dict(f2))
+    f1 = np.linspace(-1, 1, n)
+    p1 = write(tmp_path / "f1.json", {"weights": [1.0] * n, "half_dim": 2, "f": f1})
+    # the reversal map pulls f2 back to f1
+    p2 = write(tmp_path / "f2.json", {"weights": [1.0] * n, "half_dim": 2, "f": f1[::-1]})
     m = write(tmp_path / "m.json", {"perm": list(range(n))[::-1]})
     a = write(tmp_path / "a.json", radial_set_to_dict(ball(1.0, GRID)))
     b = write(tmp_path / "b.json", radial_set_to_dict(ball(2.0, GRID)))

@@ -289,6 +289,14 @@ class TestOracle:
         with pytest.raises(InvalidInputError):
             m.ge(m.element([1, 1]), other.element([1, 1, 1]))
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_a_model_without_sites_is_rejected(self, kind):
+        # with no sites the oracle would take the min of an empty sequence
+        with pytest.raises(InvalidInputError, match="an ordered model needs at least one site"):
+            OrderedModel(kind, 0)
+        with pytest.raises(InvalidInputError, match="an ordered model needs at least one site"):
+            OrderedModel.additive(-1)
+
     def test_bi_invariance_on_random_triples(self):
         # quantized samples keep all sums exact, so the check is bitwise
         rng = item_rng(SEED, 0)

@@ -9,15 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 from cbmlab import serialize
 from cbmlab.acceptance import item_rng
-from cbmlab.domains import SplitToricDomain
 from cbmlab.errors import InvalidInputError
 from cbmlab.forms import ContactFormRep, SampledManifold
 from cbmlab.serialize import (
     domain_from_dict,
-    domain_to_dict,
     dumps_report,
     form_from_dict,
-    form_to_dict,
     format_float,
     map_from_dict,
     radial_set_from_dict,
@@ -114,10 +111,26 @@ def test_non_finite_rejected_inside_arrays_and_float_lists(value):
         dumps_report({"x": value})
 
 
+def own_direction_grid(dimension):
+    """A grid of 64 distinct unit directions in R^dimension, not a default grid;
+    in R^1 they are ±1 moved apart within the unit-vector tolerance."""
+    if dimension == 1:
+        near_one = 1.0 - 2.0**-45 * np.arange(32)
+        return DirectionGrid.from_directions(np.concatenate([near_one, -near_one])[:, None])
+    points = item_rng(12, dimension).normal(size=(64, dimension))
+    return DirectionGrid.from_directions(points / np.linalg.norm(points, axis=1)[:, None])
+
+
 def test_radial_set_round_trip_is_identity():
-    payload = dumps_report(radial_set_to_dict(sample_set()))
-    reparsed = radial_set_from_dict(json.loads(payload))
-    assert dumps_report(radial_set_to_dict(reparsed)) == payload
+    grids = [DirectionGrid.uniform_circle(64), DirectionGrid.sphere(64, 3)] + [own_direction_grid(d) for d in (1, 3, 4)]
+    for grid in grids:
+        original = RadialSet(grid, item_rng(12, 0).uniform(0.5, 2.0, grid.count))
+        payload = dumps_report(radial_set_to_dict(original))
+        reparsed = radial_set_from_dict(json.loads(payload))
+        assert dumps_report(radial_set_to_dict(reparsed)) == payload
+        assert reparsed.grid.matches(grid)
+        assert np.array_equal(reparsed.radii, original.radii)
+        assert reparsed.grid.dimension == reparsed.grid.directions.shape[1] == grid.dimension
 
 
 def test_radial_set_without_directions_regenerates_grid():
@@ -162,20 +175,24 @@ def test_float_arrays_past_the_float_range_are_rejected():
 
 
 def test_domain_round_trip():
-    domain = SplitToricDomain(2, sample_set(), "test-domain", cover=3)
-    payload = dumps_report(domain_to_dict(domain))
-    reparsed = domain_from_dict(json.loads(payload))
+    fiber = sample_set()
+    payload = {"base_dim": 2, "fiber": radial_set_to_dict(fiber), "label": "test-domain", "cover": 3}
+    reparsed = domain_from_dict(json.loads(dumps_report(payload)))
+    assert reparsed.base_dim == 2
     assert reparsed.label == "test-domain"
     assert reparsed.cover == 3
-    assert dumps_report(domain_to_dict(reparsed)) == payload
+    assert reparsed.fiber.grid.matches(fiber.grid)
+    assert np.array_equal(reparsed.fiber.radii, fiber.radii)
 
 
 def test_form_round_trip_and_maps():
     manifold = SampledManifold(item_rng(12, 0).uniform(0.5, 2.0, 32), half_dim=2)
     form = ContactFormRep(manifold, item_rng(12, 0).uniform(-1, 1, 32))
-    payload = dumps_report(form_to_dict(form))
-    reparsed = form_from_dict(json.loads(payload))
-    assert dumps_report(form_to_dict(reparsed)) == payload
+    payload = {"sites": 32, "weights": manifold.weights, "half_dim": 2, "f": form.f}
+    reparsed = form_from_dict(json.loads(dumps_report(payload)))
+    assert reparsed.manifold.half_dim == 2
+    assert np.array_equal(reparsed.manifold.weights, manifold.weights)
+    assert np.array_equal(reparsed.f, form.f)
 
     perm = item_rng(12, 0).permutation(32)
     derived = map_from_dict({"perm": perm.tolist()}, manifold)

@@ -147,6 +147,22 @@ def test_every_exported_name_has_a_caller():
     assert uncalled - readme_sketch_names() == set()
 
 
+def test_every_public_module_name_has_a_caller():
+    # the rule above, for every public top-level def and class of a module,
+    # exported or not; methods stay outside it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    uncalled = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(loads(other, node.name) for other in trees.values())
+    }
+    assert uncalled == set()
+
+
 def test_every_traced_name_resolves():
     # bench/spans.py wraps these by name; a rename would break only a traced benchmark run
     spans = load(SPANS)
