@@ -95,8 +95,6 @@ def dcbm_toric(u: SplitToricDomain, v: SplitToricDomain) -> BoundInterval:
     sup(rU/rV) and rationals approach that supremum from above. No independent
     upper witness (an explicit pair (k, l) checked on the grid) is computed.
     """
-    if u.base_dim != v.base_dim:
-        raise InvalidInputError("base dimensions differ")
     value = log_delta(csh(u), csh(v))
     return BoundInterval(
         lower=value,

@@ -55,7 +55,7 @@ def norm(base: Element, arg: Element) -> NormReport:
     nu_minus = -min_power(model, base, model.inverse(arg), 1)
 
     ratio = arg.data / base.data
-    hi, lo = float(np.max(ratio)), float(np.min(ratio))
+    hi, lo = float(ratio.max()), float(ratio.min())
     if not (nu_plus - 1 <= hi <= nu_plus and nu_minus <= lo <= nu_minus + 1):
         raise InvariantViolation(
             f"norm closed-form ratios [{lo}, {hi}] disagree with "

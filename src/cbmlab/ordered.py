@@ -142,10 +142,6 @@ class OrderedModel:
             return bool(np.all(x >= y))
         return bool(np.all(x > y) or np.all(x == y))
 
-    def is_dominant_closed_form(self, a: Element) -> bool:
-        self._check(a)
-        return bool(a.data.min() > 0.0)
-
 
 def _ratio(x: float, y: float) -> tuple[int, int]:
     """The exact y/x of a finite x > 0 as (n, d) with d > 0."""
@@ -157,8 +153,8 @@ def _ratio(x: float, y: float) -> tuple[int, int]:
 @dataclass(frozen=True, slots=True)
 class _Oracle:
     """The exact order oracle of one pair over a dominant base, as the
-    threshold (N, D, strict) that _oracle finds: (k, l) holds exactly when
-    k*D >= l*N, or k*D > l*N if strict.
+    threshold (N, D, strict) in lowest terms that _oracle finds: (k, l) holds
+    exactly when k*D >= l*N, or k*D > l*N if strict.
     """
 
     threshold: tuple[int, int, bool]
@@ -171,7 +167,7 @@ class _Oracle:
 
 def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
     """Exact order oracle (k, l) |-> (a^k >= b^l) for l >= 1 and a dominant a,
-    built once per pair.
+    built once per pair, and the order layer's one check of dominance.
 
     Every caller passes l >= 1: _bracket probes only q >= 1. With every site
     x of a positive, k*x >= l*y at every site (y of b) holds exactly when
@@ -183,8 +179,8 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
     """
     model._check(a, b)
     xs, ys = a.data.tolist(), b.data.tolist()
-    if not min(xs) > 0:
-        raise PreconditionError("the order oracle needs a dominant base")
+    if not (smallest := min(xs)) > 0:
+        raise PreconditionError(f"the order oracle needs a dominant base; its smallest site is {smallest!r}")
     top, tops = -math.inf, []  # the float max of y/x, and the sites at it
     for x, y in zip(xs, ys):
         r = y / x
@@ -200,7 +196,8 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
     strict = model.order_variant is OrderVariant.STRICT_POSITIVE and (
         len(tops) < len(xs) or any(n * den != num * d for n, d in ratios)
     )
-    return _Oracle((num, den, strict))
+    g = math.gcd(num, den)  # lowest terms keep _bracket's integers short
+    return _Oracle((num // g, den // g, strict))
 
 
 def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
@@ -286,7 +283,7 @@ def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L
         raise InvalidInputError("l_max must be a positive integer")
     (p, q), (p_lo, q_lo) = _bracket(_oracle(model, a, b), l_max)
     with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
-        rate = float(np.max(np.divide(b.data, a.data)))
+        rate = float(np.divide(b.data, a.data).max())
     if not p_lo / q_lo <= rate <= p / q:
         raise InvariantViolation(f"closed-form rate {rate} lies outside [{p_lo}/{q_lo}, {p}/{q}]")
     return RhoEstimate(limit_estimate=-(-l_max * p // q) / l_max, pair_infimum=p / q)
@@ -312,12 +309,12 @@ def rho_plus_primes(
     """
     if prime_bound < 2:
         raise InvalidInputError("prime_bound must be at least 2")
-    for name, e in (("a", a), ("b", b)):
-        if not model.is_dominant_closed_form(e):
-            raise PreconditionError(f"rho_plus_primes requires dominant inputs; {name} is not")
+    oracle = _oracle(model, a, b)
+    if not b.data.min() > 0:  # the window pass needs num >= 1; checked before any sieve
+        raise PreconditionError("rho_plus_primes requires dominant inputs; b is not")
     if table is None or table.bound < prime_bound:
         table = prime_table(prime_bound)
-    (num, den), _ = _bracket(_oracle(model, a, b), prime_bound)
+    (num, den), _ = _bracket(oracle, prime_bound)
     last_q = min(prime_bound, prime_bound * den // num)  # num >= 1, as b is dominant
     qs = table.primes[: np.searchsorted(table.primes, last_q, side="right")]
     k_min = -(-(qs * num) // den)
@@ -365,9 +362,6 @@ def growth_distance(
         raise InvalidInputError("l_max must be a positive integer")
     if l_max > sys.float_info.max:
         raise InvalidInputError("l_max must be representable as a double")
-    for name, e in (("a", a), ("b", b)):
-        if not model.is_dominant_closed_form(e):
-            raise PreconditionError(f"growth_distance requires dominant inputs; {name} is not")
     if method is Method.PRIME_PAIRS:
         rp = rho_plus_primes(model, a, b, prime_bound)
         rm = rho_plus_primes(model, b, a, prime_bound)

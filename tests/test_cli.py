@@ -493,6 +493,24 @@ def test_prime_bound_past_the_table_cap_exits_two(tmp_path, capsys):
     assert "prime bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["limit-sequence", "pair-infimum", "prime-pairs"])
+@pytest.mark.parametrize("bad", ["a", "b"])
+def test_non_dominant_growth_input_exits_two(tmp_path, capsys, method, bad):
+    good = write(tmp_path / "good.json", [1.0, 2.0])
+    weak = write(tmp_path / "weak.json", [0.5, -0.25])
+    files = [weak, good] if bad == "a" else [good, weak]
+    assert main(["growth", *files, "--method", method, "--prime-bound", "100"]) == 2
+    assert "dominant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["limit-sequence", "pair-infimum", "prime-pairs"])
+def test_a_ratio_past_the_search_bound_with_a_non_dominant_b_exits_two(tmp_path, capsys, method):
+    a = write(tmp_path / "a.json", [1.0, 1.0])
+    b = write(tmp_path / "b.json", [-1.0, 2e12])
+    assert main(["growth", a, b, "--method", method, "--prime-bound", "100"]) == 2
+    assert ("b is not" if method == "prime-pairs" else "exceeded bound") in capsys.readouterr().err
+
+
 def test_skeleton_grid_past_the_cap_exits_two(capsys):
     assert main(["skeleton", "--v", "1,1,1,1", "--grid", str(10**20)]) == 2
     assert "grid count" in capsys.readouterr().err

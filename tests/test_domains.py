@@ -170,7 +170,7 @@ class TestDcbmToric:
 
     def test_mismatches_rejected(self):
         u = toric(ball(1.0, GRID))
-        with pytest.raises(InvalidInputError, match="base dimensions differ"):
+        with pytest.raises(InvalidInputError, match="different direction grids"):
             dcbm_toric(u, SplitToricDomain(3, ball(1.0, DirectionGrid.sphere(64, 3))))
 
 

@@ -218,6 +218,13 @@ class TestOracle:
         with pytest.raises(PreconditionError, match="dominant base"):
             ordered._oracle(m, a, b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_threshold_is_in_lowest_terms(self, data):
+        m, _, _, a, b = draw_pair(data, "dominant")
+        num, den, _ = ordered._oracle(m, a, b).threshold
+        assert den > 0 and math.gcd(num, den) == 1
+
     def test_float_ratio_ties_are_broken_exactly(self):
         # 1/3 and fl(1/3)/1 round to one float ratio; the exact largest is 1/3, where
         # the non-strict order holds and the strict one fails at the first site
@@ -313,22 +320,19 @@ class TestDominance:
     def test_small_positive_constant_is_dominant(self):
         m = OrderedModel.additive(4)
         a = m.element([0.1] * 4)
-        assert m.is_dominant_closed_form(a)
         assert min_power(m, a, m.element([5, 7, 1, 3]), 1) == 70
         assert min_power(m, a, m.element([100, 0, 0, 0]), 1) == 1000
 
     def test_zero_site_blocks_dominance(self):
         m = OrderedModel.additive(3)
         a = m.element([1.0, 0.0, 1.0])
-        assert not m.is_dominant_closed_form(a)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="dominant base; its smallest site is 0.0"):
             min_power(m, a, m.element([1.0, 1.0, 1.0]), 1)
 
     def test_multiplicative_below_one(self):
         m = OrderedModel.multiplicative()
         a = m.element(0.5)
-        assert not m.is_dominant_closed_form(a)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="dominant base; its smallest site is -0.69"):
             min_power(m, a, m.element(2.0), 1)
 
     def test_probe_past_the_search_bound_raises(self):
@@ -700,6 +704,14 @@ class TestBatchedSearch:
             return
         assert ordered._bracket(oracle, n) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(THRESHOLD, st.booleans(), st.integers(1, 2**64), st.one_of(st.integers(1, 60), st.integers(1, 10**12)))
+    def test_bracket_does_not_depend_on_the_threshold_terms(self, threshold, strict, g, n):
+        # _oracle hands _bracket N/D in lowest terms; g*N over g*D gives the same bracket
+        num, den = threshold
+        outcomes = [outcome(ordered._bracket, threshold_oracle(c * num, c * den, strict), n) for c in (1, g)]
+        assert outcomes[0] == outcomes[1]
+
     def test_search_bound_is_exact_on_the_extreme_exponents(self):
         m = OrderedModel.additive(1)
         one = m.element([1.0])
@@ -799,10 +811,16 @@ class TestRhoPlusPrimes:
             all_pairs = rho_plus(m, a, b, bound).pair_infimum
             assert prime_value >= all_pairs - 1e-12
 
-    def test_requires_dominant_inputs(self):
+    def test_requires_dominant_inputs(self, monkeypatch):
+        # a bad a or b fails before any sieve
+        def no_sieve(bound):
+            raise AssertionError(f"prime_table({bound}) was called")
+
+        monkeypatch.setattr(ordered, "prime_table", no_sieve)
         m = OrderedModel.additive(2)
-        with pytest.raises(PreconditionError):
-            rho_plus_primes(m, m.element([1, 1]), m.element([-1, -1]), 100)
+        for a, b in (([0, 1], [1, 1]), ([1, 1], [-1, -1])):
+            with pytest.raises(PreconditionError):
+                rho_plus_primes(m, m.element(a), m.element(b), 100)
 
     def test_result_does_not_depend_on_table_size(self):
         m = OrderedModel.multiplicative()
@@ -915,9 +933,28 @@ class TestGrowthDistance:
         assert abs(report.gamma - 2.0) <= 0.05
 
     def test_requires_dominants(self):
+        # the oracle of the first rate whose base is the bad element rejects it, except
+        # that the prime-pair rate checks its b before its bracket
         m = OrderedModel.additive(2)
-        with pytest.raises(PreconditionError):
-            growth_distance(m, m.element([1, 1]), m.element([0, 1]), 100)
+        good, weak = m.element([1, 1]), m.element([0, 1])
+        for method in Method:
+            b_message = "b is not" if method is Method.PRIME_PAIRS else "smallest site is 0.0"
+            for a, b, message in ((weak, good, "smallest site is 0.0"), (good, weak, b_message)):
+                with pytest.raises(PreconditionError, match=message):
+                    growth_distance(m, a, b, 100, method, prime_bound=100)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_a_ratio_past_the_search_bound_precedes_a_non_dominant_b(self, method):
+        # rho_plus(a, b) meets the ratio 2e12 before rho_plus(b, a) meets the site -1;
+        # the prime-pair rate checks b before its bracket
+        m = OrderedModel.additive(2)
+        a, b = m.element([1.0, 1.0]), m.element([-1.0, 2e12])
+        if method is Method.PRIME_PAIRS:
+            with pytest.raises(PreconditionError, match="b is not"):
+                growth_distance(m, a, b, 100, method, prime_bound=100)
+        else:
+            with pytest.raises(SearchBoundError):
+                growth_distance(m, a, b, 100, method)
 
     def test_prime_pairs_distances_at_one_bound_sieve_once(self, monkeypatch):
         builds = []

@@ -163,6 +163,37 @@ def test_every_public_module_name_has_a_caller():
     assert uncalled == set()
 
 
+# the public methods and properties that no code in src/ reads, each with its reason
+UNREAD_METHODS = {
+    "ordered.OrderedModel.ge": "the tests' brute-force reference for the exact order oracle",
+    "primes.PrimeTable.first_prime_in": "bench/spans.py traces it by name",
+}
+
+
+def attribute_loads(tree, name):
+    """How often name is read as an attribute, outside a def or class of that name."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and tree.name == name:
+        return 0
+    here = isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load) and tree.attr == name
+    return here + sum(attribute_loads(child, name) for child in ast.iter_child_nodes(tree))
+
+
+def test_every_public_method_has_a_caller():
+    # the caller rule for the public methods and properties of every class
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    unread = {
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and not any(attribute_loads(other, node.name) for other in trees.values())
+    }
+    assert unread == set(UNREAD_METHODS)
+
+
 def test_every_traced_name_resolves():
     # bench/spans.py wraps these by name; a rename would break only a traced benchmark run
     spans = load(SPANS)
