@@ -325,7 +325,7 @@ def item_bridge(seed: int, cfg: dict) -> dict:
 
 def item_squeezable(seed: int, cfg: dict) -> dict:
     grid2 = DirectionGrid.uniform_circle(256)
-    grid3 = DirectionGrid.sphere(256, 3)
+    grid3 = DirectionGrid.sphere(256)
     ok = True
     for radius in (0.1, 1.0, 10.0):
         for grid, n in ((grid2, 2), (grid3, 3)):

@@ -40,24 +40,43 @@ def _uniform_angles(count: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(_grid_count(count)) / count
 
 
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows == an earlier row (so -0.0 is 0.0; NaN equals nothing): the one duplicate rule."""
+    order = np.lexsort(rows.T)  # stable, so equal rows end up adjacent, the earliest first
+    ordered = rows.T.take(order, axis=1)  # a contiguous row per coordinate: the compares below run fast
+    repeats = np.zeros(len(rows), dtype=bool)
+    repeats[order[1:]] = np.all(ordered[:, 1:] == ordered[:, :-1], axis=0)
+    return repeats
+
+
+def _angle_rows(angles) -> tuple[np.ndarray, np.ndarray]:
+    """The angles mod 2 pi, sorted, and their unit rows, less the repeated rows."""
+    ang = np.sort(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
+    rows = np.column_stack([np.cos(ang), np.sin(ang)])
+    rows /= np.linalg.norm(rows, axis=1)[:, None]  # cos/sin round to norms within an ulp of 1
+    keep = ~_repeats(rows)
+    return ang[keep], rows[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class DirectionGrid:
     """A grid is its (count, dimension) matrix of at least MIN_GRID_COUNT unit
     directions, the shared sample points of radial sets; every factory drops
-    or rejects duplicates."""
+    or rejects equal rows. The grid keeps a read-only copy of the matrix."""
 
     directions: np.ndarray
-    angles: np.ndarray | None = None  # polar angles, 2-d grids only
 
     def __post_init__(self):
+        directions = np.array(self.directions, dtype=float)
+        if directions.ndim != 2 or directions.shape[1] < 1:
+            raise InvalidInputError("directions must be a (count, dimension) matrix")
+        object.__setattr__(self, "directions", directions)
+        directions.flags.writeable = False
         if self.count < MIN_GRID_COUNT:
             raise InvalidInputError(f"direction grids need at least {MIN_GRID_COUNT} directions")
-        norms = np.linalg.norm(self.directions, axis=1)
         # written so that NaN fails both checks
-        if not np.max(np.abs(norms - 1.0)) <= _UNIT_TOL:
+        if not np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) <= _UNIT_TOL:
             raise InvalidInputError("directions must be unit vectors")
-        for arr in (self.directions,) + (() if self.angles is None else (self.angles,)):
-            arr.flags.writeable = False
 
     @property
     def count(self) -> int:
@@ -73,32 +92,16 @@ class DirectionGrid:
 
     @staticmethod
     def from_angles(angles: Sequence[float]) -> "DirectionGrid":
-        """2-d grid at the given polar angles, sorted and deduplicated."""
-        ang = np.sort(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
-        ang = ang[np.diff(ang, prepend=-1.0) != 0.0]  # np.unique, without importing numpy.ma
-        directions = np.column_stack([np.cos(ang), np.sin(ang)])
-        # cos/sin round to norms within an ulp of 1; renormalize exactly
-        directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return DirectionGrid(directions, ang)
+        """2-d grid at the given polar angles, sorted, less the repeated rows."""
+        return DirectionGrid(_angle_rows(angles)[1])
 
     @staticmethod
     def from_directions(directions) -> "DirectionGrid":
-        """Grid on the given unit directions, kept in the caller's order;
-        duplicate directions are rejected, in the plane as equal polar angles."""
-        directions = np.array(directions, dtype=float)
-        if directions.ndim != 2 or directions.shape[1] < 1:
-            raise InvalidInputError("directions must be a (count, dimension) matrix")
-        if directions.shape[1] == 2:
-            angles = np.mod(np.arctan2(directions[:, 1], directions[:, 0]), 2.0 * math.pi)
-            duplicate = np.any(np.diff(np.sort(angles)) == 0.0)
-        else:
-            # equal rows are adjacent once sorted; NaN rows never compare equal
-            angles = None
-            rows = directions[np.lexsort(directions.T)]
-            duplicate = np.any(np.all(rows[1:] == rows[:-1], axis=1))
-        if duplicate:
+        """Grid on the given unit directions, in the caller's order; equal rows are rejected."""
+        grid = DirectionGrid(directions)
+        if np.any(_repeats(grid.directions)):
             raise InvalidInputError("duplicate directions")
-        return DirectionGrid(directions, angles)
+        return grid
 
     @staticmethod
     def sphere(count: int = DEFAULT_GRID_COUNT, dimension: int = 3) -> "DirectionGrid":
@@ -176,12 +179,8 @@ def ball(radius: float, grid: DirectionGrid) -> RadialSet:
 
 
 def centered_square(half_side: float, grid: DirectionGrid) -> RadialSet:
-    """The square [-h, h]^2 as a radial set (planar grids only)."""
-    if grid.dimension != 2:
-        raise InvalidInputError("centered_square needs a planar grid")
-    ang = grid.angles if grid.angles is not None else np.arctan2(grid.directions[:, 1], grid.directions[:, 0])
-    denom = np.maximum(np.abs(np.cos(ang)), np.abs(np.sin(ang)))
-    return RadialSet(grid, half_side / denom)
+    """The cube [-h, h]^n as a radial set: h over each direction's sup norm."""
+    return RadialSet(grid, half_side / np.max(np.abs(grid.directions), axis=1))
 
 
 def lshape_array(x) -> np.ndarray:
@@ -210,7 +209,7 @@ class SkeletonSpec:
     target_volume: float = 1.0
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
+        v = np.array(self.v, dtype=float)
         if v.ndim != 1 or v.size < 2 or v.size % 2 != 0:
             raise InvalidInputError("v must have even length 2k >= 2")
         if not np.all(np.isfinite(v)):
@@ -328,8 +327,8 @@ def skeleton_region(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT) ->
     _warn_if_wide(spec)
     m = spec.v.size  # the angle count before deduplication, before any angle is built
     _check_spoke_samples(_grid_count(base_count) + (1 + 2 * _FAN) * m, m)
-    grid = DirectionGrid.from_angles(skeleton_angles(spec, base_count))
-    return RadialSet(grid, _radii_from_trig(spec, *_spoke_trig(spec, grid.angles)))
+    angles, rows = _angle_rows(skeleton_angles(spec, base_count))
+    return RadialSet(DirectionGrid(rows), _radii_from_trig(spec, *_spoke_trig(spec, angles)))
 
 
 @dataclass(frozen=True)

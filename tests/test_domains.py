@@ -153,7 +153,7 @@ class TestDcbmToric:
         rng = item_rng(SEED, 11)
         fiber_u, fiber_v = random_fiber(rng), random_fiber(rng)
         perm = rng.permutation(GRID.count)
-        grid_p = DirectionGrid(GRID.directions[perm].copy(), GRID.angles[perm].copy())
+        grid_p = DirectionGrid(GRID.directions[perm])
         u_p = toric(RadialSet(grid_p, fiber_u.radii[perm]))
         v_p = toric(RadialSet(grid_p, fiber_v.radii[perm]))
         base = dcbm_toric(toric(fiber_u), toric(fiber_v))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cbmlab.serialize import (
     radial_set_from_dict,
     radial_set_to_dict,
 )
-from cbmlab.starshape import DirectionGrid, RadialSet
+from cbmlab.starshape import DirectionGrid, RadialSet, SkeletonSpec, skeleton_region
 
 
 def sample_set():
@@ -131,6 +132,43 @@ def test_radial_set_round_trip_is_identity():
         assert reparsed.grid.matches(grid)
         assert np.array_equal(reparsed.radii, original.radii)
         assert reparsed.grid.dimension == reparsed.grid.directions.shape[1] == grid.dimension
+
+
+def skeleton_round_trip(spec, base_count=1024):
+    """The spec's skeleton region, checked to read back as itself from its JSON."""
+    region = skeleton_region(spec, base_count)
+    reparsed = radial_set_from_dict(json.loads(dumps_report(radial_set_to_dict(region))))
+    assert reparsed.grid.matches(region.grid)
+    assert np.array_equal(reparsed.radii, region.radii)
+    return region
+
+
+def test_narrow_skeletons_round_trip():
+    # at width 2.5e-14 two fan angles an ulp apart give one unit row; the region
+    # keeps it once, so its reader does not see a duplicate direction
+    rows = skeleton_round_trip(SkeletonSpec(np.zeros(4), 10.0, 1e-12)).grid.directions
+    assert len(set(map(tuple, rows.tolist()))) == len(rows)
+    # rows 2.2e-16 apart, far inside the 1e-12 unit-vector tolerance, are
+    # still two directions: a tolerance rule would reject this region
+    rows = skeleton_round_trip(SkeletonSpec(np.zeros(2), 10.0, 1e-12), base_count=64).grid.directions
+    assert np.min(np.linalg.norm(np.diff(rows, axis=0), axis=1)) <= 2.3e-16
+
+
+def test_skeleton_regions_round_trip_down_to_tiny_volumes():
+    rng = item_rng(12, 1)
+    built = 0
+    for _ in range(300):
+        spokes = 2 * int(rng.integers(1, 12))
+        args = rng.uniform(-5.0, 5.0, spokes), rng.uniform(1.5, 100.0), 10.0 ** rng.uniform(-300.0, 0.0)
+        try:
+            spec = SkeletonSpec(*args)
+        except InvalidInputError:
+            continue  # a width or corner angle past the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            skeleton_round_trip(spec, base_count=int(rng.integers(64, 1025)))
+        built += 1
+    assert built >= 200
 
 
 def test_radial_set_without_directions_regenerates_grid():

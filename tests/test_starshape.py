@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cbmlab.starshape as starshape
 from cbmlab.acceptance import item_rng
@@ -31,6 +32,7 @@ from cbmlab.starshape import (
     skeleton_region,
 )
 
+GRID_ANGLES = 2.0 * math.pi * np.arange(1024) / 1024
 GRID = DirectionGrid.uniform_circle(1024)
 SEED = 99  # Philox key of this file's draws
 
@@ -41,8 +43,9 @@ def polar_volume(a):
     equal weight (sphere area) / count on the sphere samples of dimension <= 4."""
     grid, n = a.grid, a.grid.dimension
     if n == 2:
-        order = np.argsort(grid.angles, kind="stable")
-        sorted_angles = grid.angles[order]
+        angles = np.mod(np.arctan2(grid.directions[:, 1], grid.directions[:, 0]), 2.0 * math.pi)
+        order = np.argsort(angles, kind="stable")
+        sorted_angles = angles[order]
         gaps = np.diff(sorted_angles, append=sorted_angles[:1] + 2.0 * math.pi)
         weights = np.empty(grid.count)
         weights[order] = 0.5 * (gaps + np.roll(gaps, 1))
@@ -81,12 +84,9 @@ class TestGrids:
         perm = item_rng(SEED, 12).permutation(GRID.count)
         grid = DirectionGrid.from_directions(GRID.directions[perm])
         assert np.array_equal(grid.directions, GRID.directions[perm])
-        # GRID's angles increase, so the given rows' angles sort as perm does
-        assert np.array_equal(np.argsort(grid.angles), np.argsort(perm))
         sphere = DirectionGrid.sphere(256, 3)
         grid3 = DirectionGrid.from_directions(sphere.directions[::-1])
         assert np.array_equal(grid3.directions, sphere.directions[::-1])
-        assert grid3.angles is None
 
     def test_from_directions_rejects_bad_grids(self):
         doubled = np.concatenate([GRID.directions, GRID.directions[:1]])
@@ -106,6 +106,27 @@ class TestGrids:
             with pytest.raises(InvalidInputError, match="duplicate directions"):
                 DirectionGrid.from_directions(directions)
         assert DirectionGrid.from_directions(wide).count == 64
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 12), st.integers(1, 4)),
+            elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan]),
+        )
+    )
+    def test_the_duplicate_rule_marks_each_row_equal_to_an_earlier_row(self, rows):
+        # == on every entry, so -0.0 equals 0.0 and a row with a NaN equals no row
+        expected = [any(np.array_equal(rows[i], rows[j]) for j in range(i)) for i in range(len(rows))]
+        assert starshape._repeats(rows).tolist() == expected
+
+    def test_rows_that_differ_are_distinct_directions_in_every_dimension(self):
+        # two rows an ulp of sin(2) apart share the polar angle 2, and a planar
+        # grid takes both, as a grid in any other dimension would
+        c, s = math.cos(2.0), math.sin(2.0)
+        pair = [[c, s], [c, math.nextafter(s, 1.0)]]
+        assert math.atan2(*pair[0][::-1]) == math.atan2(*pair[1][::-1]) == 2.0
+        assert DirectionGrid.from_directions(np.concatenate([GRID.directions, pair])).count == GRID.count + 2
 
     def test_sphere_samples_are_isotropic(self):
         # mean(x x^T) of a uniform sphere sample is I/3
@@ -131,13 +152,27 @@ class TestGrids:
         subprocess.run([sys.executable, "-c", script], check=True)
 
     def test_from_angles_sorts_and_deduplicates_as_np_unique_does(self):
-        # repeats, signed zeros and whole turns, each reduced to one angle
+        # repeats, signed zeros and whole turns, each reduced to one direction
         rng = item_rng(SEED, 13)
         pool = np.concatenate([rng.uniform(-10.0, 10.0, 64), [0.0, -0.0, math.pi, 2.0 * math.pi, -2.0 * math.pi]])
         for _ in range(200):
             angles = rng.permutation(np.concatenate([pool, rng.choice(pool, len(pool))]))
             grid = DirectionGrid.from_angles(angles)
-            assert grid.angles.tobytes() == np.unique(np.mod(angles, 2.0 * math.pi)).tobytes()
+            unique = np.unique(np.mod(angles, 2.0 * math.pi))
+            rows = np.column_stack([np.cos(unique), np.sin(unique)])
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            assert grid.directions.tobytes() == rows.tobytes()
+
+    def test_from_angles_drops_rows_equal_to_an_earlier_row(self):
+        # consecutive doubles past pi/4 move cos and sin by less than their
+        # ulp, so some neighbours round to one unit row
+        angles = np.concatenate([GRID_ANGLES, math.pi / 4.0 + np.arange(1, 65) * 2.0**-53])
+        rows = np.column_stack([np.cos(angles), np.sin(angles)])
+        distinct = np.unique(rows / np.linalg.norm(rows, axis=1)[:, None], axis=0)
+        assert len(distinct) < len(angles)
+        grid = DirectionGrid.from_angles(angles)
+        assert grid.count == len(distinct)
+        assert np.array_equal(np.unique(grid.directions, axis=0), distinct)
 
     def test_unit_ball_volumes(self):
         assert abs(polar_volume(ball(1.0, GRID)) - math.pi) / math.pi < 0.005
@@ -159,6 +194,19 @@ class TestDelta:
         # the diagonals; the reverse sup is 1
         value = delta(centered_square(1.0, GRID), ball(1.0, GRID))
         assert abs(value - math.sqrt(2.0)) <= 1e-3
+
+    def test_the_cube_on_grids_off_the_plane(self):
+        # on the coordinate axes of R^439 the cube's radius is the half side
+        axes = DirectionGrid.from_directions(np.eye(64, 439))
+        assert np.all(centered_square(2.5, axes).radii == 2.5)
+        # the cube [-1, 1]^3 reaches sqrt(3) on the diagonals, and 1/|u|_inf
+        # >= sqrt(3) / (1 + sqrt(3) theta) at angle theta from a diagonal,
+        # since |u|_inf <= 1/sqrt(3) + |u - d|_2
+        sphere = DirectionGrid.sphere(4096)
+        value = delta(centered_square(1.0, sphere), ball(1.0, sphere))
+        diagonals = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)]) / math.sqrt(3.0)
+        theta = float(np.arccos(np.max(diagonals @ sphere.directions.T)))
+        assert math.sqrt(3.0) / (1.0 + math.sqrt(3.0) * theta) <= value <= math.sqrt(3.0)
 
     def test_grid_mismatch(self):
         other = DirectionGrid.uniform_circle(512)
@@ -238,10 +286,8 @@ class TestSkeleton:
         v = np.array([0.3, 1.2, 0.0, 2.0, 0.7, 1.1])
         spec = SkeletonSpec(v, 10.0, 1.0)
         region = skeleton_region(spec)
-        angles = region.grid.angles
         for phi, length in zip(spec.spoke_angles, spec.spoke_lengths):
-            idx = int(np.argmin(np.abs(angles - phi)))
-            assert angles[idx] == phi
+            idx = int(np.argmax(region.grid.directions @ [math.cos(phi), math.sin(phi)]))
             assert region.radii[idx] == length
 
     def test_self_delta_is_one(self):
@@ -380,9 +426,30 @@ def _reference_radii_from_trig(spec, c, s):
     return np.maximum(h, extent.max(axis=1))
 
 
+def _reference_angle_rows(angles):
+    """The distinct angles mod 2 pi and their unit rows, keeping the smallest
+    angle of each row; a dict merges equal rows, -0.0 with 0.0."""
+    unique = np.unique(np.mod(angles, 2.0 * math.pi))
+    rows = np.column_stack([np.cos(unique), np.sin(unique)])
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    first = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        first.setdefault(row, i)
+    keep = sorted(first.values())
+    return unique[keep], rows[keep]
+
+
+def _reference_check_radii(radii):
+    if not np.all(radii > 0):
+        raise InvalidInputError("radii must be strictly positive (0 is an interior point)")
+    if not np.all(radii < math.inf):
+        raise InvalidInputError("radii must be finite (the set is bounded)")
+
+
 def _reference_skeleton_region(spec, base_count=1024):
-    grid = DirectionGrid.from_angles(_reference_skeleton_angles(spec, base_count))
-    return RadialSet(grid, _reference_radii_from_trig(spec, *_reference_spoke_trig(spec, grid.angles)))
+    angles, rows = _reference_angle_rows(_reference_skeleton_angles(spec, base_count))
+    grid = DirectionGrid.from_directions(rows)
+    return RadialSet(grid, _reference_radii_from_trig(spec, *_reference_spoke_trig(spec, angles)))
 
 
 def _reference_qi_verify(v, w, c0=10.0, target_volume=1.0, tol=1e-2, c1=1.5, base_count=1024):
@@ -397,11 +464,13 @@ def _reference_qi_verify(v, w, c0=10.0, target_volume=1.0, tol=1e-2, c1=1.5, bas
     angles = np.concatenate(
         [_reference_skeleton_angles(spec_v, base_count), _reference_skeleton_angles(spec_w, base_count)]
     )
-    grid = DirectionGrid.from_angles(angles)
-    trig = _reference_spoke_trig(spec_v, grid.angles)
-    region_v = RadialSet(grid, _reference_radii_from_trig(spec_v, *trig))
-    region_w = RadialSet(grid, _reference_radii_from_trig(spec_w, *trig))
-    ld = log_delta(region_v, region_w)
+    trig = _reference_spoke_trig(spec_v, np.unique(np.mod(angles, 2.0 * math.pi)))
+    radii_v = _reference_radii_from_trig(spec_v, *trig)
+    radii_w = _reference_radii_from_trig(spec_w, *trig)
+    _reference_check_radii(radii_v)
+    _reference_check_radii(radii_w)
+    with np.errstate(over="ignore"):
+        ld = math.log(max(float(np.max(radii_v / radii_w)), float(np.max(radii_w / radii_v)), 1.0))
     linf = float(np.max(np.abs(spec_v.v - spec_w.v)))
     lower = linf - tol
     upper = linf + math.log(c1)
@@ -409,7 +478,7 @@ def _reference_qi_verify(v, w, c0=10.0, target_volume=1.0, tol=1e-2, c1=1.5, bas
 
 
 def _region_bytes(region):
-    return dumps_report({"set": radial_set_to_dict(region), "angles": region.grid.angles})
+    return dumps_report(radial_set_to_dict(region))
 
 
 spoke_vectors = st.integers(1, 9).flatmap(
@@ -446,12 +515,14 @@ class TestSkeletonReference:
         assert outcomes[0] == outcomes[1]
 
     def test_corner_angles_come_from_libm_atan2(self):
-        # numpy's arctan2 is an ulp off libm's at the first spoke's (h, L); at
-        # spoke angle 0 the fan's first angle is corner / 8 itself, so the
-        # skeleton's bytes would change
+        # at spoke angle 0 the fan's first angle is corner / 8 itself, so the
+        # skeleton's angles hold libm's corner bit for bit; on hosts whose numpy
+        # arctan2 is an ulp off libm's at this (h, L), a numpy corner would
+        # change the skeleton's bytes
         spec = SkeletonSpec(np.array([-4.4, -2.8, -0.3, 1.1]), 10.0)
         h, lengths = spec.epsilon / 2.0, spec.spoke_lengths
-        assert np.arctan2(h, lengths)[0] != math.atan2(h, float(lengths[0]))
+        corner = math.atan2(h, float(lengths[0])) / 8.0
+        assert any(angle == corner for angle in skeleton_angles(spec).tolist())
         assert np.array_equal(skeleton_angles(spec), _reference_skeleton_angles(spec))
         assert _region_bytes(skeleton_region(spec)) == _region_bytes(_reference_skeleton_region(spec))
 

@@ -6,8 +6,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import cbmlab
 from cbmlab import acceptance
+from cbmlab.forms import ContactFormRep, ContactMapRep, SampledManifold
+from cbmlab.ordered import Element
+from cbmlab.starshape import DirectionGrid, RadialSet, SkeletonSpec
 from test_acceptance import SEED7_REPORT_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -210,3 +215,24 @@ def test_the_benchmark_pins_the_seed7_report(monkeypatch):
     # bench/run.py checks each accept run against its own copy of the pin
     monkeypatch.syspath_prepend(str(BENCH))  # run.py imports its sibling modules
     assert load(BENCH / "run.py").ACCEPT_SEED7 == (1627, SEED7_REPORT_SHA256)
+
+
+def test_value_objects_keep_read_only_copies_of_the_callers_arrays():
+    # building a value object leaves the caller's array writeable and keeps a
+    # frozen copy that no later write by the caller can reach
+    grid = DirectionGrid.uniform_circle(64)
+    manifold = SampledManifold(np.full(4, 0.5), half_dim=2)
+    builders = {
+        "Element": (lambda a: Element(a).data, np.array([1.0, 2.0])),
+        "DirectionGrid": (lambda a: DirectionGrid(a).directions, grid.directions.copy()),
+        "RadialSet": (lambda a: RadialSet(grid, a).radii, np.ones(64)),
+        "SkeletonSpec": (lambda a: SkeletonSpec(a, 10.0).v, np.array([0.5, 1.0, 0.0, 2.0, 0.3, 1.1])),
+        "SampledManifold": (lambda a: SampledManifold(a, half_dim=2).weights, np.full(4, 0.5)),
+        "ContactFormRep": (lambda a: ContactFormRep(manifold, a).f, np.zeros(4)),
+        "ContactMapRep": (lambda a: ContactMapRep(manifold, a).perm, np.array([1, 0, 3, 2])),
+    }
+    for name, (kept_of, arr) in builders.items():
+        kept = kept_of(arr)
+        assert arr.flags.writeable, name
+        assert not kept.flags.writeable, name
+        assert not np.shares_memory(arr, kept), name
