@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 
 import numpy as np
 
@@ -40,11 +39,8 @@ from .ordered import (
     rho_plus,
     rho_plus_primes,
 )
-from .primes import MAX_PRIME_BOUND
 from .starshape import (
     DEFAULT_GRID_COUNT,
-    MAX_GRID_COUNT,
-    MIN_GRID_COUNT,
     DirectionGrid,
     RadialSet,
     ball,
@@ -365,31 +361,14 @@ ITEMS = [
 ]
 
 
-def run_acceptance(
-    seed: int = 7,
-    l_max: int = DEFAULT_L_MAX,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    grid: int = DEFAULT_GRID_COUNT,
-) -> dict:
-    """Run every acceptance item and assemble a deterministic report; an item
-    that raises a CbmlabError is recorded as failed and the rest still run.
-    A configuration outside the items' input ranges raises InvalidInputError
-    before the first item."""
+def run_acceptance(seed: int = 7) -> dict:
+    """Run every acceptance item at the one configuration their thresholds are
+    set for, and assemble a deterministic report; an item that raises a
+    CbmlabError is recorded as failed and the rest still run. A seed outside
+    the Philox key range raises InvalidInputError before the first item."""
     if not 0 <= seed <= 2**63 - 1:  # Philox keys are exact only in this range
         raise InvalidInputError(f"seed must lie in [0, 2^63 - 1], got {seed}")
-    if l_max < 1:
-        raise InvalidInputError(f"l_max must be a positive integer, got {l_max}")
-    if l_max > sys.float_info.max:  # the items' tolerances divide by it
-        raise InvalidInputError("l_max must be representable as a double")
-    if not 2 <= prime_bound <= MAX_PRIME_BOUND:
-        raise InvalidInputError(
-            f"prime bound must lie in [2, {MAX_PRIME_BOUND}], got {prime_bound}"
-        )
-    if not MIN_GRID_COUNT <= grid <= MAX_GRID_COUNT:
-        raise InvalidInputError(
-            f"grid count must lie in [{MIN_GRID_COUNT}, {MAX_GRID_COUNT}], got {grid}"
-        )
-    cfg = {"l_max": l_max, "prime_bound": prime_bound, "grid": grid}
+    cfg = {"l_max": DEFAULT_L_MAX, "prime_bound": DEFAULT_PRIME_BOUND, "grid": DEFAULT_GRID_COUNT}
     results = {}
     for name, fn in ITEMS:
         try:

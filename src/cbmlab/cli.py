@@ -160,9 +160,7 @@ def cmd_dcbm_forms(args) -> dict:
 
 
 def cmd_accept(args) -> dict:
-    return acceptance.run_acceptance(
-        seed=args.seed, l_max=args.l_max, prime_bound=args.prime_bound, grid=args.grid
-    )
+    return acceptance.run_acceptance(seed=args.seed)
 
 
 @functools.cache
@@ -205,14 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
 
     p = add("skeleton", cmd_skeleton, "build a normalized spoke-skeleton region")
-    p.add_argument("--v", required=True, help="comma-separated spoke exponents (length 2k)")
+    vector = "comma-separated spoke exponents (length 2k); --v=-0.5,1,0,2 if the first is negative"
+    p.add_argument("--v", required=True, help=vector)
     p.add_argument("--c0", type=float, default=10.0)
     p.add_argument("--target-volume", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID_COUNT)
 
     p = add("qi-verify", cmd_qi_verify, "check one quasi-isometry pair")
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
+    p.add_argument("--v", required=True, help=vector)
+    p.add_argument("--w", required=True, help=vector.replace("--v", "--w"))
     p.add_argument("--c0", type=float, default=10.0)
     p.add_argument("--target-volume", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-2)
@@ -243,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("accept", cmd_accept, "run the seeded acceptance suite")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--l-max", type=int, default=DEFAULT_L_MAX)
-    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_COUNT)
 
     return parser
 

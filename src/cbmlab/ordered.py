@@ -13,6 +13,7 @@ predicate k |-> (a^k >= b^l) is upward-closed in k whenever a is a dominant:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -239,6 +240,9 @@ def _bracket(oracle: _Oracle, n: int) -> tuple[tuple[int, int], tuple[int, int]]
     SearchBoundError is raised when |k| or |ceil(n*p/q)| passes the search
     bound, that is when some least exponent of an l <= n does.
     """
+    # the descent is exact only in integers; a plain int skips the slower ABC check
+    if type(n) is not int and not isinstance(n, numbers.Integral):
+        raise InvalidInputError(f"l, l_max and prime_bound must be integers, got {n!r}")
     num, den, strict = oracle.threshold
     k = num // den + 1 if strict else -(-num // den)
     if abs(k) > _SEARCH_BOUND:
@@ -358,7 +362,8 @@ def growth_distance(
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> GrowthRateReport:
     """Distance between two dominants: ln of the larger relative growth rate."""
-    if l_max < 1:  # the product check's tolerance 2/l_max needs it under every method
+    # the product check's tolerance 2/l_max needs it under every method
+    if (type(l_max) is not int and not isinstance(l_max, numbers.Integral)) or l_max < 1:
         raise InvalidInputError("l_max must be a positive integer")
     if l_max > sys.float_info.max:
         raise InvalidInputError("l_max must be representable as a double")

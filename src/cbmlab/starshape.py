@@ -7,6 +7,7 @@ construction used by the quasi-isometric embedding harness.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .errors import InvalidInputError
 
 MIN_GRID_COUNT = 64
 DEFAULT_GRID_COUNT = 1024
-# largest uniform base grid (uniform_circle, the skeleton base); larger
+# largest default grid (uniform_circle, sphere, the skeleton base); larger
 # counts are rejected before any array is allocated
 MAX_GRID_COUNT = 10**6
 _UNIT_TOL = 1e-12
@@ -29,7 +30,9 @@ MAX_SPOKE_SAMPLES = 2**24
 
 
 def _grid_count(count: int) -> int:
-    """count, rejected unless 0 <= count <= MAX_GRID_COUNT."""
+    """count, rejected unless it is an integer with 0 <= count <= MAX_GRID_COUNT."""
+    if not isinstance(count, numbers.Integral):  # a float count would space its angles by 2 pi/count
+        raise InvalidInputError(f"grid count must be an integer, got {count!r}")
     if not 0 <= count <= MAX_GRID_COUNT:
         raise InvalidInputError(f"grid count must lie in [0, {MAX_GRID_COUNT}], got {count}")
     return count
@@ -109,7 +112,7 @@ class DirectionGrid:
         default grid past the plane, so any other dimension is rejected."""
         if dimension != 3:
             raise InvalidInputError(f"the default sphere grid is 3-d, got dimension {dimension}")
-        i = np.arange(count)
+        i = np.arange(_grid_count(count))
         z = 1.0 - (2.0 * i + 1.0) / count
         phi = math.pi * (1.0 + math.sqrt(5.0)) * i
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))

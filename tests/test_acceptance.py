@@ -5,7 +5,10 @@ PASS/FAIL line, and enforces the stated runtime budget where one exists.
 """
 
 import hashlib
+import importlib
+import json
 import time
+from pathlib import Path
 
 from cbmlab import acceptance
 from cbmlab.cli import main
@@ -15,6 +18,7 @@ SEED = 7
 SEED7_REPORT_BYTES = 1627
 SEED7_REPORT_SHA256 = "c9167f782e475c9cbf10ecc1323f17143e58cad75960af1268b58c90c6b0a09d"
 CFG = {"l_max": 1000, "prime_bound": 10_000, "grid": 1024}
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 ITEMS = dict(acceptance.ITEMS)
 
 
@@ -123,3 +127,14 @@ def test_12_cli_determinism(tmp_path, capsys):
     assert len(b1) == SEED7_REPORT_BYTES
     assert hashlib.sha256(b1).hexdigest() == SEED7_REPORT_SHA256
     print(f"ACCEPT 12-cli-determinism: PASS (byte-identical, {len(b1)} bytes)")
+
+
+def test_the_report_config_is_the_one_the_items_are_tested_and_streamed_at(tmp_path, monkeypatch):
+    # the CLI report, this file's CFG and the geometry stream's copy cannot drift apart
+    monkeypatch.setattr(acceptance, "ITEMS", [("01-runs", lambda seed, cfg: {"passed": True})])
+    out = tmp_path / "r.json"
+    assert main(["accept", "--seed", "7", "-o", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config.pop("seed") == SEED
+    monkeypatch.syspath_prepend(str(BENCH))
+    assert config == CFG == importlib.import_module("geometry_stream").ACCEPT_CONFIG

@@ -178,6 +178,16 @@ def test_skeleton_and_qi_verify(tmp_path, capsys):
     assert abs(report["log_delta"] - 1.0) < 1e-9
 
 
+def test_a_vector_that_starts_with_a_minus_takes_the_equals_form(capsys):
+    # argparse reads "--v -0.5,1,0,2" as two options; "--v=-0.5,1,0,2" is one
+    code, report = run(capsys, "skeleton", "--v=-0.5,1,0,2")
+    assert code == 0
+    assert report["spoke_count"] == 4
+    code, report = run(capsys, "qi-verify", "--v=-1,0", "--w=0,0")
+    assert code == 0
+    assert report["pass"] is True
+
+
 def test_failed_qi_harness_prints_its_report_and_exits_one(capsys):
     argv = ["qi-verify", "--v", "1.86,-0.53", "--w", "2.17,-1.56", "--c0", "1.5"]
     code, report = run(capsys, *argv, "--target-volume", "20")
@@ -564,12 +574,13 @@ def test_skeleton_and_qi_verify_flags_out_of_range_exit_two(argv, message, capsy
 @pytest.mark.parametrize(
     "flag, value",
     [
+        # not options of accept, whose configuration is fixed
         ("--grid", str(10**20)),
         ("--grid", "63"),
         ("--prime-bound", str(10**8 + 1)),
         ("--prime-bound", "1"),
         ("--l-max", "0"),
-        pytest.param("--l-max", str(10**400), id="--l-max-10^400"),  # the items divide by it
+        pytest.param("--l-max", str(10**400), id="--l-max-10^400"),
         # Philox keys are exact only for seeds in [0, 2^63 - 1]
         ("--seed", str(2**64)),
         ("--seed", str(2**64 - 1)),
@@ -581,9 +592,22 @@ def test_malformed_accept_configuration_exits_two_before_any_item(flag, value, c
     ran = []
     items = [("01-runs", lambda seed, cfg: ran.append(seed) or {"passed": True})]
     monkeypatch.setattr(acceptance, "ITEMS", items)
-    assert main(["accept", f"{flag}={value}"]) == 2
+    argv = ["accept", f"{flag}={value}"]
+    if flag == "--seed":
+        assert main(argv) == 2
+    else:  # the seed is accept's one option, so argparse rejects any other whatever its value
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     assert ran == []
     assert capsys.readouterr().out == ""
+
+
+def test_accept_takes_only_the_seed(capsys):
+    with pytest.raises(SystemExit):
+        main(["accept", "--help"])
+    assert capsys.readouterr().out.startswith("usage: cbmlab accept [-h] [-o OUT] [--seed SEED]\n")
 
 
 @settings(max_examples=50, deadline=None)

@@ -1065,3 +1065,21 @@ class TestPseudoMetricAxioms:
                 strict, strict.element(values[0]), strict.element(values[1]), l_max
             ).distance
             assert d_strict >= d_loose - 2.0 / l_max
+
+
+def test_a_non_integer_bound_is_rejected_at_every_entry_point():
+    # a float bound ran the integer Farey descent in floats: min_power(..., 2.5) gave 4.0
+    m = OrderedModel.additive(3)
+    a, b = m.element([1.0] * 3), m.element([2.5] * 3)
+    calls = [
+        lambda: min_power(m, a, b, 2.5),
+        lambda: rho_plus(m, a, b, 2.5),
+        lambda: rho_plus_primes(m, a, b, 100.5),
+        lambda: norms.stabilization(a, b, 2.5),
+        lambda: growth_distance(m, a, b, 100, Method.PRIME_PAIRS, 100.5),
+        *(lambda method=method: growth_distance(m, a, b, 2.5, method) for method in Method),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="integer"):
+            call()
+    assert min_power(m, a, b, np.int64(2)) == 5

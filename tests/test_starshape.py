@@ -75,10 +75,19 @@ class TestGrids:
     def test_grid_counts_past_the_cap_are_rejected_before_allocation(self):
         spec = SkeletonSpec(np.zeros(4), 10.0, 1.0)
         for count in (-1, MAX_GRID_COUNT + 1, 10**20):
-            with pytest.raises(InvalidInputError, match="grid count"):
-                DirectionGrid.uniform_circle(count)
+            for make in (DirectionGrid.uniform_circle, DirectionGrid.sphere):
+                with pytest.raises(InvalidInputError, match="grid count"):
+                    make(count)
             with pytest.raises(InvalidInputError, match="grid count"):
                 skeleton_region(spec, base_count=count)
+
+    def test_grid_counts_are_integers(self):
+        # a float count would give uniform_circle(64.5) 65 directions spaced 2 pi/64.5
+        spec = SkeletonSpec(np.zeros(4), 10.0, 1.0)
+        for make in (DirectionGrid.uniform_circle, DirectionGrid.sphere, lambda n: skeleton_region(spec, n)):
+            with pytest.raises(InvalidInputError, match="integer"):
+                make(64.5)
+        assert DirectionGrid.uniform_circle(np.int64(64)).count == 64
 
     def test_from_directions_keeps_the_callers_order(self):
         perm = item_rng(SEED, 12).permutation(GRID.count)
