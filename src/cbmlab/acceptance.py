@@ -28,7 +28,7 @@ from .domains import (
     rescale_cover,
     rgr_vs_cbm,
 )
-from .errors import CbmlabError, InvalidInputError
+from .errors import CbmlabError, checked_int
 from .forms import ContactFormRep, ContactMapRep, SampledManifold, dcbm_forms
 from .ordered import (
     DEFAULT_L_MAX,
@@ -364,10 +364,9 @@ ITEMS = [
 def run_acceptance(seed: int = 7) -> dict:
     """Run every acceptance item at the one configuration their thresholds are
     set for, and assemble a deterministic report; an item that raises a
-    CbmlabError is recorded as failed and the rest still run. A seed outside
-    the Philox key range raises InvalidInputError before the first item."""
-    if not 0 <= seed <= 2**63 - 1:  # Philox keys are exact only in this range
-        raise InvalidInputError(f"seed must lie in [0, 2^63 - 1], got {seed}")
+    CbmlabError is recorded as failed and the rest still run. A seed that is not
+    an integer in the Philox key range raises InvalidInputError before the first item."""
+    seed = checked_int(seed, "seed", 0, 2**63 - 1)  # Philox keys are exact only in this range
     cfg = {"l_max": DEFAULT_L_MAX, "prime_bound": DEFAULT_PRIME_BOUND, "grid": DEFAULT_GRID_COUNT}
     results = {}
     for name, fn in ITEMS:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation, PreconditionError
+from .errors import InvalidInputError, InvariantViolation, PreconditionError, checked_int
 from .ordered import DEFAULT_L_MAX, Method, OrderedModel, OrderVariant, growth_distance
 from .starshape import DirectionGrid, RadialSet, log_delta, scale
 
@@ -33,10 +33,10 @@ class SplitToricDomain:
     _origin: tuple[RadialSet, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "base_dim", checked_int(self.base_dim, "base_dim"))
+        object.__setattr__(self, "cover", checked_int(self.cover, "cover", least=1))
         if self.base_dim != self.fiber.grid.dimension:  # the fiber lies in R^base_dim
             raise InvalidInputError("base dimension must equal the fiber dimension")
-        if self.cover < 1:
-            raise InvalidInputError("cover index must be a positive integer")
 
 
 def rescale_cover(domain: SplitToricDomain, k: int) -> SplitToricDomain:
@@ -45,8 +45,7 @@ def rescale_cover(domain: SplitToricDomain, k: int) -> SplitToricDomain:
     The fiber is recomputed from the one its ``rescale_cover`` chain started
     from, so rescaling by k then m is bit-identical to rescaling by k*m.
     """
-    if k < 1:
-        raise InvalidInputError("covering index k must be a positive integer")
+    k = checked_int(k, "k", least=1)
     origin, start = domain._origin or (domain.fiber, domain.cover)
     cover = domain.cover * k
     # int true division rounds correctly; past the float range it gives 0.0,

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation
+from .errors import InvalidInputError, InvariantViolation, checked_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,15 +31,14 @@ class SampledManifold:
     half_dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "half_dim", checked_int(self.half_dim, "half_dim", least=1))
+        if self.half_dim > sys.float_info.max:  # volumes scale the exponents by it
+            raise InvalidInputError("half dimension must be representable as a double")
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise InvalidInputError("weights must form a nonempty vector")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise InvalidInputError("site weights must be positive and finite")
-        if self.half_dim < 1:
-            raise InvalidInputError("half dimension must be >= 1")
-        if self.half_dim > sys.float_info.max:  # volumes scale the exponents by it
-            raise InvalidInputError("half dimension must be representable as a double")
         object.__setattr__(self, "weights", weights)
         weights.flags.writeable = False
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation
+from .errors import InvariantViolation, checked_int
 from .ordered import DEFAULT_L_MAX, Element, OrderedModel, min_power, rho_plus
 
 
@@ -76,8 +76,7 @@ def stabilization(base: Element, arg: Element, l_max: int = DEFAULT_L_MAX) -> fl
     Agrees with the larger of the growth rates of arg and its inverse against
     the base; the agreement is enforced within 2/l_max.
     """
-    if l_max < 1:
-        raise InvalidInputError("l_max must be a positive integer")
+    l_max = checked_int(l_max, "l_max", least=1)
     model = OrderedModel.additive(base.data.size)
     report = norm(base, model.power(arg, l_max))
     stab = report.nu / l_max

@@ -13,7 +13,6 @@ predicate k |-> (a^k >= b^l) is upward-closed in k whenever a is a dominant:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +25,7 @@ from .errors import (
     PreconditionError,
     PrimePairError,
     SearchBoundError,
+    checked_int,
 )
 from .primes import PrimeTable, prime_table
 
@@ -78,8 +78,7 @@ class OrderedModel:
     order_variant: OrderVariant = OrderVariant.NON_STRICT
 
     def __post_init__(self):
-        if self.site_count < 1:
-            raise InvalidInputError("an ordered model needs at least one site")
+        object.__setattr__(self, "site_count", checked_int(self.site_count, "site_count", least=1))
 
     @staticmethod
     def multiplicative(variant: OrderVariant = OrderVariant.NON_STRICT) -> "OrderedModel":
@@ -124,6 +123,7 @@ class OrderedModel:
 
     def power(self, a: Element, k: int) -> Element:
         self._check(a)
+        k = checked_int(k, "k")
         if abs(k) > sys.float_info.max:  # k * a.data converts k to a double
             raise InvalidInputError("a power's exponent must be representable as a double")
         with np.errstate(over="ignore"):  # a product past the float range fails the element's own check
@@ -211,8 +211,7 @@ def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     the search bound. The oracle raises PreconditionError for a base that is
     not dominant.
     """
-    if l < 1:
-        raise InvalidInputError("l must be a positive integer")
+    l = checked_int(l, "l", least=1)
     (p, q), _ = _bracket(_oracle(model, a, b), l)
     return -(-l * p // q)
 
@@ -240,9 +239,6 @@ def _bracket(oracle: _Oracle, n: int) -> tuple[tuple[int, int], tuple[int, int]]
     SearchBoundError is raised when |k| or |ceil(n*p/q)| passes the search
     bound, that is when some least exponent of an l <= n does.
     """
-    # the descent is exact only in integers; a plain int skips the slower ABC check
-    if type(n) is not int and not isinstance(n, numbers.Integral):
-        raise InvalidInputError(f"l, l_max and prime_bound must be integers, got {n!r}")
     num, den, strict = oracle.threshold
     k = num // den + 1 if strict else -(-num // den)
     if abs(k) > _SEARCH_BOUND:
@@ -283,8 +279,7 @@ def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L
     bracket, in floats and without tolerance (rounded division is monotone).
     The oracle raises PreconditionError for a base that is not dominant.
     """
-    if l_max < 1:
-        raise InvalidInputError("l_max must be a positive integer")
+    l_max = checked_int(l_max, "l_max", least=1)
     (p, q), (p_lo, q_lo) = _bracket(_oracle(model, a, b), l_max)
     with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
         rate = float(np.divide(b.data, a.data).max())
@@ -311,8 +306,7 @@ def rho_plus_primes(
     q*num fit int64: one int64 array pass forms every window. Primes come
     from ``table`` if it reaches prime_bound, else from prime_table.
     """
-    if prime_bound < 2:
-        raise InvalidInputError("prime_bound must be at least 2")
+    prime_bound = checked_int(prime_bound, "prime_bound", least=2)
     oracle = _oracle(model, a, b)
     if not b.data.min() > 0:  # the window pass needs num >= 1; checked before any sieve
         raise PreconditionError("rho_plus_primes requires dominant inputs; b is not")
@@ -363,8 +357,7 @@ def growth_distance(
 ) -> GrowthRateReport:
     """Distance between two dominants: ln of the larger relative growth rate."""
     # the product check's tolerance 2/l_max needs it under every method
-    if (type(l_max) is not int and not isinstance(l_max, numbers.Integral)) or l_max < 1:
-        raise InvalidInputError("l_max must be a positive integer")
+    l_max = checked_int(l_max, "l_max", least=1)
     if l_max > sys.float_info.max:
         raise InvalidInputError("l_max must be representable as a double")
     if method is Method.PRIME_PAIRS:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import checked_int
 
 # largest table bound: its sieve takes one byte per integer, 100 MB, while the table is built
 MAX_PRIME_BOUND = 10**8
@@ -32,9 +32,7 @@ class PrimeTable:
     """
 
     def __init__(self, bound: int):
-        if not 0 <= bound <= MAX_PRIME_BOUND:
-            raise InvalidInputError(f"prime bound must lie in [0, {MAX_PRIME_BOUND}], got {bound}")
-        self.bound = int(bound)
+        self.bound = checked_int(bound, "prime bound", 0, MAX_PRIME_BOUND)
         primes = np.flatnonzero(_sieve_mask(self.bound)).astype(np.int64, copy=False)
         # built once: the primes, then the sentinel bound + 1, which exceeds every capped hi
         self._primes_and_sentinel = np.append(primes, self.bound + 1)

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .domains import SplitToricDomain
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_int
 from .forms import ContactFormRep, ContactMapRep, SampledManifold
 from .starshape import DirectionGrid, RadialSet
 
@@ -72,13 +72,6 @@ def dumps_report(obj: Any) -> str:
 # -- value-type schemas -------------------------------------------------------
 
 
-def _integer(value: Any, name: str) -> int:
-    """An integer field: a float, string or boolean is rejected, not truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInputError(f"{name} must be an integer, not {type(value).__name__}")
-    return int(value)
-
-
 def _number(value: Any, name: str) -> float:
     """A number field: a string or boolean is rejected, not parsed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -125,7 +118,7 @@ def radial_set_to_dict(s: RadialSet) -> dict:
 
 def radial_set_from_dict(data: dict) -> RadialSet:
     try:
-        dimension = _integer(data["dimension"], "dimension")
+        dimension = checked_int(data["dimension"], "dimension")
         radii = _array(data["radii"], "radii")
         directions = data.get("directions")
         if directions is not None:
@@ -149,14 +142,14 @@ def domain_from_dict(data: dict) -> SplitToricDomain:
     """A split toric domain; an optional ``liouville_weight`` must be 1, the
     weight of the cotangent fibers of a torus."""
     try:
-        base_dim = _integer(data["base_dim"], "base_dim")
+        base_dim = checked_int(data["base_dim"], "base_dim")  # before the fiber is read
         if _number(data.get("liouville_weight", 1), "liouville_weight") != 1:
             raise InvalidInputError("liouville_weight must be 1: split domains are toric")
         return SplitToricDomain(
             base_dim=base_dim,
             fiber=radial_set_from_dict(data["fiber"]),
             label=_string(data.get("label", ""), "label"),
-            cover=_integer(data.get("cover", 1), "cover"),
+            cover=data.get("cover", 1),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad domain payload: {exc}") from exc
@@ -166,9 +159,9 @@ def form_from_dict(data: dict) -> ContactFormRep:
     try:
         manifold = SampledManifold(
             weights=_array(data["weights"], "weights"),
-            half_dim=_integer(data["half_dim"], "half_dim"),
+            half_dim=data["half_dim"],
         )
-        if "sites" in data and _integer(data["sites"], "sites") != manifold.sites:
+        if "sites" in data and checked_int(data["sites"], "sites") != manifold.sites:
             raise InvalidInputError("declared site count disagrees with the weights")
         return ContactFormRep(manifold, _array(data["f"], "f"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -7,7 +7,6 @@ construction used by the quasi-isometric embedding harness.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_int
 
 MIN_GRID_COUNT = 64
 DEFAULT_GRID_COUNT = 1024
@@ -29,18 +28,10 @@ _FAN = 48  # fan angles on each side of a spoke
 MAX_SPOKE_SAMPLES = 2**24
 
 
-def _grid_count(count: int) -> int:
-    """count, rejected unless it is an integer with 0 <= count <= MAX_GRID_COUNT."""
-    if not isinstance(count, numbers.Integral):  # a float count would space its angles by 2 pi/count
-        raise InvalidInputError(f"grid count must be an integer, got {count!r}")
-    if not 0 <= count <= MAX_GRID_COUNT:
-        raise InvalidInputError(f"grid count must lie in [0, {MAX_GRID_COUNT}], got {count}")
-    return count
-
-
 def _uniform_angles(count: int) -> np.ndarray:
     """count equally spaced polar angles from 0, for 0 <= count <= MAX_GRID_COUNT."""
-    return 2.0 * math.pi * np.arange(_grid_count(count)) / count
+    count = checked_int(count, "grid count", 0, MAX_GRID_COUNT)
+    return 2.0 * math.pi * np.arange(count) / count
 
 
 def _repeats(rows: np.ndarray) -> np.ndarray:
@@ -110,9 +101,10 @@ class DirectionGrid:
     def sphere(count: int = DEFAULT_GRID_COUNT, dimension: int = 3) -> "DirectionGrid":
         """Fibonacci spiral on the unit sphere in R^3, near-uniform; the one
         default grid past the plane, so any other dimension is rejected."""
-        if dimension != 3:
+        if checked_int(dimension, "dimension") != 3:
             raise InvalidInputError(f"the default sphere grid is 3-d, got dimension {dimension}")
-        i = np.arange(_grid_count(count))
+        count = checked_int(count, "grid count", 0, MAX_GRID_COUNT)
+        i = np.arange(count)
         z = 1.0 - (2.0 * i + 1.0) / count
         phi = math.pi * (1.0 + math.sqrt(5.0)) * i
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -327,9 +319,10 @@ def skeleton_region(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT) ->
     The set is the union of 2k rectangles (length L_i along spoke i,
     half-width epsilon/2) with a central disk of radius epsilon/2.
     """
+    base_count = checked_int(base_count, "grid count", 0, MAX_GRID_COUNT)
     _warn_if_wide(spec)
     m = spec.v.size  # the angle count before deduplication, before any angle is built
-    _check_spoke_samples(_grid_count(base_count) + (1 + 2 * _FAN) * m, m)
+    _check_spoke_samples(base_count + (1 + 2 * _FAN) * m, m)
     angles, rows = _angle_rows(skeleton_angles(spec, base_count))
     return RadialSet(DirectionGrid(rows), _radii_from_trig(spec, *_spoke_trig(spec, angles)))
 
@@ -373,6 +366,7 @@ def qi_verify(
     the continuous regions. A max over those angles depends neither on their
     order nor on repeats, so no grid is sorted or built.
     """
+    base_count = checked_int(base_count, "grid count", 0, MAX_GRID_COUNT)
     if not 0.0 < c1 < math.inf:
         raise InvalidInputError("width-correction constant c1 must be finite and positive")
     if not math.isfinite(tol):
@@ -382,7 +376,7 @@ def qi_verify(
     if spec_v.v.size != spec_w.v.size:
         raise InvalidInputError("spoke counts differ")
     m = spec_v.v.size  # the exact count of the angles below, before any is built
-    _check_spoke_samples(_grid_count(base_count) + (1 + 4 * _FAN) * m, m)
+    _check_spoke_samples(base_count + (1 + 4 * _FAN) * m, m)
     angles = np.mod(
         np.concatenate([skeleton_angles(spec_v, base_count), _width_fans(spec_w)]), 2.0 * math.pi
     )

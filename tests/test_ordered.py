@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbmlab import norms, ordered
-from cbmlab.acceptance import QUANTUM, growth_pair_corpus, item_rng, quantized
+from cbmlab.acceptance import QUANTUM, growth_pair_corpus, item_rng, quantized, run_acceptance
+from cbmlab.domains import SplitToricDomain, rescale_cover
 from cbmlab.errors import (
     CbmlabError,
     InvalidInputError,
@@ -20,6 +21,7 @@ from cbmlab.errors import (
     PrimePairError,
     SearchBoundError,
 )
+from cbmlab.forms import SampledManifold
 from cbmlab.ordered import (
     Element,
     Method,
@@ -32,6 +34,7 @@ from cbmlab.ordered import (
     rho_plus_primes,
 )
 from cbmlab.primes import PrimeTable, prime_table
+from cbmlab.starshape import DirectionGrid, ball
 
 SEED = 1234  # Philox key of this file's draws
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -299,9 +302,9 @@ class TestOracle:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_a_model_without_sites_is_rejected(self, kind):
         # with no sites the oracle would take the min of an empty sequence
-        with pytest.raises(InvalidInputError, match="an ordered model needs at least one site"):
+        with pytest.raises(InvalidInputError, match="site_count must be an integer >= 1"):
             OrderedModel(kind, 0)
-        with pytest.raises(InvalidInputError, match="an ordered model needs at least one site"):
+        with pytest.raises(InvalidInputError, match="site_count must be an integer >= 1"):
             OrderedModel.additive(-1)
 
     def test_bi_invariance_on_random_triples(self):
@@ -1067,19 +1070,45 @@ class TestPseudoMetricAxioms:
             assert d_strict >= d_loose - 2.0 / l_max
 
 
-def test_a_non_integer_bound_is_rejected_at_every_entry_point():
-    # a float bound ran the integer Farey descent in floats: min_power(..., 2.5) gave 4.0
+def test_a_non_integer_bound_is_rejected_at_every_entry_point(monkeypatch):
+    # a float bound ran the integer Farey descent in floats: min_power(..., 2.5)
+    # gave 4.0; a bool, numpy bool, integral float or string is no integer either
     m = OrderedModel.additive(3)
     a, b = m.element([1.0] * 3), m.element([2.5] * 3)
-    calls = [
-        lambda: min_power(m, a, b, 2.5),
-        lambda: rho_plus(m, a, b, 2.5),
-        lambda: rho_plus_primes(m, a, b, 100.5),
-        lambda: norms.stabilization(a, b, 2.5),
-        lambda: growth_distance(m, a, b, 100, Method.PRIME_PAIRS, 100.5),
-        *(lambda method=method: growth_distance(m, a, b, 2.5, method) for method in Method),
+    domain = SplitToricDomain(2, ball(1.0, DirectionGrid.uniform_circle(64)))
+    entries = [
+        lambda n: min_power(m, a, b, n),
+        lambda n: rho_plus(m, a, b, n),
+        lambda n: rho_plus_primes(m, a, b, n),
+        lambda n: norms.stabilization(a, b, n),
+        lambda n: growth_distance(m, a, b, 100, Method.PRIME_PAIRS, n),
+        *(lambda n, method=method: growth_distance(m, a, b, n, method) for method in Method),
+        lambda n: m.power(a, n),
+        OrderedModel.additive,
+        lambda n: rescale_cover(domain, n),
+        lambda n: SplitToricDomain(n, domain.fiber),
+        lambda n: SplitToricDomain(2, domain.fiber, cover=n),
+        lambda n: SampledManifold(np.ones(4), half_dim=n),
+        PrimeTable,
+        lambda n: run_acceptance(seed=n),
     ]
-    for call in calls:
-        with pytest.raises(InvalidInputError, match="integer"):
-            call()
+    # each is rejected before the work it drives: no norm, no sieve
+    monkeypatch.setattr(norms, "norm", lambda *args: pytest.fail("norm ran"))
+    misses = prime_table.cache_info().misses
+    for value in (2.5, 100.5, True, np.True_, np.float64(3.0), "3"):
+        for entry in entries:
+            with pytest.raises(InvalidInputError, match="integer"):
+                entry(value)
+    assert prime_table.cache_info().misses == misses
+    monkeypatch.undo()
     assert min_power(m, a, b, np.int64(2)) == 5
+    # a numpy bound is read as a Python int: no fixed-width overflow in the oracle
+    one = OrderedModel.additive(1)
+    x, y = one.element([1.0]), one.element([1.2345678912345])
+    expected = rho_plus(one, x, y, 10**6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bound in (np.int64(10**6), np.int32(10**6)):
+            estimate = rho_plus(one, x, y, bound)
+            assert [type(v) for v in vars(estimate).values()] == [float, float]
+            assert estimate == expected

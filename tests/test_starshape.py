@@ -82,11 +82,22 @@ class TestGrids:
                 skeleton_region(spec, base_count=count)
 
     def test_grid_counts_are_integers(self):
-        # a float count would give uniform_circle(64.5) 65 directions spaced 2 pi/64.5
+        # a float count would give uniform_circle(64.5) 65 directions spaced 2 pi/64.5,
+        # and a bool count would read as 1 direction
         spec = SkeletonSpec(np.zeros(4), 10.0, 1.0)
-        for make in (DirectionGrid.uniform_circle, DirectionGrid.sphere, lambda n: skeleton_region(spec, n)):
-            with pytest.raises(InvalidInputError, match="integer"):
-                make(64.5)
+        makers = (
+            DirectionGrid.uniform_circle,
+            DirectionGrid.sphere,
+            lambda n: skeleton_angles(spec, n),
+            lambda n: skeleton_region(spec, n),
+            lambda n: qi_verify(np.zeros(4), np.zeros(4), base_count=n),
+        )
+        for count in (64.5, True, np.True_, np.float64(64.0), "64"):
+            for make in makers:
+                with pytest.raises(InvalidInputError, match="grid count must be an integer"):
+                    make(count)
+        with pytest.raises(InvalidInputError, match="dimension must be an integer"):
+            DirectionGrid.sphere(256, 3.0)
         assert DirectionGrid.uniform_circle(np.int64(64)).count == 64
 
     def test_from_directions_keeps_the_callers_order(self):

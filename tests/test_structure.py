@@ -76,6 +76,13 @@ def test_numpy_is_the_one_runtime_dependency():
     assert offenders == {}
 
 
+def test_errors_holds_the_one_integer_rule():
+    # every integer parameter goes through errors.checked_int; a module that
+    # reads numbers.Integral itself would be a second rule
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py")) if "Integral" in path.read_text(encoding="utf-8")]
+    assert readers == ["errors.py"]
+
+
 def message_prefix(check):
     """The literal text of the InvariantViolation message up to its first placeholder."""
     message = next(stmt.exc.args[0] for stmt in check.body if isinstance(stmt, ast.Raise))
