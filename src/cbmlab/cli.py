@@ -25,7 +25,16 @@ from .domains import (
 )
 from .errors import CbmlabError, InvalidInputError, InvariantViolation
 from .forms import dcbm_forms
-from .ordered import DEFAULT_L_MAX, DEFAULT_PRIME_BOUND, Method, OrderedModel, OrderVariant, growth_distance
+from .ordered import (
+    DEFAULT_L_MAX,
+    DEFAULT_PRIME_BOUND,
+    Element,
+    Method,
+    OrderedModel,
+    OrderVariant,
+    growth_distance,
+    min_power,
+)
 from .starshape import DEFAULT_GRID_COUNT, SkeletonSpec, delta, qi_verify, skeleton_region
 
 EXIT_OK = 0
@@ -67,7 +76,8 @@ def _vector(text: str) -> np.ndarray:
         raise InvalidInputError(f"bad vector literal {text!r}: {exc}") from exc
 
 
-def cmd_growth(args) -> dict:
+def _pair(args) -> tuple[OrderedModel, Element, Element]:
+    """The model of --model and --variant, and the elements of files a and b."""
     payload_a, payload_b = _load(args.a), _load(args.b)
     variant = OrderVariant(args.variant)
     if args.model == "multiplicative":
@@ -79,10 +89,20 @@ def cmd_growth(args) -> dict:
         values = serialize.element_values_from_json(payload_a)
         model = OrderedModel.additive(values.shape[0], variant)
         a, b = model.element(values), model.element(serialize.element_values_from_json(payload_b))
+    return model, a, b
+
+
+def cmd_growth(args) -> dict:
+    model, a, b = _pair(args)
     report = growth_distance(
         model, a, b, l_max=args.l_max, method=Method(args.method), prime_bound=args.prime_bound
     )
     return report.to_json_dict()
+
+
+def cmd_min_power(args) -> dict:
+    model, a, b = _pair(args)
+    return {"l": args.l, "min_power": min_power(model, a, b, args.l)}
 
 
 def cmd_norm(args) -> dict:
@@ -181,18 +201,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--out", default=None, help="write the JSON report here")
         return p
 
-    p = add("growth", cmd_growth, "growth-rate distance between two elements")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--model", choices=["additive", "multiplicative"], default="additive")
-    p.add_argument(
-        "--variant",
-        choices=[v.value for v in OrderVariant],
-        default=OrderVariant.NON_STRICT.value,
-    )
+    def add_pair(name, fn, help_text):
+        p = add(name, fn, help_text)
+        p.add_argument("a")
+        p.add_argument("b")
+        p.add_argument("--model", choices=["additive", "multiplicative"], default="additive")
+        p.add_argument(
+            "--variant",
+            choices=[v.value for v in OrderVariant],
+            default=OrderVariant.NON_STRICT.value,
+        )
+        return p
+
+    p = add_pair("growth", cmd_growth, "growth-rate distance between two elements")
     p.add_argument("--method", choices=[m.value for m in Method], default=Method.PAIR_INFIMUM.value)
     p.add_argument("--l-max", type=int, default=DEFAULT_L_MAX)
     p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
+
+    p = add_pair("min-power", cmd_min_power, "least k with a^k >= b^l, for a dominant a")
+    p.add_argument("--l", type=int, default=1)
 
     p = add("norm", cmd_norm, "sandwich norm of arg relative to a dominant base")
     p.add_argument("base")

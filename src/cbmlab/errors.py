@@ -52,4 +52,8 @@ def checked_int(value, name: str, least: int | None = None, most: int | None = N
         if (least is None or value >= least) and (most is None or value <= most):
             return value
     bounds = "" if least is None else f" >= {least}" if most is None else f" in [{least}, {most}]"
-    raise InvalidInputError(f"{name} must be an integer{bounds}, got {value!r:.40}")
+    try:
+        shown = f"{value!r:.40}"
+    except ValueError:  # an int past the interpreter's limit on digits converted to text
+        shown = f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int"
+    raise InvalidInputError(f"{name} must be an integer{bounds}, got {shown}")

@@ -33,6 +33,7 @@ DEFAULT_L_MAX = 1000
 DEFAULT_PRIME_BOUND = 10_000
 PRIME_WINDOW_EXPONENT = 0.6  # prime-gap window scale for the witness search
 _SEARCH_BOUND = 10**12
+_Bracket = tuple[tuple[int, int], tuple[int, int]]  # ((p, q), (p_lo, q_lo)), as _bracket returns it
 
 
 class ModelKind(Enum):
@@ -154,8 +155,8 @@ def _ratio(x: float, y: float) -> tuple[int, int]:
 @dataclass(frozen=True, slots=True)
 class _Oracle:
     """The exact order oracle of one pair over a dominant base, as the
-    threshold (N, D, strict) in lowest terms that _oracle finds: (k, l) holds
-    exactly when k*D >= l*N, or k*D > l*N if strict.
+    threshold (N, D, strict) in lowest terms that _oracle or _oracles finds:
+    (k, l) holds exactly when k*D >= l*N, or k*D > l*N if strict.
     """
 
     threshold: tuple[int, int, bool]
@@ -166,9 +167,35 @@ class _Oracle:
         return k * den > l * num if strict else k * den >= l * num
 
 
+def _not_dominant(smallest: float) -> PreconditionError:
+    return PreconditionError(f"the order oracle needs a dominant base; its smallest site is {smallest!r}")
+
+
+def _extreme(sites: list, least: bool) -> tuple[int, int]:
+    """The largest exact y/x over the sites (x, y), or the least if ``least``,
+    as (n, d) in lowest terms with d > 0."""
+    ratios = [_ratio(x, y) for x, y in sites]
+    num, den = ratios[0]
+    for n, d in ratios:
+        if (n * den < num * d) if least else (n * den > num * d):
+            num, den = n, d
+    g = math.gcd(num, den)  # lowest terms keep _bracket's integers short
+    return num // g, den // g
+
+
+def _sites(model: OrderedModel, a: Element, b: Element) -> tuple[list, list]:
+    """a's and b's sites as Python floats, once a is checked dominant: the
+    order layer's one check of dominance."""
+    model._check(a, b)
+    xs, ys = a.data.tolist(), b.data.tolist()
+    if not (smallest := min(xs)) > 0:
+        raise _not_dominant(smallest)
+    return xs, ys
+
+
 def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
     """Exact order oracle (k, l) |-> (a^k >= b^l) for l >= 1 and a dominant a,
-    built once per pair, and the order layer's one check of dominance.
+    built once per pair.
 
     Every caller passes l >= 1: _bracket probes only q >= 1. With every site
     x of a positive, k*x >= l*y at every site (y of b) holds exactly when
@@ -178,10 +205,7 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
     k/l > N/D, unless every site has the one ratio N/D, where equality at
     every site holds too; the non-strict order is never strict.
     """
-    model._check(a, b)
-    xs, ys = a.data.tolist(), b.data.tolist()
-    if not (smallest := min(xs)) > 0:
-        raise PreconditionError(f"the order oracle needs a dominant base; its smallest site is {smallest!r}")
+    xs, ys = _sites(model, a, b)
     top, tops = -math.inf, []  # the float max of y/x, and the sites at it
     for x, y in zip(xs, ys):
         r = y / x
@@ -189,16 +213,46 @@ def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
             top, tops = r, [(x, y)]
         elif r == top:
             tops.append((x, y))
-    ratios = [_ratio(x, y) for x, y in tops]
-    num, den = ratios[0]
-    for n, d in ratios:
-        if n * den > num * d:
-            num, den = n, d
+    high = _extreme(tops, False)
     strict = model.order_variant is OrderVariant.STRICT_POSITIVE and (
-        len(tops) < len(xs) or any(n * den != num * d for n, d in ratios)
+        len(tops) < len(xs) or high != _extreme(tops, True)
     )
-    g = math.gcd(num, den)  # lowest terms keep _bracket's integers short
-    return _Oracle((num // g, den // g, strict))
+    return _Oracle((*high, strict))
+
+
+def _oracles(model: OrderedModel, a: Element, b: Element, negated: bool) -> tuple[_Oracle, _Oracle | PreconditionError]:
+    """The _oracle of (a, b) and of its partner, (b, a), or (a, b^-1) if
+    negated, from one pass over the sites.
+
+    The pass keeps the sites at the float minimum of y/x as well as those at
+    the maximum; the least exact ratio n/d lies among them, as rounded
+    division is monotone. The partner's threshold is d/n for (b, a), the
+    largest exact x/y, and -n/d for (a, b^-1). Either order has one ratio at
+    every site exactly when (a, b) does, so the two share ``strict``. When b
+    is not dominant, (b, a) has no oracle, and the partner is the error
+    _oracle(model, b, a) raises, for the caller to raise once the first
+    oracle's work is done, where the separate build raised it.
+    """
+    xs, ys = _sites(model, a, b)
+    top, tops, bottom, bottoms = -math.inf, [], math.inf, []
+    for x, y in zip(xs, ys):
+        r = y / x
+        if r > top:
+            top, tops = r, [(x, y)]
+        elif r == top:
+            tops.append((x, y))
+        if r < bottom:
+            bottom, bottoms = r, [(x, y)]
+        elif r == bottom:
+            bottoms.append((x, y))
+    high, (n, d) = _extreme(tops, False), _extreme(bottoms, True)
+    strict = model.order_variant is OrderVariant.STRICT_POSITIVE and (len(tops) < len(xs) or high != (n, d))
+    oracle = _Oracle((*high, strict))
+    if negated:
+        return oracle, _Oracle((-n, d, strict))
+    if n <= 0:  # some y <= 0, as every x > 0
+        return oracle, _not_dominant(min(ys))
+    return oracle, _Oracle((d, n, strict))
 
 
 def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
@@ -216,7 +270,7 @@ def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     return -(-l * p // q)
 
 
-def _bracket(oracle: _Oracle, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def _bracket(oracle: _Oracle, n: int) -> _Bracket:
     """Least p/q with q <= n where the oracle holds, and the p_lo/q_lo below
     it where it fails; the package's one exponent search.
 
@@ -230,7 +284,9 @@ def _bracket(oracle: _Oracle, n: int) -> tuple[tuple[int, int], tuple[int, int]]
     deficit t = q_lo*N - p_lo*D at p_lo/q_lo, the mediants p + j*p_lo over
     q + j*q_lo hold while j*t <= s (< s if strict), and the mediants p_lo + i*p
     over q_lo + i*q fail while i*s < t (<= t if strict), each capped to keep
-    the denominator <= n; a zero divisor leaves the whole cap. That is
+    the denominator <= n; a zero divisor leaves the whole cap. A stretch of j
+    steps leaves the slack s - j*t, and one of i steps the deficit t - i*s,
+    so both are kept up to date without a product of N or D. That is
     O(log n) integer steps and no oracle call. The integer certificate,
     evaluated through the oracle (holds at p/q, fails at p_lo/q_lo,
     p*q_lo - p_lo*q = 1, q + q_lo > n), cross-checks the descent against the
@@ -243,14 +299,21 @@ def _bracket(oracle: _Oracle, n: int) -> tuple[tuple[int, int], tuple[int, int]]
     k = num // den + 1 if strict else -(-num // den)
     if abs(k) > _SEARCH_BOUND:
         raise SearchBoundError(_SEARCH_BOUND)
-    (p_lo, q_lo), (p, q) = (k - 1, 1), (k, 1)
+    p_lo, q_lo, p, q = k - 1, 1, k, 1
+    s, t, loose = k * den - num, num - (k - 1) * den, not strict  # s >= 0 (> 0 if strict), t > 0 (>= 0)
     while q + q_lo <= n:
-        cap, t = (n - q) // q_lo, q_lo * num - p_lo * den  # t > 0, or t >= 0 if strict
-        j = min(cap, (p * den - q * num - strict) // t) if t else cap
-        p, q = p + j * p_lo, q + j * q_lo
-        cap, s = (n - q_lo) // q, p * den - q * num  # s >= 0, or s > 0 if strict
-        i = min(cap, (t - (not strict)) // s) if s else cap
-        p_lo, q_lo = p_lo + i * p, q_lo + i * q
+        j = (n - q) // q_lo
+        if t and (run := (s - strict) // t) < j:
+            j = run
+        p += j * p_lo
+        q += j * q_lo
+        s -= j * t
+        i = (n - q_lo) // q
+        if s and (run := (t - loose) // s) < i:
+            i = run
+        p_lo += i * p
+        q_lo += i * q
+        t -= i * s
     if not (oracle(p, q) and not oracle(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n):
         raise InvariantViolation(f"Farey bracket {p_lo}/{q_lo} < {p}/{q} fails its certificate at n={n}")
     if abs(-(-n * p // q)) > _SEARCH_BOUND:  # |k_l| never shrinks as l grows, and k_1 = k
@@ -271,21 +334,83 @@ class RhoEstimate:
     pair_infimum: float
 
 
+def _rate_bracket(oracle: _Oracle, n: int, rate: float) -> _Bracket:
+    """_bracket(oracle, n), checked to hold ``rate``, the float closed form of
+    its growth rate, in floats and without tolerance (rounded division is
+    monotone)."""
+    (p, q), (p_lo, q_lo) = bracket = _bracket(oracle, n)
+    if not p_lo / q_lo <= rate <= p / q:
+        raise InvariantViolation(f"closed-form rate {rate} lies outside [{p_lo}/{q_lo}, {p}/{q}]")
+    return bracket
+
+
 def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L_MAX) -> RhoEstimate:
     """Upper relative growth rate of b against the dominant a.
 
     The pair infimum is the p/q of one Farey bracket at l_max, and the limit
     estimate ceil(l_max*p/q)/l_max. The closed form max(b/a) must lie in the
-    bracket, in floats and without tolerance (rounded division is monotone).
-    The oracle raises PreconditionError for a base that is not dominant.
+    bracket. The oracle raises PreconditionError for a base that is not
+    dominant.
     """
     l_max = checked_int(l_max, "l_max", least=1)
-    (p, q), (p_lo, q_lo) = _bracket(_oracle(model, a, b), l_max)
+    oracle = _oracle(model, a, b)
     with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
         rate = float(np.divide(b.data, a.data).max())
-    if not p_lo / q_lo <= rate <= p / q:
-        raise InvariantViolation(f"closed-form rate {rate} lies outside [{p_lo}/{q_lo}, {p}/{q}]")
+    (p, q), _ = _rate_bracket(oracle, l_max, rate)
     return RhoEstimate(limit_estimate=-(-l_max * p // q) / l_max, pair_infimum=p / q)
+
+
+def growth_brackets(
+    model: OrderedModel, a: Element, b: Element, n: int, *, negated: bool = False
+) -> tuple[_Bracket, _Bracket]:
+    """The Farey brackets ((p, q), (p_lo, q_lo)) at n of the growth rate of b
+    against the dominant a and of its partner's, a against b, or b^-1 against
+    a if negated, from one site pass.
+
+    Each is the bracket rho_plus reads, checked as rho_plus checks it against
+    its closed form, max(a/b) or -min(b/a) for the partner; the least
+    exponent of an l <= n is ceil(l*p/q). Errors come in the order of two
+    rho_plus calls: the partner's, a b that is not dominant included, only
+    once the first bracket holds.
+    """
+    n = checked_int(n, "n", least=1)
+    oracle, partner = _oracles(model, a, b, negated)
+    with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
+        ratio = np.divide(b.data, a.data)
+        first = _rate_bracket(oracle, n, float(ratio.max()))
+        if isinstance(partner, PreconditionError):
+            raise partner
+        rate = -float(ratio.min()) if negated else float(np.divide(a.data, b.data).max())
+    return first, _rate_bracket(partner, n, rate)
+
+
+def _prime_oracles(model: OrderedModel, a: Element, b: Element) -> tuple[_Oracle, _Oracle]:
+    """The oracles of (a, b) and (b, a); the window pass needs num >= 1, so b
+    is checked dominant here, before any sieve."""
+    oracle, partner = _oracles(model, a, b, negated=False)
+    if isinstance(partner, PreconditionError):
+        raise PreconditionError("rho_plus_primes requires dominant inputs; b is not")
+    return oracle, partner
+
+
+def _prime_rate(oracle: _Oracle, prime_bound: int, table: PrimeTable | None) -> float:
+    """rho_plus_primes off one oracle of a pair of dominants."""
+    if table is None or table.bound < prime_bound:
+        table = prime_table(prime_bound)
+    (num, den), _ = _bracket(oracle, prime_bound)
+    last_q = min(prime_bound, prime_bound * den // num)  # num >= 1, as b is dominant
+    qs = table.primes[: table.primes.searchsorted(last_q, side="right")]
+    k_min = qs * num
+    np.floor_divide(k_min, -den, out=k_min)  # -ceil(q*num/den)
+    np.negative(k_min, out=k_min)
+    window_hi = (k_min**PRIME_WINDOW_EXPONENT).astype(np.int64)  # k_min >= 1: truncation floors
+    window_hi += k_min
+    np.minimum(window_hi, prime_bound, out=window_hi)
+    ps = table.first_primes_in(k_min, window_hi)
+    best = float(np.divide(ps, qs).min(initial=math.inf, where=ps > 0))
+    if best == math.inf:
+        raise PrimePairError(prime_bound)
+    return best
 
 
 def rho_plus_primes(
@@ -303,26 +428,11 @@ def rho_plus_primes(
     Farey bracket at prime_bound; windows are capped at the bound, so every
     ratio comes from a genuine pair below it. Only the primes with q*num <=
     prime_bound*den start a window there, and as den <= prime_bound their
-    q*num fit int64: one int64 array pass forms every window. Primes come
-    from ``table`` if it reaches prime_bound, else from prime_table.
+    q*num fit int64: one int64 array pass forms every window, in place. Primes
+    come from ``table`` if it reaches prime_bound, else from prime_table.
     """
     prime_bound = checked_int(prime_bound, "prime_bound", least=2)
-    oracle = _oracle(model, a, b)
-    if not b.data.min() > 0:  # the window pass needs num >= 1; checked before any sieve
-        raise PreconditionError("rho_plus_primes requires dominant inputs; b is not")
-    if table is None or table.bound < prime_bound:
-        table = prime_table(prime_bound)
-    (num, den), _ = _bracket(oracle, prime_bound)
-    last_q = min(prime_bound, prime_bound * den // num)  # num >= 1, as b is dominant
-    qs = table.primes[: np.searchsorted(table.primes, last_q, side="right")]
-    k_min = -(-(qs * num) // den)
-    reach = np.floor(k_min**PRIME_WINDOW_EXPONENT).astype(np.int64)
-    window_hi = np.minimum(k_min + reach, prime_bound)
-    ps = table.first_primes_in(k_min, window_hi)
-    found = ps > 0
-    if not found.any():
-        raise PrimePairError(prime_bound)
-    return float(np.min(ps[found] / qs[found]))
+    return _prime_rate(_prime_oracles(model, a, b)[0], prime_bound, table)
 
 
 @dataclass(frozen=True)
@@ -355,21 +465,28 @@ def growth_distance(
     method: Method = Method.PAIR_INFIMUM,
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> GrowthRateReport:
-    """Distance between two dominants: ln of the larger relative growth rate."""
+    """Distance between two dominants: ln of the larger relative growth rate.
+
+    Both rates, of b against a and of a against b, are extremes of the one
+    site-ratio array b/a: its maximum and the reciprocal of its minimum. So
+    every method builds both oracles from one site pass, growth_brackets for
+    the limit sequence and the pair infimum, and the prime-pair rate for the
+    prime pairs. Each rate is rho_plus's, or rho_plus_primes's, bit for bit,
+    with the same checks and errors in the same order.
+    """
     # the product check's tolerance 2/l_max needs it under every method
     l_max = checked_int(l_max, "l_max", least=1)
     if l_max > sys.float_info.max:
         raise InvalidInputError("l_max must be representable as a double")
     if method is Method.PRIME_PAIRS:
-        rp = rho_plus_primes(model, a, b, prime_bound)
-        rm = rho_plus_primes(model, b, a, prime_bound)
+        prime_bound = checked_int(prime_bound, "prime_bound", least=2)
+        rp, rm = (_prime_rate(oracle, prime_bound, None) for oracle in _prime_oracles(model, a, b))
     else:
-        est_p = rho_plus(model, a, b, l_max)
-        est_m = rho_plus(model, b, a, l_max)
+        ((p, q), _), ((p_m, q_m), _) = growth_brackets(model, a, b, l_max)
         if method is Method.LIMIT_SEQUENCE:
-            rp, rm = est_p.limit_estimate, est_m.limit_estimate
+            rp, rm = -(-l_max * p // q) / l_max, -(-l_max * p_m // q_m) / l_max
         else:
-            rp, rm = est_p.pair_infimum, est_m.pair_infimum
+            rp, rm = p / q, p_m / q_m
     if rp * rm < 1.0 - 2.0 / l_max:
         raise InvariantViolation(
             f"growth-rate product inequality failed: {rp} * {rm} < 1 - 2/{l_max}"

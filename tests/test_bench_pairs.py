@@ -1,0 +1,51 @@
+"""The summary that tools/bench_pairs.py writes into BENCH_<n>.json."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+def load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(**values):
+    return {"metrics": {name: {"value": value, "unit": "-"} for name, value in values.items()}}
+
+
+def test_summary_of_alternating_pairs():
+    bench_pairs = load()
+    parent = [100.0, 110.0, 120.0, 130.0, 140.0]
+    change = [90.0, 110.0, 100.0, 101.0, 150.0]
+    pairs = [{"parent": run(t=p, rate=1 / p), "change": run(t=c, rate=1 / c)} for p, c in zip(parent, change)]
+    summary = bench_pairs.summarize(pairs, {"t": "lower", "rate": "higher"})
+    t = summary["t"]
+    # inclusive quartiles of 100..140 are 110 and 130
+    assert (t["parent"]["q1"], t["parent"]["median"], t["parent"]["q3"]) == (110.0, 120.0, 130.0)
+    assert t["change"]["median"] == 101.0 and t["change"]["runs"] == change
+    assert (t["wins"], t["ties"], t["pairs"]) == (3, 1, 5)
+    assert t["median_gain_frac"] == pytest.approx(19 / 120)
+    assert t["parent_iqr_frac"] == pytest.approx(20 / 120)
+    # 3 wins of 5 and a gain inside the parent's spread: no gain shown
+    assert not t["gain_shown"]
+    rate = summary["rate"]
+    assert (rate["wins"], rate["ties"], rate["better"]) == (3, 1, "higher")
+    assert rate["median_gain_frac"] == pytest.approx((1 / 101 - 1 / 120) * 120)
+
+
+def test_a_gain_is_shown_only_past_the_parent_spread_in_nine_tenths_of_the_pairs():
+    bench_pairs = load()
+    parent = [100.0 + i for i in range(10)]
+    faster = [80.0 + i for i in range(10)]
+    pairs = [{"parent": run(t=p), "change": run(t=c)} for p, c in zip(parent, faster)]
+    assert bench_pairs.summarize(pairs, {"t": "lower"})["t"]["gain_shown"]
+    pairs[0]["change"] = run(t=200.0)  # one lost pair of ten still passes
+    assert bench_pairs.summarize(pairs, {"t": "lower"})["t"]["gain_shown"]
+    pairs[1]["change"] = run(t=200.0)  # two do not
+    assert not bench_pairs.summarize(pairs, {"t": "lower"})["t"]["gain_shown"]

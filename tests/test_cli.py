@@ -61,6 +61,18 @@ def test_growth_additive(tmp_path, capsys):
     assert report["method"] == "pair-infimum"
 
 
+def test_min_power_subcommand(tmp_path, capsys):
+    a = write(tmp_path / "a.json", [1.0, 2.0])
+    b = write(tmp_path / "b.json", [2.5, 1.0])
+    # ceil(3 * 2.5); the strict order fails at 5/2, where only the first site is equal
+    for flags, expected in (([], {"l": 1, "min_power": 3}), (["--l", "3"], {"l": 3, "min_power": 8})):
+        assert run(capsys, "min-power", a, b, *flags) == (0, expected)
+    assert run(capsys, "min-power", a, b, "--l", "2", "--variant", "strict-positive") == (0, {"l": 2, "min_power": 6})
+    assert main(["min-power", a, b, "--l", "0"]) == 2
+    assert main(["min-power", b, write(tmp_path / "c.json", [0.0, 1.0])]) == 0  # b need not be dominant
+    assert main(["min-power", write(tmp_path / "c.json", [0.0, 1.0]), a]) == 2
+
+
 def test_norm_subcommand(tmp_path, capsys):
     base = write(tmp_path / "base.json", [1.0, 1.0])
     arg = write(tmp_path / "arg.json", [2.5, 2.5])
@@ -322,6 +334,7 @@ def test_candidate_map_with_a_g_key_exits_two(g, tmp_path, capsys):
 # each subcommand that reads files, "@i" standing for its i-th file, with a valid payload for each
 FILE_ARGUMENTS = [
     (["growth", "@0", "@1"], [[1.0, 2.0], [2.0, 1.0]]),
+    (["min-power", "@0", "@1"], [[1.0, 2.0], [2.0, 1.0]]),
     (["norm", "@0", "@1"], [[1.0, 1.0], [2.0, 1.0]]),
     (["delta", "@0", "@1"], [FIBER, FIBER]),
     (["dcbm-toric", "@0", "@1"], [DOMAIN, DOMAIN]),
@@ -753,6 +766,8 @@ SHAPED = st.one_of(
 COMMANDS = [
     ["growth", "@0", "@1", "--l-max", "50"],
     ["growth", "@0", "@1", "--l-max", "50", "--model", "multiplicative"],
+    ["min-power", "@0", "@1", "--l", "#0"],
+    ["min-power", "@0", "@1", "--model", "multiplicative", "--variant", "strict-positive", "--l", "#0"],
     ["norm", "@0", "@1"],
     ["delta", "@0", "@1"],
     ["dcbm-toric", "@0", "@1"],

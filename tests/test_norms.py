@@ -142,9 +142,11 @@ def test_ratio_beyond_the_search_bound_raises():
 
 def test_oracle_disagreeing_with_the_closed_form_is_a_violation(monkeypatch):
     m, base, arg = model_and([1.0] * 2, [2.5] * 2)
-    exact = ordered._oracle
-    # an oracle for arg + arg finds (5, 5), where the ratio 2.5 admits only (3, 2)
-    monkeypatch.setattr(ordered, "_oracle", lambda model, x, y: exact(model, x, model.compose(y, y)))
+    exact = ordered.growth_brackets
+    # brackets for arg + arg find (5, 5), where the ratio 2.5 admits only (3, 2)
+    monkeypatch.setattr(
+        norms, "growth_brackets", lambda model, x, y, n, **kw: exact(model, x, model.compose(y, y), n, **kw)
+    )
     with pytest.raises(InvariantViolation, match="closed-form ratios"):
         norm(base, arg)
 
@@ -152,7 +154,12 @@ def test_oracle_disagreeing_with_the_closed_form_is_a_violation(monkeypatch):
 def test_stabilization_disagreeing_with_the_growth_rates_is_a_violation(monkeypatch):
     m, base, arg = model_and([1.0] * 2, [2.5] * 2)
     # the stabilization of arg is 2.5; a growth rate of 3 lies beyond 2/l_max of it
-    monkeypatch.setattr(norms, "rho_plus", lambda *args: ordered.RhoEstimate(3.0, 3.0))
+    exact = ordered.growth_brackets
+    monkeypatch.setattr(
+        norms,
+        "growth_brackets",
+        lambda model, x, y, n, **kw: exact(model, x, y, n, **kw) if n == 1 else (((3, 1), (2, 1)),) * 2,
+    )
     with pytest.raises(InvariantViolation, match="stabilization"):
         stabilization(base, arg, 100)
 

@@ -507,21 +507,28 @@ def implied_rows(model, a, b, n, ls):
 
 
 def count_oracle_calls(monkeypatch):
-    """Count the calls into every oracle built from here on in [0], and the builds in [1]."""
+    """Count the calls into every oracle built from here on in [0], and the
+    builds in [1]: a site pass that builds a pair's two oracles is one build."""
     calls = [0, 0]
-    exact = ordered._oracle
+    single, pair = ordered._oracle, ordered._oracles
 
-    def counting(model, a, b):
-        calls[1] += 1
-        holds = exact(model, a, b)
-
-        def counted(k, l):
+    def counted(holds):
+        def call(k, l):
             calls[0] += 1
             return holds(k, l)
 
-        return StubOracle(holds.threshold, counted)
+        return StubOracle(holds.threshold, call) if isinstance(holds, ordered._Oracle) else holds
+
+    def counting(model, a, b):
+        calls[1] += 1
+        return counted(single(model, a, b))
+
+    def counting_pair(model, a, b, negated):
+        calls[1] += 1
+        return tuple(map(counted, pair(model, a, b, negated)))
 
     monkeypatch.setattr(ordered, "_oracle", counting)
+    monkeypatch.setattr(ordered, "_oracles", counting_pair)
     return calls
 
 
@@ -618,7 +625,7 @@ class TestBatchedSearch:
         # the counts follow from the descent alone, so they hold on every machine
         counts = count_oracle_calls(monkeypatch)
         run_order_stream_pool(monkeypatch)
-        assert counts == [232, 116]
+        assert counts == [232, 66]
 
     def test_order_stream_pool_prime_windows_are_pinned(self, monkeypatch):
         # the windows handed to the prime tables: a machine-free count of the
@@ -973,8 +980,9 @@ class TestGrowthDistance:
     @pytest.mark.parametrize("method", list(Method))
     def test_rates_below_the_product_inequality_are_a_violation(self, method, monkeypatch):
         # rates of 1/2 each way give the product 1/4, far below 1 - 2/l_max
-        monkeypatch.setattr(ordered, "rho_plus", lambda *args: ordered.RhoEstimate(0.5, 0.5))
-        monkeypatch.setattr(ordered, "rho_plus_primes", lambda *args, **kwargs: 0.5)
+        # the bracket 1/2 gives 1/2 as pair infimum and as limit estimate at l_max = 100
+        monkeypatch.setattr(ordered, "growth_brackets", lambda *args: (((1, 2), (0, 1)),) * 2)
+        monkeypatch.setattr(ordered, "_prime_rate", lambda *args: 0.5)
         m = OrderedModel.additive(2)
         a = m.element([1.0, 1.0])
         with pytest.raises(InvariantViolation, match="product inequality"):
@@ -1112,3 +1120,128 @@ def test_a_non_integer_bound_is_rejected_at_every_entry_point(monkeypatch):
             estimate = rho_plus(one, x, y, bound)
             assert [type(v) for v in vars(estimate).values()] == [float, float]
             assert estimate == expected
+
+
+def test_an_integer_too_long_to_print_is_one_input_error():
+    # repr refuses an int past the interpreter's digit limit with a ValueError
+    m = OrderedModel.additive(1)
+    a = m.element([1.0])
+    big = 10**5000
+    calls = [
+        (lambda: run_acceptance(seed=big), "a 16610-bit int"),
+        (lambda: run_acceptance(seed=-big), "a negative 16610-bit int"),
+        (lambda: rho_plus(m, a, a, -big), "a negative 16610-bit int"),
+        (lambda: min_power(m, a, a, -big), "a negative 16610-bit int"),
+    ]
+    for call, shown in calls:
+        with pytest.raises(InvalidInputError, match=f"got {shown}$") as info:
+            call()
+        assert len(str(info.value)) < 100
+
+
+def parent_bracket(oracle, n):
+    """_bracket as it stood before its steps kept the slack and deficit up to
+    date: each step recomputes both from p/q and p_lo/q_lo and caps with min()."""
+    num, den, strict = oracle.threshold
+    k = num // den + 1 if strict else -(-num // den)
+    if abs(k) > ordered._SEARCH_BOUND:
+        raise SearchBoundError(ordered._SEARCH_BOUND)
+    (p_lo, q_lo), (p, q) = (k - 1, 1), (k, 1)
+    while q + q_lo <= n:
+        cap, t = (n - q) // q_lo, q_lo * num - p_lo * den
+        j = min(cap, (p * den - q * num - strict) // t) if t else cap
+        p, q = p + j * p_lo, q + j * q_lo
+        cap, s = (n - q_lo) // q, p * den - q * num
+        i = min(cap, (t - (not strict)) // s) if s else cap
+        p_lo, q_lo = p_lo + i * p, q_lo + i * q
+    if not (oracle(p, q) and not oracle(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n):
+        raise InvariantViolation(f"Farey bracket {p_lo}/{q_lo} < {p}/{q} fails its certificate at n={n}")
+    if abs(-(-n * p // q)) > ordered._SEARCH_BOUND:
+        raise SearchBoundError(ordered._SEARCH_BOUND)
+    return (p, q), (p_lo, q_lo)
+
+
+def separate_partner(model, a, b, negated):
+    """The partner's threshold from a separate _oracle build, or the error it raises."""
+    try:
+        if negated:
+            return ordered._oracle(model, a, model.inverse(b)).threshold
+        return ordered._oracle(model, b, a).threshold
+    except PreconditionError as exc:
+        return PreconditionError, str(exc)
+
+
+class TestOneSitePass:
+    """_oracles builds a pair's oracle and its partner's from one site pass."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_partners_equal_separate_builds(self, data, dominant_b):
+        # both kinds and variants, ties, one ratio at every site, subnormal and huge sites
+        m, xs, _, a, b = draw_pair(data, "dominant")
+        if dominant_b:  # so the swapped partner exists
+            b = Element(data.draw(st.lists(POSITIVE_X, min_size=len(xs), max_size=len(xs))))
+        for negated in (False, True):
+            oracle, partner = ordered._oracles(m, a, b, negated)
+            assert oracle.threshold == ordered._oracle(m, a, b).threshold
+            if isinstance(partner, PreconditionError):
+                assert not negated and not dominant_b
+                partner = PreconditionError, str(partner)
+            else:
+                partner = partner.threshold
+            assert partner == separate_partner(m, a, b, negated)
+
+    @pytest.mark.parametrize("variant", list(OrderVariant))
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([3.0, 1.0, 3.0, 1.0], [1.0, 1 / 3, 3.0, 1.0]),  # fl(1/3) and 1/3 tie at the bottom, 1 and 1 at the top
+            ([1.0, 2.0, 0.5], [2.0, 4.0, 1.0]),  # one ratio at every site
+            ([5e-324, 1e300, 3e-310], [1e300, 5e-324, 3e-310]),  # ratios overflow and underflow
+            ([1.0, 3.0], [1 / 3, 1.0]),  # one float ratio, two exact ones
+            ([2.0], [7.0]),
+        ],
+    )
+    def test_ties_and_extreme_sites(self, variant, xs, ys):
+        m = OrderedModel.additive(len(xs), variant)
+        a, b = Element(xs), Element(ys)
+        for negated in (False, True):
+            oracle, partner = ordered._oracles(m, a, b, negated)
+            assert oracle.threshold == ordered._oracle(m, a, b).threshold
+            assert partner.threshold == separate_partner(m, a, b, negated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(THRESHOLD, st.booleans(), st.sampled_from([1, 7, 10**3, 10**4, 10**11]))
+    def test_bracket_steps_match_the_parent_loop(self, threshold, strict, n):
+        oracle = threshold_oracle(*threshold, strict)
+        assert outcome(ordered._bracket, oracle, n) == outcome(parent_bracket, oracle, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(list(Method)), st.integers(1, 10**4))
+    def test_growth_distance_gives_the_two_separate_rates(self, data, method, l_max):
+        # answers and errors (type, message and order) of one rate call each way
+        m, _, _, a, b = draw_pair(data, "dominant")
+
+        def separate():
+            if method is Method.PRIME_PAIRS:
+                return rho_plus_primes(m, a, b, 200), rho_plus_primes(m, b, a, 200)
+            forward, backward = rho_plus(m, a, b, l_max), rho_plus(m, b, a, l_max)
+            if method is Method.LIMIT_SEQUENCE:
+                return forward.limit_estimate, backward.limit_estimate
+            return forward.pair_infimum, backward.pair_infimum
+
+        report = outcome(growth_distance, m, a, b, l_max, method, 200)
+        if isinstance(report, ordered.GrowthRateReport):
+            report = report.rho_plus, report.rho_minus
+        assert report == outcome(separate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_norm_gives_the_two_separate_least_exponents(self, data):
+        m, xs, _, a, b = draw_pair(data, "dominant")
+        report = outcome(norms.norm, a, b)
+        if isinstance(report, norms.NormReport):
+            report = report.nu_plus, report.nu_minus
+        model = OrderedModel.additive(len(xs))
+        separate = outcome(lambda: (min_power(model, a, b, 1), -min_power(model, a, model.inverse(b), 1)))
+        assert report == separate

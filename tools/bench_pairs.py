@@ -1,0 +1,121 @@
+"""Alternating benchmark pairs of two checkouts, summarized per metric.
+
+Runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` in
+a parent checkout and in a change checkout, N pairs per workload, with the
+side that runs first alternating from pair to pair (the parent first in the
+odd pairs). Each run is read from the JSON object on the last line of its
+output. For every workload and end-to-end metric of BENCHMARK.json the
+summary gives each side's median and quartiles, the parent's interquartile
+range as a share of its median, the change's median gain in the metric's
+better direction, the pairs the change won and tied, and whether the gain
+passes the benchmark's claim rule: at least nine tenths of the pairs won and
+a median gain beyond the parent's interquartile range.
+
+Run from anywhere, with the standard library only:
+
+    python tools/bench_pairs.py PARENT CHANGE --pairs 10 --seed 11 \\
+        --workload order-stream --workload geometry-stream -o BENCH_<n>.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py`` run in a checkout: its last output line, parsed."""
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
+    command += ["--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: {workload} printed nothing (exit {done.returncode}): {done.stderr[-500:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(Q1, median, Q3), by the inclusive method; a single value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric summary of pairs of runs, each {"parent": run, "change": run}.
+
+    ``better`` maps each metric to "lower" or "higher". Gains are fractions of
+    the parent's median, positive when the change is better.
+    """
+    summary = {}
+    for metric, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        values = {side: [pair[side]["metrics"][metric]["value"] for pair in pairs] for side in SIDES}
+        stats = {}
+        for side in SIDES:
+            q1, median, q3 = quartiles(values[side])
+            stats[side] = {"median": median, "q1": q1, "q3": q3, "runs": values[side]}
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
+        base = stats["parent"]["median"]
+        gain = sign * (stats["change"]["median"] - base) / base
+        spread = (stats["parent"]["q3"] - stats["parent"]["q1"]) / base
+        summary[metric] = {
+            "better": direction,
+            **stats,
+            "parent_iqr_frac": spread,
+            "median_gain_frac": gain,
+            "wins": wins,
+            "ties": ties,
+            "pairs": len(pairs),
+            "gain_shown": wins >= 0.9 * len(pairs) and gain > spread,
+        }
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seconds", type=float, default=24)
+    parser.add_argument("-o", "--out", type=Path, required=True, help="the BENCH_<n>.json to write")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    report = {
+        "command": f"python3 bench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+        "pairs": args.pairs,
+        "order": "parent first in odd pairs, change first in even pairs",
+        "workloads": {},
+    }
+    for workload in args.workload:
+        pairs = []
+        for index in range(args.pairs):
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            pair = {side: run_once(getattr(args, side), workload, args.seed, args.seconds) for side in order}
+            pairs.append(pair)
+            print(workload, index + 1, order[0], "first:", *(
+                f"{side} ops_per_s {pair[side]['metrics']['ops_per_s']['value']:.4g}" for side in SIDES
+            ), flush=True)
+        report["workloads"][workload] = {
+            "failed": {side: [pair[side]["failed"] for pair in pairs] for side in SIDES},
+            "correct": {side: all(pair[side]["correct"] for pair in pairs) for side in SIDES},
+            "metrics": summarize(pairs, better),
+        }
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
