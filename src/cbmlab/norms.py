@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvariantViolation, checked_int
 from .ordered import DEFAULT_L_MAX, Element, OrderedModel, growth_brackets
 
@@ -46,21 +44,14 @@ def norm(base: Element, arg: Element) -> NormReport:
     any closed form is checked. The oracle also checks arg's site count and
     raises PreconditionError for a base that is not dominant.
 
-    The closed forms ceil(sup(arg/base)) and floor(inf(arg/base)) cross-check
-    them on the float ratios, at the strength monotone rounding permits:
-    nu_plus - 1 <= max(ratio) <= nu_plus and nu_minus <= min(ratio) <= nu_minus + 1.
+    growth_brackets checks each bracket against its closed form on the float
+    ratios, at the strength monotone rounding permits; at n = 1 that is
+    nu_plus - 1 <= max(arg/base) <= nu_plus and
+    nu_minus <= min(arg/base) <= nu_minus + 1.
     """
     model = OrderedModel.additive(base.data.size)
     ((nu_plus, _), _), ((nu_negated, _), _) = growth_brackets(model, base, arg, 1, negated=True)
     nu_minus = -nu_negated
-
-    ratio = arg.data / base.data
-    hi, lo = float(ratio.max()), float(ratio.min())
-    if not (nu_plus - 1 <= hi <= nu_plus and nu_minus <= lo <= nu_minus + 1):
-        raise InvariantViolation(
-            f"norm closed-form ratios [{lo}, {hi}] disagree with "
-            f"oracle search ({nu_plus}, {nu_minus})"
-        )
     return NormReport(
         nu_plus=nu_plus,
         nu_minus=nu_minus,

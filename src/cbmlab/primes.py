@@ -48,13 +48,6 @@ class PrimeTable:
         found = int(self._primes_and_sentinel[np.searchsorted(self.primes, lo)])
         return found if found <= hi else None
 
-    def first_primes_in(self, lo, hi) -> np.ndarray:
-        """``first_prime_in`` over many windows [lo_i, hi_i] at once, with one
-        binary search of the primes; 0 marks a window without a prime."""
-        hi = np.minimum(np.asarray(hi, dtype=np.int64), self.bound)
-        found = self._primes_and_sentinel[np.searchsorted(self.primes, lo)]
-        return np.where(found <= hi, found, 0)
-
 
 @functools.lru_cache(maxsize=1)
 def prime_table(bound: int) -> PrimeTable:

@@ -142,12 +142,27 @@ def test_ratio_beyond_the_search_bound_raises():
 
 def test_oracle_disagreeing_with_the_closed_form_is_a_violation(monkeypatch):
     m, base, arg = model_and([1.0] * 2, [2.5] * 2)
-    exact = ordered.growth_brackets
-    # brackets for arg + arg find (5, 5), where the ratio 2.5 admits only (3, 2)
+    exact = ordered._oracles
+    # the oracles of arg + arg bracket nu_plus at 5, where the ratio 2.5 admits
+    # only 3: growth_brackets checks the bracket against the float ratio
     monkeypatch.setattr(
-        norms, "growth_brackets", lambda model, x, y, n, **kw: exact(model, x, model.compose(y, y), n, **kw)
+        ordered, "_oracles", lambda model, x, y, negated: exact(model, x, model.compose(y, y), negated)
     )
-    with pytest.raises(InvariantViolation, match="closed-form ratios"):
+    with pytest.raises(InvariantViolation, match=r"closed-form rate 2\.5 lies outside \[4/1, 5/1\]"):
+        norm(base, arg)
+
+
+def test_a_bad_nu_minus_bracket_is_a_violation(monkeypatch):
+    m, base, arg = model_and([1.0] * 2, [2.5] * 2)
+    exact = ordered._oracles
+    # only the negated oracle is that of arg + arg: -nu_minus bracketed at -5,
+    # where the ratio -2.5 admits only -2
+    monkeypatch.setattr(
+        ordered,
+        "_oracles",
+        lambda model, x, y, negated: (exact(model, x, y, negated)[0], exact(model, x, model.compose(y, y), negated)[1]),
+    )
+    with pytest.raises(InvariantViolation, match=r"closed-form rate -2\.5 lies outside \[-6/1, -5/1\]"):
         norm(base, arg)
 
 

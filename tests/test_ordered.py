@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import tracemalloc
@@ -628,18 +629,12 @@ class TestBatchedSearch:
         assert counts == [232, 66]
 
     def test_order_stream_pool_prime_windows_are_pinned(self, monkeypatch):
-        # the windows handed to the prime tables: a machine-free count of the
-        # prime-pair work, which forms no window that starts past the bound
-        windows = [0]
-        lookup = PrimeTable.first_primes_in
-
-        def counting(table, lo, hi):
-            windows[0] += len(lo)
-            return lookup(table, lo, hi)
-
-        monkeypatch.setattr(PrimeTable, "first_primes_in", counting)
+        # the least exponents the prime pass looks up: a machine-free count of
+        # the prime-pair work, which keeps only the primes whose least exponent
+        # is at most the largest prime below the bound
+        seen = captured_prime_lookups(monkeypatch)
         run_order_stream_pool(monkeypatch)
-        assert windows == [13_824]
+        assert sum(len(k_min) for k_min, _ in seen) == 13_807
 
     def test_bracket_is_exact_where_float_products_round(self):
         # at n = 10^11 the products k * a of quantized sites pass 2^53, so a float
@@ -759,33 +754,53 @@ class TestBatchedSearch:
 
 
 def reference_rho_plus_primes(model, a, b, prime_bound):
-    """The per-prime list computation of every k_min and witness window, one
-    prime at a time on Python ints, behind the same bracket."""
+    """The earlier definition, one prime at a time on Python ints behind the
+    same bracket: each witness is the first prime in the window
+    [k, k + floor(k^0.6)] above the least exponent k, capped at the bound."""
     table = PrimeTable(prime_bound)
     (num, den), _ = ordered._bracket(ordered._oracle(model, a, b), prime_bound)
-    qs = table.primes
-    k_min = [-(-q * num // den) for q in qs.tolist()]
-    window_hi = [
-        min(k + int(k**ordered.PRIME_WINDOW_EXPONENT) if k > 0 else 2, prime_bound) for k in k_min
-    ]
-    ps = table.first_primes_in(k_min, window_hi)
-    found = ps > 0
-    if not found.any():
+    ratios = []
+    for q in table.primes.tolist():
+        k = -(-q * num // den)
+        p = table.first_prime_in(k, min(k + int(k**ordered.PRIME_WINDOW_EXPONENT) if k > 0 else 2, prime_bound))
+        if p is not None:
+            ratios.append(p / q)
+    if not ratios:
         raise PrimePairError(prime_bound)
-    return float(np.min(ps[found] / qs[found]))
+    return min(ratios)
 
 
-def captured_prime_windows(monkeypatch, table):
-    """Record the (lo, hi) window arrays that rho_plus_primes hands the table."""
+class PrimeLookups(np.ndarray):
+    """A table's primes that record each array lookup as (k, the first prime
+    at or after each k) in ``seen``."""
+
+    seen: list = []
+
+    def searchsorted(self, v, side="left", sorter=None):
+        found = super().searchsorted(v, side, sorter)
+        if np.ndim(v):
+            self.seen.append((np.array(v), self.view(np.ndarray)[found]))
+        return found
+
+
+def captured_prime_lookups(monkeypatch):
+    """Record the least exponents the prime pass looks up, and the primes it
+    finds, in every PrimeTable built from here on."""
     seen = []
-    lookup = table.first_primes_in
+    monkeypatch.setattr(PrimeLookups, "seen", seen)
+    build = PrimeTable.__init__
 
-    def recording(lo, hi):
-        seen.append((np.asarray(lo), np.asarray(hi)))
-        return lookup(lo, hi)
+    def spied(table, bound):
+        build(table, bound)
+        table.primes = table.primes.view(PrimeLookups)
 
-    monkeypatch.setattr(table, "first_primes_in", recording)
+    monkeypatch.setattr(PrimeTable, "__init__", spied)
+    monkeypatch.setattr(ordered, "prime_table", functools.lru_cache(maxsize=1)(PrimeTable))
     return seen
+
+
+def first_primes_at_or_after(table, ks):
+    return [table.first_prime_in(k, table.bound) for k in ks]
 
 
 class TestRhoPlusPrimes:
@@ -852,10 +867,13 @@ class TestRhoPlusPrimes:
         st.sampled_from(list(OrderVariant)),
         st.integers(1, 64),
         st.integers(2, 10**4),
+        st.sampled_from([0, 0, 1, 30, 10**4]),
         st.lists(POSITIVE_Q, min_size=2, max_size=2),
         st.integers(0, 2**32),
     )
-    def test_array_pass_matches_the_per_prime_lists(self, kind, variant, sites, bound, logs, key):
+    def test_array_pass_matches_the_per_prime_lists(self, kind, variant, sites, bound, extra, logs, key):
+        # the pass matches the windowed definition bit for bit, also on a
+        # caller's table that reaches past the bound
         if kind == "multiplicative":
             m = OrderedModel.multiplicative(variant)
             a, b = from_log(logs[0] * QUANTUM), from_log(logs[1] * QUANTUM)
@@ -867,18 +885,21 @@ class TestRhoPlusPrimes:
             a = m.element(quantized(rng, 0.5, 2.0, sites))
             steps = np.round(quantized(rng, 0.5, 2.0, sites) * scale / QUANTUM)
             b = m.element(np.maximum(steps, 1) * QUANTUM)
-        table = PrimeTable(bound)
         with pytest.MonkeyPatch.context() as patch:
-            seen = captured_prime_windows(patch, table)
+            seen = captured_prime_lookups(patch)
+            table = PrimeTable(bound + extra)
             try:
                 expected = reference_rho_plus_primes(m, a, b, bound)
             except PrimePairError:
                 with pytest.raises(PrimePairError):
                     rho_plus_primes(m, a, b, bound, table=table)
-            else:
-                assert rho_plus_primes(m, a, b, bound, table=table) == expected
-        (k_min, _), = seen
-        assert k_min.max(initial=0) <= bound  # no window starts past the bound
+                assert seen == []  # no prime survives the cut: no lookup
+                return
+            assert rho_plus_primes(m, a, b, bound, table=table).hex() == expected.hex()
+        (k_min, ps), = seen
+        top = PrimeTable(bound).primes[-1]
+        assert k_min.max() <= top  # no lookup passes the largest prime below the bound
+        assert ps.tolist() == first_primes_at_or_after(PrimeTable(bound), k_min.tolist())
 
     def test_least_exponents_do_not_overflow_int64(self, monkeypatch):
         m = OrderedModel.additive(1)
@@ -886,18 +907,20 @@ class TestRhoPlusPrimes:
         bound = 10**7
         num, den = 942316028430, 9430369
         assert ordered._bracket(ordered._oracle(m, a, b), bound)[0] == (num, den)
+        seen = captured_prime_lookups(monkeypatch)
         table = PrimeTable(bound)
         qs = table.primes.tolist()
+        top = qs[-1]
+        assert top == 9_999_991
         assert qs[-1] * num > np.iinfo(np.int64).max  # the product of an uncut prime would wrap
-        seen = captured_prime_windows(monkeypatch, table)
         rho_plus_primes(m, a, b, bound, table=table)
-        (k_min, window_hi), = seen
-        kept = [q for q in qs if q * num <= bound * den]
+        (k_min, ps), = seen
+        kept = [q for q in qs if q * num <= top * den]
         assert len(kept) == len(k_min) < len(qs)
         assert k_min.tolist() == [-(-q * num // den) for q in kept]
-        assert max(k_min.tolist()) <= bound
-        assert all(-(-q * num // den) > bound for q in qs[len(kept) :])
-        assert window_hi.tolist() == [min(k + int(k**0.6), bound) for k in k_min.tolist()]
+        assert max(k_min.tolist()) <= top
+        assert all(-(-q * num // den) > top for q in qs[len(kept) :])
+        assert ps.tolist() == first_primes_at_or_after(table, k_min.tolist())
 
     def test_numpy_window_powers_match_python_floats(self):
         # every k up to 10^6, and the k up to 10^8 whose 0.6-th power lies
@@ -910,6 +933,20 @@ class TestRhoPlusPrimes:
         ks = ks[(ks >= 1) & (ks <= 10**8)]
         fast = np.floor(ks.astype(np.float64) ** ordered.PRIME_WINDOW_EXPONENT).astype(np.int64)
         assert fast.tolist() == [int(k**ordered.PRIME_WINDOW_EXPONENT) for k in ks.tolist()]
+
+    def test_every_start_up_to_ten_million_finds_its_prime_in_the_window(self):
+        # the finite check behind the window-free pass: the first prime at or
+        # after every m in [1, 10^7] lies in [m, m + floor(m^0.6)]. Over the
+        # starts whose first prime is the one p_(i+1), the window's end grows
+        # with m, so the hardest is the least, p_i + 1, or 1 before 2
+        primes = PrimeTable(10**7 + 100).primes  # 10000019, after the last start, is in it
+        starts = np.concatenate([[1], primes[:-1] + 1])
+        firsts = primes[starts <= 10**7]
+        starts = starts[starts <= 10**7]
+        assert firsts[-1] > 10**7  # the last gap covers 10^7
+        ends = starts + np.floor(starts.astype(np.float64) ** ordered.PRIME_WINDOW_EXPONENT).astype(np.int64)
+        assert (firsts <= ends).all()
+        assert (ends - firsts).min() == 0  # tight, at m = 1 and m = 8
 
 
 class TestGrowthDistance:

@@ -1,6 +1,5 @@
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,29 +40,12 @@ def test_table_bound_past_the_cap_is_rejected_before_allocation():
     bound=st.integers(0, 300),
     windows=st.lists(st.tuples(st.integers(-50, 350), st.integers(-50, 350)), min_size=1, max_size=20),
 )
-def test_block_lookup_matches_one_window_at_a_time(bound, windows):
+def test_first_prime_in_matches_a_scan_of_the_primes(bound, windows):
     table = PrimeTable(bound)
     primes = naive_primes(bound)
-    lo, hi = zip(*windows)
-    expected = [table.first_prime_in(a, b) or 0 for a, b in windows]
-    assert expected == [next((p for p in primes if a <= p <= b), 0) for a, b in windows]
-    assert table.first_primes_in(lo, hi).tolist() == expected
-
-
-def test_block_lookup_does_not_copy_the_prime_table():
-    table = PrimeTable(10**6)
-    assert table.primes.nbytes > 600_000
-    lo = np.arange(10) * 99_000
-    hi = lo + 1_000
-    table.first_primes_in(lo, hi)  # warm up
-    tracemalloc.start()
-    try:
-        found = table.first_primes_in(lo, hi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert found.tolist() == [table.first_prime_in(a, b) or 0 for a, b in zip(lo, hi)]
-    assert peak < 10_000
+    assert [table.first_prime_in(a, b) for a, b in windows] == [
+        next((p for p in primes if a <= p <= b), None) for a, b in windows
+    ]
 
 
 def test_built_table_keeps_eight_bytes_per_prime():

@@ -27,7 +27,6 @@ INVARIANT_CHECKS = [
     ("domains", "commuting-model equality failed: |"),
     ("domains", "order distance"),
     ("forms", "forms bracket crossed: lower"),
-    ("norms", "norm closed-form ratios ["),
     ("norms", "stabilization"),
     ("ordered", "Farey bracket"),
     ("ordered", "closed-form rate"),
