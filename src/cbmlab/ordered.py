@@ -157,7 +157,7 @@ def _ratio(x: float, y: float) -> tuple[int, int]:
 @dataclass(frozen=True, slots=True)
 class _Oracle:
     """The exact order oracle of one pair over a dominant base, as the
-    threshold (N, D, strict) in lowest terms that _oracle or _oracles finds:
+    threshold (N, D, strict) in lowest terms that _oracles finds:
     (k, l) holds exactly when k*D >= l*N, or k*D > l*N if strict.
     """
 
@@ -185,57 +185,31 @@ def _extreme(sites: list, least: bool) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _sites(model: OrderedModel, a: Element, b: Element) -> tuple[list, list]:
-    """a's and b's sites as Python floats, once a is checked dominant: the
-    order layer's one check of dominance."""
-    model._check(a, b)
-    xs, ys = a.data.tolist(), b.data.tolist()
-    if not (smallest := min(xs)) > 0:
-        raise _not_dominant(smallest)
-    return xs, ys
-
-
-def _oracle(model: OrderedModel, a: Element, b: Element) -> _Oracle:
+def _oracles(model: OrderedModel, a: Element, b: Element, negated: bool) -> tuple[_Oracle, _Oracle | PreconditionError]:
     """Exact order oracle (k, l) |-> (a^k >= b^l) for l >= 1 and a dominant a,
-    built once per pair.
+    and that of its partner, (b, a), or (a, b^-1) if negated, from one pass
+    over the sites; the order layer's one oracle builder and its one check
+    of dominance.
 
     Every caller passes l >= 1: _bracket probes only q >= 1. With every site
     x of a positive, k*x >= l*y at every site (y of b) holds exactly when
     k/l >= N/D, the largest exact ratio y/x. Rounded division is monotone, so
-    that ratio lies among the sites whose float y/x equals the float maximum;
-    only those go through as_integer_ratio. The strict-positive order needs
-    k/l > N/D, unless every site has the one ratio N/D, where equality at
-    every site holds too; the non-strict order is never strict.
+    that ratio lies among the sites whose float y/x equals the float maximum,
+    and the least exact ratio n/d among those at the float minimum; only
+    those go through as_integer_ratio. The partner's threshold is d/n for
+    (b, a), the largest exact x/y, and -n/d for (a, b^-1). The strict-positive
+    order needs k/l > N/D, unless every site has the one ratio N/D = n/d,
+    where equality at every site holds too; the non-strict order is never
+    strict. Either order has one ratio at every site exactly when (a, b)
+    does, so the two share ``strict``. When b is not dominant, (b, a) has no
+    oracle, and the partner is the error its build would raise, for the
+    caller to raise once the first oracle's work is done; a caller that needs
+    only the first oracle leaves it unraised.
     """
-    xs, ys = _sites(model, a, b)
-    top, tops = -math.inf, []  # the float max of y/x, and the sites at it
-    for x, y in zip(xs, ys):
-        r = y / x
-        if r > top:
-            top, tops = r, [(x, y)]
-        elif r == top:
-            tops.append((x, y))
-    high = _extreme(tops, False)
-    strict = model.order_variant is OrderVariant.STRICT_POSITIVE and (
-        len(tops) < len(xs) or high != _extreme(tops, True)
-    )
-    return _Oracle((*high, strict))
-
-
-def _oracles(model: OrderedModel, a: Element, b: Element, negated: bool) -> tuple[_Oracle, _Oracle | PreconditionError]:
-    """The _oracle of (a, b) and of its partner, (b, a), or (a, b^-1) if
-    negated, from one pass over the sites.
-
-    The pass keeps the sites at the float minimum of y/x as well as those at
-    the maximum; the least exact ratio n/d lies among them, as rounded
-    division is monotone. The partner's threshold is d/n for (b, a), the
-    largest exact x/y, and -n/d for (a, b^-1). Either order has one ratio at
-    every site exactly when (a, b) does, so the two share ``strict``. When b
-    is not dominant, (b, a) has no oracle, and the partner is the error
-    _oracle(model, b, a) raises, for the caller to raise once the first
-    oracle's work is done, where the separate build raised it.
-    """
-    xs, ys = _sites(model, a, b)
+    model._check(a, b)
+    xs, ys = a.data.tolist(), b.data.tolist()
+    if not (smallest := min(xs)) > 0:
+        raise _not_dominant(smallest)
     top, tops, bottom, bottoms = -math.inf, [], math.inf, []
     for x, y in zip(xs, ys):
         r = y / x
@@ -268,7 +242,7 @@ def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     not dominant.
     """
     l = checked_int(l, "l", least=1)
-    (p, q), _ = _bracket(_oracle(model, a, b), l)
+    (p, q), _ = _bracket(_oracles(model, a, b, negated=False)[0], l)
     return -(-l * p // q)
 
 
@@ -355,7 +329,7 @@ def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L
     dominant.
     """
     l_max = checked_int(l_max, "l_max", least=1)
-    oracle = _oracle(model, a, b)
+    oracle = _oracles(model, a, b, negated=False)[0]
     with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
         rate = float(np.divide(b.data, a.data).max())
     (p, q), _ = _rate_bracket(oracle, l_max, rate)

@@ -33,11 +33,8 @@ class PrimeTable:
 
     def __init__(self, bound: int):
         self.bound = checked_int(bound, "prime bound", 0, MAX_PRIME_BOUND)
-        primes = np.flatnonzero(_sieve_mask(self.bound)).astype(np.int64, copy=False)
-        # built once: the primes, then the sentinel bound + 1, which exceeds every capped hi
-        self._primes_and_sentinel = np.append(primes, self.bound + 1)
-        self._primes_and_sentinel.flags.writeable = False  # tables are shared by prime_table
-        self.primes = self._primes_and_sentinel[:-1]
+        self.primes = np.flatnonzero(_sieve_mask(self.bound)).astype(np.int64, copy=False)
+        self.primes.flags.writeable = False  # tables are shared by prime_table
 
     def first_prime_in(self, lo: int, hi: int) -> int | None:
         """Smallest prime in [lo, hi] capped at the table bound, or None."""
@@ -45,8 +42,10 @@ class PrimeTable:
         hi = min(int(hi), self.bound)
         if hi < lo:
             return None
-        found = int(self._primes_and_sentinel[np.searchsorted(self.primes, lo)])
-        return found if found <= hi else None
+        index = int(np.searchsorted(self.primes, lo))
+        if index < self.primes.size and (found := int(self.primes[index])) <= hi:
+            return found
+        return None
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,6 +1,8 @@
 """The summary that tools/bench_pairs.py writes into BENCH_<n>.json."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,32 @@ def test_a_gain_is_shown_only_past_the_parent_spread_in_nine_tenths_of_the_pairs
     assert bench_pairs.summarize(pairs, {"t": "lower"})["t"]["gain_shown"]
     pairs[1]["change"] = run(t=200.0)  # two do not
     assert not bench_pairs.summarize(pairs, {"t": "lower"})["t"]["gain_shown"]
+
+
+def test_both_sides_run_under_one_fresh_bytecode_cache_outside_both_checkouts(tmp_path, monkeypatch):
+    bench_pairs = load()
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for checkout in checkouts.values():
+        (checkout / "__pycache__").mkdir(parents=True)  # a stale in-tree cache, never read
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [metric["name"] for metric in spec["end_to_end"]]
+    line = json.dumps({"metrics": {name: {"value": 1.0} for name in names}, "failed": 0, "correct": True})
+    seen = []
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+
+    def fake_run(command, cwd, env, **kwargs):
+        assert "PYTHONDONTWRITEBYTECODE" not in env  # each module compiles once, into the cache
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((Path(cwd), cache, cache.is_dir()))
+        return subprocess.CompletedProcess(command, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "out.json"
+    args = [str(checkouts["parent"]), str(checkouts["change"]), "--pairs", "2", "--workload", "w", "-o", str(out)]
+    assert bench_pairs.main(args) == 0
+    assert [cwd for cwd, _, _ in seen] == [checkouts[side] for side in ("parent", "change", "change", "parent")]
+    caches = {cache for _, cache, _ in seen}
+    assert len(caches) == 1 and all(exists for _, _, exists in seen)
+    cache = caches.pop()
+    assert not any(cache.is_relative_to(checkout) for checkout in checkouts.values())
+    assert not cache.exists()  # fresh for this record, and gone after it

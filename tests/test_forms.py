@@ -152,6 +152,12 @@ class TestVolumes:
                 c**2 * w_alpha_volume(form), rel=1e-12
             )
 
+    def test_rescaling_constant_must_be_positive_and_may_be_below_one(self):
+        form = ContactFormRep(uniform_manifold(), np.linspace(-1.0, 1.0, 64))
+        with pytest.raises(InvalidInputError, match="must be positive"):
+            form.rescaled(0)
+        assert np.array_equal(form.rescaled(0.5).f, form.f + math.log(0.5))
+
     def test_monotone_under_pointwise_order(self):
         m = uniform_manifold()
         rng = item_rng(SEED, 8)

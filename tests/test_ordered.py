@@ -1,6 +1,7 @@
 import functools
 import importlib
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -194,7 +195,7 @@ class TestOracle:
     def test_reduced_oracle_matches_the_per_site_reference(self, data):
         # every base here is dominant, from subnormal to huge entries
         m, xs, ys, a, b = draw_pair(data, "dominant")
-        reduced, reference = ordered._oracle(m, a, b), reference_oracle(m, a, b)
+        reduced, reference = ordered._oracles(m, a, b, False)[0], reference_oracle(m, a, b)
         ratios = [Fraction(y) / Fraction(x) for x, y in zip(xs, ys)]
         # the threshold is the exact largest ratio, strict unless every site shares it
         num, den, strict = reduced.threshold
@@ -220,13 +221,13 @@ class TestOracle:
     def test_oracle_rejects_a_base_with_a_site_at_most_zero(self, data):
         m, _, _, a, b = draw_pair(data, "non-dominant")
         with pytest.raises(PreconditionError, match="dominant base"):
-            ordered._oracle(m, a, b)
+            ordered._oracles(m, a, b, False)[0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_threshold_is_in_lowest_terms(self, data):
         m, _, _, a, b = draw_pair(data, "dominant")
-        num, den, _ = ordered._oracle(m, a, b).threshold
+        num, den, _ = ordered._oracles(m, a, b, False)[0].threshold
         assert den > 0 and math.gcd(num, den) == 1
 
     def test_float_ratio_ties_are_broken_exactly(self):
@@ -237,7 +238,7 @@ class TestOracle:
             for order in (slice(None), slice(None, None, -1)):
                 a = m.element([3.0, 1.0][order])
                 b = m.element([1.0, 1 / 3][order])
-                assert ordered._oracle(m, a, b)(1, 3) is holds is reference_oracle(m, a, b)(1, 3)
+                assert ordered._oracles(m, a, b, False)[0](1, 3) is holds is reference_oracle(m, a, b)(1, 3)
 
     def test_non_finite_element_is_rejected(self):
         for bad in ([math.inf, 1.0], [1.0, math.nan], [[1.0, 2.0]]):
@@ -503,7 +504,7 @@ def reference_rows(model, a, b, ls):
 
 def implied_rows(model, a, b, n, ls):
     """The least k of each row l <= n, read off one Farey bracket at n."""
-    (p, q), _ = ordered._bracket(ordered._oracle(model, a, b), n)
+    (p, q), _ = ordered._bracket(ordered._oracles(model, a, b, False)[0], n)
     return [-(-l * p // q) for l in ls]
 
 
@@ -511,7 +512,7 @@ def count_oracle_calls(monkeypatch):
     """Count the calls into every oracle built from here on in [0], and the
     builds in [1]: a site pass that builds a pair's two oracles is one build."""
     calls = [0, 0]
-    single, pair = ordered._oracle, ordered._oracles
+    build = ordered._oracles
 
     def counted(holds):
         def call(k, l):
@@ -520,16 +521,11 @@ def count_oracle_calls(monkeypatch):
 
         return StubOracle(holds.threshold, call) if isinstance(holds, ordered._Oracle) else holds
 
-    def counting(model, a, b):
+    def counting(model, a, b, negated):
         calls[1] += 1
-        return counted(single(model, a, b))
+        return tuple(map(counted, build(model, a, b, negated)))
 
-    def counting_pair(model, a, b, negated):
-        calls[1] += 1
-        return tuple(map(counted, pair(model, a, b, negated)))
-
-    monkeypatch.setattr(ordered, "_oracle", counting)
-    monkeypatch.setattr(ordered, "_oracles", counting_pair)
+    monkeypatch.setattr(ordered, "_oracles", counting)
     return calls
 
 
@@ -643,7 +639,7 @@ class TestBatchedSearch:
         n = 10**11
         for a, b in pairs[:10]:
             rate = max(Fraction(y) / Fraction(x) for x, y in zip(a.data.tolist(), b.data.tolist()))
-            (p, q), (p_lo, q_lo) = ordered._bracket(ordered._oracle(model, a, b), n)
+            (p, q), (p_lo, q_lo) = ordered._bracket(ordered._oracles(model, a, b, False)[0], n)
             assert Fraction(p_lo, q_lo) < rate <= Fraction(p, q)
             assert q <= n < q + q_lo and p * q_lo - p_lo * q == 1
 
@@ -665,9 +661,11 @@ class TestBatchedSearch:
     def test_closed_form_outside_the_bracket_is_a_violation(self, monkeypatch):
         m = OrderedModel.additive(2)
         a, b = m.element([1.0, 1.0]), m.element([2.0, 1.0])
-        exact = ordered._oracle
+        exact = ordered._oracles
         # an oracle for b + b certifies its own bracket around 4, which max(b/a) = 2 misses
-        monkeypatch.setattr(ordered, "_oracle", lambda model, x, y: exact(model, x, model.compose(y, y)))
+        monkeypatch.setattr(
+            ordered, "_oracles", lambda model, x, y, negated: exact(model, x, model.compose(y, y), negated)
+        )
         with pytest.raises(InvariantViolation, match="closed-form rate"):
             rho_plus(m, a, b, 100)
 
@@ -712,7 +710,7 @@ class TestBatchedSearch:
     @settings(max_examples=300, deadline=None)
     @given(THRESHOLD, st.booleans(), st.integers(1, 2**64), st.one_of(st.integers(1, 60), st.integers(1, 10**12)))
     def test_bracket_does_not_depend_on_the_threshold_terms(self, threshold, strict, g, n):
-        # _oracle hands _bracket N/D in lowest terms; g*N over g*D gives the same bracket
+        # _oracles hands _bracket N/D in lowest terms; g*N over g*D gives the same bracket
         num, den = threshold
         outcomes = [outcome(ordered._bracket, threshold_oracle(c * num, c * den, strict), n) for c in (1, g)]
         assert outcomes[0] == outcomes[1]
@@ -758,7 +756,7 @@ def reference_rho_plus_primes(model, a, b, prime_bound):
     same bracket: each witness is the first prime in the window
     [k, k + floor(k^0.6)] above the least exponent k, capped at the bound."""
     table = PrimeTable(prime_bound)
-    (num, den), _ = ordered._bracket(ordered._oracle(model, a, b), prime_bound)
+    (num, den), _ = ordered._bracket(ordered._oracles(model, a, b, False)[0], prime_bound)
     ratios = []
     for q in table.primes.tolist():
         k = -(-q * num // den)
@@ -906,7 +904,7 @@ class TestRhoPlusPrimes:
         a, b = m.element([1.0]), m.element([99923.5584980821])
         bound = 10**7
         num, den = 942316028430, 9430369
-        assert ordered._bracket(ordered._oracle(m, a, b), bound)[0] == (num, den)
+        assert ordered._bracket(ordered._oracles(m, a, b, False)[0], bound)[0] == (num, den)
         seen = captured_prime_lookups(monkeypatch)
         table = PrimeTable(bound)
         qs = table.primes.tolist()
@@ -1024,6 +1022,26 @@ class TestGrowthDistance:
         a = m.element([1.0, 1.0])
         with pytest.raises(InvariantViolation, match="product inequality"):
             growth_distance(m, a, a, 100, method)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_rates_at_the_product_inequality_bound_hold(self, method, monkeypatch):
+        # at l_max = 4 the rates 1 and 1/2 give the product 1/2 = 1 - 2/4 exactly, which holds
+        monkeypatch.setattr(ordered, "growth_brackets", lambda *args: (((1, 1), (0, 1)), ((1, 2), (0, 1))))
+        rates = iter((1.0, 0.5))
+        monkeypatch.setattr(ordered, "_prime_rate", lambda *args: next(rates))
+        m = OrderedModel.additive(2)
+        a = m.element([1.0, 1.0])
+        report = growth_distance(m, a, a, 4, method)
+        assert (report.rho_plus, report.rho_minus) == (1.0, 0.5)
+
+    def test_l_max_at_the_largest_double_is_accepted(self):
+        m = OrderedModel.additive(2)
+        a, b = m.element([1.0, 1.0]), m.element([2.0, 1.0])
+        largest = int(sys.float_info.max)
+        report = growth_distance(m, a, b, largest, Method.PRIME_PAIRS, prime_bound=100)
+        assert report.l_max == largest
+        with pytest.raises(InvalidInputError, match="representable as a double"):
+            growth_distance(m, a, b, largest + 1, Method.PRIME_PAIRS, prime_bound=100)
 
 
 def outcome(call, *args):
@@ -1199,11 +1217,13 @@ def parent_bracket(oracle, n):
 
 
 def separate_partner(model, a, b, negated):
-    """The partner's threshold from a separate _oracle build, or the error it raises."""
+    """The partner's threshold as the first oracle of the swapped pair, (b, a),
+    or of (a, b^-1) if negated, or the error its build raises: the one loop's
+    bottom extreme checked against its top extreme."""
     try:
         if negated:
-            return ordered._oracle(model, a, model.inverse(b)).threshold
-        return ordered._oracle(model, b, a).threshold
+            return ordered._oracles(model, a, model.inverse(b), False)[0].threshold
+        return ordered._oracles(model, b, a, False)[0].threshold
     except PreconditionError as exc:
         return PreconditionError, str(exc)
 
@@ -1220,7 +1240,7 @@ class TestOneSitePass:
             b = Element(data.draw(st.lists(POSITIVE_X, min_size=len(xs), max_size=len(xs))))
         for negated in (False, True):
             oracle, partner = ordered._oracles(m, a, b, negated)
-            assert oracle.threshold == ordered._oracle(m, a, b).threshold
+            assert oracle.threshold == ordered._oracles(m, a, b, not negated)[0].threshold
             if isinstance(partner, PreconditionError):
                 assert not negated and not dominant_b
                 partner = PreconditionError, str(partner)
@@ -1244,7 +1264,7 @@ class TestOneSitePass:
         a, b = Element(xs), Element(ys)
         for negated in (False, True):
             oracle, partner = ordered._oracles(m, a, b, negated)
-            assert oracle.threshold == ordered._oracle(m, a, b).threshold
+            assert oracle.threshold == ordered._oracles(m, a, b, not negated)[0].threshold
             assert partner.threshold == separate_partner(m, a, b, negated)
 
     @settings(max_examples=300, deadline=None)

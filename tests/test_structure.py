@@ -108,6 +108,16 @@ def test_the_invariant_checks_are_pinned():
     assert sorted(found) == INVARIANT_CHECKS
 
 
+def test_a_mutant_run_past_its_time_limit_is_stopped(tmp_path):
+    # a mutant that makes its tests hang is stopped at its limit and reported as such
+    mutants = load(MUTANTS)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "test_hangs.py").write_text("import time\n\ndef test_hangs():\n    time.sleep(600)\n")
+    (tmp_path / "test_passes.py").write_text("def test_passes():\n    pass\n")
+    assert mutants.tests_pass(tmp_path, tmp_path / "test_hangs.py", timeout=0.5) is None
+    assert mutants.tests_pass(tmp_path, tmp_path / "test_passes.py", timeout=60) is True
+
+
 def loads(tree, name):
     """How often name is read, bare or as an attribute, outside a def or class of that name."""
     if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and tree.name == name:

@@ -3,8 +3,12 @@
 Runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` in
 a parent checkout and in a change checkout, N pairs per workload, with the
 side that runs first alternating from pair to pair (the parent first in the
-odd pairs). Each run is read from the JSON object on the last line of its
-output. For every workload and end-to-end metric of BENCHMARK.json the
+odd pairs). Every run reads and writes its bytecode under one fresh
+PYTHONPYCACHEPREFIX outside both checkouts, with writing on: a
+``__pycache__`` left in either tree is never read, each module compiles
+once, in the first process that imports it, and every later process of
+either side reads it from there. Each run is read from the JSON object on
+the last line of its output. For every workload and end-to-end metric of BENCHMARK.json the
 summary gives each side's median and quartiles, the parent's interquartile
 range as a share of its median, the change's median gain in the metric's
 better direction, the pairs the change won and tied, and whether the gain
@@ -21,20 +25,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
     """One ``bench/run.py`` run in a checkout: its last output line, parsed."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     command += ["--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{checkout}: {workload} printed nothing (exit {done.returncode}): {done.stderr[-500:]}")
@@ -99,20 +105,25 @@ def main(argv: list[str] | None = None) -> int:
         "order": "parent first in odd pairs, change first in even pairs",
         "workloads": {},
     }
-    for workload in args.workload:
-        pairs = []
-        for index in range(args.pairs):
-            order = SIDES if index % 2 == 0 else SIDES[::-1]
-            pair = {side: run_once(getattr(args, side), workload, args.seed, args.seconds) for side in order}
-            pairs.append(pair)
-            print(workload, index + 1, order[0], "first:", *(
-                f"{side} ops_per_s {pair[side]['metrics']['ops_per_s']['value']:.4g}" for side in SIDES
-            ), flush=True)
-        report["workloads"][workload] = {
-            "failed": {side: [pair[side]["failed"] for pair in pairs] for side in SIDES},
-            "correct": {side: all(pair[side]["correct"] for pair in pairs) for side in SIDES},
-            "metrics": summarize(pairs, better),
-        }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        # without writes every spawn would compile the standard library and numpy, and that
+        # would swamp the set-up time of the program being compared
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        for workload in args.workload:
+            pairs = []
+            for index in range(args.pairs):
+                order = SIDES if index % 2 == 0 else SIDES[::-1]
+                pair = {side: run_once(getattr(args, side), workload, args.seed, args.seconds, env) for side in order}
+                pairs.append(pair)
+                print(workload, index + 1, order[0], "first:", *(
+                    f"{side} ops_per_s {pair[side]['metrics']['ops_per_s']['value']:.4g}" for side in SIDES
+                ), flush=True)
+            report["workloads"][workload] = {
+                "failed": {side: [pair[side]["failed"] for pair in pairs] for side in SIDES},
+                "correct": {side: all(pair[side]["correct"] for pair in pairs) for side in SIDES},
+                "metrics": summarize(pairs, better),
+            }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -5,8 +5,11 @@ For every ``if <condition>: raise InvariantViolation(...)`` in
 copy of ``src/``, ``tests/`` and ``bench/`` (tests read its input pools)
 and runs that module's test file, ``tests/test_<module>.py``, with
 ``-x -q``. A check whose mutant still passes every test survives: no test
-can make it fire. Each check is printed as killed or survived; the exit
-code is 1 if any survives, or if a test file fails before any mutation.
+can make it fire. Each mutant run may take ten times as long as the
+unmutated run of its test file; one that runs longer is stopped and counts
+as killed, since a test that hangs under the mutant still notices it. Each
+check is printed as killed, killed (timeout) or survived; the exit code is
+1 if any survives, or if a test file fails before any mutation.
 
 Run from anywhere, with the standard library and pytest only:
 
@@ -21,10 +24,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "cbmlab"
+TIMEOUT_FACTOR = 10  # a mutant run's time limit, in unmutated runs of its test file
 
 
 def checks(source: str) -> list[ast.If]:
@@ -52,16 +57,21 @@ def disabled(source: str, check: ast.If) -> str:
     return "".join(lines[:first] + [head + "False" + tail] + lines[last + 1 :])
 
 
-def tests_pass(copy: Path, test_file: Path) -> bool:
+def tests_pass(copy: Path, test_file: Path, timeout: float | None = None) -> bool | None:
+    """Whether the test file passes in the copy, or None if it runs past the timeout."""
     path = [str(copy / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", str(test_file)],
-        cwd=copy,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", str(test_file)],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return run.returncode == 0
 
 
@@ -77,16 +87,19 @@ def main() -> int:
             if not found:
                 continue
             test_file = copy / "tests" / f"test_{module.stem}.py"
+            start = time.monotonic()
             if not test_file.exists() or not tests_pass(copy, test_file):
                 print(f"{module.name}: {test_file.name} is missing or fails unmutated")
                 return 1
+            timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
             target = copy / PACKAGE / module.name
             for check in found:
                 target.write_text(disabled(source, check), encoding="utf-8")
-                killed = not tests_pass(copy, test_file)
-                survivors += not killed
+                passed = tests_pass(copy, test_file, timeout)
+                survivors += passed is True
+                verdict = {True: "SURVIVED", False: "killed", None: "killed (timeout)"}[passed]
                 condition = " ".join(ast.get_source_segment(source, check.test).split())
-                print(f"{module.name}:{check.lineno}: {'killed' if killed else 'SURVIVED'}: {condition}")
+                print(f"{module.name}:{check.lineno}: {verdict}: {condition}")
             target.write_text(source, encoding="utf-8")
     print(f"{survivors} surviving check(s)")
     return 1 if survivors else 0
