@@ -241,12 +241,11 @@ def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
     v2 = np.asarray(h2, dtype=float)
     if v1.ndim != 1 or v1.shape != v2.shape:
         raise InvalidInputError("generators must be flat arrays on one site set")
+    dom1 = hamiltonian_to_domain(v1)  # each generator's own positivity check comes first
+    dom2 = hamiltonian_to_domain(v2)
     model = OrderedModel.additive(v1.shape[0], OrderVariant.STRICT_POSITIVE)
     a, b = model.element(v1), model.element(v2)
     report = growth_distance(model, a, b, l_max=l_max, method=Method.PAIR_INFIMUM)
-
-    dom1 = hamiltonian_to_domain(v1)
-    dom2 = hamiltonian_to_domain(v2)
     interval = dcbm_toric(SplitToricDomain(2, dom1.fiber), SplitToricDomain(2, dom2.fiber))
     d_cbm = interval.upper
 

@@ -99,7 +99,10 @@ class ContactMapRep:
     g: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        perm = np.array(self.perm, dtype=np.int64)
+        perm = np.asarray(self.perm)
+        if perm.dtype.kind not in "iu":  # a float, bool or string array is not read as integers
+            raise InvalidInputError("phi must be a permutation: an array of integers")
+        perm = np.array(perm, dtype=np.int64)
         n = self.manifold.sites
         # n entries in [0, n) that hit every site form a bijection; O(n), no sort
         in_range = perm.shape == (n,) and perm.min() >= 0 and perm.max() < n
@@ -194,8 +197,8 @@ def dcbm_forms(
     turn into (sites + 2) eps / n'. So the check allows
     tol = 4 eps (max(|f1|, |f2|) + max |ln w|) + 2 (sites + 2) eps / n'.
     """
+    lower = dcbm_forms_lower_volume(f1, f2)  # rejects a bad volume ratio before any candidate
     upper = dcbm_forms_upper(f1, f2, candidates)
-    lower = dcbm_forms_lower_volume(f1, f2)
     if lower > upper:  # only then is the rounding bound needed, and it costs a tenth of the call
         manifold, eps = f1.manifold, sys.float_info.epsilon
         magnitude = max(np.abs(f1.f).max(), np.abs(f2.f).max()) + np.abs(manifold.log_weights).max()

@@ -185,7 +185,7 @@ def _extreme(sites: list, least: bool) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _oracles(model: OrderedModel, a: Element, b: Element, negated: bool) -> tuple[_Oracle, _Oracle | PreconditionError]:
+def _oracles(model: OrderedModel, a: Element, b: Element, negated: bool) -> tuple[_Oracle, _Oracle]:
     """Exact order oracle (k, l) |-> (a^k >= b^l) for l >= 1 and a dominant a,
     and that of its partner, (b, a), or (a, b^-1) if negated, from one pass
     over the sites; the order layer's one oracle builder and its one check
@@ -201,10 +201,10 @@ def _oracles(model: OrderedModel, a: Element, b: Element, negated: bool) -> tupl
     order needs k/l > N/D, unless every site has the one ratio N/D = n/d,
     where equality at every site holds too; the non-strict order is never
     strict. Either order has one ratio at every site exactly when (a, b)
-    does, so the two share ``strict``. When b is not dominant, (b, a) has no
-    oracle, and the partner is the error its build would raise, for the
-    caller to raise once the first oracle's work is done; a caller that needs
-    only the first oracle leaves it unraised.
+    does, so the two share ``strict``. The first oracle does not depend on
+    ``negated``. The partner (a, b^-1) needs nothing of b, but (b, a) has b
+    for its base, so unless negated a b that is not dominant is rejected
+    here, with the message a gets, before the caller does any work.
     """
     model._check(a, b)
     xs, ys = a.data.tolist(), b.data.tolist()
@@ -227,7 +227,7 @@ def _oracles(model: OrderedModel, a: Element, b: Element, negated: bool) -> tupl
     if negated:
         return oracle, _Oracle((-n, d, strict))
     if n <= 0:  # some y <= 0, as every x > 0
-        return oracle, _not_dominant(min(ys))
+        raise _not_dominant(min(ys))
     return oracle, _Oracle((d, n, strict))
 
 
@@ -242,7 +242,7 @@ def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     not dominant.
     """
     l = checked_int(l, "l", least=1)
-    (p, q), _ = _bracket(_oracles(model, a, b, negated=False)[0], l)
+    (p, q), _ = _bracket(_oracles(model, a, b, negated=True)[0], l)
     return -(-l * p // q)
 
 
@@ -329,7 +329,7 @@ def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L
     dominant.
     """
     l_max = checked_int(l_max, "l_max", least=1)
-    oracle = _oracles(model, a, b, negated=False)[0]
+    oracle = _oracles(model, a, b, negated=True)[0]
     with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
         rate = float(np.divide(b.data, a.data).max())
     (p, q), _ = _rate_bracket(oracle, l_max, rate)
@@ -345,28 +345,15 @@ def growth_brackets(
 
     Each is the bracket rho_plus reads, checked as rho_plus checks it against
     its closed form, max(a/b) or -min(b/a) for the partner; the least
-    exponent of an l <= n is ceil(l*p/q). Errors come in the order of two
-    rho_plus calls: the partner's, a b that is not dominant included, only
-    once the first bracket holds.
+    exponent of an l <= n is ceil(l*p/q). The oracle builder rejects a base
+    that is not dominant, a, and b unless negated, before either bracket.
     """
     n = checked_int(n, "n", least=1)
     oracle, partner = _oracles(model, a, b, negated)
     with np.errstate(over="ignore"):  # a site whose ratio overflows to -inf leaves the max alone
         ratio = np.divide(b.data, a.data)
-        first = _rate_bracket(oracle, n, float(ratio.max()))
-        if isinstance(partner, PreconditionError):
-            raise partner
         rate = -float(ratio.min()) if negated else float(np.divide(a.data, b.data).max())
-    return first, _rate_bracket(partner, n, rate)
-
-
-def _prime_oracles(model: OrderedModel, a: Element, b: Element) -> tuple[_Oracle, _Oracle]:
-    """The oracles of (a, b) and (b, a); the prime pass needs num >= 1, so b
-    is checked dominant here, before any sieve."""
-    oracle, partner = _oracles(model, a, b, negated=False)
-    if isinstance(partner, PreconditionError):
-        raise PreconditionError("rho_plus_primes requires dominant inputs; b is not")
-    return oracle, partner
+    return _rate_bracket(oracle, n, float(ratio.max())), _rate_bracket(partner, n, rate)
 
 
 def _prime_rate(oracle: _Oracle, prime_bound: int, table: PrimeTable | None) -> float:
@@ -407,10 +394,11 @@ def rho_plus_primes(
     it equals the earlier witness search in [k, k + floor(k^0.6)], since a
     finite check finds the first prime at or after every start up to 10^8
     in that window. Primes come from ``table`` if it reaches prime_bound,
-    else from prime_table.
+    else from prime_table. The pass needs num >= 1, so the oracle builder
+    checks that b is dominant, as it checks a.
     """
     prime_bound = checked_int(prime_bound, "prime_bound", least=2)
-    return _prime_rate(_prime_oracles(model, a, b)[0], prime_bound, table)
+    return _prime_rate(_oracles(model, a, b, negated=False)[0], prime_bound, table)
 
 
 @dataclass(frozen=True)
@@ -450,7 +438,8 @@ def growth_distance(
     every method builds both oracles from one site pass, growth_brackets for
     the limit sequence and the pair infimum, and the prime-pair rate for the
     prime pairs. Each rate is rho_plus's, or rho_plus_primes's, bit for bit,
-    with the same checks and errors in the same order.
+    with the same checks. The oracle builder checks that a and b are both
+    dominant, with one message, before any bracket or sieve.
     """
     # the product check's tolerance 2/l_max needs it under every method
     l_max = checked_int(l_max, "l_max", least=1)
@@ -458,7 +447,7 @@ def growth_distance(
         raise InvalidInputError("l_max must be representable as a double")
     if method is Method.PRIME_PAIRS:
         prime_bound = checked_int(prime_bound, "prime_bound", least=2)
-        rp, rm = (_prime_rate(oracle, prime_bound, None) for oracle in _prime_oracles(model, a, b))
+        rp, rm = (_prime_rate(oracle, prime_bound, None) for oracle in _oracles(model, a, b, negated=False))
     else:
         ((p, q), _), ((p_m, q_m), _) = growth_brackets(model, a, b, l_max)
         if method is Method.LIMIT_SEQUENCE:

@@ -80,3 +80,20 @@ def test_both_sides_run_under_one_fresh_bytecode_cache_outside_both_checkouts(tm
     cache = caches.pop()
     assert not any(cache.is_relative_to(checkout) for checkout in checkouts.values())
     assert not cache.exists()  # fresh for this record, and gone after it
+
+
+@pytest.mark.parametrize(
+    "stdout", ["", "order-stream: 1000 ops\nTraceback (most recent call last):\n"], ids=["nothing", "traceback"]
+)
+def test_a_run_without_a_json_last_line_names_its_checkout_workload_and_exit(tmp_path, monkeypatch, stdout):
+    bench_pairs = load()
+
+    def fake_run(command, cwd, env, **kwargs):
+        return subprocess.CompletedProcess(command, 1, stdout=stdout, stderr="ValueError: bad op\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(RuntimeError) as err:
+        bench_pairs.run_once(tmp_path, "order-stream", 11, 1.0, {})
+    message = str(err.value)
+    assert message.startswith(f"{tmp_path}: order-stream ended without a JSON line (exit 1)")
+    assert message.endswith("ValueError: bad op\n")

@@ -531,7 +531,8 @@ def test_a_ratio_past_the_search_bound_with_a_non_dominant_b_exits_two(tmp_path,
     a = write(tmp_path / "a.json", [1.0, 1.0])
     b = write(tmp_path / "b.json", [-1.0, 2e12])
     assert main(["growth", a, b, "--method", method, "--prime-bound", "100"]) == 2
-    assert ("b is not" if method == "prime-pairs" else "exceeded bound") in capsys.readouterr().err
+    # b is rejected before any bracket meets the ratio 2e12
+    assert capsys.readouterr().err == "error: the order oracle needs a dominant base; its smallest site is -1.0\n"
 
 
 def test_skeleton_grid_past_the_cap_exits_two(capsys):

@@ -268,6 +268,16 @@ class TestRgrVsCbm:
         with pytest.raises(InvalidInputError):
             rgr_vs_cbm(1.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.25, math.inf])
+    def test_a_generator_off_the_positive_isotopies_is_rejected_by_its_domain(self, bad):
+        # the Hamiltonian's own check decides, not the order oracle's or the element's
+        h = np.full(64, 1.5)
+        weak = h.copy()
+        weak[3] = bad
+        for h1, h2 in ((weak, h), (h, weak)):
+            with pytest.raises(PreconditionError, match="positive contact isotopy"):
+                rgr_vs_cbm(h1, h2)
+
     @pytest.mark.parametrize(
         "offset, message", [(-2.0, "fell below"), (2.0, "commuting-model equality")]
     )

@@ -108,6 +108,15 @@ class TestPullback:
             with pytest.raises(InvalidInputError):
                 ContactMapRep(m, perm)
 
+    def test_a_permutation_is_integers(self):
+        # floats are not truncated, bools not read as 0 and 1, strings not parsed
+        m = uniform_manifold(2)
+        for perm in ([1.5, 0.2], [1.0, 0.0], [True, False], ["1", "0"], np.array([1, 0], dtype=object)):
+            with pytest.raises(InvalidInputError, match="array of integers"):
+                ContactMapRep(m, perm)
+        for perm in ([1, 0], np.array([1, 0], dtype=np.uint8)):
+            assert ContactMapRep(m, perm).perm.tolist() == [1, 0]
+
 
 class TestUpperBound:
     def test_identity_candidate_gives_sup_norm(self):
@@ -228,6 +237,18 @@ class TestConsistencyAndAxioms:
         monkeypatch.setattr(forms, "w_alpha_volume", lambda alpha: 2.0 if alpha is f1 else 1.0)
         with pytest.raises(InvariantViolation, match="forms bracket crossed"):
             dcbm_forms(f1, f2)
+
+    @pytest.mark.parametrize("f1_value, f2_value", [(800.0, 0.0), (0.0, 800.0), (800.0, 800.0), (0.0, -800.0)])
+    def test_a_bad_volume_ratio_is_rejected_before_any_candidate(self, monkeypatch, f1_value, f2_value):
+        # a volume overflows to inf or underflows to 0, so the ratio is inf, nan or 0
+        m = uniform_manifold(half_dim=1)
+        f1, f2 = ContactFormRep(m, np.full(m.sites, f1_value)), ContactFormRep(m, np.full(m.sites, f2_value))
+        candidates = [ContactMapRep(m, np.roll(np.arange(m.sites), k)) for k in range(1, 4)]
+        pulled = []
+        monkeypatch.setattr(forms, "pullback", lambda alpha, phi: pulled.append(phi) or pullback(alpha, phi))
+        with pytest.raises(InvalidInputError, match="volume ratio is not a positive finite double"):
+            dcbm_forms(f1, f2, candidates)
+        assert pulled == []
 
     def test_pinch_certifies_rescaling_distance(self):
         rng = item_rng(SEED, 14)

@@ -193,9 +193,9 @@ class TestOracle:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_reduced_oracle_matches_the_per_site_reference(self, data):
-        # every base here is dominant, from subnormal to huge entries
+        # every base here is dominant, from subnormal to huge entries; b may be any
         m, xs, ys, a, b = draw_pair(data, "dominant")
-        reduced, reference = ordered._oracles(m, a, b, False)[0], reference_oracle(m, a, b)
+        reduced, reference = ordered._oracles(m, a, b, True)[0], reference_oracle(m, a, b)
         ratios = [Fraction(y) / Fraction(x) for x, y in zip(xs, ys)]
         # the threshold is the exact largest ratio, strict unless every site shares it
         num, den, strict = reduced.threshold
@@ -227,7 +227,7 @@ class TestOracle:
     @given(st.data())
     def test_threshold_is_in_lowest_terms(self, data):
         m, _, _, a, b = draw_pair(data, "dominant")
-        num, den, _ = ordered._oracles(m, a, b, False)[0].threshold
+        num, den, _ = ordered._oracles(m, a, b, True)[0].threshold
         assert den > 0 and math.gcd(num, den) == 1
 
     def test_float_ratio_ties_are_broken_exactly(self):
@@ -504,7 +504,7 @@ def reference_rows(model, a, b, ls):
 
 def implied_rows(model, a, b, n, ls):
     """The least k of each row l <= n, read off one Farey bracket at n."""
-    (p, q), _ = ordered._bracket(ordered._oracles(model, a, b, False)[0], n)
+    (p, q), _ = ordered._bracket(ordered._oracles(model, a, b, True)[0], n)
     return [-(-l * p // q) for l in ls]
 
 
@@ -841,8 +841,8 @@ class TestRhoPlusPrimes:
 
         monkeypatch.setattr(ordered, "prime_table", no_sieve)
         m = OrderedModel.additive(2)
-        for a, b in (([0, 1], [1, 1]), ([1, 1], [-1, -1])):
-            with pytest.raises(PreconditionError):
+        for a, b, smallest in (([0, 1], [1, 1], "0.0"), ([1, 1], [-1, -1], "-1.0")):
+            with pytest.raises(PreconditionError, match=f"dominant base; its smallest site is {smallest}$"):
                 rho_plus_primes(m, m.element(a), m.element(b), 100)
 
     def test_result_does_not_depend_on_table_size(self):
@@ -978,28 +978,21 @@ class TestGrowthDistance:
         assert abs(report.gamma - 2.0) <= 0.05
 
     def test_requires_dominants(self):
-        # the oracle of the first rate whose base is the bad element rejects it, except
-        # that the prime-pair rate checks its b before its bracket
+        # the oracle builder rejects either bad element with one message under every method
         m = OrderedModel.additive(2)
         good, weak = m.element([1, 1]), m.element([0, 1])
         for method in Method:
-            b_message = "b is not" if method is Method.PRIME_PAIRS else "smallest site is 0.0"
-            for a, b, message in ((weak, good, "smallest site is 0.0"), (good, weak, b_message)):
-                with pytest.raises(PreconditionError, match=message):
+            for a, b in ((weak, good), (good, weak)):
+                with pytest.raises(PreconditionError, match="dominant base; its smallest site is 0.0$"):
                     growth_distance(m, a, b, 100, method, prime_bound=100)
 
     @pytest.mark.parametrize("method", list(Method))
-    def test_a_ratio_past_the_search_bound_precedes_a_non_dominant_b(self, method):
-        # rho_plus(a, b) meets the ratio 2e12 before rho_plus(b, a) meets the site -1;
-        # the prime-pair rate checks b before its bracket
+    def test_a_non_dominant_b_precedes_a_ratio_past_the_search_bound(self, method):
+        # the site -1 of b is rejected before any bracket meets the ratio 2e12
         m = OrderedModel.additive(2)
         a, b = m.element([1.0, 1.0]), m.element([-1.0, 2e12])
-        if method is Method.PRIME_PAIRS:
-            with pytest.raises(PreconditionError, match="b is not"):
-                growth_distance(m, a, b, 100, method, prime_bound=100)
-        else:
-            with pytest.raises(SearchBoundError):
-                growth_distance(m, a, b, 100, method)
+        with pytest.raises(PreconditionError, match="dominant base; its smallest site is -1.0$"):
+            growth_distance(m, a, b, 100, method, prime_bound=100)
 
     def test_prime_pairs_distances_at_one_bound_sieve_once(self, monkeypatch):
         builds = []
@@ -1218,14 +1211,11 @@ def parent_bracket(oracle, n):
 
 def separate_partner(model, a, b, negated):
     """The partner's threshold as the first oracle of the swapped pair, (b, a),
-    or of (a, b^-1) if negated, or the error its build raises: the one loop's
-    bottom extreme checked against its top extreme."""
-    try:
-        if negated:
-            return ordered._oracles(model, a, model.inverse(b), False)[0].threshold
-        return ordered._oracles(model, b, a, False)[0].threshold
-    except PreconditionError as exc:
-        return PreconditionError, str(exc)
+    or of (a, b^-1) if negated: the one loop's bottom extreme checked against
+    its top extreme."""
+    if negated:
+        return ordered._oracles(model, a, model.inverse(b), True)[0].threshold
+    return ordered._oracles(model, b, a, True)[0].threshold
 
 
 class TestOneSitePass:
@@ -1239,14 +1229,15 @@ class TestOneSitePass:
         if dominant_b:  # so the swapped partner exists
             b = Element(data.draw(st.lists(POSITIVE_X, min_size=len(xs), max_size=len(xs))))
         for negated in (False, True):
+            if not negated and (smallest := min(b.data.tolist())) <= 0:  # (b, a) has no oracle
+                with pytest.raises(PreconditionError) as err:
+                    ordered._oracles(m, a, b, negated)
+                assert str(err.value).endswith(f"its smallest site is {smallest!r}")
+                assert not dominant_b
+                continue
             oracle, partner = ordered._oracles(m, a, b, negated)
-            assert oracle.threshold == ordered._oracles(m, a, b, not negated)[0].threshold
-            if isinstance(partner, PreconditionError):
-                assert not negated and not dominant_b
-                partner = PreconditionError, str(partner)
-            else:
-                partner = partner.threshold
-            assert partner == separate_partner(m, a, b, negated)
+            assert oracle.threshold == ordered._oracles(m, a, b, True)[0].threshold
+            assert partner.threshold == separate_partner(m, a, b, negated)
 
     @pytest.mark.parametrize("variant", list(OrderVariant))
     @pytest.mark.parametrize(
@@ -1276,8 +1267,14 @@ class TestOneSitePass:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.sampled_from(list(Method)), st.integers(1, 10**4))
     def test_growth_distance_gives_the_two_separate_rates(self, data, method, l_max):
-        # answers and errors (type, message and order) of one rate call each way
-        m, _, _, a, b = draw_pair(data, "dominant")
+        # answers and errors (type, message and order) of one rate call each way,
+        # for a dominant b; any other b is rejected before any bracket or sieve
+        m, _, ys, a, b = draw_pair(data, "dominant")
+        if (smallest := min(ys)) <= 0:
+            with pytest.raises(PreconditionError) as err:
+                growth_distance(m, a, b, l_max, method, 200)
+            assert str(err.value).endswith(f"its smallest site is {smallest!r}")
+            return
 
         def separate():
             if method is Method.PRIME_PAIRS:

@@ -42,9 +42,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, env: dict
     command += ["--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: {workload} printed nothing (exit {done.returncode}): {done.stderr[-500:]}")
-    return json.loads(lines[-1])
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):  # nothing printed, or a traceback after the human lines
+        tail = done.stderr[-500:]
+        raise RuntimeError(f"{checkout}: {workload} ended without a JSON line (exit {done.returncode}): {tail}") from None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
