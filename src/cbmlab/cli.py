@@ -81,8 +81,6 @@ def _pair(args) -> tuple[OrderedModel, Element, Element]:
     payload_a, payload_b = _load(args.a), _load(args.b)
     variant = OrderVariant(args.variant)
     if args.model == "multiplicative":
-        if not all(type(payload) in (int, float) for payload in (payload_a, payload_b)):
-            raise InvalidInputError("multiplicative elements are JSON numbers")  # not a bool
         model = OrderedModel.multiplicative(variant)
         a, b = model.element(payload_a), model.element(payload_b)
     else:

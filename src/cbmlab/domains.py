@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation, PreconditionError, checked_int
+from .errors import InvalidInputError, InvariantViolation, PreconditionError, checked_array, checked_int
 from .ordered import DEFAULT_L_MAX, Method, OrderedModel, OrderVariant, growth_distance
 from .starshape import DirectionGrid, RadialSet, log_delta, scale
 
@@ -202,7 +202,7 @@ class HamiltonianDomain:
 def hamiltonian_to_domain(h) -> HamiltonianDomain:
     """Domain of a positive autonomous contact Hamiltonian, a flat array of site
     samples, on the uniform circle grid with one direction per site."""
-    values = np.asarray(h, dtype=float)
+    values = checked_array(h, "hamiltonian samples")
     if values.ndim != 1:
         raise InvalidInputError("hamiltonian samples must form a vector")
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
@@ -237,8 +237,8 @@ def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
     In the commuting autonomous model the two sides agree: both reduce to
     the log of the extremal ratio of the generators.
     """
-    v1 = np.asarray(h1, dtype=float)
-    v2 = np.asarray(h2, dtype=float)
+    v1 = checked_array(h1, "h1")
+    v2 = checked_array(h2, "h2")
     if v1.ndim != 1 or v1.shape != v2.shape:
         raise InvalidInputError("generators must be flat arrays on one site set")
     dom1 = hamiltonian_to_domain(v1)  # each generator's own positivity check comes first

@@ -1,12 +1,16 @@
-"""Exception types shared across the package, and its one integer rule.
+"""Exception types shared across the package, and its one integer rule and
+one number rule, each applied where a value enters, before any other work.
 
-Every integer parameter of a public entry, and every integer field of a
-JSON payload, goes through ``checked_int`` before any other work: a Python
-int or a numpy integer is read as a Python int, so no bound computes in
-fixed-width integers, and a bool, float or string is rejected.
+``checked_int`` reads a Python int or a numpy integer as a Python int, so no
+bound computes in fixed-width integers, and rejects a bool, float or string.
+``checked_number`` and ``checked_array`` read a Python or numpy real, an int
+of any size included, as a float, and reject a bool or string, never read as
+0, 1 or the number it spells; the library and the JSON readers share them.
 """
 
 import numbers
+
+import numpy as np
 
 
 class CbmlabError(Exception):
@@ -57,3 +61,38 @@ def checked_int(value, name: str, least: int | None = None, most: int | None = N
     except ValueError:  # an int past the interpreter's limit on digits converted to text
         shown = f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int"
     raise InvalidInputError(f"{name} must be an integer{bounds}, got {shown}")
+
+
+def checked_number(value, name: str) -> float:
+    """value as a float, if it is a real Python or numpy number (not a bool) in
+    the float range; otherwise InvalidInputError, whose message names it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
+        raise InvalidInputError(f"{name} must be a number, not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise InvalidInputError(f"{name} must be a number in the float range") from None
+
+
+def checked_array(value, name: str, integer: bool = False) -> np.ndarray:
+    """value as a float64 array, or as an integer array if ``integer``; otherwise
+    InvalidInputError naming the array. The result may share memory with value."""
+    kinds = "iu" if integer else "iuf"
+    message = f"{name} must be an array of {'integers' if integer else 'numbers'}"
+    try:
+        arr = np.asarray(value)
+        if not integer and arr.dtype.kind == "O":  # say, integers past int64
+            arr = np.array([checked_number(v, name) for v in arr.flat]).reshape(arr.shape)
+    except (ValueError, InvalidInputError):  # a ragged nesting, or an entry that is no number
+        raise InvalidInputError(message) from None
+    if arr.dtype.kind not in kinds:
+        raise InvalidInputError(message)
+    if not isinstance(value, np.ndarray):  # a numeric ndarray holds no bool; a list may
+        # numpy reads a bool among numbers as 0 or 1, so only those entries can be one
+        for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
+            entry = value
+            for i in index:
+                entry = entry[i]
+            if type(entry) in (bool, np.bool_):
+                raise InvalidInputError(message)
+    return arr if integer else arr.astype(float, copy=False)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation, checked_int
+from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +34,7 @@ class SampledManifold:
         object.__setattr__(self, "half_dim", checked_int(self.half_dim, "half_dim", least=1))
         if self.half_dim > sys.float_info.max:  # volumes scale the exponents by it
             raise InvalidInputError("half dimension must be representable as a double")
-        weights = np.array(self.weights, dtype=float)
+        weights = np.array(checked_array(self.weights, "weights"))
         if weights.ndim != 1 or weights.size == 0:
             raise InvalidInputError("weights must form a nonempty vector")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
@@ -71,7 +71,7 @@ class ContactFormRep:
     f: np.ndarray
 
     def __post_init__(self):
-        f = np.array(self.f, dtype=float)
+        f = np.array(checked_array(self.f, "f"))
         if f.shape != (self.manifold.sites,):
             raise InvalidInputError("f must have one sample per site")
         if not np.all(np.isfinite(f)):
@@ -99,10 +99,7 @@ class ContactMapRep:
     g: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        perm = np.asarray(self.perm)
-        if perm.dtype.kind not in "iu":  # a float, bool or string array is not read as integers
-            raise InvalidInputError("phi must be a permutation: an array of integers")
-        perm = np.array(perm, dtype=np.int64)
+        perm = np.array(checked_array(self.perm, "perm", integer=True), dtype=np.int64)
         n = self.manifold.sites
         # n entries in [0, n) that hit every site form a bijection; O(n), no sort
         in_range = perm.shape == (n,) and perm.min() >= 0 and perm.max() < n

@@ -25,7 +25,9 @@ from .errors import (
     PreconditionError,
     PrimePairError,
     SearchBoundError,
+    checked_array,
     checked_int,
+    checked_number,
 )
 from .primes import PrimeTable, prime_table
 
@@ -65,7 +67,7 @@ class Element:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float)
+        data = np.array(checked_array(self.data, "an element"))
         if data.ndim != 1 or not np.isfinite(data).all():
             raise InvalidInputError("an element is a 1-D array of finite site values")
         object.__setattr__(self, "data", data)
@@ -95,19 +97,13 @@ class OrderedModel:
 
     def element(self, value) -> Element:
         if self.kind is ModelKind.MULTIPLICATIVE_REALS:
-            try:
-                v = float(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidInputError(f"bad multiplicative element: {exc}") from exc
+            v = checked_number(value, "a multiplicative element")
             if not (v > 0.0) or not math.isfinite(v):
                 raise InvalidInputError("multiplicative elements must be finite positive reals")
-            value = [math.log(v)]
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != (self.site_count,):
-            raise InvalidInputError(
-                f"grid element must have {self.site_count} sites, got shape {arr.shape}"
-            )
-        return Element(arr)
+            value = np.array([math.log(v)])
+        e = Element(value)
+        self._check(e)
+        return e
 
     # -- semigroup structure ---------------------------------------------------
 

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from typing import Any
 
 import numpy as np
 
 from .domains import SplitToricDomain
-from .errors import InvalidInputError, checked_int
+from .errors import InvalidInputError, checked_array, checked_int, checked_number
 from .forms import ContactFormRep, ContactMapRep, SampledManifold
 from .starshape import DirectionGrid, RadialSet
 
@@ -69,14 +68,7 @@ def dumps_report(obj: Any) -> str:
     return _render(obj) + "\n"
 
 
-# -- value-type schemas -------------------------------------------------------
-
-
-def _number(value: Any, name: str) -> float:
-    """A number field: a string or boolean is rejected, not parsed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInputError(f"{name} must be a number, not {type(value).__name__}")
-    return float(value)
+# -- value-type schemas; the constructors apply the number rule of errors -----
 
 
 def _string(value: Any, name: str) -> str:
@@ -84,28 +76,6 @@ def _string(value: Any, name: str) -> str:
     if not isinstance(value, str):
         raise InvalidInputError(f"{name} must be a string, not {type(value).__name__}")
     return value
-
-
-def _array(value: Any, name: str, integer: bool = False) -> np.ndarray:
-    """A JSON array of numbers, read as floats, or as integers if ``integer``.
-
-    A boolean or string entry is rejected, not read as 0, 1 or the number it
-    spells; integer literals of any size read as floats.
-    """
-    message = f"{name} must be an array of {'integers' if integer else 'numbers'}"
-    arr = np.asarray(value)
-    if not integer and arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
-        arr = arr.astype(float)  # integers past int64; OverflowError past the float range
-    if arr.dtype.kind not in ("iu" if integer else "iuf"):
-        raise InvalidInputError(message)
-    # numpy reads a JSON boolean among numbers as 0 or 1, so only those entries can be one
-    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
-        entry = value
-        for i in index:
-            entry = entry[i]
-        if type(entry) is bool:
-            raise InvalidInputError(message)
-    return arr if integer else arr.astype(float, copy=False)
 
 
 def radial_set_to_dict(s: RadialSet) -> dict:
@@ -119,10 +89,11 @@ def radial_set_to_dict(s: RadialSet) -> dict:
 def radial_set_from_dict(data: dict) -> RadialSet:
     try:
         dimension = checked_int(data["dimension"], "dimension")
-        radii = _array(data["radii"], "radii")
+        radii = data["radii"]
+        count = len(radii)  # a default grid has one direction per radius
         directions = data.get("directions")
         if directions is not None:
-            directions = _array(directions, "directions")
+            directions = checked_array(directions, "directions")  # its shape comes first
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad radial-set payload: {exc}") from exc
     if directions is not None:
@@ -130,9 +101,9 @@ def radial_set_from_dict(data: dict) -> RadialSet:
             raise InvalidInputError("directions must be a (count, dimension) matrix")
         grid = DirectionGrid.from_directions(directions)
     elif dimension == 2:
-        grid = DirectionGrid.uniform_circle(radii.size)
+        grid = DirectionGrid.uniform_circle(count)
     elif dimension == 3:
-        grid = DirectionGrid.sphere(radii.size)
+        grid = DirectionGrid.sphere(count)
     else:
         raise InvalidInputError(f"dimension must be 2 or 3 when directions are omitted, got {dimension}")
     return RadialSet(grid, radii)
@@ -143,7 +114,7 @@ def domain_from_dict(data: dict) -> SplitToricDomain:
     weight of the cotangent fibers of a torus."""
     try:
         base_dim = checked_int(data["base_dim"], "base_dim")  # before the fiber is read
-        if _number(data.get("liouville_weight", 1), "liouville_weight") != 1:
+        if checked_number(data.get("liouville_weight", 1), "liouville_weight") != 1:
             raise InvalidInputError("liouville_weight must be 1: split domains are toric")
         return SplitToricDomain(
             base_dim=base_dim,
@@ -157,33 +128,31 @@ def domain_from_dict(data: dict) -> SplitToricDomain:
 
 def form_from_dict(data: dict) -> ContactFormRep:
     try:
-        manifold = SampledManifold(
-            weights=_array(data["weights"], "weights"),
-            half_dim=data["half_dim"],
-        )
+        manifold = SampledManifold(weights=data["weights"], half_dim=data["half_dim"])
         if "sites" in data and checked_int(data["sites"], "sites") != manifold.sites:
             raise InvalidInputError("declared site count disagrees with the weights")
-        return ContactFormRep(manifold, _array(data["f"], "f"))
+        return ContactFormRep(manifold, data["f"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad contact-form payload: {exc}") from exc
 
 
 def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
-    """A candidate map is its permutation; its conformal exponent is derived,
-    so a payload with a ``g`` key is rejected."""
+    """A candidate map is its permutation, which ContactMapRep reads; its
+    conformal exponent is derived, so a payload with a ``g`` key is rejected."""
     try:
         if "g" in data:
             raise InvalidInputError("g is derived from perm; a candidate map has no g key")
-        return ContactMapRep(manifold, _array(data["perm"], "perm", integer=True))
+        return ContactMapRep(manifold, data["perm"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad candidate-map payload: {exc}") from exc
 
 
 def element_values_from_json(data: Any) -> np.ndarray:
-    """Grid elements travel as bare JSON arrays of numbers."""
+    """Grid elements travel as bare JSON arrays of numbers, read by the number
+    rule here, since their site count is read before any element is built."""
     try:
-        arr = _array(data, "a grid element")
-    except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
+        arr = checked_array(data, "a grid element")
+    except InvalidInputError as exc:
         raise InvalidInputError(f"bad grid element payload: {exc}") from exc
     if arr.ndim != 1:
         raise InvalidInputError("grid element payload must be a flat array of numbers")

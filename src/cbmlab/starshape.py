@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_int
+from .errors import InvalidInputError, checked_array, checked_int
 
 MIN_GRID_COUNT = 64
 DEFAULT_GRID_COUNT = 1024
@@ -45,7 +45,7 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
 
 def _angle_rows(angles) -> tuple[np.ndarray, np.ndarray]:
     """The angles mod 2 pi, sorted, and their unit rows, less the repeated rows."""
-    ang = np.sort(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
+    ang = np.sort(np.mod(checked_array(angles, "angles"), 2.0 * math.pi))
     rows = np.column_stack([np.cos(ang), np.sin(ang)])
     rows /= np.linalg.norm(rows, axis=1)[:, None]  # cos/sin round to norms within an ulp of 1
     keep = ~_repeats(rows)
@@ -61,7 +61,7 @@ class DirectionGrid:
     directions: np.ndarray
 
     def __post_init__(self):
-        directions = np.array(self.directions, dtype=float)
+        directions = np.array(checked_array(self.directions, "directions"))
         if directions.ndim != 2 or directions.shape[1] < 1:
             raise InvalidInputError("directions must be a (count, dimension) matrix")
         object.__setattr__(self, "directions", directions)
@@ -125,7 +125,7 @@ class RadialSet:
     radii: np.ndarray
 
     def __post_init__(self):
-        radii = np.array(self.radii, dtype=float)
+        radii = np.array(checked_array(self.radii, "radii"))
         if radii.shape != (self.grid.count,):
             raise InvalidInputError("radii must have one sample per grid direction")
         _check_radii(radii)
@@ -184,7 +184,7 @@ def lshape_array(x) -> np.ndarray:
     Each coordinate maps to a pair: (1 + x, 1) for x >= 0 and (1, 1 - x)
     for x < 0, so a NaN coordinate maps to (NaN, 1).
     """
-    x = np.asarray(x, dtype=float)
+    x = checked_array(x, "x")
     neg = x < 0
     return np.column_stack([np.where(neg, 1.0, 1.0 + x), np.where(neg, 1.0 - x, 1.0)]).ravel()
 
@@ -204,7 +204,7 @@ class SkeletonSpec:
     target_volume: float = 1.0
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=float)
+        v = np.array(checked_array(self.v, "v"))
         if v.ndim != 1 or v.size < 2 or v.size % 2 != 0:
             raise InvalidInputError("v must have even length 2k >= 2")
         if not np.all(np.isfinite(v)):

@@ -229,7 +229,7 @@ def test_boolean_multiplicative_element_exits_two(tmp_path, capsys):
     two = write(tmp_path / "two.json", 2.0)
     for pair in ((t, two), (two, t)):
         assert main(["growth", *pair, "--model", "multiplicative"]) == 2
-        assert "multiplicative elements are JSON numbers" in capsys.readouterr().err
+        assert "a multiplicative element must be a number, not bool" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

@@ -111,7 +111,9 @@ class TestPullback:
     def test_a_permutation_is_integers(self):
         # floats are not truncated, bools not read as 0 and 1, strings not parsed
         m = uniform_manifold(2)
-        for perm in ([1.5, 0.2], [1.0, 0.0], [True, False], ["1", "0"], np.array([1, 0], dtype=object)):
+        for perm in (
+            [1.5, 0.2], [1.0, 0.0], [True, False], [1, False], [True, 0], ["1", "0"], np.array([1, 0], dtype=object)
+        ):
             with pytest.raises(InvalidInputError, match="array of integers"):
                 ContactMapRep(m, perm)
         for perm in ([1, 0], np.array([1, 0], dtype=np.uint8)):

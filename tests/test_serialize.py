@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from cbmlab import serialize
 from cbmlab.acceptance import item_rng
-from cbmlab.errors import InvalidInputError
+from cbmlab.errors import InvalidInputError, checked_array
 from cbmlab.forms import ContactFormRep, SampledManifold
 from cbmlab.serialize import (
     domain_from_dict,
@@ -198,13 +198,13 @@ def test_float_arrays_read_numbers_as_floats_and_reject_booleans_and_strings(row
     # integers of any size read as numbers; numpy alone reads true as 1.0 and "0" as 0.0
     matrix = [data.draw(st.lists(NUMBER, min_size=cols, max_size=cols)) for _ in range(rows)]
     for value in (matrix[0], matrix):
-        read = serialize._array(value, "x")
+        read = checked_array(value, "x")
         assert read.dtype == np.float64 and np.array_equal(read, np.asarray(value, dtype=float))
     i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
     matrix[i][j] = data.draw(st.sampled_from([True, False, "1.0", "0"]))
     for value in (matrix[i], matrix):
         with pytest.raises(InvalidInputError, match="x must be an array of numbers"):
-            serialize._array(value, "x")
+            checked_array(value, "x")
 
 
 def test_float_arrays_past_the_float_range_are_rejected():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import cbmlab
-from cbmlab import acceptance
+from cbmlab import acceptance, serialize
 from cbmlab.forms import ContactFormRep, ContactMapRep, SampledManifold
 from cbmlab.ordered import Element
 from cbmlab.starshape import DirectionGrid, RadialSet, SkeletonSpec
@@ -76,10 +76,18 @@ def test_numpy_is_the_one_runtime_dependency():
 
 
 def test_errors_holds_the_one_integer_rule():
-    # every integer parameter goes through errors.checked_int; a module that
-    # reads numbers.Integral itself would be a second rule
-    readers = [path.name for path in sorted(PACKAGE.glob("*.py")) if "Integral" in path.read_text(encoding="utf-8")]
-    assert readers == ["errors.py"]
+    # every integer parameter goes through errors.checked_int, and every other
+    # number through errors.checked_number or errors.checked_array; a module
+    # that reads numbers.Integral, imports numbers or scans entries for bools
+    # itself would be a second rule
+    modules = sorted(PACKAGE.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
+    assert [name for name, text in sources.items() if "Integral" in text] == ["errors.py"]
+    importers = [path.name for path in modules if any(m == "numbers" for _, m in absolute_imports(path))]
+    assert importers == ["errors.py"]
+    bool_scan = re.compile(r"type\([^()]*\) (?:is|in) \(?(?:np\.)?bool|isinstance\([^()]*\bbool\b")
+    assert [name for name, text in sources.items() if bool_scan.search(text)] == ["errors.py"]
+    assert not {"_array", "_number"} & set(vars(serialize))
 
 
 def message_prefix(check):
