@@ -40,6 +40,7 @@ from .ordered import (
     rho_plus_primes,
 )
 from .starshape import (
+    DEFAULT_C1,
     DEFAULT_GRID_COUNT,
     DirectionGrid,
     RadialSet,
@@ -247,7 +248,7 @@ def item_qi_harness(seed: int, cfg: dict) -> dict:
     for _ in range(50):
         v = rng.uniform(0.0, 4.0, 6)
         w = rng.uniform(0.0, 4.0, 6)
-        report = qi_verify(v, w, c0=10.0, tol=1e-2, c1=1.5)
+        report = qi_verify(v, w)
         all_pass = all_pass and report.passed
         measured = max(measured, report.measured_c1)
         worst_low = max(worst_low, report.linf - report.log_delta)
@@ -255,13 +256,13 @@ def item_qi_harness(seed: int, cfg: dict) -> dict:
     for _ in range(50):
         x = rng.uniform(-3.0, 3.0, 3)
         y = rng.uniform(-3.0, 3.0, 3)
-        report = qi_verify(lshape_array(x), lshape_array(y), c0=10.0, tol=1e-2, c1=1.5)
+        report = qi_verify(lshape_array(x), lshape_array(y))
         gap = float(np.max(np.abs(x - y)))
         composed_ok = composed_ok and (
             0.5 * gap - 1e-9 <= report.log_delta <= measured * gap + 1e-9
         )
     return {
-        "passed": all_pass and measured <= 1.5 and composed_ok,
+        "passed": all_pass and measured <= DEFAULT_C1 and composed_ok,
         "all_pairs_pass": all_pass,
         "measured_c1": measured,
         "max_lower_slack": worst_low,

@@ -35,7 +35,8 @@ from .ordered import (
     growth_distance,
     min_power,
 )
-from .starshape import DEFAULT_GRID_COUNT, SkeletonSpec, delta, qi_verify, skeleton_region
+from .starshape import DEFAULT_C0, DEFAULT_C1, DEFAULT_GRID_COUNT, DEFAULT_TARGET_VOLUME, DEFAULT_TOL
+from .starshape import SkeletonSpec, delta, qi_verify, skeleton_region
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -227,21 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
 
-    p = add("skeleton", cmd_skeleton, "build a normalized spoke-skeleton region")
     vector = "comma-separated spoke exponents (length 2k); --v=-0.5,1,0,2 if the first is negative"
-    p.add_argument("--v", required=True, help=vector)
-    p.add_argument("--c0", type=float, default=10.0)
-    p.add_argument("--target-volume", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_COUNT)
 
-    p = add("qi-verify", cmd_qi_verify, "check one quasi-isometry pair")
-    p.add_argument("--v", required=True, help=vector)
+    def add_skeleton(name, fn, help_text):
+        p = add(name, fn, help_text)
+        p.add_argument("--v", required=True, help=vector)
+        p.add_argument("--c0", type=float, default=DEFAULT_C0)
+        p.add_argument("--target-volume", type=float, default=DEFAULT_TARGET_VOLUME)
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID_COUNT)
+        return p
+
+    add_skeleton("skeleton", cmd_skeleton, "build a normalized spoke-skeleton region")
+
+    p = add_skeleton("qi-verify", cmd_qi_verify, "check one quasi-isometry pair")
     p.add_argument("--w", required=True, help=vector.replace("--v", "--w"))
-    p.add_argument("--c0", type=float, default=10.0)
-    p.add_argument("--target-volume", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-2)
-    p.add_argument("--c1", type=float, default=1.5)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_COUNT)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--c1", type=float, default=DEFAULT_C1)
 
     p = add("dcbm-toric", cmd_dcbm_toric, "certified distance bracket of two toric domains")
     p.add_argument("u")

@@ -1,13 +1,15 @@
-"""Exception types shared across the package, and its one integer rule and
-one number rule, each applied where a value enters, before any other work.
+"""Exception types shared across the package, and its integer, scalar and
+array rules, each applied where a value enters, before any other work.
 
 ``checked_int`` reads a Python int or a numpy integer as a Python int, so no
 bound computes in fixed-width integers, and rejects a bool, float or string.
 ``checked_number`` and ``checked_array`` read a Python or numpy real, an int
 of any size included, as a float, and reject a bool or string, never read as
-0, 1 or the number it spells; the library and the JSON readers share them.
+0, 1 or the number it spells. A scalar must be finite and above its bound, if
+any; an array entry may be NaN or +-inf, which the array's owner checks.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -63,15 +65,25 @@ def checked_int(value, name: str, least: int | None = None, most: int | None = N
     raise InvalidInputError(f"{name} must be an integer{bounds}, got {shown}")
 
 
-def checked_number(value, name: str) -> float:
-    """value as a float, if it is a real Python or numpy number (not a bool) in
-    the float range; otherwise InvalidInputError, whose message names it."""
+def _real(value, name: str) -> float:
+    """value as a float, NaN and +-inf included, if it is a real Python or
+    numpy number (not a bool) in the float range; otherwise InvalidInputError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
         raise InvalidInputError(f"{name} must be a number, not {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:  # an int past the float range
         raise InvalidInputError(f"{name} must be a number in the float range") from None
+
+
+def checked_number(value, name: str, above: float | None = None) -> float:
+    """value as a float, if it is a finite real Python or numpy number (not a
+    bool) greater than ``above``, if given; otherwise InvalidInputError naming it."""
+    number = _real(value, name)
+    if math.isfinite(number) and (above is None or number > above):
+        return number
+    bound = "" if above is None else f" > {above}"
+    raise InvalidInputError(f"{name} must be a finite number{bound}, got {number!r}")
 
 
 def checked_array(value, name: str, integer: bool = False) -> np.ndarray:
@@ -82,7 +94,7 @@ def checked_array(value, name: str, integer: bool = False) -> np.ndarray:
     try:
         arr = np.asarray(value)
         if not integer and arr.dtype.kind == "O":  # say, integers past int64
-            arr = np.array([checked_number(v, name) for v in arr.flat]).reshape(arr.shape)
+            arr = np.array([_real(v, name) for v in arr.flat]).reshape(arr.shape)
     except (ValueError, InvalidInputError):  # a ragged nesting, or an entry that is no number
         raise InvalidInputError(message) from None
     if arr.dtype.kind not in kinds:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int
+from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int, checked_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +81,7 @@ class ContactFormRep:
 
     def rescaled(self, c: float) -> "ContactFormRep":
         """The form scaled by a positive constant: f + ln c."""
-        if not (c > 0):
-            raise InvalidInputError("rescaling constant must be positive")
+        c = checked_number(c, "rescaling constant", above=0)
         return ContactFormRep(self.manifold, self.f + math.log(c))
 
 

@@ -83,6 +83,9 @@ class OrderedModel:
     order_variant: OrderVariant = OrderVariant.NON_STRICT
 
     def __post_init__(self):
+        for name, enum in (("kind", ModelKind), ("order_variant", OrderVariant)):
+            if not isinstance(value := getattr(self, name), enum):
+                raise InvalidInputError(f"{name} must be a member of {enum.__name__}, got {value!r}")
         object.__setattr__(self, "site_count", checked_int(self.site_count, "site_count", least=1))
 
     @staticmethod
@@ -97,10 +100,7 @@ class OrderedModel:
 
     def element(self, value) -> Element:
         if self.kind is ModelKind.MULTIPLICATIVE_REALS:
-            v = checked_number(value, "a multiplicative element")
-            if not (v > 0.0) or not math.isfinite(v):
-                raise InvalidInputError("multiplicative elements must be finite positive reals")
-            value = np.array([math.log(v)])
+            value = np.array([math.log(checked_number(value, "a multiplicative element", above=0))])
         e = Element(value)
         self._check(e)
         return e
@@ -437,6 +437,8 @@ def growth_distance(
     with the same checks. The oracle builder checks that a and b are both
     dominant, with one message, before any bracket or sieve.
     """
+    if not isinstance(method, Method):
+        raise InvalidInputError(f"method must be a member of Method, got {method!r}")
     # the product check's tolerance 2/l_max needs it under every method
     l_max = checked_int(l_max, "l_max", least=1)
     if l_max > sys.float_info.max:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_array, checked_int
+from .errors import InvalidInputError, checked_array, checked_int, checked_number
 
 MIN_GRID_COUNT = 64
 DEFAULT_GRID_COUNT = 1024
@@ -26,6 +26,10 @@ _FAN = 48  # fan angles on each side of a spoke
 # most (sample angle, spoke) pairs in one skeleton's trig arrays; checked
 # before they are allocated
 MAX_SPOKE_SAMPLES = 2**24
+DEFAULT_C0 = 10.0
+DEFAULT_TARGET_VOLUME = 1.0
+DEFAULT_TOL = 1e-2
+DEFAULT_C1 = 1.5
 
 
 def _uniform_angles(count: int) -> np.ndarray:
@@ -164,17 +168,16 @@ def log_delta(a: RadialSet, b: RadialSet) -> float:
 
 
 def scale(a: RadialSet, c: float) -> RadialSet:
-    if not (c > 0) or not math.isfinite(c):
-        raise InvalidInputError("scale factor must be a finite positive real")
-    return RadialSet(a.grid, a.radii * c)
+    return RadialSet(a.grid, a.radii * checked_number(c, "scale factor", above=0))
 
 
 def ball(radius: float, grid: DirectionGrid) -> RadialSet:
-    return RadialSet(grid, np.full(grid.count, float(radius)))
+    return RadialSet(grid, np.full(grid.count, checked_number(radius, "radius")))
 
 
 def centered_square(half_side: float, grid: DirectionGrid) -> RadialSet:
     """The cube [-h, h]^n as a radial set: h over each direction's sup norm."""
+    half_side = checked_number(half_side, "half side")
     return RadialSet(grid, half_side / np.max(np.abs(grid.directions), axis=1))
 
 
@@ -201,7 +204,7 @@ class SkeletonSpec:
 
     v: np.ndarray
     c0: float
-    target_volume: float = 1.0
+    target_volume: float = DEFAULT_TARGET_VOLUME
 
     def __post_init__(self):
         v = np.array(checked_array(self.v, "v"))
@@ -209,10 +212,8 @@ class SkeletonSpec:
             raise InvalidInputError("v must have even length 2k >= 2")
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("spoke exponents must be finite")
-        if not 1.0 < self.c0 < math.inf:
-            raise InvalidInputError("spoke length scale c0 must be finite and exceed 1")
-        if not 0.0 < self.target_volume < math.inf:
-            raise InvalidInputError("degenerate spec: target volume must be finite and positive")
+        object.__setattr__(self, "c0", checked_number(self.c0, "c0", above=1))
+        object.__setattr__(self, "target_volume", checked_number(self.target_volume, "target volume", above=0))
         object.__setattr__(self, "v", v)
         v.flags.writeable = False
         with np.errstate(over="ignore"):
@@ -352,10 +353,10 @@ class QiReport:
 def qi_verify(
     v,
     w,
-    c0: float = 10.0,
-    target_volume: float = 1.0,
-    tol: float = 1e-2,
-    c1: float = 1.5,
+    c0: float = DEFAULT_C0,
+    target_volume: float = DEFAULT_TARGET_VOLUME,
+    tol: float = DEFAULT_TOL,
+    c1: float = DEFAULT_C1,
     base_count: int = DEFAULT_GRID_COUNT,
 ) -> QiReport:
     """Compare ln delta of two skeleton regions with the sup-norm of v - w.
@@ -367,10 +368,8 @@ def qi_verify(
     order nor on repeats, so no grid is sorted or built.
     """
     base_count = checked_int(base_count, "grid count", 0, MAX_GRID_COUNT)
-    if not 0.0 < c1 < math.inf:
-        raise InvalidInputError("width-correction constant c1 must be finite and positive")
-    if not math.isfinite(tol):
-        raise InvalidInputError("tolerance tol must be finite")
+    c1 = checked_number(c1, "c1", above=0)
+    tol = checked_number(tol, "tol")
     spec_v = SkeletonSpec(v, c0, target_volume)
     spec_w = SkeletonSpec(w, c0, target_volume)
     if spec_v.v.size != spec_w.v.size:

@@ -97,3 +97,29 @@ def test_a_run_without_a_json_last_line_names_its_checkout_workload_and_exit(tmp
     message = str(err.value)
     assert message.startswith(f"{tmp_path}: order-stream ended without a JSON line (exit 1)")
     assert message.endswith("ValueError: bad op\n")
+
+
+def test_the_regression_verdict_reads_each_metric_against_its_bound():
+    bench_pairs = load()
+    parent = [100.0 + i for i in range(10)]  # inclusive quartiles 102.25 and 106.75: IQR 4.5 %
+
+    def verdict(change, bound, direction="lower"):
+        pairs = [{"parent": run(t=p), "change": run(t=c)} for p, c in zip(parent, change)]
+        summary = bench_pairs.summarize(pairs, {"t": direction}, {"t": bound})
+        return summary["t"]["regression"]
+
+    # the median 104.5 moves to 109.5, 4.8 % worse: within a 5 % bound, past a 4.7 % one
+    slower = [p + 5.0 for p in parent]
+    assert verdict(slower, 0.05) == "within_bound"
+    assert verdict(slower, 0.047) == "exceeds_bound"
+    # a spread wider than the bound shows nothing, even at an equal median,
+    # unless every change run beats every parent run
+    assert verdict(parent, 0.04) == "unresolved"
+    assert verdict(slower, 0.04) == "unresolved"
+    assert verdict([p - 10.0 for p in parent], 0.04) == "within_bound"
+    # a higher-is-better metric counts a lower change as worse
+    assert verdict(slower, 0.05, "higher") == "within_bound"
+    assert verdict([p - 5.0 for p in parent], 0.047, "higher") == "exceeds_bound"
+    # no bounds, no verdict
+    pairs = [{"parent": run(t=1.0), "change": run(t=1.0)}]
+    assert "regression" not in bench_pairs.summarize(pairs, {"t": "lower"})["t"]

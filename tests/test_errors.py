@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,17 @@ from cbmlab.domains import hamiltonian_to_domain, rgr_vs_cbm
 from cbmlab.errors import InvalidInputError
 from cbmlab.forms import ContactFormRep, ContactMapRep, SampledManifold
 from cbmlab.ordered import Element, OrderedModel
-from cbmlab.starshape import DirectionGrid, RadialSet, SkeletonSpec, lshape_array
+from cbmlab.serialize import domain_from_dict
+from cbmlab.starshape import (
+    DirectionGrid,
+    RadialSet,
+    SkeletonSpec,
+    ball,
+    centered_square,
+    lshape_array,
+    qi_verify,
+    scale,
+)
 
 GRID = DirectionGrid.uniform_circle(64)
 MANIFOLD = SampledManifold(np.full(4, 0.5), half_dim=2)
@@ -91,3 +102,74 @@ def test_a_multiplicative_element_is_a_number():
     reference = m.element(2.0).data.tobytes()
     for value in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
         assert m.element(value).data.tobytes() == reference
+
+
+def spec_values(spec):
+    return np.concatenate([spec.spoke_lengths, [spec.c0, spec.target_volume, spec.epsilon]])
+
+
+def qi_values(**scalar):
+    r = qi_verify([0.5, 1, 0, 2], [0, 1, 0.5, 2], base_count=64, **scalar)
+    return np.array([r.log_delta, r.lower, r.upper, r.linf, r.measured_c1])
+
+
+FORM = ContactFormRep(MANIFOLD, [0, 1, -1, 2])
+DOMAIN = {"base_dim": 2, "fiber": {"dimension": 2, "radii": [1.0] * 64}}
+
+# every real scalar parameter, as 'owner.parameter': (the name its message
+# starts with, a build returning an array, a valid value, the lower bound the
+# scalar rule checks or None); errors.checked_number holds each to one rule
+SCALARS = {
+    "SkeletonSpec.c0": ("c0", lambda x: spec_values(SkeletonSpec([0, 1, 2, 1], x)), 2, 1),
+    "SkeletonSpec.target_volume": (
+        "target volume", lambda x: spec_values(SkeletonSpec([0, 1, 2, 1], 10.0, x)), 2, 0
+    ),
+    "qi_verify.c0": ("c0", lambda x: qi_values(c0=x), 2, 1),
+    "qi_verify.target_volume": ("target volume", lambda x: qi_values(target_volume=x), 2, 0),
+    "qi_verify.tol": ("tol", lambda x: qi_values(tol=x), 2, None),
+    "qi_verify.c1": ("c1", lambda x: qi_values(c1=x), 2, 0),
+    "scale.c": ("scale factor", lambda x: scale(RadialSet(GRID, np.ones(64)), x).radii, 2, 0),
+    "ball.radius": ("radius", lambda x: ball(x, GRID).radii, 2, None),
+    "centered_square.half_side": ("half side", lambda x: centered_square(x, GRID).radii, 2, None),
+    "ContactFormRep.rescaled.c": ("rescaling constant", lambda x: FORM.rescaled(x).f, 2, 0),
+    "OrderedModel.element.value": (
+        "a multiplicative element", lambda x: OrderedModel.multiplicative().element(x).data, 2, 0
+    ),
+    "domain_from_dict.liouville_weight": (
+        "liouville_weight", lambda x: domain_from_dict({**DOMAIN, "liouville_weight": x}).fiber.radii, 1, None
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SCALARS)
+def test_every_scalar_is_a_finite_number_above_its_bound(entry):
+    # numpy and float() read True as 1 and parse "1.5"; 10**400 overflows float()
+    name, build, good, bound = SCALARS[entry]
+    build(good)
+    bad = [True, np.True_, "1.5", 10**400, math.nan, math.inf, -math.inf]
+    if bound is not None:
+        bad += [bound, bound - 1]
+    for value in bad:
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be "):
+            build(value)
+
+
+@pytest.mark.parametrize("entry", SCALARS)
+def test_scalars_load_bit_for_bit_as_floats(entry):
+    _, build, good, _ = SCALARS[entry]
+    reference = build(float(good))
+    for value in (good, np.int64(good), np.float32(good)):
+        built = build(value)
+        assert built.dtype == reference.dtype and built.tobytes() == reference.tobytes()
+
+
+def test_a_spec_stores_its_scalars_as_floats():
+    spec = SkeletonSpec([0, 1, 2, 1], np.int64(10), np.float32(2))
+    assert (type(spec.c0), type(spec.target_volume)) == (float, float)
+
+
+def test_an_array_entry_may_be_nan_or_infinite_beside_an_int_past_int64():
+    # such a list is an object array, read entry by entry; the scalar rule's
+    # finiteness is not the array rule, so lshape_array still maps the NaN
+    mixed = lshape_array([2**70, math.nan, -math.inf])
+    assert mixed.tobytes() == lshape_array(np.array([2.0**70, math.nan, -math.inf])).tobytes()

@@ -165,7 +165,7 @@ class TestVolumes:
 
     def test_rescaling_constant_must_be_positive_and_may_be_below_one(self):
         form = ContactFormRep(uniform_manifold(), np.linspace(-1.0, 1.0, 64))
-        with pytest.raises(InvalidInputError, match="must be positive"):
+        with pytest.raises(InvalidInputError, match="^rescaling constant must be a finite number > 0, got 0.0$"):
             form.rescaled(0)
         assert np.array_equal(form.rescaled(0.5).f, form.f + math.log(0.5))
 

@@ -309,6 +309,20 @@ class TestOracle:
         with pytest.raises(InvalidInputError, match="site_count must be an integer >= 1"):
             OrderedModel.additive(-1)
 
+    def test_enum_parameters_are_members_or_rejected(self):
+        # a value string is no member: the oracle builder read "strict-positive"
+        # as non-strict while ge read it as strict, and growth_distance computed
+        # the pair infimum under the label "prime-pairs"
+        with pytest.raises(InvalidInputError, match="^kind must be a member of ModelKind, got 'multiplicative-reals'$"):
+            OrderedModel("multiplicative-reals", 1)
+        with pytest.raises(InvalidInputError, match="^order_variant must be a member of OrderVariant, got "):
+            OrderedModel.additive(2, "strict-positive")
+        m = OrderedModel.additive(2, OrderVariant.STRICT_POSITIVE)
+        a, b = m.element([2, 1]), m.element([2, 0.5])
+        assert not m.ge(a, b) and min_power(m, a, b, 1) == 2
+        with pytest.raises(InvalidInputError, match="^method must be a member of Method, got 'prime-pairs'$"):
+            growth_distance(m, a, m.element([1, 0.7]), method="prime-pairs")
+
     def test_bi_invariance_on_random_triples(self):
         # quantized samples keep all sums exact, so the check is bitwise
         rng = item_rng(SEED, 0)

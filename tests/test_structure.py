@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 import sys
 import types
@@ -14,6 +15,7 @@ from cbmlab.forms import ContactFormRep, ContactMapRep, SampledManifold
 from cbmlab.ordered import Element
 from cbmlab.starshape import DirectionGrid, RadialSet, SkeletonSpec
 from test_acceptance import SEED7_REPORT_SHA256
+from test_errors import SCALARS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(cbmlab.__file__).parent
@@ -89,6 +91,35 @@ def test_errors_holds_the_one_integer_rule():
     assert [name for name, text in sources.items() if bool_scan.search(text)] == ["errors.py"]
     assert not {"_array", "_number"} & set(vars(serialize))
 
+
+def float_parameters():
+    """'owner.parameter' of every parameter annotated float of a function, or
+    of a public method of a class, that cbmlab.__all__ exports: the package's
+    API, whose callers pass the values."""
+    found = set()
+    for name in cbmlab.__all__:
+        obj = getattr(cbmlab, name)
+        owners = [(name, obj)] if inspect.isfunction(obj) else []
+        if inspect.isclass(obj):
+            owners += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj) if not attr.startswith("_")]
+        for owner, fn in owners:
+            if inspect.isfunction(fn):
+                params = inspect.signature(fn, eval_str=True).parameters.values()
+                found |= {f"{owner}.{p.name}" for p in params if p.annotation is float}
+    return found
+
+
+def test_every_real_parameter_takes_the_scalar_rule():
+    # a new real parameter joins the scalar table of test_errors.py, which
+    # holds it to errors.checked_number's rule; these four show no float in
+    # a signature
+    unannotated = {
+        "SkeletonSpec.c0",  # dataclass fields, checked in __post_init__
+        "SkeletonSpec.target_volume",
+        "OrderedModel.element.value",  # a number in the multiplicative model, an array in the additive
+        "domain_from_dict.liouville_weight",  # a JSON payload field
+    }
+    assert float_parameters() | unannotated == set(SCALARS)
 
 def message_prefix(check):
     """The literal text of the InvariantViolation message up to its first placeholder."""

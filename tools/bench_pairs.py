@@ -11,9 +11,18 @@ either side reads it from there. Each run is read from the JSON object on
 the last line of its output. For every workload and end-to-end metric of BENCHMARK.json the
 summary gives each side's median and quartiles, the parent's interquartile
 range as a share of its median, the change's median gain in the metric's
-better direction, the pairs the change won and tied, and whether the gain
-passes the benchmark's claim rule: at least nine tenths of the pairs won and
-a median gain beyond the parent's interquartile range.
+better direction, the pairs the change won and tied, whether the gain
+passes the benchmark's claim rule (at least nine tenths of the pairs won and
+a median gain beyond the parent's interquartile range), and the no-regression
+verdict against the metric's BENCHMARK.json bound, a fraction of the
+parent's median:
+
+* ``unresolved``: the parent's interquartile range, as a fraction of its
+  median, exceeds the bound, and not every change run beats every parent
+  run; a spread that wide cannot show the metric unchanged;
+* ``within_bound``: otherwise, if the change's median is not worse than the
+  parent's by more than the bound;
+* ``exceeds_bound``: otherwise.
 
 Run from anywhere, with the standard library only:
 
@@ -57,11 +66,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per-metric summary of pairs of runs, each {"parent": run, "change": run}.
 
-    ``better`` maps each metric to "lower" or "higher". Gains are fractions of
-    the parent's median, positive when the change is better.
+    ``better`` maps each metric to "lower" or "higher", and ``bounds``, if
+    given, to its BENCHMARK.json bound, which adds the ``regression``
+    verdict. Gains are fractions of the parent's median, positive when the
+    change is better.
     """
     summary = {}
     for metric, direction in better.items():
@@ -86,6 +97,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "pairs": len(pairs),
             "gain_shown": wins >= 0.9 * len(pairs) and gain > spread,
         }
+        if bounds is not None:  # the verdicts of the module docstring
+            bound = bounds[metric]
+            all_better = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
+            verdict = "within_bound" if gain >= -bound else "exceeds_bound"
+            summary[metric]["regression"] = "unresolved" if spread > bound and not all_better else verdict
     return summary
 
 
@@ -101,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     report = {
         "command": f"python3 bench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
         "pairs": args.pairs,
@@ -124,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             report["workloads"][workload] = {
                 "failed": {side: [pair[side]["failed"] for pair in pairs] for side in SIDES},
                 "correct": {side: all(pair[side]["correct"] for pair in pairs) for side in SIDES},
-                "metrics": summarize(pairs, better),
+                "metrics": summarize(pairs, better, bounds),
             }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
