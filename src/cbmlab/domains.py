@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation, PreconditionError, checked_array, checked_int
+from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int
 from .ordered import DEFAULT_L_MAX, Method, OrderedModel, OrderVariant, growth_distance
 from .starshape import DirectionGrid, RadialSet, log_delta, scale
 
@@ -201,15 +201,9 @@ class HamiltonianDomain:
 
 def hamiltonian_to_domain(h) -> HamiltonianDomain:
     """Domain of a positive autonomous contact Hamiltonian, a flat array of site
-    samples, on the uniform circle grid with one direction per site."""
-    values = checked_array(h, "hamiltonian samples")
-    if values.ndim != 1:
-        raise InvalidInputError("hamiltonian samples must form a vector")
-    if np.any(values <= 0) or not np.all(np.isfinite(values)):
-        raise PreconditionError(
-            "hamiltonian must be strictly positive and finite at every site "
-            "(positive contact isotopy)"
-        )
+    samples, on the uniform circle grid with one direction per site. Every
+    sample is finite and positive, as for a positive contact isotopy."""
+    values = checked_array(h, "hamiltonian samples", ndim=1, finite=True, positive=True)
     with np.errstate(over="ignore"):  # RadialSet rejects a radius that overflows
         radii = 1.0 / values
     return HamiltonianDomain(
@@ -237,11 +231,11 @@ def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
     In the commuting autonomous model the two sides agree: both reduce to
     the log of the extremal ratio of the generators.
     """
-    v1 = checked_array(h1, "h1")
-    v2 = checked_array(h2, "h2")
-    if v1.ndim != 1 or v1.shape != v2.shape:
-        raise InvalidInputError("generators must be flat arrays on one site set")
-    dom1 = hamiltonian_to_domain(v1)  # each generator's own positivity check comes first
+    v1 = checked_array(h1, "h1", ndim=1, finite=True, positive=True)
+    v2 = checked_array(h2, "h2", ndim=1, finite=True, positive=True)
+    if v1.size != v2.size:
+        raise InvalidInputError("h2 must have one sample per site of h1")
+    dom1 = hamiltonian_to_domain(v1)
     dom2 = hamiltonian_to_domain(v2)
     model = OrderedModel.additive(v1.shape[0], OrderVariant.STRICT_POSITIVE)
     a, b = model.element(v1), model.element(v2)

@@ -6,7 +6,9 @@ bound computes in fixed-width integers, and rejects a bool, float or string.
 ``checked_number`` and ``checked_array`` read a Python or numpy real, an int
 of any size included, as a float, and reject a bool or string, never read as
 0, 1 or the number it spells. A scalar must be finite and above its bound, if
-any; an array entry may be NaN or +-inf, which the array's owner checks.
+any. An array meets the contract its owner states in the one call: its
+dimension, and entries finite, or finite and positive; it comes back as a
+read-only copy, so no later write by the caller reaches it.
 """
 
 import math
@@ -86,18 +88,23 @@ def checked_number(value, name: str, above: float | None = None) -> float:
     raise InvalidInputError(f"{name} must be a finite number{bound}, got {number!r}")
 
 
-def checked_array(value, name: str, integer: bool = False) -> np.ndarray:
-    """value as a float64 array, or as an integer array if ``integer``; otherwise
-    InvalidInputError naming the array. The result may share memory with value."""
-    kinds = "iu" if integer else "iuf"
-    message = f"{name} must be an array of {'integers' if integer else 'numbers'}"
+def checked_array(
+    value, name: str, ndim: int | None = None, finite: bool = False, positive: bool = False,
+    integer: bool = False,
+) -> np.ndarray:
+    """value as a read-only float64 array, or int64 array if ``integer``, that
+    shares no memory with value: of ``ndim`` dimensions, if given, with every
+    entry finite if ``finite`` and > 0 if ``positive``. Otherwise
+    InvalidInputError, whose message starts with the array's name."""
+    kinds = "integers" if integer else "numbers"
+    message = f"{name} must be an array of {kinds}"
     try:
         arr = np.asarray(value)
         if not integer and arr.dtype.kind == "O":  # say, integers past int64
             arr = np.array([_real(v, name) for v in arr.flat]).reshape(arr.shape)
     except (ValueError, InvalidInputError):  # a ragged nesting, or an entry that is no number
         raise InvalidInputError(message) from None
-    if arr.dtype.kind not in kinds:
+    if arr.dtype.kind not in ("iu" if integer else "iuf"):
         raise InvalidInputError(message)
     if not isinstance(value, np.ndarray):  # a numeric ndarray holds no bool; a list may
         # numpy reads a bool among numbers as 0 or 1, so only those entries can be one
@@ -107,4 +114,11 @@ def checked_array(value, name: str, integer: bool = False) -> np.ndarray:
                 entry = entry[i]
             if type(entry) in (bool, np.bool_):
                 raise InvalidInputError(message)
-    return arr if integer else arr.astype(float, copy=False)
+    # one copy at most: an array numpy built from a list shares no memory with the caller
+    arr = arr.astype(np.int64 if integer else float, copy=arr is value or not arr.flags.owndata)
+    wrong_ndim = ndim is not None and arr.ndim != ndim
+    if wrong_ndim or (finite and not np.isfinite(arr).all()) or (positive and not (arr > 0).all()):
+        shape = "an array" if ndim is None else f"a {ndim}-D array"
+        raise InvalidInputError(f"{name} must be {shape} of {'finite ' * finite}{kinds}{' > 0' * positive}")
+    arr.flags.writeable = False
+    return arr

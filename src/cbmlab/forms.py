@@ -31,16 +31,13 @@ class SampledManifold:
     half_dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "half_dim", checked_int(self.half_dim, "half_dim", least=1))
-        if self.half_dim > sys.float_info.max:  # volumes scale the exponents by it
-            raise InvalidInputError("half dimension must be representable as a double")
-        weights = np.array(checked_array(self.weights, "weights"))
-        if weights.ndim != 1 or weights.size == 0:
-            raise InvalidInputError("weights must form a nonempty vector")
-        if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-            raise InvalidInputError("site weights must be positive and finite")
+        # volumes scale the exponents by half_dim, as a double
+        half_dim = checked_int(self.half_dim, "half_dim", 1, int(sys.float_info.max))
+        weights = checked_array(self.weights, "weights", ndim=1, finite=True, positive=True)
+        object.__setattr__(self, "half_dim", half_dim)
         object.__setattr__(self, "weights", weights)
-        weights.flags.writeable = False
+        if weights.size == 0:
+            raise InvalidInputError("weights must form a nonempty vector")
 
     @property
     def sites(self) -> int:
@@ -71,13 +68,9 @@ class ContactFormRep:
     f: np.ndarray
 
     def __post_init__(self):
-        f = np.array(checked_array(self.f, "f"))
-        if f.shape != (self.manifold.sites,):
+        object.__setattr__(self, "f", checked_array(self.f, "f", ndim=1, finite=True))
+        if self.f.size != self.manifold.sites:
             raise InvalidInputError("f must have one sample per site")
-        if not np.all(np.isfinite(f)):
-            raise InvalidInputError("f must be finite everywhere")
-        object.__setattr__(self, "f", f)
-        f.flags.writeable = False
 
     def rescaled(self, c: float) -> "ContactFormRep":
         """The form scaled by a positive constant: f + ln c."""
@@ -98,15 +91,14 @@ class ContactMapRep:
     g: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        perm = np.array(checked_array(self.perm, "perm", integer=True), dtype=np.int64)
+        perm = checked_array(self.perm, "perm", ndim=1, integer=True)
         n = self.manifold.sites
         # n entries in [0, n) that hit every site form a bijection; O(n), no sort
-        in_range = perm.shape == (n,) and perm.min() >= 0 and perm.max() < n
+        in_range = perm.size == n and perm.min() >= 0 and perm.max() < n
         if not (in_range and np.bincount(perm, minlength=n).all()):
-            raise InvalidInputError("phi must be a bijection on sites (a permutation)")
+            raise InvalidInputError("perm must be a permutation of the sites")
         logw = self.manifold.log_weights
         g = (logw[perm] - logw) / self.manifold.half_dim
-        perm.flags.writeable = False
         g.flags.writeable = False
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "g", g)

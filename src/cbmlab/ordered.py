@@ -37,6 +37,7 @@ DEFAULT_PRIME_BOUND = 10_000
 # benchmark's reference and the finite check in the tests still use; the pass forms none
 PRIME_WINDOW_EXPONENT = 0.6
 _SEARCH_BOUND = 10**12
+_DOUBLE_MAX = int(sys.float_info.max)  # the largest double, as an int
 _Bracket = tuple[tuple[int, int], tuple[int, int]]  # ((p, q), (p_lo, q_lo)), as _bracket returns it
 
 
@@ -67,11 +68,7 @@ class Element:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(checked_array(self.data, "an element"))
-        if data.ndim != 1 or not np.isfinite(data).all():
-            raise InvalidInputError("an element is a 1-D array of finite site values")
-        object.__setattr__(self, "data", data)
-        data.flags.writeable = False
+        object.__setattr__(self, "data", checked_array(self.data, "an element", ndim=1, finite=True))
 
 
 @dataclass(frozen=True)
@@ -122,9 +119,7 @@ class OrderedModel:
 
     def power(self, a: Element, k: int) -> Element:
         self._check(a)
-        k = checked_int(k, "k")
-        if abs(k) > sys.float_info.max:  # k * a.data converts k to a double
-            raise InvalidInputError("a power's exponent must be representable as a double")
+        k = checked_int(k, "k", -_DOUBLE_MAX, _DOUBLE_MAX)  # k * a.data converts k to a double
         with np.errstate(over="ignore"):  # a product past the float range fails the element's own check
             data = k * a.data
         return Element(data)
@@ -440,9 +435,7 @@ def growth_distance(
     if not isinstance(method, Method):
         raise InvalidInputError(f"method must be a member of Method, got {method!r}")
     # the product check's tolerance 2/l_max needs it under every method
-    l_max = checked_int(l_max, "l_max", least=1)
-    if l_max > sys.float_info.max:
-        raise InvalidInputError("l_max must be representable as a double")
+    l_max = checked_int(l_max, "l_max", 1, _DOUBLE_MAX)
     if method is Method.PRIME_PAIRS:
         prime_bound = checked_int(prime_bound, "prime_bound", least=2)
         rp, rm = (_prime_rate(oracle, prime_bound, None) for oracle in _oracles(model, a, b, negated=False))

@@ -92,14 +92,12 @@ def radial_set_from_dict(data: dict) -> RadialSet:
         radii = data["radii"]
         count = len(radii)  # a default grid has one direction per radius
         directions = data.get("directions")
-        if directions is not None:
-            directions = checked_array(directions, "directions")  # its shape comes first
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad radial-set payload: {exc}") from exc
     if directions is not None:
-        if directions.ndim != 2 or directions.shape[1] != dimension:
-            raise InvalidInputError("directions must be a (count, dimension) matrix")
         grid = DirectionGrid.from_directions(directions)
+        if grid.dimension != dimension:
+            raise InvalidInputError(f"directions must have {dimension} columns, got {grid.dimension}")
     elif dimension == 2:
         grid = DirectionGrid.uniform_circle(count)
     elif dimension == 3:
@@ -148,12 +146,6 @@ def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
 
 
 def element_values_from_json(data: Any) -> np.ndarray:
-    """Grid elements travel as bare JSON arrays of numbers, read by the number
+    """Grid elements travel as bare JSON arrays of numbers, read by the array
     rule here, since their site count is read before any element is built."""
-    try:
-        arr = checked_array(data, "a grid element")
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"bad grid element payload: {exc}") from exc
-    if arr.ndim != 1:
-        raise InvalidInputError("grid element payload must be a flat array of numbers")
-    return arr
+    return checked_array(data, "a grid element", ndim=1, finite=True)

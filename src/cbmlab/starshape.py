@@ -49,7 +49,7 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
 
 def _angle_rows(angles) -> tuple[np.ndarray, np.ndarray]:
     """The angles mod 2 pi, sorted, and their unit rows, less the repeated rows."""
-    ang = np.sort(np.mod(checked_array(angles, "angles"), 2.0 * math.pi))
+    ang = np.sort(np.mod(checked_array(angles, "angles", ndim=1, finite=True), 2.0 * math.pi))
     rows = np.column_stack([np.cos(ang), np.sin(ang)])
     rows /= np.linalg.norm(rows, axis=1)[:, None]  # cos/sin round to norms within an ulp of 1
     keep = ~_repeats(rows)
@@ -65,15 +65,12 @@ class DirectionGrid:
     directions: np.ndarray
 
     def __post_init__(self):
-        directions = np.array(checked_array(self.directions, "directions"))
-        if directions.ndim != 2 or directions.shape[1] < 1:
-            raise InvalidInputError("directions must be a (count, dimension) matrix")
+        directions = checked_array(self.directions, "directions", ndim=2, finite=True)
         object.__setattr__(self, "directions", directions)
-        directions.flags.writeable = False
         if self.count < MIN_GRID_COUNT:
             raise InvalidInputError(f"direction grids need at least {MIN_GRID_COUNT} directions")
-        # written so that NaN fails both checks
-        if not np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) <= _UNIT_TOL:
+        # a row of 0 columns has norm 0, so the matrix has at least one column
+        if np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) > _UNIT_TOL:
             raise InvalidInputError("directions must be unit vectors")
 
     @property
@@ -129,20 +126,14 @@ class RadialSet:
     radii: np.ndarray
 
     def __post_init__(self):
-        radii = np.array(checked_array(self.radii, "radii"))
-        if radii.shape != (self.grid.count,):
+        object.__setattr__(self, "radii", _radii(self.radii))
+        if self.radii.size != self.grid.count:
             raise InvalidInputError("radii must have one sample per grid direction")
-        _check_radii(radii)
-        object.__setattr__(self, "radii", radii)
-        radii.flags.writeable = False
 
 
-def _check_radii(radii: np.ndarray) -> None:
-    # written so that NaN fails the first check
-    if not np.all(radii > 0):
-        raise InvalidInputError("radii must be strictly positive (0 is an interior point)")
-    if not np.all(radii < math.inf):
-        raise InvalidInputError("radii must be finite (the set is bounded)")
+def _radii(values) -> np.ndarray:
+    """values as the radii of a bounded set with 0 in its interior."""
+    return checked_array(values, "radii", ndim=1, finite=True, positive=True)
 
 
 def _require_same_grid(a: RadialSet, b: RadialSet) -> None:
@@ -187,7 +178,7 @@ def lshape_array(x) -> np.ndarray:
     Each coordinate maps to a pair: (1 + x, 1) for x >= 0 and (1, 1 - x)
     for x < 0, so a NaN coordinate maps to (NaN, 1).
     """
-    x = checked_array(x, "x")
+    x = checked_array(x, "x", ndim=1)
     neg = x < 0
     return np.column_stack([np.where(neg, 1.0, 1.0 + x), np.where(neg, 1.0 - x, 1.0)]).ravel()
 
@@ -207,15 +198,11 @@ class SkeletonSpec:
     target_volume: float = DEFAULT_TARGET_VOLUME
 
     def __post_init__(self):
-        v = np.array(checked_array(self.v, "v"))
-        if v.ndim != 1 or v.size < 2 or v.size % 2 != 0:
+        object.__setattr__(self, "v", checked_array(self.v, "v", ndim=1, finite=True))
+        if self.v.size < 2 or self.v.size % 2 != 0:
             raise InvalidInputError("v must have even length 2k >= 2")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("spoke exponents must be finite")
         object.__setattr__(self, "c0", checked_number(self.c0, "c0", above=1))
         object.__setattr__(self, "target_volume", checked_number(self.target_volume, "target volume", above=0))
-        object.__setattr__(self, "v", v)
-        v.flags.writeable = False
         with np.errstate(over="ignore"):
             lengths = self.spoke_lengths
             if not np.all(np.isfinite(lengths)):
@@ -382,10 +369,8 @@ def qi_verify(
     trig = _spoke_trig(spec_v, angles)
     _warn_if_wide(spec_v)
     _warn_if_wide(spec_w)
-    radii_v = _radii_from_trig(spec_v, *trig)
-    radii_w = _radii_from_trig(spec_w, *trig)
-    _check_radii(radii_v)
-    _check_radii(radii_w)
+    radii_v = _radii(_radii_from_trig(spec_v, *trig))
+    radii_w = _radii(_radii_from_trig(spec_w, *trig))
     ld = math.log(_radial_delta(radii_v, radii_w))
     linf = float(np.max(np.abs(spec_v.v - spec_w.v)))
     lower = linf - tol

@@ -261,7 +261,7 @@ def test_malformed_element_values_exit_two(tmp_path, capsys):
     assert main(["growth", obj, good]) == 2
     assert main(["norm", obj, good]) == 2
     assert main(["ham2dom", obj]) == 2
-    assert capsys.readouterr().err.count("error: bad grid element payload") == 4
+    assert capsys.readouterr().err.count("error: a grid element must be an array of numbers\n") == 4
 
 
 def test_out_of_range_candidate_permutation_exits_two(tmp_path, capsys):
@@ -413,7 +413,7 @@ def test_half_dim_beyond_a_double_exits_two(tmp_path, capsys):
     form = {"weights": [1.0, 1.0, 1.0], "half_dim": 10**400, "f": [0.0, 0.5, 1.0]}
     f = write(tmp_path / "f.json", form)
     assert main(["dcbm-forms", f, f]) == 2
-    assert "half dimension" in capsys.readouterr().err
+    assert "half_dim must be an integer in [1, " in capsys.readouterr().err
 
 
 def test_radial_set_of_dimension_439_loads(tmp_path, capsys):
@@ -648,7 +648,7 @@ def test_l_max_past_the_float_range_exits_two(tmp_path, capsys):
     # the product check divides by l_max as a double
     a, b = growth_files(tmp_path)
     assert main(["growth", a, b, "--method", "prime-pairs", "--l-max", str(10**400)]) == 2
-    assert "l_max must be representable as a double" in capsys.readouterr().err
+    assert "l_max must be an integer in [1, " in capsys.readouterr().err
 
 
 def test_l_max_with_exponents_inside_the_search_bound(tmp_path, capsys):
@@ -665,6 +665,11 @@ def test_l_max_with_exponents_past_the_search_bound_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("exponent search exceeded bound") == 2
 
 
+def test_a_bad_vector_literal_exits_two(capsys):
+    assert main(["skeleton", "--v", "abc"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad vector literal 'abc': ")
+
+
 def test_nan_fiber_direction_exits_two(tmp_path, capsys):
     directions = GRID.directions.tolist()
     directions[5] = [math.nan, math.nan]
@@ -672,7 +677,7 @@ def test_nan_fiber_direction_exits_two(tmp_path, capsys):
     u = tmp_path / "u.json"
     u.write_text(json.dumps(payload))  # json writes NaN
     assert main(["squeezable", str(u)]) == 2
-    assert "unit vectors" in capsys.readouterr().err
+    assert "directions must be a 2-D array of finite numbers" in capsys.readouterr().err
 
 
 def test_consecutive_calls_match_fresh_processes(tmp_path, capsys):

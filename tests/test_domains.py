@@ -17,7 +17,7 @@ from cbmlab.domains import (
     rescale_cover,
     rgr_vs_cbm,
 )
-from cbmlab.errors import InvalidInputError, InvariantViolation, PreconditionError
+from cbmlab.errors import InvalidInputError, InvariantViolation
 from cbmlab.starshape import DirectionGrid, RadialSet, ball, scale
 
 GRID = DirectionGrid.uniform_circle(256)
@@ -231,11 +231,13 @@ class TestHamiltonianBridge:
         assert np.all(d2.fiber.radii <= d1.fiber.radii)
 
     def test_positivity_required(self):
-        with pytest.raises(PreconditionError):
+        # the array rule's positivity, an input error, exits 2 as the precondition did
+        message = "^hamiltonian samples must be a 1-D array of finite numbers > 0$"
+        with pytest.raises(InvalidInputError, match=message):
             hamiltonian_to_domain(np.zeros(64))
         bad = np.ones(64)
         bad[5] = -0.25
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidInputError, match=message):
             hamiltonian_to_domain(bad)
 
 
@@ -269,13 +271,13 @@ class TestRgrVsCbm:
             rgr_vs_cbm(1.0, 2.0)
 
     @pytest.mark.parametrize("bad", [0.0, -0.25, math.inf])
-    def test_a_generator_off_the_positive_isotopies_is_rejected_by_its_domain(self, bad):
-        # the Hamiltonian's own check decides, not the order oracle's or the element's
+    def test_a_generator_off_the_positive_isotopies_is_rejected_by_its_contract(self, bad):
+        # each generator's own array contract decides, not the order oracle's or the element's
         h = np.full(64, 1.5)
         weak = h.copy()
         weak[3] = bad
-        for h1, h2 in ((weak, h), (h, weak)):
-            with pytest.raises(PreconditionError, match="positive contact isotopy"):
+        for h1, h2, name in ((weak, h, "h1"), (h, weak, "h2")):
+            with pytest.raises(InvalidInputError, match=f"^{name} must be a 1-D array of finite numbers > 0$"):
                 rgr_vs_cbm(h1, h2)
 
     @pytest.mark.parametrize(

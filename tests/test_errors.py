@@ -8,7 +8,7 @@ from cbmlab.domains import hamiltonian_to_domain, rgr_vs_cbm
 from cbmlab.errors import InvalidInputError
 from cbmlab.forms import ContactFormRep, ContactMapRep, SampledManifold
 from cbmlab.ordered import Element, OrderedModel
-from cbmlab.serialize import domain_from_dict
+from cbmlab.serialize import domain_from_dict, element_values_from_json
 from cbmlab.starshape import (
     DirectionGrid,
     RadialSet,
@@ -46,6 +46,28 @@ ENTRIES = {
     ),
     "rgr_vs_cbm-h1": ("h1", lambda v: np.array([rgr_vs_cbm(v, [2, 1] * 32).d_order]), [1, 2] * 32, False),
     "rgr_vs_cbm-h2": ("h2", lambda v: np.array([rgr_vs_cbm([2, 1] * 32, v).d_order]), [1, 2] * 32, False),
+    "element_values_from_json": ("a grid element", element_values_from_json, [1, 2, 3], False),
+}
+
+# each entry's array contract, as (dimension, finite, positive): the one
+# errors.checked_array call that states it, and nothing else, rejects an
+# array of any other dimension, a non-finite entry if finite, and an entry of
+# 0 or below if positive, with a message that starts with the array's name
+ARRAYS = {
+    "Element": (1, True, False),
+    "OrderedModel.element": (1, True, False),
+    "DirectionGrid": (2, True, False),
+    "DirectionGrid.from_angles": (1, True, False),
+    "RadialSet": (1, True, True),  # a bounded set with 0 in its interior
+    "SkeletonSpec": (1, True, False),
+    "lshape_array": (1, False, False),  # maps NaN to (NaN, 1), as its docstring says
+    "SampledManifold": (1, True, True),
+    "ContactFormRep": (1, True, False),
+    "ContactMapRep": (1, True, False),  # a non-finite entry is no integer
+    "hamiltonian_to_domain": (1, True, True),  # a positive contact isotopy
+    "rgr_vs_cbm-h1": (1, True, True),
+    "rgr_vs_cbm-h2": (1, True, True),
+    "element_values_from_json": (1, True, False),
 }
 
 
@@ -92,16 +114,30 @@ def test_numbers_load_bit_for_bit_as_floats_or_integers(entry):
         assert built.dtype == reference.dtype and built.tobytes() == reference.tobytes()
 
 
-def test_a_multiplicative_element_is_a_number():
-    m = OrderedModel.multiplicative()
-    for value in (True, np.True_, "2.5", [2.5]):
-        with pytest.raises(InvalidInputError, match="^a multiplicative element must be a number, not "):
-            m.element(value)
-    with pytest.raises(InvalidInputError, match="^a multiplicative element must be a number in the float"):
-        m.element(10**400)
-    reference = m.element(2.0).data.tobytes()
-    for value in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
-        assert m.element(value).data.tobytes() == reference
+def test_every_entry_has_an_array_contract():
+    assert ARRAYS.keys() == ENTRIES.keys()
+
+
+@pytest.mark.parametrize("entry", ARRAYS)
+def test_every_array_meets_its_contract(entry):
+    # the message states the contract; an integer is finite by type, so a
+    # permutation's non-finite entry is rejected as no integer
+    name, build, good, integer = ENTRIES[entry]
+    dimension, finite, positive = ARRAYS[entry]
+    kinds = "integers" if integer else "finite " * finite + "numbers"
+    contract = f"{name} must be a {dimension}-D array of {kinds}{' > 0' * positive}"
+    build(good)
+    for value in (np.asarray(good)[0], [good]):  # one dimension fewer, one more
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(contract)}$"):
+            build(value)
+    non_finite = [with_first_one_as(good, x) for x in (math.nan, math.inf, -math.inf)]
+    if not finite:
+        for value in non_finite:
+            build(value)
+    signs = [with_first_one_as(good, x) for x in (0, -1)] if positive else []
+    for value in (non_finite if finite else []) + signs:
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be "):
+            build(value)
 
 
 def spec_values(spec):
@@ -146,11 +182,13 @@ def test_every_scalar_is_a_finite_number_above_its_bound(entry):
     # numpy and float() read True as 1 and parse "1.5"; 10**400 overflows float()
     name, build, good, bound = SCALARS[entry]
     build(good)
-    bad = [True, np.True_, "1.5", 10**400, math.nan, math.inf, -math.inf]
-    if bound is not None:
-        bad += [bound, bound - 1]
-    for value in bad:
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be "):
+    out_of_range = [math.nan, math.inf, -math.inf] + ([] if bound is None else [bound, bound - 1])
+    for value, message in (
+        *[(v, "must be a number, not ") for v in (True, np.True_, "1.5", [2.5])],
+        (10**400, "must be a number in the float range"),
+        *[(v, "must be a finite number") for v in out_of_range],
+    ):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} {message}"):
             build(value)
 
 
@@ -158,7 +196,7 @@ def test_every_scalar_is_a_finite_number_above_its_bound(entry):
 def test_scalars_load_bit_for_bit_as_floats(entry):
     _, build, good, _ = SCALARS[entry]
     reference = build(float(good))
-    for value in (good, np.int64(good), np.float32(good)):
+    for value in (good, np.int64(good), np.float32(good), np.float64(good)):
         built = build(value)
         assert built.dtype == reference.dtype and built.tobytes() == reference.tobytes()
 

@@ -242,7 +242,7 @@ class TestOracle:
 
     def test_non_finite_element_is_rejected(self):
         for bad in ([math.inf, 1.0], [1.0, math.nan], [[1.0, 2.0]]):
-            with pytest.raises(InvalidInputError, match="1-D array of finite site values"):
+            with pytest.raises(InvalidInputError, match="^an element must be a 1-D array of finite numbers$"):
                 Element(np.array(bad))
 
     def test_an_element_owns_a_read_only_copy(self):
@@ -256,7 +256,7 @@ class TestOracle:
         a = m.element([1e10])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on the way
-            with pytest.raises(InvalidInputError, match="finite site values"):
+            with pytest.raises(InvalidInputError, match="^an element must be a 1-D array of finite numbers$"):
                 m.power(a, 10**300)
 
     def test_an_exponent_past_the_float_range_is_one_input_error(self):
@@ -264,7 +264,7 @@ class TestOracle:
         m = OrderedModel.additive(1)
         a = m.element([1.0])
         for k in (10**400, -(10**400)):
-            with pytest.raises(InvalidInputError, match="exponent"):
+            with pytest.raises(InvalidInputError, match=r"^k must be an integer in \[-"):
                 m.power(a, k)
 
     def test_a_sum_past_the_float_range_is_one_input_error(self):
@@ -272,7 +272,7 @@ class TestOracle:
         a = m.element([1e308, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on the way
-            with pytest.raises(InvalidInputError, match="finite site values"):
+            with pytest.raises(InvalidInputError, match="^an element must be a 1-D array of finite numbers$"):
                 m.compose(a, a)
 
     def test_constant_comparison(self):
@@ -1047,7 +1047,7 @@ class TestGrowthDistance:
         largest = int(sys.float_info.max)
         report = growth_distance(m, a, b, largest, Method.PRIME_PAIRS, prime_bound=100)
         assert report.l_max == largest
-        with pytest.raises(InvalidInputError, match="representable as a double"):
+        with pytest.raises(InvalidInputError, match=r"^l_max must be an integer in \[1, "):
             growth_distance(m, a, b, largest + 1, Method.PRIME_PAIRS, prime_bound=100)
 
 

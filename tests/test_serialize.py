@@ -112,6 +112,11 @@ def test_non_finite_rejected_inside_arrays_and_float_lists(value):
         dumps_report({"x": value})
 
 
+def test_an_object_of_no_json_type_is_rejected():
+    with pytest.raises(InvalidInputError, match="^cannot serialize object of type object$"):
+        dumps_report({"x": object()})
+
+
 def own_direction_grid(dimension):
     """A grid of 64 distinct unit directions in R^dimension, not a default grid;
     in R^1 they are ±1 moved apart within the unit-vector tolerance."""
@@ -208,7 +213,7 @@ def test_float_arrays_read_numbers_as_floats_and_reject_booleans_and_strings(row
 
 
 def test_float_arrays_past_the_float_range_are_rejected():
-    with pytest.raises(InvalidInputError, match="bad grid element payload"):
+    with pytest.raises(InvalidInputError, match="^a grid element must be an array of numbers$"):
         serialize.element_values_from_json([1.0, 10**400])
 
 
@@ -251,3 +256,11 @@ def test_form_site_count_consistency():
     }
     with pytest.raises(InvalidInputError):
         form_from_dict(manifold_payload)
+
+
+def test_a_payload_without_its_array_names_the_missing_key():
+    manifold = SampledManifold(np.ones(4), half_dim=2)
+    with pytest.raises(InvalidInputError, match="^bad contact-form payload: 'f'$"):
+        form_from_dict({"weights": [1.0] * 4, "half_dim": 2})
+    with pytest.raises(InvalidInputError, match="^bad candidate-map payload: 'perm'$"):
+        map_from_dict({}, manifold)

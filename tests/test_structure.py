@@ -11,11 +11,8 @@ import numpy as np
 
 import cbmlab
 from cbmlab import acceptance, serialize
-from cbmlab.forms import ContactFormRep, ContactMapRep, SampledManifold
-from cbmlab.ordered import Element
-from cbmlab.starshape import DirectionGrid, RadialSet, SkeletonSpec
 from test_acceptance import SEED7_REPORT_SHA256
-from test_errors import SCALARS
+from test_errors import ARRAYS, ENTRIES, SCALARS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(cbmlab.__file__).parent
@@ -272,22 +269,77 @@ def test_the_benchmark_pins_the_seed7_report(monkeypatch):
     assert load(BENCH / "run.py").ACCEPT_SEED7 == (1627, SEED7_REPORT_SHA256)
 
 
+# the array entries whose build returns no array that a value object keeps
+KEEP_NO_ARRAY = {
+    "lshape_array": "returns a new embedding",
+    "rgr_vs_cbm-h1": "returns a report",
+    "rgr_vs_cbm-h2": "returns a report",
+}
+
+
 def test_value_objects_keep_read_only_copies_of_the_callers_arrays():
-    # building a value object leaves the caller's array writeable and keeps a
-    # frozen copy that no later write by the caller can reach
-    grid = DirectionGrid.uniform_circle(64)
-    manifold = SampledManifold(np.full(4, 0.5), half_dim=2)
-    builders = {
-        "Element": (lambda a: Element(a).data, np.array([1.0, 2.0])),
-        "DirectionGrid": (lambda a: DirectionGrid(a).directions, grid.directions.copy()),
-        "RadialSet": (lambda a: RadialSet(grid, a).radii, np.ones(64)),
-        "SkeletonSpec": (lambda a: SkeletonSpec(a, 10.0).v, np.array([0.5, 1.0, 0.0, 2.0, 0.3, 1.1])),
-        "SampledManifold": (lambda a: SampledManifold(a, half_dim=2).weights, np.full(4, 0.5)),
-        "ContactFormRep": (lambda a: ContactFormRep(manifold, a).f, np.zeros(4)),
-        "ContactMapRep": (lambda a: ContactMapRep(manifold, a).perm, np.array([1, 0, 3, 2])),
+    # every array entry of test_errors.py leaves the caller's array writeable
+    # and keeps a frozen copy that no later write by the caller can reach
+    assert set(KEEP_NO_ARRAY) < set(ARRAYS)
+    for entry in ARRAYS.keys() - KEEP_NO_ARRAY.keys():
+        _, build, good, integer = ENTRIES[entry]
+        arr = np.array(good, dtype=np.int64 if integer else float)
+        kept = build(arr)
+        assert arr.flags.writeable, entry
+        assert not kept.flags.writeable, entry
+        assert not np.shares_memory(arr, kept), entry
+
+
+def checks_an_array(node):
+    return any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "checked_array"
+               for call in ast.walk(node))
+
+
+def array_contract_checks(tree):
+    """(line, name) of every finiteness or sign test, in the condition of an
+    ``if`` that raises, of a name or ``self`` field the module binds to a
+    checked_array result."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and checks_an_array(node.value):
+            read |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+        elif (  # object.__setattr__(self, "field", checked_array(...))
+            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__setattr__"
+            and len(node.args) == 3 and checks_an_array(node.args[2])
+        ):
+            read.add(node.args[1].value)
+
+    def is_read(node):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+            return node.attr in read
+        return isinstance(node, ast.Name) and node.id in read
+
+    def is_bound(node):  # 0, or another number, or inf
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) or (
+            isinstance(node, ast.Attribute) and node.attr == "inf"
+        )
+
+    found = []
+    for check in ast.walk(tree):
+        if not (isinstance(check, ast.If) and any(isinstance(stmt, ast.Raise) for stmt in check.body)):
+            continue
+        for node in ast.walk(check.test):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "isfinite":
+                found += [(node.lineno, ast.unparse(arg)) for arg in node.args if is_read(arg)]
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(is_bound, sides)):
+                    found += [(node.lineno, ast.unparse(side)) for side in sides if is_read(side)]
+    return found
+
+
+def test_errors_holds_the_one_array_rule():
+    # an input array's finiteness and sign are its contract, stated in the one
+    # errors.checked_array call; a test of them after that call is a second rule
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        and (hits := array_contract_checks(ast.parse(path.read_text(encoding="utf-8"))))
     }
-    for name, (kept_of, arr) in builders.items():
-        kept = kept_of(arr)
-        assert arr.flags.writeable, name
-        assert not kept.flags.writeable, name
-        assert not np.shares_memory(arr, kept), name
+    assert offenders == {}
