@@ -164,8 +164,7 @@ def cmd_squeezable(args) -> dict:
 
 
 def cmd_ham2dom(args) -> dict:
-    values = serialize.element_values_from_json(_load(args.h))
-    result = hamiltonian_to_domain(values)
+    result = hamiltonian_to_domain(_load(args.h))
     out = result.to_json_dict()
     out["fiber"] = serialize.radial_set_to_dict(result.fiber)
     return out

@@ -59,7 +59,9 @@ def checked_int(value, name: str, least: int | None = None, most: int | None = N
         value = int(value)
         if (least is None or value >= least) and (most is None or value <= most):
             return value
-    bounds = "" if least is None else f" >= {least}" if most is None else f" in [{least}, {most}]"
+    # a bound past int64 prints as the double it equals, not in its hundreds of digits
+    low, high = (b if b is None or -(2**63) <= b < 2**63 else float(b) for b in (least, most))
+    bounds = "" if least is None else f" >= {low}" if most is None else f" in [{low}, {high}]"
     try:
         shown = f"{value!r:.40}"
     except ValueError:  # an int past the interpreter's limit on digits converted to text

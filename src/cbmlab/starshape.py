@@ -23,8 +23,8 @@ DEFAULT_GRID_COUNT = 1024
 MAX_GRID_COUNT = 10**6
 _UNIT_TOL = 1e-12
 _FAN = 48  # fan angles on each side of a spoke
-# most (sample angle, spoke) pairs in one skeleton's trig arrays; checked
-# before they are allocated
+# most (sample angle, spoke) pairs one skeleton evaluates, checked before any
+# angle is built; it bounds work, as the radii take memory linear in the angles
 MAX_SPOKE_SAMPLES = 2**24
 DEFAULT_C0 = 10.0
 DEFAULT_TARGET_VOLUME = 1.0
@@ -239,24 +239,23 @@ def _check_spoke_samples(angle_count: int, spoke_count: int) -> None:
         )
 
 
-def _spoke_trig(spec: SkeletonSpec, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and |sin| of each angle's offset from each spoke direction, as
-    (angles, spokes) arrays; they depend on the spoke count only, so specs of
-    equal length share them. Callers check MAX_SPOKE_SAMPLES before they
-    build the angles."""
-    d = angles[:, None] - spec.spoke_angles[None, :]
-    return np.cos(d), np.abs(np.sin(d))
-
-
-def _radii_from_trig(spec: SkeletonSpec, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    h = spec.epsilon / 2.0
+def _skeleton_radii(specs: Sequence[SkeletonSpec], angles: np.ndarray) -> list[np.ndarray]:
+    """Each spec's radii at the angles, for specs of one spoke count: the most
+    of h = epsilon/2, the central disk, and min(h/|sin d|, L_i/cos d) (h/+0 is
+    +inf) over the spokes i whose offset d from the angle has cos d > 0.
+    Spoke by spoke, so memory is linear in the angle count; each spoke's cos d
+    and |sin d| serve every spec. Callers check MAX_SPOKE_SAMPLES first."""
+    halves = [spec.epsilon / 2.0 for spec in specs]
+    lengths = [spec.spoke_lengths.tolist() for spec in specs]
+    radii = [np.full(angles.shape, h) for h in halves]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # h > 0 and s = |sin| >= +0, so h/s is already +inf where s == 0
-        extent = h / s
-        np.minimum(extent, spec.spoke_lengths / c, out=extent)
-    extent[c <= 0.0] = 0.0
-    # the max over the short spoke axis runs several times faster on a contiguous transpose
-    return np.maximum(h, np.ascontiguousarray(extent.T).max(axis=0))
+        for i, phi in enumerate(specs[0].spoke_angles.tolist()):
+            d = angles - phi
+            c, s = np.cos(d), np.abs(np.sin(d))
+            ahead = c > 0.0  # a spoke behind the angle reaches only 0 < h: it leaves the radius alone
+            for h, length, out in zip(halves, lengths, radii):
+                np.maximum(out, np.minimum(h / s, length[i] / c), out=out, where=ahead)
+    return radii
 
 
 def _width_fans(spec: SkeletonSpec) -> np.ndarray:
@@ -312,7 +311,7 @@ def skeleton_region(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT) ->
     m = spec.v.size  # the angle count before deduplication, before any angle is built
     _check_spoke_samples(base_count + (1 + 2 * _FAN) * m, m)
     angles, rows = _angle_rows(skeleton_angles(spec, base_count))
-    return RadialSet(DirectionGrid(rows), _radii_from_trig(spec, *_spoke_trig(spec, angles)))
+    return RadialSet(DirectionGrid(rows), _skeleton_radii([spec], angles)[0])
 
 
 @dataclass(frozen=True)
@@ -366,11 +365,9 @@ def qi_verify(
     angles = np.mod(
         np.concatenate([skeleton_angles(spec_v, base_count), _width_fans(spec_w)]), 2.0 * math.pi
     )
-    trig = _spoke_trig(spec_v, angles)
     _warn_if_wide(spec_v)
     _warn_if_wide(spec_w)
-    radii_v = _radii(_radii_from_trig(spec_v, *trig))
-    radii_w = _radii(_radii_from_trig(spec_w, *trig))
+    radii_v, radii_w = map(_radii, _skeleton_radii([spec_v, spec_w], angles))
     ld = math.log(_radial_delta(radii_v, radii_w))
     linf = float(np.max(np.abs(spec_v.v - spec_w.v)))
     lower = linf - tol

@@ -260,8 +260,17 @@ def test_malformed_element_values_exit_two(tmp_path, capsys):
     assert main(["growth", text, good]) == 2
     assert main(["growth", obj, good]) == 2
     assert main(["norm", obj, good]) == 2
-    assert main(["ham2dom", obj]) == 2
-    assert capsys.readouterr().err.count("error: a grid element must be an array of numbers\n") == 4
+    assert capsys.readouterr().err.count("error: a grid element must be an array of numbers\n") == 3
+
+
+def test_a_bad_hamiltonian_sample_exits_two_with_one_message(tmp_path, capsys):
+    # the samples are read once, by hamiltonian_to_domain's array contract
+    for sample in (math.nan, 0.0, -1.0, "x"):
+        h = write(tmp_path / "h.json", [sample] + [1.0] * 63)
+        assert main(["ham2dom", h]) == 2
+        assert capsys.readouterr().err.startswith("error: hamiltonian samples must be")
+    assert main(["ham2dom", write(tmp_path / "obj.json", {"a": 1})]) == 2
+    assert capsys.readouterr().err == "error: hamiltonian samples must be an array of numbers\n"
 
 
 def test_out_of_range_candidate_permutation_exits_two(tmp_path, capsys):

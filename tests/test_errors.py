@@ -211,3 +211,17 @@ def test_an_array_entry_may_be_nan_or_infinite_beside_an_int_past_int64():
     # finiteness is not the array rule, so lshape_array still maps the NaN
     mixed = lshape_array([2**70, math.nan, -math.inf])
     assert mixed.tobytes() == lshape_array(np.array([2.0**70, math.nan, -math.inf])).tobytes()
+
+
+def test_a_bound_past_int64_prints_as_the_double_it_equals():
+    # int(sys.float_info.max) has 309 digits; the messages name it as a double
+    model = OrderedModel.additive(2)
+    with pytest.raises(InvalidInputError) as info:
+        model.power(model.element([1.0, 1.0]), 10**400)
+    assert str(info.value) == (
+        "k must be an integer in [-1.7976931348623157e+308, 1.7976931348623157e+308], "
+        "got 1000000000000000000000000000000000000000"
+    )
+    with pytest.raises(InvalidInputError) as info:
+        SampledManifold(np.ones(2), half_dim=0)
+    assert str(info.value) == "half_dim must be an integer in [1, 1.7976931348623157e+308], got 0"

@@ -264,3 +264,11 @@ def test_a_payload_without_its_array_names_the_missing_key():
         form_from_dict({"weights": [1.0] * 4, "half_dim": 2})
     with pytest.raises(InvalidInputError, match="^bad candidate-map payload: 'perm'$"):
         map_from_dict({}, manifold)
+
+
+def test_a_domain_payload_without_a_key_names_the_missing_key():
+    # base_dim is read first, then the fiber
+    with pytest.raises(InvalidInputError, match="^bad domain payload: 'base_dim'$"):
+        domain_from_dict({})
+    with pytest.raises(InvalidInputError, match="^bad domain payload: 'fiber'$"):
+        domain_from_dict({"base_dim": 2})

@@ -409,6 +409,24 @@ class TestQiVerify:
                 tracemalloc.stop()
             assert peak < 4 * 2**20
 
+    def test_skeletons_near_the_cap_take_memory_linear_in_the_angle_count(self):
+        # 1,024 + 97 * 400 angles x 400 spokes and 1,024 + 193 * 290 angles x
+        # 290 spokes sit just under the cap; (angles, spokes) trig arrays for
+        # them would take about 500 MB
+        rng = item_rng(SEED, 14)
+        runs = (
+            lambda: skeleton_region(SkeletonSpec(rng.uniform(-1.0, 1.0, 400), 10.0)),
+            lambda: qi_verify(rng.uniform(-1.0, 1.0, 290), rng.uniform(-1.0, 1.0, 290)),
+        )
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2**20
+
     def test_each_wide_skeleton_warns(self):
         with pytest.warns(UserWarning) as record:
             qi_verify(np.zeros(4), np.full(4, 0.1), c0=1.5, target_volume=10.0)
@@ -568,13 +586,15 @@ class TestSkeletonReference:
     def test_bad_radii_are_rejected_with_the_radial_set_messages(self, monkeypatch):
         v = np.zeros(4)
         message = "^radii must be a 1-D array of finite numbers > 0$"
+        evaluate = starshape._skeleton_radii
         for bad in (np.nan, 0.0, np.inf):
-            def radii(spec, c, s, bad=bad):
-                out = _reference_radii_from_trig(spec, c, s)
-                out[5] = bad
+            def radii(specs, angles, bad=bad):
+                out = evaluate(specs, angles)
+                for r in out:
+                    r[5] = bad
                 return out
 
-            monkeypatch.setattr(starshape, "_radii_from_trig", radii)
+            monkeypatch.setattr(starshape, "_skeleton_radii", radii)
             with pytest.raises(InvalidInputError, match=message):
                 qi_verify(v, v)
         # a scale whose radii overflow to inf leaves the bounded sets
