@@ -71,7 +71,7 @@ class BoundInterval:
     upper_certificate: str
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-9:
+        if self.lower > self.upper:
             raise InvariantViolation(
                 f"certified bounds crossed: lower {self.lower} > upper {self.upper}"
             )

@@ -62,10 +62,14 @@ def checked_int(value, name: str, least: int | None = None, most: int | None = N
     # a bound past int64 prints as the double it equals, not in its hundreds of digits
     low, high = (b if b is None or -(2**63) <= b < 2**63 else float(b) for b in (least, most))
     bounds = "" if least is None else f" >= {low}" if most is None else f" in [{low}, {high}]"
-    try:
-        shown = f"{value!r:.40}"
-    except ValueError:  # an int past the interpreter's limit on digits converted to text
+    if isinstance(value, int) and not -(10**39) < value < 10**40:  # its digits pass 40 characters
         shown = f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int"
+    else:
+        try:
+            shown = repr(value)
+        except Exception:  # say, a list holding an int past the interpreter's limit on digits
+            shown = type(value).__name__
+        shown = shown if len(shown) <= 40 else f"{shown:.40}..."
     raise InvalidInputError(f"{name} must be an integer{bounds}, got {shown}")
 
 

@@ -347,8 +347,8 @@ def growth_brackets(
     return _rate_bracket(oracle, n, float(ratio.max())), _rate_bracket(partner, n, rate)
 
 
-def _prime_rate(oracle: _Oracle, prime_bound: int, table: PrimeTable | None) -> float:
-    """rho_plus_primes off one oracle of a pair of dominants."""
+def _prime_pair(oracle: _Oracle, prime_bound: int, table: PrimeTable | None) -> tuple[int, int]:
+    """rho_plus_primes's least prime pair (p, q) off one oracle of a pair of dominants."""
     if table is None or table.bound < prime_bound:
         table = prime_table(prime_bound)
     primes = table.primes
@@ -362,7 +362,8 @@ def _prime_rate(oracle: _Oracle, prime_bound: int, table: PrimeTable | None) -> 
     np.floor_divide(k_min, -den, out=k_min)  # -ceil(q*num/den)
     np.negative(k_min, out=k_min)
     ps = primes[primes.searchsorted(k_min)]  # k_min <= top: a prime <= prime_bound
-    return float(np.divide(ps, qs).min())
+    least = np.divide(ps, qs).argmin()
+    return int(ps[least]), int(qs[least])
 
 
 def rho_plus_primes(
@@ -389,7 +390,8 @@ def rho_plus_primes(
     checks that b is dominant, as it checks a.
     """
     prime_bound = checked_int(prime_bound, "prime_bound", least=2)
-    return _prime_rate(_oracles(model, a, b, negated=False)[0], prime_bound, table)
+    p, q = _prime_pair(_oracles(model, a, b, negated=False)[0], prime_bound, table)
+    return p / q
 
 
 @dataclass(frozen=True)
@@ -426,30 +428,26 @@ def growth_distance(
 
     Both rates, of b against a and of a against b, are extremes of the one
     site-ratio array b/a: its maximum and the reciprocal of its minimum. So
-    every method builds both oracles from one site pass, growth_brackets for
-    the limit sequence and the pair infimum, and the prime-pair rate for the
-    prime pairs. Each rate is rho_plus's, or rho_plus_primes's, bit for bit,
-    with the same checks. The oracle builder checks that a and b are both
-    dominant, with one message, before any bracket or sieve.
+    every method builds both oracles from one site pass. Each rate is
+    rho_plus's, or rho_plus_primes's, bit for bit: the p/q of an integer
+    pair at least its threshold, max(b/a) or max(a/b), whose product is at
+    least 1, so p*p' >= q*q' is checked exactly. The oracle builder checks
+    that a and b are both dominant before any bracket or sieve.
     """
     if not isinstance(method, Method):
         raise InvalidInputError(f"method must be a member of Method, got {method!r}")
-    # the product check's tolerance 2/l_max needs it under every method
-    l_max = checked_int(l_max, "l_max", 1, _DOUBLE_MAX)
+    l_max = checked_int(l_max, "l_max", least=1)
     if method is Method.PRIME_PAIRS:
         prime_bound = checked_int(prime_bound, "prime_bound", least=2)
-        rp, rm = (_prime_rate(oracle, prime_bound, None) for oracle in _oracles(model, a, b, negated=False))
+        (p, q), (p_m, q_m) = (_prime_pair(o, prime_bound, None) for o in _oracles(model, a, b, negated=False))
     else:
         ((p, q), _), ((p_m, q_m), _) = growth_brackets(model, a, b, l_max)
         if method is Method.LIMIT_SEQUENCE:
-            rp, rm = -(-l_max * p // q) / l_max, -(-l_max * p_m // q_m) / l_max
-        else:
-            rp, rm = p / q, p_m / q_m
-    if rp * rm < 1.0 - 2.0 / l_max:
-        raise InvariantViolation(
-            f"growth-rate product inequality failed: {rp} * {rm} < 1 - 2/{l_max}"
-        )
-    gamma = max(abs(rp), abs(rm))
+            (p, q), (p_m, q_m) = (-(-l_max * p // q), l_max), (-(-l_max * p_m // q_m), l_max)
+    if p * p_m < q * q_m:
+        raise InvariantViolation(f"growth-rate product inequality failed: {p}/{q} * {p_m}/{q_m} < 1")
+    rp, rm = p / q, p_m / q_m
+    gamma = max(rp, rm)
     return GrowthRateReport(
         rho_plus=rp,
         rho_minus=rm,

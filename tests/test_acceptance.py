@@ -13,6 +13,7 @@ from pathlib import Path
 from cbmlab import acceptance
 from cbmlab.cli import main
 from cbmlab.primes import PrimeTable, prime_table
+from test_ordered import count_oracle_calls
 
 SEED = 7
 SEED7_REPORT_BYTES = 1627
@@ -127,6 +128,13 @@ def test_12_cli_determinism(tmp_path, capsys):
     assert len(b1) == SEED7_REPORT_BYTES
     assert hashlib.sha256(b1).hexdigest() == SEED7_REPORT_SHA256
     print(f"ACCEPT 12-cli-determinism: PASS (byte-identical, {len(b1)} bytes)")
+
+
+def test_seed7_oracle_work_is_pinned(monkeypatch):
+    # oracle calls and site passes follow from the descents alone, so they hold on every machine
+    counts = count_oracle_calls(monkeypatch)
+    acceptance.run_acceptance(SEED)
+    assert counts == [3604, 1051]
 
 
 def test_the_report_config_is_the_one_the_items_are_tested_and_streamed_at(tmp_path, monkeypatch):

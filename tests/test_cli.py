@@ -646,7 +646,7 @@ def test_seed_outside_the_philox_key_range_exits_two(seed):
 
 
 def test_prime_pairs_with_a_non_positive_l_max_exits_two(tmp_path, capsys):
-    # the product check divides by l_max, which the prime-pair method does not use otherwise
+    # l_max is checked under every method, though the prime-pair method only reports it
     a, b = growth_files(tmp_path)
     for l_max in ("0", "-1"):
         assert main(["growth", a, b, "--method", "prime-pairs", "--l-max", l_max]) == 2
@@ -654,10 +654,15 @@ def test_prime_pairs_with_a_non_positive_l_max_exits_two(tmp_path, capsys):
 
 
 def test_l_max_past_the_float_range_exits_two(tmp_path, capsys):
-    # the product check divides by l_max as a double
+    # no double is derived from l_max: the bracket methods meet the search
+    # bound, and the prime-pair method only reports it
     a, b = growth_files(tmp_path)
-    assert main(["growth", a, b, "--method", "prime-pairs", "--l-max", str(10**400)]) == 2
-    assert "l_max must be an integer in [1, " in capsys.readouterr().err
+    assert main(["growth", a, b, "--l-max", str(10**400)]) == 2
+    assert "exponent search exceeded bound" in capsys.readouterr().err
+    argv = ["growth", a, b, "--method", "prime-pairs", "--l-max"]
+    (code, report), (big_code, big) = (run(capsys, *argv, l_max) for l_max in ("1000", str(10**400)))
+    assert (code, big_code) == (0, 0)
+    assert big == dict(report, l_max=10**400)
 
 
 def test_l_max_with_exponents_inside_the_search_bound(tmp_path, capsys):

@@ -264,6 +264,15 @@ class TestRgrVsCbm:
             assert report.d_order >= report.d_cbm - report.tol
             assert report.gap <= 3.0 / 500
 
+    def test_the_radii_path_may_round_above_the_order_distance(self):
+        # the ratio 1.3804397583007812 / 0.9808387756347656 is exactly 38/27,
+        # the upper end of the order bracket, but d_cbm reads the radii 1/h,
+        # which round above the correctly rounded ratio: an exact containment
+        # of d_cbm in the order bracket would reject this valid pair
+        report = rgr_vs_cbm(np.full(64, 0.9808387756347656), np.full(64, 1.3804397583007812))
+        assert report.d_order == math.log(38 / 27)
+        assert report.d_cbm > report.d_order
+
     def test_site_mismatch(self):
         with pytest.raises(InvalidInputError):
             rgr_vs_cbm(np.ones(64), np.ones(128))
@@ -302,3 +311,10 @@ class TestRgrVsCbm:
 def test_crossed_bounds_are_a_violation():
     with pytest.raises(InvariantViolation, match="crossed"):
         BoundInterval(1.0, 0.0, "", "")
+
+
+def test_bounds_crossed_by_one_ulp_are_a_violation():
+    x = math.log(2.0)
+    assert BoundInterval(x, x, "", "").lower == x
+    with pytest.raises(InvariantViolation, match="crossed"):
+        BoundInterval(math.nextafter(x, math.inf), x, "", "")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cbmlab.domains import hamiltonian_to_domain, rgr_vs_cbm
-from cbmlab.errors import InvalidInputError
+from cbmlab.errors import InvalidInputError, checked_int
 from cbmlab.forms import ContactFormRep, ContactMapRep, SampledManifold
 from cbmlab.ordered import Element, OrderedModel
 from cbmlab.serialize import domain_from_dict, element_values_from_json
@@ -220,8 +220,32 @@ def test_a_bound_past_int64_prints_as_the_double_it_equals():
         model.power(model.element([1.0, 1.0]), 10**400)
     assert str(info.value) == (
         "k must be an integer in [-1.7976931348623157e+308, 1.7976931348623157e+308], "
-        "got 1000000000000000000000000000000000000000"
+        "got a 1329-bit int"
     )
     with pytest.raises(InvalidInputError) as info:
         SampledManifold(np.ones(2), half_dim=0)
     assert str(info.value) == "half_dim must be an integer in [1, 1.7976931348623157e+308], got 0"
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        # an int whose digits pass 40 characters is named by its bit length
+        pytest.param(10**40, "a 133-bit int", id="41-digits"),
+        pytest.param(-(10**39), "a negative 130-bit int", id="negative-40-digits"),
+        pytest.param(10**400, "a 1329-bit int", id="401-digits"),
+        # the longest ints that fit are printed whole
+        pytest.param(10**40 - 1, "9" * 40, id="40-digits"),
+        pytest.param(-(10**39) + 1, "-" + "9" * 39, id="negative-39-digits"),
+        # a repr cut at 40 characters ends in "..."
+        pytest.param("x" * 50, "'" + "x" * 39 + "...", id="long-string"),
+        pytest.param([1.5] * 20, "[1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5,...", id="long-list"),
+        # a value whose repr fails is named by its type
+        pytest.param([10**5000], "list", id="list-of-an-int-too-long-to-print"),
+        pytest.param({"k": 10**5000}, "dict", id="dict-of-an-int-too-long-to-print"),
+    ],
+)
+def test_a_rejected_integer_is_described_safely(value, shown):
+    with pytest.raises(InvalidInputError) as info:
+        checked_int(value, "k", -1, 1)
+    assert str(info.value) == f"k must be an integer in [-1, 1], got {shown}"

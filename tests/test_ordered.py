@@ -961,6 +961,14 @@ class TestRhoPlusPrimes:
         assert (ends - firsts).min() == 0  # tight, at m = 1 and m = 8
 
 
+def substitute_rate_pairs(monkeypatch, pairs):
+    """Make every method of growth_distance read its two rates off ``pairs``:
+    the brackets' upper ends, and the prime pairs in the order they are asked for."""
+    monkeypatch.setattr(ordered, "growth_brackets", lambda *args: tuple((pair, (0, 1)) for pair in pairs))
+    rest = iter(pairs)
+    monkeypatch.setattr(ordered, "_prime_pair", lambda *args: next(rest))
+
+
 class TestGrowthDistance:
     def test_self_distance_zero(self):
         m = OrderedModel.additive(3)
@@ -1021,34 +1029,39 @@ class TestGrowthDistance:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_rates_below_the_product_inequality_are_a_violation(self, method, monkeypatch):
-        # rates of 1/2 each way give the product 1/4, far below 1 - 2/l_max
-        # the bracket 1/2 gives 1/2 as pair infimum and as limit estimate at l_max = 100
-        monkeypatch.setattr(ordered, "growth_brackets", lambda *args: (((1, 2), (0, 1)),) * 2)
-        monkeypatch.setattr(ordered, "_prime_rate", lambda *args: 0.5)
-        m = OrderedModel.additive(2)
-        a = m.element([1.0, 1.0])
-        with pytest.raises(InvariantViolation, match="product inequality"):
-            growth_distance(m, a, a, 100, method)
+        # rates of 1/2 each way give the product 1/4, far below 1; at l_max = 4
+        # the rates 1 and 1/2 give exactly 1 - 2/l_max, which a float check
+        # with that tolerance would pass. Under the limit sequence the brackets
+        # give ceil(l_max*p/q)/l_max, the same rates
+        for l_max, pairs in ((100, ((1, 2), (1, 2))), (4, ((1, 1), (1, 2)))):
+            substitute_rate_pairs(monkeypatch, pairs)
+            m = OrderedModel.additive(2)
+            a = m.element([1.0, 1.0])
+            with pytest.raises(InvariantViolation, match="product inequality"):
+                growth_distance(m, a, a, l_max, method)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_rates_at_the_product_inequality_bound_hold(self, method, monkeypatch):
-        # at l_max = 4 the rates 1 and 1/2 give the product 1/2 = 1 - 2/4 exactly, which holds
-        monkeypatch.setattr(ordered, "growth_brackets", lambda *args: (((1, 1), (0, 1)), ((1, 2), (0, 1))))
-        rates = iter((1.0, 0.5))
-        monkeypatch.setattr(ordered, "_prime_rate", lambda *args: next(rates))
+        # the pairs 2/1 and 1/2 give the integer product 2 * 1 = 1 * 2 exactly, which holds
+        substitute_rate_pairs(monkeypatch, ((2, 1), (1, 2)))
         m = OrderedModel.additive(2)
         a = m.element([1.0, 1.0])
         report = growth_distance(m, a, a, 4, method)
-        assert (report.rho_plus, report.rho_minus) == (1.0, 0.5)
+        assert (report.rho_plus, report.rho_minus, report.gamma) == (2.0, 0.5, 2.0)
 
     def test_l_max_at_the_largest_double_is_accepted(self):
+        # no double is derived from l_max, so it has no float cap: under prime
+        # pairs it is only reported, and under the brackets a large one meets
+        # the search bound
         m = OrderedModel.additive(2)
         a, b = m.element([1.0, 1.0]), m.element([2.0, 1.0])
-        largest = int(sys.float_info.max)
-        report = growth_distance(m, a, b, largest, Method.PRIME_PAIRS, prime_bound=100)
-        assert report.l_max == largest
-        with pytest.raises(InvalidInputError, match=r"^l_max must be an integer in \[1, "):
-            growth_distance(m, a, b, largest + 1, Method.PRIME_PAIRS, prime_bound=100)
+        rates = vars(growth_distance(m, a, b, 1000, Method.PRIME_PAIRS, prime_bound=100))
+        for l_max in (int(sys.float_info.max), int(sys.float_info.max) + 1, 10**400):
+            report = growth_distance(m, a, b, l_max, Method.PRIME_PAIRS, prime_bound=100)
+            assert vars(report) == dict(rates, l_max=l_max)
+        for method in (Method.PAIR_INFIMUM, Method.LIMIT_SEQUENCE):
+            with pytest.raises(SearchBoundError):
+                growth_distance(m, a, b, 10**400, method)
 
 
 def outcome(call, *args):
