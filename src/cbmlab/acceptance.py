@@ -305,13 +305,13 @@ def item_bridge(seed: int, cfg: dict) -> dict:
     )
     worst_gap = 0.0
     all_hold = True
+    tol = 3.0 / cfg["l_max"]
     for _ in range(50):
         h1 = quantized(rng, 0.5, 2.5, 64)
         h2 = quantized(rng, 0.5, 2.5, 64)
         report = rgr_vs_cbm(h1, h2, l_max=cfg["l_max"])
         worst_gap = max(worst_gap, report.gap)
-        all_hold = all_hold and report.d_order >= report.d_cbm - report.tol
-    tol = 3.0 / cfg["l_max"]
+        all_hold = all_hold and report.d_order >= report.d_cbm - tol
     return {
         "passed": unit_ok and all_hold and worst_gap <= tol,
         "unit_hamiltonian_ok": unit_ok,

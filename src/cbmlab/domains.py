@@ -5,13 +5,14 @@ Hamiltonians to fiberwise star-shaped domains."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int
-from .ordered import DEFAULT_L_MAX, Method, OrderedModel, OrderVariant, growth_distance
-from .starshape import DirectionGrid, RadialSet, log_delta, scale
+from .ordered import DEFAULT_L_MAX, OrderedModel, OrderVariant, growth_brackets
+from .starshape import DirectionGrid, RadialSet, delta, log_delta, scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,42 +221,38 @@ class RgrCbmReport:
     d_order: float
     d_cbm: float
     gap: float
-    tol: float
 
 
 def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
     """Check that the order distance of two positive generators, flat arrays
-    on one site set, dominates the distance of their domains, whose fibers
+    on one site set, equals the distance of their domains, whose fibers
     share the uniform circle grid with one direction per site.
 
-    In the commuting autonomous model the two sides agree: both reduce to
-    the log of the extremal ratio of the generators.
+    In the commuting autonomous model both reduce to the log of the extremal
+    ratio of the generators, so delta of the fibers must lie in the order
+    distance's Farey bracket at l_max, up to the radii path's rounding.
     """
     v1 = checked_array(h1, "h1", ndim=1, finite=True, positive=True)
     v2 = checked_array(h2, "h2", ndim=1, finite=True, positive=True)
     if v1.size != v2.size:
         raise InvalidInputError("h2 must have one sample per site of h1")
-    dom1 = hamiltonian_to_domain(v1)
-    dom2 = hamiltonian_to_domain(v2)
+    l_max = checked_int(l_max, "l_max", least=1)
+    fibers = [hamiltonian_to_domain(v).fiber for v in (v1, v2)]
     model = OrderedModel.additive(v1.shape[0], OrderVariant.STRICT_POSITIVE)
-    a, b = model.element(v1), model.element(v2)
-    report = growth_distance(model, a, b, l_max=l_max, method=Method.PAIR_INFIMUM)
-    interval = dcbm_toric(SplitToricDomain(2, dom1.fiber), SplitToricDomain(2, dom2.fiber))
-    d_cbm = interval.upper
-
-    tol = 3.0 / l_max
-    gap = abs(report.distance - d_cbm)
-    if report.distance < d_cbm - tol:
+    (top, low), (top_m, low_m) = growth_brackets(model, model.element(v1), model.element(v2), l_max)
+    # the larger end of each side, compared exactly (every q >= 1)
+    (p, q), (p_lo, q_lo) = (x if x[0] * y[1] >= y[0] * x[1] else y for x, y in ((top, top_m), (low, low_m)))
+    ratio = delta(*fibers)
+    # delta rounds three times on the radii path (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., 2.1-2.2): each radius 1/h,
+    # at least 1/(largest double) > 2^-1024, within 2^-1075, that is 2^-51
+    # relative, even when subnormal, and the radius ratio that is delta >= 1,
+    # a normal double, within 2^-53; so 2^-50 + 2^-53 + O(2^-101) < 2^-48.
+    n, d = ratio.as_integer_ratio()
+    w = 2**48
+    if not (p_lo * d * (w - 1) <= n * q_lo * w and n * q * w <= p * d * (w + 1)):
         raise InvariantViolation(
-            f"order distance {report.distance} fell below domain distance {d_cbm} - {tol}"
+            f"order bracket [{p_lo}/{q_lo}, {p}/{q}] widened by 2^-48 misses the domain ratio {ratio!r}"
         )
-    if gap > tol:
-        raise InvariantViolation(
-            f"commuting-model equality failed: |{report.distance} - {d_cbm}| > {tol}"
-        )
-    return RgrCbmReport(
-        d_order=report.distance,
-        d_cbm=d_cbm,
-        gap=gap,
-        tol=tol,
-    )
+    d_order, d_cbm = math.log(p / q), math.log(ratio)
+    return RgrCbmReport(d_order=d_order, d_cbm=d_cbm, gap=abs(d_order - d_cbm))

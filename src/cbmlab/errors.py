@@ -13,6 +13,7 @@ read-only copy, so no later write by the caller reaches it.
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -47,6 +48,9 @@ class PrimePairError(CbmlabError):
 
 class InvariantViolation(CbmlabError):
     """A mathematically guaranteed relation failed numerically (build bug)."""
+
+
+DOUBLE_MAX = int(sys.float_info.max)  # the largest double, as an int
 
 
 def checked_int(value, name: str, least: int | None = None, most: int | None = None) -> int:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int, checked_number
+from .errors import DOUBLE_MAX, InvalidInputError, InvariantViolation, checked_array, checked_int, checked_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +32,7 @@ class SampledManifold:
 
     def __post_init__(self):
         # volumes scale the exponents by half_dim, as a double
-        half_dim = checked_int(self.half_dim, "half_dim", 1, int(sys.float_info.max))
+        half_dim = checked_int(self.half_dim, "half_dim", 1, DOUBLE_MAX)
         weights = checked_array(self.weights, "weights", ndim=1, finite=True, positive=True)
         object.__setattr__(self, "half_dim", half_dim)
         object.__setattr__(self, "weights", weights)

@@ -13,13 +13,13 @@ predicate k |-> (a^k >= b^l) is upward-closed in k whenever a is a dominant:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import (
+    DOUBLE_MAX,
     InvalidInputError,
     InvariantViolation,
     PreconditionError,
@@ -29,7 +29,7 @@ from .errors import (
     checked_int,
     checked_number,
 )
-from .primes import PrimeTable, prime_table
+from .primes import MAX_PRIME_BOUND, PrimeTable, prime_table
 
 DEFAULT_L_MAX = 1000
 DEFAULT_PRIME_BOUND = 10_000
@@ -37,7 +37,6 @@ DEFAULT_PRIME_BOUND = 10_000
 # benchmark's reference and the finite check in the tests still use; the pass forms none
 PRIME_WINDOW_EXPONENT = 0.6
 _SEARCH_BOUND = 10**12
-_DOUBLE_MAX = int(sys.float_info.max)  # the largest double, as an int
 _Bracket = tuple[tuple[int, int], tuple[int, int]]  # ((p, q), (p_lo, q_lo)), as _bracket returns it
 
 
@@ -119,7 +118,7 @@ class OrderedModel:
 
     def power(self, a: Element, k: int) -> Element:
         self._check(a)
-        k = checked_int(k, "k", -_DOUBLE_MAX, _DOUBLE_MAX)  # k * a.data converts k to a double
+        k = checked_int(k, "k", -DOUBLE_MAX, DOUBLE_MAX)  # k * a.data converts k to a double
         with np.errstate(over="ignore"):  # a product past the float range fails the element's own check
             data = k * a.data
         return Element(data)
@@ -389,7 +388,7 @@ def rho_plus_primes(
     else from prime_table. The pass needs num >= 1, so the oracle builder
     checks that b is dominant, as it checks a.
     """
-    prime_bound = checked_int(prime_bound, "prime_bound", least=2)
+    prime_bound = checked_int(prime_bound, "prime_bound", 2, MAX_PRIME_BOUND)
     p, q = _prime_pair(_oracles(model, a, b, negated=False)[0], prime_bound, table)
     return p / q
 
@@ -437,8 +436,8 @@ def growth_distance(
     if not isinstance(method, Method):
         raise InvalidInputError(f"method must be a member of Method, got {method!r}")
     l_max = checked_int(l_max, "l_max", least=1)
+    prime_bound = checked_int(prime_bound, "prime_bound", 2, MAX_PRIME_BOUND)  # one rule under every method
     if method is Method.PRIME_PAIRS:
-        prime_bound = checked_int(prime_bound, "prime_bound", least=2)
         (p, q), (p_m, q_m) = (_prime_pair(o, prime_bound, None) for o in _oracles(model, a, b, negated=False))
     else:
         ((p, q), _), ((p_m, q_m), _) = growth_brackets(model, a, b, l_max)

@@ -522,7 +522,15 @@ def test_prime_bound_past_the_table_cap_exits_two(tmp_path, capsys):
     a, b = growth_files(tmp_path)
     argv = ["growth", a, b, "--method", "prime-pairs", "--prime-bound", str(10**20)]
     assert main(argv) == 2
-    assert "prime bound" in capsys.readouterr().err
+    assert "prime_bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["limit-sequence", "pair-infimum", "prime-pairs"])
+@pytest.mark.parametrize("bound", ["1", str(10**8 + 1)])
+def test_a_prime_bound_out_of_range_exits_two_under_every_method(tmp_path, capsys, method, bound):
+    a, b = growth_files(tmp_path)
+    assert main(["growth", a, b, "--method", method, "--prime-bound", bound]) == 2
+    assert capsys.readouterr().err == f"error: prime_bound must be an integer in [2, 100000000], got {bound}\n"
 
 
 @pytest.mark.parametrize("method", ["limit-sequence", "pair-infimum", "prime-pairs"])

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import cbmlab.domains as domains
-from cbmlab.acceptance import QUANTUM, item_rng
+from cbmlab import starshape
+from cbmlab.acceptance import QUANTUM, item_rng, quantized
 from cbmlab.domains import (
     BoundInterval,
     SplitToricDomain,
@@ -18,7 +19,8 @@ from cbmlab.domains import (
     rgr_vs_cbm,
 )
 from cbmlab.errors import InvalidInputError, InvariantViolation
-from cbmlab.starshape import DirectionGrid, RadialSet, ball, scale
+from cbmlab.ordered import Method, OrderedModel, OrderVariant, growth_distance
+from cbmlab.starshape import DirectionGrid, RadialSet, ball, delta, scale
 
 GRID = DirectionGrid.uniform_circle(256)
 SEED = 55  # Philox key of this file's draws
@@ -247,7 +249,7 @@ class TestRgrVsCbm:
         report = rgr_vs_cbm(h, h, l_max=200)
         assert report.d_order == 0.0
         assert report.d_cbm == 0.0
-        assert report.d_order >= report.d_cbm - report.tol
+        assert report.gap == 0.0
 
     def test_constant_doubling(self):
         report = rgr_vs_cbm(np.ones(64), np.full(64, 2.0), l_max=400)
@@ -261,23 +263,53 @@ class TestRgrVsCbm:
             h1 = rng.integers(round(0.5 / QUANTUM), round(2.5 / QUANTUM), 64) * QUANTUM
             h2 = rng.integers(round(0.5 / QUANTUM), round(2.5 / QUANTUM), 64) * QUANTUM
             report = rgr_vs_cbm(h1, h2, l_max=500)
-            assert report.d_order >= report.d_cbm - report.tol
             assert report.gap <= 3.0 / 500
 
     def test_the_radii_path_may_round_above_the_order_distance(self):
         # the ratio 1.3804397583007812 / 0.9808387756347656 is exactly 38/27,
         # the upper end of the order bracket, but d_cbm reads the radii 1/h,
-        # which round above the correctly rounded ratio: an exact containment
-        # of d_cbm in the order bracket would reject this valid pair
+        # which round above the correctly rounded ratio; the bracket's 2^-48
+        # rounding bound lets this valid pair through
         report = rgr_vs_cbm(np.full(64, 0.9808387756347656), np.full(64, 1.3804397583007812))
         assert report.d_order == math.log(38 / 27)
         assert report.d_cbm > report.d_order
+
+    def test_subnormal_radii_stay_within_the_rounding_bound(self):
+        # the ratio is exactly 38/27 again, but both radii 1/h are subnormal:
+        # delta lands 112/19 units of 2^-53 above 38/27, past a normal-range
+        # bound of 3 ulps and within 2^-48
+        h1, h2 = np.full(64, 1.0133338895882406e308), np.full(64, 1.4261736223834497e308)
+        assert Fraction(h2[0]) / Fraction(h1[0]) == Fraction(38, 27)
+        excess = Fraction(delta(*(hamiltonian_to_domain(h).fiber for h in (h1, h2)))) / Fraction(38, 27) - 1
+        assert 3 * Fraction(1, 2**53) < excess < Fraction(1, 2**48)
+        report = rgr_vs_cbm(h1, h2)
+        assert report.d_order == math.log(38 / 27)
+        assert report.d_cbm > report.d_order
+
+    def test_acceptance_pairs_match_the_order_and_domain_layers_bit_for_bit(self):
+        # item 10's pairs at seed 7: the bridge reads the order distance and
+        # the domain distance as growth_distance and dcbm_toric give them
+        rng = item_rng(7, 10)
+        model = OrderedModel.additive(64, OrderVariant.STRICT_POSITIVE)
+        for _ in range(50):
+            h1, h2 = quantized(rng, 0.5, 2.5, 64), quantized(rng, 0.5, 2.5, 64)
+            report = rgr_vs_cbm(h1, h2, l_max=1000)
+            order = growth_distance(model, model.element(h1), model.element(h2), 1000, Method.PAIR_INFIMUM)
+            u, v = (SplitToricDomain(2, hamiltonian_to_domain(h).fiber) for h in (h1, h2))
+            assert report.d_order == order.distance
+            assert report.d_cbm == dcbm_toric(u, v).upper
 
     def test_site_mismatch(self):
         with pytest.raises(InvalidInputError):
             rgr_vs_cbm(np.ones(64), np.ones(128))
         with pytest.raises(InvalidInputError):
             rgr_vs_cbm(1.0, 2.0)
+
+    def test_l_max_is_checked_before_the_domains_are_built(self):
+        # radii 1/h past the float range would fail the domain's own check
+        h = np.full(4, 1e-310)
+        with pytest.raises(InvalidInputError, match="^l_max must be an integer >= 1, got 0$"):
+            rgr_vs_cbm(h, h, l_max=0)
 
     @pytest.mark.parametrize("bad", [0.0, -0.25, math.inf])
     def test_a_generator_off_the_positive_isotopies_is_rejected_by_its_contract(self, bad):
@@ -289,23 +321,15 @@ class TestRgrVsCbm:
             with pytest.raises(InvalidInputError, match=f"^{name} must be a 1-D array of finite numbers > 0$"):
                 rgr_vs_cbm(h1, h2)
 
-    @pytest.mark.parametrize(
-        "offset, message", [(-2.0, "fell below"), (2.0, "commuting-model equality")]
-    )
-    def test_order_distance_off_the_domain_distance_is_a_violation(self, offset, message, monkeypatch):
-        # equal generators give d_cbm = 0 and tol = 3 / 200; a substituted
-        # order distance two tolerances below it fails both checks, two above
-        # it only the equality
-        real = domains.growth_distance
-
-        def shifted(*args, **kwargs):
-            report = real(*args, **kwargs)
-            return dataclasses.replace(report, distance=report.distance + offset * 3.0 / 200)
-
-        monkeypatch.setattr(domains, "growth_distance", shifted)
-        h = np.full(64, 1.5)
-        with pytest.raises(InvariantViolation, match=message):
-            rgr_vs_cbm(h, h, l_max=200)
+    @pytest.mark.parametrize("factor", [1 + 1e-4, 1 - 1e-4], ids=["above", "below"])
+    def test_a_domain_ratio_off_the_order_bracket_is_a_violation(self, factor, monkeypatch):
+        # the double 38 / 27 lies just above 38/27, so at l_max 1000 the order
+        # bracket is 38/27 < 1399/994, 2.6e-5 wide, and a substituted delta
+        # 1e-4 off on either side misses it, where 3 / l_max let it through
+        real = starshape._radial_delta
+        monkeypatch.setattr(starshape, "_radial_delta", lambda ra, rb: real(ra, rb) * factor)
+        with pytest.raises(InvariantViolation, match=r"^order bracket \[38/27, 1399/994\] widened by 2\^-48 misses"):
+            rgr_vs_cbm(np.full(64, 1.0), np.full(64, 38 / 27))
 
 
 def test_crossed_bounds_are_a_violation():

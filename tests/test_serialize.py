@@ -272,3 +272,11 @@ def test_a_domain_payload_without_a_key_names_the_missing_key():
         domain_from_dict({})
     with pytest.raises(InvalidInputError, match="^bad domain payload: 'fiber'$"):
         domain_from_dict({"base_dim": 2})
+    # the fiber's own reader names what its payload lacks or holds wrongly
+    for fiber, message in [
+        ({}, "'dimension'"),
+        ({"dimension": 2}, "'radii'"),
+        ({"dimension": 2, "radii": 5}, "object of type 'int' has no len\\(\\)"),
+    ]:
+        with pytest.raises(InvalidInputError, match=f"^bad radial-set payload: {message}$"):
+            domain_from_dict({"base_dim": 2, "fiber": fiber})

@@ -23,8 +23,7 @@ SPANS = BENCH / "spans.py"
 # placeholder); dropping or adding one means editing this pin
 INVARIANT_CHECKS = [
     ("domains", "certified bounds crossed: lower"),
-    ("domains", "commuting-model equality failed: |"),
-    ("domains", "order distance"),
+    ("domains", "order bracket ["),
     ("forms", "forms bracket crossed: lower"),
     ("norms", "stabilization"),
     ("ordered", "Farey bracket"),
