@@ -78,6 +78,17 @@ def _string(value: Any, name: str) -> str:
     return value
 
 
+def _payload(data: Any, schema: str, keys: set[str]) -> dict:
+    """data, if it is a JSON object whose every key belongs to the schema; a
+    key it lacks reads as null through ``.get``, which its field's own rule
+    rejects under the field's name."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"a {schema} payload must be a JSON object, not {type(data).__name__}")
+    if unknown := data.keys() - keys:
+        raise InvalidInputError(f"a {schema} payload has no key {min(unknown, key=str)!r}")
+    return data
+
+
 def radial_set_to_dict(s: RadialSet) -> dict:
     return {
         "dimension": s.grid.dimension,
@@ -86,63 +97,50 @@ def radial_set_to_dict(s: RadialSet) -> dict:
     }
 
 
-def radial_set_from_dict(data: dict) -> RadialSet:
-    try:
-        dimension = checked_int(data["dimension"], "dimension")
-        radii = data["radii"]
-        count = len(radii)  # a default grid has one direction per radius
-        directions = data.get("directions")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"bad radial-set payload: {exc}") from exc
-    if directions is not None:
+def radial_set_from_dict(data: Any) -> RadialSet:
+    payload = _payload(data, "radial-set", {"dimension", "radii", "directions"})
+    dimension = checked_int(payload.get("dimension"), "dimension")
+    radii = checked_array(payload.get("radii"), "radii", ndim=1, finite=True, positive=True)
+    if (directions := payload.get("directions")) is not None:
         grid = DirectionGrid.from_directions(directions)
         if grid.dimension != dimension:
             raise InvalidInputError(f"directions must have {dimension} columns, got {grid.dimension}")
     elif dimension == 2:
-        grid = DirectionGrid.uniform_circle(count)
+        grid = DirectionGrid.uniform_circle(radii.size)  # a default grid has one direction per radius
     elif dimension == 3:
-        grid = DirectionGrid.sphere(count)
+        grid = DirectionGrid.sphere(radii.size)
     else:
         raise InvalidInputError(f"dimension must be 2 or 3 when directions are omitted, got {dimension}")
     return RadialSet(grid, radii)
 
 
-def domain_from_dict(data: dict) -> SplitToricDomain:
+def domain_from_dict(data: Any) -> SplitToricDomain:
     """A split toric domain; an optional ``liouville_weight`` must be 1, the
     weight of the cotangent fibers of a torus."""
-    try:
-        base_dim = checked_int(data["base_dim"], "base_dim")  # before the fiber is read
-        if checked_number(data.get("liouville_weight", 1), "liouville_weight") != 1:
-            raise InvalidInputError("liouville_weight must be 1: split domains are toric")
-        return SplitToricDomain(
-            base_dim=base_dim,
-            fiber=radial_set_from_dict(data["fiber"]),
-            label=_string(data.get("label", ""), "label"),
-            cover=data.get("cover", 1),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"bad domain payload: {exc}") from exc
+    payload = _payload(data, "domain", {"base_dim", "fiber", "liouville_weight", "label", "cover"})
+    base_dim = checked_int(payload.get("base_dim"), "base_dim")  # before the fiber is read
+    if checked_number(payload.get("liouville_weight", 1), "liouville_weight") != 1:
+        raise InvalidInputError("liouville_weight must be 1: split domains are toric")
+    return SplitToricDomain(
+        base_dim=base_dim,
+        fiber=radial_set_from_dict(payload.get("fiber")),
+        label=_string(payload.get("label", ""), "label"),
+        cover=payload.get("cover", 1),
+    )
 
 
-def form_from_dict(data: dict) -> ContactFormRep:
-    try:
-        manifold = SampledManifold(weights=data["weights"], half_dim=data["half_dim"])
-        if "sites" in data and checked_int(data["sites"], "sites") != manifold.sites:
-            raise InvalidInputError("declared site count disagrees with the weights")
-        return ContactFormRep(manifold, data["f"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"bad contact-form payload: {exc}") from exc
+def form_from_dict(data: Any) -> ContactFormRep:
+    payload = _payload(data, "contact-form", {"sites", "weights", "half_dim", "f"})
+    manifold = SampledManifold(weights=payload.get("weights"), half_dim=payload.get("half_dim"))
+    if (sites := checked_int(payload.get("sites", manifold.sites), "sites")) != manifold.sites:
+        raise InvalidInputError(f"sites must be the weight count {manifold.sites}, got {sites}")
+    return ContactFormRep(manifold, payload.get("f"))
 
 
-def map_from_dict(data: dict, manifold: SampledManifold) -> ContactMapRep:
+def map_from_dict(data: Any, manifold: SampledManifold) -> ContactMapRep:
     """A candidate map is its permutation, which ContactMapRep reads; its
-    conformal exponent is derived, so a payload with a ``g`` key is rejected."""
-    try:
-        if "g" in data:
-            raise InvalidInputError("g is derived from perm; a candidate map has no g key")
-        return ContactMapRep(manifold, data["perm"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"bad candidate-map payload: {exc}") from exc
+    conformal exponent g is derived from it, so ``g`` is no key of the schema."""
+    return ContactMapRep(manifold, _payload(data, "candidate-map", {"perm"}).get("perm"))
 
 
 def element_values_from_json(data: Any) -> np.ndarray:

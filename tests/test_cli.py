@@ -136,6 +136,11 @@ def test_ham2dom_unit(tmp_path, capsys):
     assert all(r == 1.0 for r in report["fiber"]["radii"])
 
 
+def test_ham2dom_with_too_few_samples_names_them(tmp_path, capsys):
+    assert main(["ham2dom", write(tmp_path / "h.json", [1.0] * 8)]) == 2
+    assert capsys.readouterr().err == "error: hamiltonian samples must number at least 64, got 8\n"
+
+
 def test_csh_and_squeezable(tmp_path, capsys):
     u = write(tmp_path / "u.json", {"base_dim": 2, "fiber": radial_set_to_dict(ball(2.0, GRID)), "label": "B"})
     code, report = run(capsys, "csh", u)
@@ -328,16 +333,24 @@ def test_boolean_in_candidate_permutation_exits_two(tmp_path, capsys):
 )
 def test_candidate_map_with_a_g_key_exits_two(g, tmp_path, capsys):
     # with g = -1 the identity map pulled f2 = 1 back onto f1 = 0, and the
-    # report read upper 0 under lower 1; g is derived from perm, so no key
+    # report read upper 0 under lower 1; g is derived from perm, so no key of the schema
     f1 = write(tmp_path / "f1.json", FORM)
     f2 = write(tmp_path / "f2.json", {**FORM, "f": [1.0] * 4})
     m = write(tmp_path / "m.json", {"perm": [0, 1, 2, 3], "g": g})
     assert main(["dcbm-forms", f1, f2, "--maps", m]) == 2
-    assert "no g key" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: a candidate-map payload has no key 'g'\n"
     perm_only = write(tmp_path / "perm.json", {"perm": [0, 1, 2, 3]})
     code, report = run(capsys, "dcbm-forms", f1, f2, "--maps", perm_only)
     assert code == 0
     assert report == {"lower": 1.0, "pinched": True, "upper": 1.0}
+
+
+def test_a_misspelled_key_exits_two(tmp_path, capsys):
+    # read past, "direction" would leave the fiber on the uniform circle, not on the rows given
+    rows = np.roll(GRID.directions, 5, axis=0).tolist()
+    fiber = {"dimension": 2, "radii": np.linspace(1.0, 2.0, GRID.count).tolist(), "direction": rows}
+    assert main(["csh", write(tmp_path / "u.json", {"base_dim": 2, "fiber": fiber})]) == 2
+    assert capsys.readouterr().err == "error: a radial-set payload has no key 'direction'\n"
 
 
 # each subcommand that reads files, "@i" standing for its i-th file, with a valid payload for each

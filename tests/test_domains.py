@@ -305,6 +305,10 @@ class TestRgrVsCbm:
         with pytest.raises(InvalidInputError):
             rgr_vs_cbm(1.0, 2.0)
 
+    def test_too_few_samples_name_h1(self):
+        with pytest.raises(InvalidInputError, match="^h1 must have at least 64 samples, got 8$"):
+            rgr_vs_cbm(np.ones(8), np.ones(8))
+
     def test_l_max_is_checked_before_the_domains_are_built(self):
         # radii 1/h past the float range would fail the domain's own check
         h = np.full(4, 1e-310)

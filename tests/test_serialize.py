@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -241,9 +242,9 @@ def test_form_round_trip_and_maps():
     derived = map_from_dict({"perm": perm.tolist()}, manifold)
     assert np.array_equal(derived.perm, perm)
     assert np.all(np.isfinite(derived.g))
-    # g is derived from perm, so an explicit g, even an empty one, is rejected
+    # g is derived from perm, so an explicit g, even an empty one, is an unknown key
     for g in ([0.0] * 32, derived.g.tolist(), None):
-        with pytest.raises(InvalidInputError, match="no g key"):
+        with pytest.raises(InvalidInputError, match="^a candidate-map payload has no key 'g'$"):
             map_from_dict({"perm": perm.tolist(), "g": g}, manifold)
 
 
@@ -254,29 +255,85 @@ def test_form_site_count_consistency():
         "half_dim": 2,
         "f": [0, 0, 0],
     }
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^sites must be the weight count 3, got 4$"):
         form_from_dict(manifold_payload)
 
 
 def test_a_payload_without_its_array_names_the_missing_key():
+    # a missing key reads as null, which the array rule rejects under the field's name
     manifold = SampledManifold(np.ones(4), half_dim=2)
-    with pytest.raises(InvalidInputError, match="^bad contact-form payload: 'f'$"):
+    with pytest.raises(InvalidInputError, match="^f must be an array of numbers$"):
         form_from_dict({"weights": [1.0] * 4, "half_dim": 2})
-    with pytest.raises(InvalidInputError, match="^bad candidate-map payload: 'perm'$"):
+    with pytest.raises(InvalidInputError, match="^perm must be an array of integers$"):
         map_from_dict({}, manifold)
 
 
 def test_a_domain_payload_without_a_key_names_the_missing_key():
-    # base_dim is read first, then the fiber
-    with pytest.raises(InvalidInputError, match="^bad domain payload: 'base_dim'$"):
+    # base_dim is read first, then the fiber, whose null is no radial-set object
+    with pytest.raises(InvalidInputError, match="^base_dim must be an integer, got None$"):
         domain_from_dict({})
-    with pytest.raises(InvalidInputError, match="^bad domain payload: 'fiber'$"):
+    with pytest.raises(InvalidInputError, match="^a radial-set payload must be a JSON object, not NoneType$"):
         domain_from_dict({"base_dim": 2})
     # the fiber's own reader names what its payload lacks or holds wrongly
     for fiber, message in [
-        ({}, "'dimension'"),
-        ({"dimension": 2}, "'radii'"),
-        ({"dimension": 2, "radii": 5}, "object of type 'int' has no len\\(\\)"),
+        ({}, "dimension must be an integer, got None"),
+        ({"dimension": 2}, "radii must be an array of numbers"),
+        ({"dimension": 2, "radii": 5}, "radii must be a 1-D array of finite numbers > 0"),
     ]:
-        with pytest.raises(InvalidInputError, match=f"^bad radial-set payload: {message}$"):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
             domain_from_dict({"base_dim": 2, "fiber": fiber})
+
+
+FIBER = json.loads(dumps_report(radial_set_to_dict(sample_set())))
+FOUR_SITES = SampledManifold(np.ones(4), half_dim=2)
+# each JSON reader as (read, a payload holding every key of its schema, the
+# start of the message each required key gives when dropped, misspelled keys
+# with a value); a dropped key reads as null, which its field's rule rejects
+PAYLOADS = {
+    "radial-set": (
+        radial_set_from_dict, FIBER, {"dimension": "dimension must be", "radii": "radii must be"},
+        {"direction": FIBER["directions"]},
+    ),
+    "domain": (
+        domain_from_dict,
+        {"base_dim": 2, "fiber": FIBER, "liouville_weight": 1, "label": "U", "cover": 1},
+        {"base_dim": "base_dim must be", "fiber": "a radial-set payload must be"},
+        {"covers": 3, "liouvile_weight": 2},
+    ),
+    "contact-form": (
+        form_from_dict,
+        {"sites": 4, "weights": [1.0] * 4, "half_dim": 2, "f": [0.0] * 4},
+        {"weights": "weights must be", "half_dim": "half_dim must be", "f": "f must be"},
+        {"site": 4},
+    ),
+    "candidate-map": (
+        lambda payload: map_from_dict(payload, FOUR_SITES), {"perm": [1, 0, 3, 2]}, {"perm": "perm must be"},
+        {"g": [0.0] * 4},
+    ),
+}
+
+
+def payload_cases():
+    """(id, read, payload, message start) for each bad payload of each reader."""
+    for schema, (read, good, required, misspelled) in PAYLOADS.items():
+        for bad in ([], "g", 3, None):
+            start = f"a {schema} payload must be a JSON object, not {type(bad).__name__}"
+            yield f"{schema}-{type(bad).__name__}", read, bad, start
+        for key, start in required.items():
+            yield f"{schema}-without-{key}", read, {k: v for k, v in good.items() if k != key}, start
+        for key, value in misspelled.items():
+            yield f"{schema}-{key}", read, {**good, key: value}, f"a {schema} payload has no key {key!r}"
+
+
+@pytest.mark.parametrize("schema", PAYLOADS)
+def test_every_reader_takes_its_whole_schema(schema):
+    read, good, _, _ = PAYLOADS[schema]
+    read(good)
+
+
+@pytest.mark.parametrize(
+    "read, payload, start", [case[1:] for case in payload_cases()], ids=[case[0] for case in payload_cases()]
+)
+def test_a_payload_off_its_schema_is_rejected_by_name(read, payload, start):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(start)}"):
+        read(payload)

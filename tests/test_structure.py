@@ -332,6 +332,28 @@ def array_contract_checks(tree):
     return found
 
 
+def test_serialize_holds_the_one_payload_rule():
+    # a reader hands its payload to _payload and reads fields only from what
+    # that returns, so no lookup can throw a KeyError or TypeError to translate
+    tree = ast.parse(inspect.getsource(serialize))
+    readers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_dict")]
+    assert len(readers) == 4
+    for reader in readers:
+        data = reader.args.args[0].arg
+        passed = [
+            call for call in ast.walk(reader)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_payload"
+            and getattr(call.args[0], "id", None) == data
+        ]
+        assert len(passed) == 1 and loads(reader, data) == 1, reader.name
+    caught = {
+        name.id
+        for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler) and handler.type
+        for name in ast.walk(handler.type) if isinstance(name, ast.Name)
+    }
+    assert not caught & {"KeyError", "TypeError"}
+
+
 def test_errors_holds_the_one_array_rule():
     # an input array's finiteness and sign are its contract, stated in the one
     # errors.checked_array call; a test of them after that call is a second rule
