@@ -55,6 +55,9 @@ from .starshape import (
 
 QUANTUM = 2.0**-20
 _PAIR_STREAM = 101  # shared stream for the growth-rate pair corpus
+# items 01 and 04 compare quotients and logs of rates below 4 (sites lie in [0.5, 2]), each
+# rounded within 2^-51, at most five to a comparison: 2^-48 bounds their rounding
+_ROUNDING = 2.0**-48
 
 
 def item_rng(seed: int, stream: int) -> np.random.Generator:
@@ -80,6 +83,7 @@ def growth_pair_corpus(seed: int, count: int = 100):
 
 
 def item_growth_oracle(seed: int, cfg: dict) -> dict:
+    # each estimate is in [rate, rate + 1/l_max]: p/q - rate <= 1/(q*q_lo), the limit is ceil(l_max*rate)/l_max
     model, pairs = growth_pair_corpus(seed)
     l_max = cfg["l_max"]
     worst_oracle = worst_forms = 0.0
@@ -91,7 +95,7 @@ def item_growth_oracle(seed: int, cfg: dict) -> dict:
         )
         worst_forms = max(worst_forms, abs(est.limit_estimate - est.pair_infimum))
     return {
-        "passed": worst_oracle <= 1e-3 and worst_forms <= 1e-3,
+        "passed": max(worst_oracle, worst_forms) <= 1 / l_max + _ROUNDING,
         "max_oracle_error": worst_oracle,
         "max_formulation_gap": worst_forms,
         "pairs": len(pairs),
@@ -122,7 +126,6 @@ def item_product_inequality(seed: int, cfg: dict) -> dict:
 def item_axioms(seed: int, cfg: dict) -> dict:
     rng = item_rng(seed, 4)
     l_max = cfg["l_max"]
-    tol = 2.0 / l_max
     sites = 8
     model = OrderedModel.additive(sites, OrderVariant.NON_STRICT)
     worst_triangle = worst_self = worst_sym = 0.0
@@ -151,16 +154,13 @@ def item_axioms(seed: int, cfg: dict) -> dict:
         norm_ok = norm_ok and r1.nu >= 0 and (r1.nu == 0) == bool(np.all(arg1.data == 0))
         norm_ok = norm_ok and rneg.nu == r1.nu and rsum.nu <= r1.nu + r2.nu
         norm_ok = norm_ok and rconj.nu == r1.nu  # abelian: conjugation is exact identity
-        # stabilization enforces the 2/l_max agreement internally and raises on failure
+        # stabilization raises unless its norm is within 1 of the brackets' exact norm
         norms.stabilization(base, arg1, l_max)
         stab_checked += 1
-    passed = (
-        worst_self <= tol
-        and worst_sym <= tol
-        and worst_triangle <= tol
-        and norm_ok
-        and stab_checked == 50
-    )
+    # (a, a) has the bracket 1/1, and (a, b) and (b, a) read the same two brackets; each
+    # distance is at most ln(1 + 1/l_max) <= 1/l_max above the exact one, which is a metric
+    passed = worst_self == worst_sym == 0.0 and worst_triangle <= 1 / l_max + _ROUNDING
+    passed = passed and norm_ok and stab_checked == 50
     return {
         "passed": passed,
         "max_self_distance": worst_self,

@@ -51,33 +51,25 @@ def norm(base: Element, arg: Element) -> NormReport:
     """
     model = OrderedModel.additive(base.data.size)
     ((nu_plus, _), _), ((nu_negated, _), _) = growth_brackets(model, base, arg, 1, negated=True)
-    nu_minus = -nu_negated
-    return NormReport(
-        nu_plus=nu_plus,
-        nu_minus=nu_minus,
-        nu=max(abs(nu_plus), abs(nu_minus)),
-        base=base,
-        arg=arg,
-    )
+    nu = max(abs(nu_plus), abs(nu_negated))
+    return NormReport(nu_plus=nu_plus, nu_minus=-nu_negated, nu=nu, base=base, arg=arg)
 
 
 def stabilization(base: Element, arg: Element, l_max: int = DEFAULT_L_MAX) -> float:
     """Per-power norm of high powers of arg: nu(base, l_max*arg) / l_max.
 
-    Agrees with the larger of the growth rates of arg and its inverse against
-    the base, the pair infima of growth_brackets(base, arg, l_max,
-    negated=True) from one site pass; the agreement is enforced within
-    2/l_max.
+    Off the brackets (p, q) and (p', q') of growth_brackets(base, arg, l_max,
+    negated=True), from one site pass, the exact norm of l_max*arg is
+    nu* = max(|ceil(l_max*p/q)|, |ceil(l_max*p'/q')|), and nu must lie within
+    1 of it: the float power rounds l_max and each product, which moves each
+    site ratio by less than 2^-51 relative, and the search bound keeps every
+    exponent within 10^12 < 2^51, so that window holds at most one integer.
     """
     l_max = checked_int(l_max, "l_max", least=1)
     model = OrderedModel.additive(base.data.size)
-    report = norm(base, model.power(arg, l_max))
-    stab = report.nu / l_max
-
+    nu = norm(base, model.power(arg, l_max)).nu
     ((p, q), _), ((p_inv, q_inv), _) = growth_brackets(model, base, arg, l_max, negated=True)
-    target = max(abs(p / q), abs(p_inv / q_inv))
-    if abs(stab - target) > 2.0 / l_max:
-        raise InvariantViolation(
-            f"stabilization {stab} disagrees with growth-rate value {target} beyond 2/{l_max}"
-        )
-    return stab
+    nu_star = max(abs(-(-l_max * p // q)), abs(-(-l_max * p_inv // q_inv)))
+    if abs(nu - nu_star) > 1:
+        raise InvariantViolation(f"stabilization norm {nu} lies more than 1 off the exact {nu_star}")
+    return nu / l_max

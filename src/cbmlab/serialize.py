@@ -19,6 +19,7 @@ from .starshape import DirectionGrid, RadialSet
 
 
 _NON_FINITE = "reports may not contain non-finite numbers"
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array"}
 
 
 def format_float(x: float) -> str:
@@ -71,20 +72,30 @@ def dumps_report(obj: Any) -> str:
 # -- value-type schemas; the constructors apply the number rule of errors -----
 
 
+def _json_type(value: Any) -> str:
+    """The JSON type name of a decoded value, or the Python one of any other."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def _string(value: Any, name: str) -> str:
     """A string field: null, a number or a boolean is rejected, not printed as text."""
     if not isinstance(value, str):
-        raise InvalidInputError(f"{name} must be a string, not {type(value).__name__}")
+        raise InvalidInputError(f"{name} must be a string, not {_json_type(value)}")
     return value
+
+
+def _object(data: Any, name: str) -> dict:
+    """data, if it is a JSON object; anything else is rejected under name."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{name} must be a JSON object, not {_json_type(data)}")
+    return data
 
 
 def _payload(data: Any, schema: str, keys: set[str]) -> dict:
     """data, if it is a JSON object whose every key belongs to the schema; a
     key it lacks reads as null through ``.get``, which its field's own rule
     rejects under the field's name."""
-    if not isinstance(data, dict):
-        raise InvalidInputError(f"a {schema} payload must be a JSON object, not {type(data).__name__}")
-    if unknown := data.keys() - keys:
+    if unknown := _object(data, f"a {schema} payload").keys() - keys:
         raise InvalidInputError(f"a {schema} payload has no key {min(unknown, key=str)!r}")
     return data
 
@@ -123,7 +134,7 @@ def domain_from_dict(data: Any) -> SplitToricDomain:
         raise InvalidInputError("liouville_weight must be 1: split domains are toric")
     return SplitToricDomain(
         base_dim=base_dim,
-        fiber=radial_set_from_dict(payload.get("fiber")),
+        fiber=radial_set_from_dict(_object(payload.get("fiber"), "fiber")),
         label=_string(payload.get("label", ""), "label"),
         cover=payload.get("cover", 1),
     )

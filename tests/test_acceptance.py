@@ -4,9 +4,11 @@ Each test runs the corresponding seeded suite item (seed 7), prints a
 PASS/FAIL line, and enforces the stated runtime budget where one exists.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -21,6 +23,7 @@ SEED7_REPORT_SHA256 = "c9167f782e475c9cbf10ecc1323f17143e58cad75960af1268b58c90c
 CFG = {"l_max": 1000, "prime_bound": 10_000, "grid": 1024}
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 ITEMS = dict(acceptance.ITEMS)
+GAP = 1 / CFG["l_max"] + acceptance._ROUNDING  # the Farey gap and the rounding items 01 and 04 allow
 
 
 def run_item(name, budget=None):
@@ -63,12 +66,60 @@ def test_03_growth_rate_product_inequality():
 
 def test_04_pseudo_metric_norm_axioms_and_stabilization():
     details = run_item("04-pseudo-metric-and-norms")
-    tol = 2.0 / CFG["l_max"]
-    assert details["max_self_distance"] <= tol
-    assert details["max_symmetry_gap"] <= tol
-    assert details["max_triangle_excess"] <= tol
+    assert details["max_self_distance"] == 0.0
+    assert details["max_symmetry_gap"] == 0.0
+    assert details["max_triangle_excess"] <= GAP
     assert details["norm_axioms_ok"]
     assert details["stabilization_cases"] == 50
+
+
+def substitute_distance(monkeypatch, change):
+    """Item 04, with each growth_distance report of a triple replaced by
+    change(i, report, the triple's earlier reports), i counting the calls
+    (a, b), (b, a), (b, c), (a, c) and (a, a) of the triple from 0."""
+    exact, triple = acceptance.growth_distance, []
+
+    def distance(*args):
+        if len(triple) == 5:
+            triple.clear()
+        triple.append(change(len(triple), exact(*args), triple))
+        return triple[-1]
+
+    monkeypatch.setattr(acceptance, "growth_distance", distance)
+    return ITEMS["04-pseudo-metric-and-norms"](SEED, CFG)
+
+
+def test_04_reads_false_on_a_self_distance_one_ulp_off_zero(monkeypatch):
+    details = substitute_distance(
+        monkeypatch, lambda i, report, _: dataclasses.replace(report, distance=math.ulp(0.0)) if i == 4 else report
+    )
+    assert details["max_self_distance"] == math.ulp(0.0)
+    assert not details["passed"]
+
+
+def test_04_reads_false_on_a_triangle_excess_past_the_farey_gap(monkeypatch):
+    # d(a, c) set to d(a, b) + d(b, c) + 1.5/l_max
+    def change(i, report, triple):
+        if i != 3:
+            return report
+        return dataclasses.replace(report, distance=triple[0].distance + triple[2].distance + 1.5 / CFG["l_max"])
+
+    details = substitute_distance(monkeypatch, change)
+    assert details["max_triangle_excess"] > GAP
+    assert not details["passed"]
+
+
+def test_01_reads_false_on_a_pair_infimum_past_the_farey_gap(monkeypatch):
+    exact = acceptance.rho_plus
+
+    def rho_plus(*args):
+        estimate = exact(*args)
+        return dataclasses.replace(estimate, pair_infimum=estimate.pair_infimum + 1.01 / CFG["l_max"])
+
+    monkeypatch.setattr(acceptance, "rho_plus", rho_plus)
+    details = ITEMS["01-growth-oracle"](SEED, CFG)
+    assert details["max_oracle_error"] > GAP
+    assert not details["passed"]
 
 
 def test_05_delta_anchors():

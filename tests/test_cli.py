@@ -353,6 +353,13 @@ def test_a_misspelled_key_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: a radial-set payload has no key 'direction'\n"
 
 
+def test_directions_off_the_declared_dimension_exit_two(tmp_path, capsys):
+    circle = write(tmp_path / "c.json", radial_set_to_dict(ball(1.0, GRID)))
+    sphere_claim = write(tmp_path / "s.json", {**radial_set_to_dict(ball(1.0, GRID)), "dimension": 3})
+    assert main(["delta", circle, sphere_claim]) == 2
+    assert capsys.readouterr().err == "error: directions must have 3 columns, got 2\n"
+
+
 # each subcommand that reads files, "@i" standing for its i-th file, with a valid payload for each
 FILE_ARGUMENTS = [
     (["growth", "@0", "@1"], [[1.0, 2.0], [2.0, 1.0]]),

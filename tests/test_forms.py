@@ -59,6 +59,17 @@ def brute_force_volume(form, u_samples=200_000):
     return total
 
 
+def test_a_manifold_without_sites_is_rejected():
+    with pytest.raises(InvalidInputError, match="^weights must form a nonempty vector$"):
+        SampledManifold([], half_dim=1)
+
+
+def test_a_form_needs_one_sample_per_site():
+    for f in (np.zeros(3), np.zeros(5)):
+        with pytest.raises(InvalidInputError, match="^f must have one sample per site$"):
+            ContactFormRep(uniform_manifold(4), f)
+
+
 class TestPullback:
     def test_identity_with_zero_factor(self):
         m = uniform_manifold()

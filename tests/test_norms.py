@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -86,8 +87,7 @@ def test_conjugation_is_exact_in_the_abelian_model():
 
 def test_stabilization_constant_example():
     m = OrderedModel.additive(3)
-    value = stabilization(m.element([1.0] * 3), m.element([2.5] * 3), 1000)
-    assert abs(value - 2.5) <= 0.002
+    assert stabilization(m.element([1.0] * 3), m.element([2.5] * 3), 1000) == 2.5
 
 
 def test_stabilization_of_identity():
@@ -109,16 +109,21 @@ def test_stabilization_rejects_an_exponent_past_the_float_range():
         stabilization(base, arg, 10**400)
 
 
+def exact_norm(base, arg, l):
+    """The norm of l*arg from the exact ratios r = arg/base: max(ceil(l max r), -floor(l min r))."""
+    ratios = [Fraction(y) / Fraction(x) for x, y in zip(base.data.tolist(), arg.data.tolist())]
+    return max(math.ceil(l * max(ratios)), -math.floor(l * min(ratios)))
+
+
 def test_stabilization_matches_closed_form():
+    # quantized entries keep l_max*arg exact, so the norm is the closed form's
     rng = item_rng(SEED, 1)
     m = OrderedModel.additive(6)
     l_max = 500
     for _ in range(50):
         base = m.element(quantized(rng, 0.5, 2.0, 6))
         arg = m.element(quantized(rng, -2.0, 2.0, 6))
-        ratio = arg.data / base.data
-        closed = max(abs(float(np.max(ratio))), abs(float(np.min(ratio))))
-        assert abs(stabilization(base, arg, l_max) - closed) <= 2.0 / l_max
+        assert stabilization(base, arg, l_max) == exact_norm(base, arg, l_max) / l_max
 
 
 def test_large_ratio_in_memory_independent_of_magnitude():
@@ -168,7 +173,7 @@ def test_a_bad_nu_minus_bracket_is_a_violation(monkeypatch):
 
 def test_stabilization_disagreeing_with_the_growth_rates_is_a_violation(monkeypatch):
     m, base, arg = model_and([1.0] * 2, [2.5] * 2)
-    # the stabilization of arg is 2.5; a growth rate of 3 lies beyond 2/l_max of it
+    # the norm of 100*arg is 250; brackets at a growth rate of 3 put it at 300, more than 1 off
     exact = ordered.growth_brackets
     monkeypatch.setattr(
         norms,
@@ -177,6 +182,61 @@ def test_stabilization_disagreeing_with_the_growth_rates_is_a_violation(monkeypa
     )
     with pytest.raises(InvariantViolation, match="stabilization"):
         stabilization(base, arg, 100)
+
+
+def shifted_norm(shift):
+    """norm, with nu moved by shift."""
+    exact = norms.norm
+
+    def shifted(base, arg):
+        report = exact(base, arg)
+        return dataclasses.replace(report, nu=report.nu + shift)
+
+    return shifted
+
+
+@pytest.mark.parametrize("shift", [2, -2, 3])
+def test_a_norm_two_off_the_exact_one_is_a_violation(monkeypatch, shift):
+    # the norm of 4*arg is 10; a float tolerance of 2/l_max would pass 12/4 and 8/4,
+    # each 2/l_max off the growth rate 2.5
+    _, base, arg = model_and([1.0] * 2, [2.5] * 2)
+    monkeypatch.setattr(norms, "norm", shifted_norm(shift))
+    with pytest.raises(InvariantViolation, match="^stabilization norm"):
+        stabilization(base, arg, 4)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_norm_one_off_the_exact_one_is_within_the_rounding_margin(monkeypatch, shift):
+    _, base, arg = model_and([1.0] * 2, [2.5] * 2)
+    monkeypatch.setattr(norms, "norm", shifted_norm(shift))
+    assert stabilization(base, arg, 4) == (10 + shift) / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(2**-8, 2**10), st.floats(-(2**10), 2**10)), min_size=1, max_size=6),
+    st.sampled_from([1, 7, 1000, 123_457, 10**6]),
+)
+def test_the_float_power_moves_the_norm_by_at_most_one(sites, l):
+    m = OrderedModel.additive(len(sites))
+    base, arg = (m.element([site[i] for site in sites]) for i in (0, 1))
+    nu = norm(base, m.power(arg, l)).nu
+    assert abs(nu - exact_norm(base, arg, l)) <= 1
+    assert stabilization(base, arg, l) == nu / l
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 2**21), st.integers(-(2**21), 2**21)), min_size=1, max_size=6),
+    st.integers(1, 2**18),
+)
+def test_the_norm_is_exact_on_quantized_powers(sites, l):
+    # every l*arg is exact in double precision, so the norm is the exact one
+    m = OrderedModel.additive(len(sites))
+    base, arg = (m.element([site[i] * QUANTUM for site in sites]) for i in (0, 1))
+    nu = exact_norm(base, arg, l)
+    assert norm(base, m.power(arg, l)).nu == nu
+    assert stabilization(base, arg, l) == nu / l
 
 
 def near_integer_site(base, n, ulps):

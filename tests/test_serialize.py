@@ -186,6 +186,12 @@ def test_radial_set_without_directions_regenerates_grid():
     assert np.array_equal(reparsed.radii, original.radii)
 
 
+def test_a_radial_set_whose_directions_disagree_with_its_dimension_is_rejected():
+    circle = radial_set_to_dict(sample_set())
+    with pytest.raises(InvalidInputError, match="^directions must have 3 columns, got 2$"):
+        radial_set_from_dict(json.loads(dumps_report({**circle, "dimension": 3})))
+
+
 def test_radial_set_bad_payloads():
     with pytest.raises(InvalidInputError):
         radial_set_from_dict({"radii": [1, 2, 3]})
@@ -269,11 +275,13 @@ def test_a_payload_without_its_array_names_the_missing_key():
 
 
 def test_a_domain_payload_without_a_key_names_the_missing_key():
-    # base_dim is read first, then the fiber, whose null is no radial-set object
+    # base_dim is read first, then the fiber, whose null is no JSON object and is named by its key
     with pytest.raises(InvalidInputError, match="^base_dim must be an integer, got None$"):
         domain_from_dict({})
-    with pytest.raises(InvalidInputError, match="^a radial-set payload must be a JSON object, not NoneType$"):
+    with pytest.raises(InvalidInputError, match="^fiber must be a JSON object, not null$"):
         domain_from_dict({"base_dim": 2})
+    with pytest.raises(InvalidInputError, match="^fiber must be a JSON object, not array$"):
+        domain_from_dict({"base_dim": 2, "fiber": [FIBER]})
     # the fiber's own reader names what its payload lacks or holds wrongly
     for fiber, message in [
         ({}, "dimension must be an integer, got None"),
@@ -297,7 +305,7 @@ PAYLOADS = {
     "domain": (
         domain_from_dict,
         {"base_dim": 2, "fiber": FIBER, "liouville_weight": 1, "label": "U", "cover": 1},
-        {"base_dim": "base_dim must be", "fiber": "a radial-set payload must be"},
+        {"base_dim": "base_dim must be", "fiber": "fiber must be a JSON object, not null"},
         {"covers": 3, "liouvile_weight": 2},
     ),
     "contact-form": (
@@ -313,11 +321,15 @@ PAYLOADS = {
 }
 
 
+# non-object payloads, each with the JSON name of its type
+NON_OBJECTS = [([], "array"), ("g", "string"), (3, "number"), (None, "null")]
+
+
 def payload_cases():
     """(id, read, payload, message start) for each bad payload of each reader."""
     for schema, (read, good, required, misspelled) in PAYLOADS.items():
-        for bad in ([], "g", 3, None):
-            start = f"a {schema} payload must be a JSON object, not {type(bad).__name__}"
+        for bad, json_type in NON_OBJECTS:
+            start = f"a {schema} payload must be a JSON object, not {json_type}"
             yield f"{schema}-{type(bad).__name__}", read, bad, start
         for key, start in required.items():
             yield f"{schema}-without-{key}", read, {k: v for k, v in good.items() if k != key}, start
@@ -337,3 +349,13 @@ def test_every_reader_takes_its_whole_schema(schema):
 def test_a_payload_off_its_schema_is_rejected_by_name(read, payload, start):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(start)}"):
         read(payload)
+
+
+@pytest.mark.parametrize("value, json_type", [*NON_OBJECTS, (2.5, "number"), (True, "boolean"), ((), "tuple")])
+def test_a_message_names_the_json_type_of_what_it_rejects(value, json_type):
+    # a value json.loads cannot return, such as a tuple from a library caller, keeps its Python name
+    with pytest.raises(InvalidInputError, match=f"^a radial-set payload must be a JSON object, not {json_type}$"):
+        radial_set_from_dict(value)
+    if json_type != "string":
+        with pytest.raises(InvalidInputError, match=f"^label must be a string, not {json_type}$"):
+            domain_from_dict({"base_dim": 2, "fiber": FIBER, "label": value})

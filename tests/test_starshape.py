@@ -200,6 +200,11 @@ class TestGrids:
         target3 = 4.0 * math.pi / 3.0
         assert abs(polar_volume(ball(1.0, grid3)) - target3) / target3 < 0.01
 
+    def test_radii_need_one_sample_per_direction(self):
+        for count in (GRID.count - 1, GRID.count + 1):
+            with pytest.raises(InvalidInputError, match="^radii must have one sample per grid direction$"):
+                RadialSet(GRID, np.ones(count))
+
 
 class TestDelta:
     def test_nested_balls(self):

@@ -25,10 +25,19 @@ INVARIANT_CHECKS = [
     ("domains", "certified bounds crossed: lower"),
     ("domains", "order bracket ["),
     ("forms", "forms bracket crossed: lower"),
-    ("norms", "stabilization"),
+    ("norms", "stabilization norm"),
     ("ordered", "Farey bracket"),
     ("ordered", "closed-form rate"),
     ("ordered", "growth-rate product inequality failed:"),
+]
+
+
+# every tolerance in src/ written as a number literal over l_max, as (module,
+# function, literal); 1/l_max, the Farey gap 1/n that a bracket at n
+# certifies, is derived and not listed; adding or dropping one means editing this pin
+L_MAX_TOLERANCES = [
+    ("acceptance", "item_bridge", 3.0),
+    ("acceptance", "item_product_inequality", 2.0),
 ]
 
 
@@ -141,6 +150,39 @@ def test_the_invariant_checks_are_pinned():
         for check in mutants.checks(path.read_text(encoding="utf-8"))
     ]
     assert sorted(found) == INVARIANT_CHECKS
+
+
+def names_l_max(node):
+    """Whether node is l_max: a name, an attribute or a string subscript such as cfg["l_max"]."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    if isinstance(node, ast.Subscript):
+        name = getattr(node.slice, "value", None)
+    return isinstance(name, str) and name.lower().endswith("l_max")
+
+
+def l_max_tolerances(tree, function=None):
+    """(function, literal) of every number literal other than 1 divided by l_max, in source order."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and names_l_max(node.right):
+            numerator = getattr(node.left, "value", None)
+            if type(numerator) in (int, float) and numerator != 1:
+                found.append((function, numerator))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        found += l_max_tolerances(node, inner)
+    return found
+
+
+def test_the_l_max_tolerances_are_pinned():
+    # report.nu / l_max and ceil(l_max*p/q) / l_max divide no literal, and are no tolerance
+    found = [
+        (path.stem, function, literal)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, literal in l_max_tolerances(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(found) == L_MAX_TOLERANCES
+    probe = "def f(cfg, r, l):\n    return 2 / cfg['l_max'] + 0.5 / r.l_max + 1.0 / DEFAULT_L_MAX + 3 / l"
+    assert l_max_tolerances(ast.parse(probe)) == [("f", 2), ("f", 0.5)]
 
 
 def test_a_mutant_run_past_its_time_limit_is_stopped(tmp_path):
