@@ -160,12 +160,15 @@ def dcbm_forms_lower_volume(f1: ContactFormRep, f2: ContactFormRep) -> float:
 
 @dataclass(frozen=True)
 class FormsDistanceReport:
+    """Both one-sided bounds, and tol, the rounding bound of each; within tol they pinch a certified value."""
+
     upper: float
     lower: float
+    tol: float
 
     @property
     def pinched(self) -> bool:
-        return abs(self.upper - self.lower) <= 1e-9
+        return abs(self.upper - self.lower) <= self.tol
 
     def to_json_dict(self) -> dict:
         return {"upper": self.upper, "lower": self.lower, "pinched": self.pinched}
@@ -176,21 +179,22 @@ def dcbm_forms(
     f2: ContactFormRep,
     candidates: Sequence[ContactMapRep] = (),
 ) -> FormsDistanceReport:
-    """Both one-sided bounds at once; ``pinched`` marks a certified value.
+    """Both one-sided bounds at once, each within tol of its exact value.
 
     Every candidate preserves the subgraph volumes, so lower <= upper holds
-    in exact arithmetic. In doubles, rounding n' f and f o phi + g moves each
-    exponent by about eps (|f| + |ln w|), and each volume sum is off by
-    about (sites + 2) eps relative, which the log and the division by n'
-    turn into (sites + 2) eps / n'. So the check allows
-    tol = 4 eps (max(|f1|, |f2|) + max |ln w|) + 2 (sites + 2) eps / n'.
+    in exact arithmetic, with equality on pure rescalings. In doubles,
+    rounding n' f and f o phi + g moves each exponent by about
+    eps (|f| + |ln w|), and each volume sum is off by about (sites + 2) eps
+    relative, which the log and the division by n' turn into
+    (sites + 2) eps / n'. So the two ends together are off by at most
+    tol = 4 eps (max(|f1|, |f2|) + max |ln w|) + 2 (sites + 2) eps / n':
+    lower > upper + tol is a violation, and |upper - lower| <= tol pinches.
     """
     lower = dcbm_forms_lower_volume(f1, f2)  # rejects a bad volume ratio before any candidate
     upper = dcbm_forms_upper(f1, f2, candidates)
-    if lower > upper:  # only then is the rounding bound needed, and it costs a tenth of the call
-        manifold, eps = f1.manifold, sys.float_info.epsilon
-        magnitude = max(np.abs(f1.f).max(), np.abs(f2.f).max()) + np.abs(manifold.log_weights).max()
-        tol = float(4 * eps * magnitude + 2 * (manifold.sites + 2) * eps / manifold.half_dim)
-        if lower > upper + tol:
-            raise InvariantViolation(f"forms bracket crossed: lower {lower!r} > upper {upper!r} + {tol!r}")
-    return FormsDistanceReport(upper=upper, lower=lower)
+    manifold, eps = f1.manifold, sys.float_info.epsilon
+    magnitude = max(np.abs(f1.f).max(), np.abs(f2.f).max()) + np.abs(manifold.log_weights).max()
+    tol = float(4 * eps * magnitude + 2 * (manifold.sites + 2) * eps / manifold.half_dim)
+    if lower > upper + tol:
+        raise InvariantViolation(f"forms bracket crossed: lower {lower!r} > upper {upper!r} + {tol!r}")
+    return FormsDistanceReport(upper=upper, lower=lower, tol=tol)

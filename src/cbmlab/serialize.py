@@ -15,7 +15,7 @@ import numpy as np
 from .domains import SplitToricDomain
 from .errors import InvalidInputError, checked_array, checked_int, checked_number
 from .forms import ContactFormRep, ContactMapRep, SampledManifold
-from .starshape import DirectionGrid, RadialSet
+from .starshape import MAX_GRID_COUNT, MIN_GRID_COUNT, DirectionGrid, RadialSet
 
 
 _NON_FINITE = "reports may not contain non-finite numbers"
@@ -116,10 +116,9 @@ def radial_set_from_dict(data: Any) -> RadialSet:
         grid = DirectionGrid.from_directions(directions)
         if grid.dimension != dimension:
             raise InvalidInputError(f"directions must have {dimension} columns, got {grid.dimension}")
-    elif dimension == 2:
-        grid = DirectionGrid.uniform_circle(radii.size)  # a default grid has one direction per radius
-    elif dimension == 3:
-        grid = DirectionGrid.sphere(radii.size)
+    elif dimension in (2, 3):  # a default grid has one direction per radius, checked before it is built
+        count = checked_int(radii.size, "radii count", MIN_GRID_COUNT, MAX_GRID_COUNT)
+        grid = DirectionGrid.uniform_circle(count) if dimension == 2 else DirectionGrid.sphere(count)
     else:
         raise InvalidInputError(f"dimension must be 2 or 3 when directions are omitted, got {dimension}")
     return RadialSet(grid, radii)

@@ -12,9 +12,13 @@ import math
 import time
 from pathlib import Path
 
-from cbmlab import acceptance
+import numpy as np
+import pytest
+
+from cbmlab import acceptance, serialize
 from cbmlab.cli import main
 from cbmlab.primes import PrimeTable, prime_table
+from cbmlab.starshape import RadialSet
 from test_ordered import count_oracle_calls
 
 SEED = 7
@@ -36,6 +40,20 @@ def run_item(name, budget=None):
     if budget is not None:
         assert elapsed < budget, f"{name} took {elapsed:.2f}s, budget {budget}s"
     return details
+
+
+def substitute(monkeypatch, owner, name, change):
+    """Replace owner.name, as the items read it, by a wrong answer: each call's
+    result becomes change(i, result), i counting the calls from 0. Returns the
+    list of (args, changed result) the calls append to."""
+    exact, calls = getattr(owner, name), []
+
+    def wrong(*args):
+        calls.append((args, change(len(calls), exact(*args))))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, wrong)
+    return calls
 
 
 def test_01_growth_rate_oracle_equivalence():
@@ -77,15 +95,15 @@ def substitute_distance(monkeypatch, change):
     """Item 04, with each growth_distance report of a triple replaced by
     change(i, report, the triple's earlier reports), i counting the calls
     (a, b), (b, a), (b, c), (a, c) and (a, a) of the triple from 0."""
-    exact, triple = acceptance.growth_distance, []
+    triple = []
 
-    def distance(*args):
-        if len(triple) == 5:
+    def per_triple(call, report):
+        if call % 5 == 0:
             triple.clear()
-        triple.append(change(len(triple), exact(*args), triple))
+        triple.append(change(call % 5, report, triple))
         return triple[-1]
 
-    monkeypatch.setattr(acceptance, "growth_distance", distance)
+    substitute(monkeypatch, acceptance, "growth_distance", per_triple)
     return ITEMS["04-pseudo-metric-and-norms"](SEED, CFG)
 
 
@@ -110,13 +128,10 @@ def test_04_reads_false_on_a_triangle_excess_past_the_farey_gap(monkeypatch):
 
 
 def test_01_reads_false_on_a_pair_infimum_past_the_farey_gap(monkeypatch):
-    exact = acceptance.rho_plus
-
-    def rho_plus(*args):
-        estimate = exact(*args)
-        return dataclasses.replace(estimate, pair_infimum=estimate.pair_infimum + 1.01 / CFG["l_max"])
-
-    monkeypatch.setattr(acceptance, "rho_plus", rho_plus)
+    substitute(
+        monkeypatch, acceptance, "rho_plus",
+        lambda i, estimate: dataclasses.replace(estimate, pair_infimum=estimate.pair_infimum + 1.01 / CFG["l_max"]),
+    )
     details = ITEMS["01-growth-oracle"](SEED, CFG)
     assert details["max_oracle_error"] > GAP
     assert not details["passed"]
@@ -125,14 +140,14 @@ def test_01_reads_false_on_a_pair_infimum_past_the_farey_gap(monkeypatch):
 def test_05_delta_anchors():
     details = run_item("05-delta-anchors")
     assert details["ball_delta_exact"]
-    assert abs(details["square_disk_delta"] - 2.0**0.5) <= 1e-3
+    assert abs(details["square_disk_delta"] - math.sqrt(2.0)) <= acceptance._ROUNDING
     assert details["dyadic_scaling_exact"]
 
 
 def test_06_toric_exactness():
     details = run_item("06-toric-exactness")
-    assert details["max_interval_width"] <= 1e-6
-    assert details["max_scaling_error"] <= 1e-9
+    assert details["max_interval_width"] == 0.0
+    assert details["max_scaling_error"] <= 2.0**-50
     assert details["upper_le_dc"]
 
 
@@ -150,9 +165,12 @@ def test_08_quasi_isometry_harness():
     assert details["composed_embedding_ok"]
 
 
-def test_09_forms_pinch():
+def test_09_forms_pinch(monkeypatch):
+    calls = substitute(monkeypatch, acceptance, "dcbm_forms", lambda i, report: report)
     details = run_item("09-forms-pinch")
-    assert details["max_pinch_error"] <= 1e-9
+    # the three rescalings come first: each end within its report's tol and the rounding of f1 + ln c
+    bounds = [report.tol + math.ulp(float(np.abs(f2.f).max())) / 2 for (_, f2), report in calls[:3]]
+    assert details["max_pinch_error"] <= min(bounds)
     assert details["lower_le_upper"]
 
 
@@ -166,6 +184,52 @@ def test_10_hamiltonian_bridge():
 def test_11_squeezability_certificate():
     details = run_item("11-squeezable-certificate")
     assert details["all_non_squeezable_with_certificate"]
+
+
+def nudged(radial):
+    """The radial set with every radius one ulp larger."""
+    return RadialSet(radial.grid, np.nextafter(radial.radii, np.inf))
+
+
+# per item, one wrong library answer: (item, owner, name, change); the first three lie
+# within a picked 1e-3, 1e-9 and 1e-9 of the right one, so only a derived bound fails them
+WRONG_ANSWERS = {
+    "05-square-radii-scaled-by-1+1e-9": (
+        "05-delta-anchors", acceptance, "centered_square", lambda i, s: RadialSet(s.grid, s.radii * (1 + 1e-9))
+    ),
+    "06-scaling-pair-off-by-1e-12": (
+        "06-toric-exactness", acceptance, "dcbm_toric",
+        lambda i, iv: dataclasses.replace(iv, lower=iv.lower + 1e-12, upper=iv.upper + 1e-12) if i % 2 else iv,
+    ),
+    "09-pinch-upper-off-by-1e-12": (
+        "09-forms-pinch", acceptance, "dcbm_forms",
+        lambda i, report: dataclasses.replace(report, upper=report.upper + 1e-12) if i < 3 else report,
+    ),
+    "06-upper-one-ulp-over-the-lower": (
+        "06-toric-exactness", acceptance, "dcbm_toric",
+        lambda i, iv: iv if i % 2 else dataclasses.replace(iv, upper=math.nextafter(iv.upper, math.inf)),
+    ),
+    "07-shape-invariant-one-ulp-off": ("07-csh-functoriality", acceptance, "csh", lambda i, fiber: nudged(fiber)),
+    "08-one-pair-failing": (
+        "08-qi-harness", acceptance, "qi_verify",
+        lambda i, report: dataclasses.replace(report, passed=False) if i == 0 else report,
+    ),
+    "11-a-squeezable-ball": (
+        "11-squeezable-certificate", acceptance, "is_squeezable_toric",
+        lambda i, verdict: dataclasses.replace(verdict, squeezable=True),
+    ),
+    "12-a-reader-one-ulp-off": (
+        "12-schema-roundtrip", serialize, "radial_set_from_dict", lambda i, radial: nudged(radial)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_ANSWERS))
+def test_each_item_reads_false_on_a_wrong_library_answer(case, monkeypatch):
+    item, owner, name, change = WRONG_ANSWERS[case]
+    calls = substitute(monkeypatch, owner, name, change)
+    assert not ITEMS[item](SEED, CFG)["passed"]
+    assert calls
 
 
 def test_12_cli_determinism(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cbmlab import acceptance
 from cbmlab.cli import main
 from cbmlab.errors import InvariantViolation, SearchBoundError
+from cbmlab.forms import ContactFormRep, SampledManifold, dcbm_forms
 from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import DirectionGrid, ball
 
@@ -141,6 +142,12 @@ def test_ham2dom_with_too_few_samples_names_them(tmp_path, capsys):
     assert capsys.readouterr().err == "error: hamiltonian samples must number at least 64, got 8\n"
 
 
+def test_a_default_grid_with_too_few_radii_names_them(tmp_path, capsys):
+    r = write(tmp_path / "r.json", {"dimension": 2, "radii": [1.0, 2.0]})
+    assert main(["delta", r, r]) == 2
+    assert capsys.readouterr().err == "error: radii count must be an integer in [64, 1000000], got 2\n"
+
+
 def test_csh_and_squeezable(tmp_path, capsys):
     u = write(tmp_path / "u.json", {"base_dim": 2, "fiber": radial_set_to_dict(ball(2.0, GRID)), "label": "B"})
     code, report = run(capsys, "csh", u)
@@ -180,8 +187,12 @@ def test_dcbm_forms_pinch(tmp_path, capsys):
     p2 = write(tmp_path / "f2.json", {"weights": [1.0] * 32, "half_dim": 2, "f": f1 + math.log(2.0)})
     code, report = run(capsys, "dcbm-forms", p1, p2)
     assert code == 0
-    assert abs(report["upper"] - math.log(2.0)) <= 1e-9
-    assert abs(report["lower"] - math.log(2.0)) <= 1e-9
+    # the library report's bound: its tol, and the rounding of f1 + ln 2
+    m = SampledManifold(np.ones(32), 2)
+    tol = dcbm_forms(ContactFormRep(m, f1), ContactFormRep(m, f1 + math.log(2.0))).tol
+    bound = tol + math.ulp(float(np.abs(f1 + math.log(2.0)).max())) / 2
+    assert abs(report["upper"] - math.log(2.0)) <= bound
+    assert abs(report["lower"] - math.log(2.0)) <= bound
     assert report["pinched"] is True
 
 

@@ -268,10 +268,24 @@ class TestConsistencyAndAxioms:
         m = random_manifold(rng)
         f1 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
         for c in (2.0, math.e, 10.0):
-            report = dcbm_forms(f1, f1.rescaled(c))
-            assert abs(report.upper - math.log(c)) <= 1e-9
-            assert abs(report.lower - math.log(c)) <= 1e-9
+            f2 = f1.rescaled(c)
+            report = dcbm_forms(f1, f2)
+            # each end within the report's tol, and the rounding of f1 + ln c, of ln c
+            bound = report.tol + math.ulp(float(np.abs(f2.f).max())) / 2
+            assert abs(report.upper - math.log(c)) <= bound
+            assert abs(report.lower - math.log(c)) <= bound
             assert report.pinched
+
+    def test_a_gap_past_the_rounding_bound_is_not_pinched(self):
+        # a rescaling with one exponent moved by 1e-11: upper moves by 1e-11, lower by its volume share of it
+        rng = item_rng(SEED, 19)
+        m = random_manifold(rng)
+        f1 = ContactFormRep(m, rng.uniform(-1, 1, m.sites))
+        f2 = f1.f + math.log(2.0)
+        f2[0] += 1e-11
+        report = dcbm_forms(f1, ContactFormRep(m, f2))
+        assert not report.pinched
+        assert report.tol < 1e-13 < 5e-12 < report.upper - report.lower
 
     def _rotation_group(self, m):
         n = m.sites

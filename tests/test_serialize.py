@@ -192,6 +192,15 @@ def test_a_radial_set_whose_directions_disagree_with_its_dimension_is_rejected()
         radial_set_from_dict(json.loads(dumps_report({**circle, "dimension": 3})))
 
 
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("count", [2, 63, 10**6 + 1])
+def test_a_default_grid_count_out_of_range_names_the_radii(dimension, count):
+    # checked before any grid is built, whose own messages name neither the radii nor their count
+    assert radial_set_from_dict({"dimension": dimension, "radii": np.ones(64)}).grid.count == 64
+    with pytest.raises(InvalidInputError, match=rf"^radii count must be an integer in \[64, 1000000\], got {count}$"):
+        radial_set_from_dict({"dimension": dimension, "radii": np.ones(count)})
+
+
 def test_radial_set_bad_payloads():
     with pytest.raises(InvalidInputError):
         radial_set_from_dict({"radii": [1, 2, 3]})

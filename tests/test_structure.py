@@ -5,6 +5,7 @@ import inspect
 import re
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,17 @@ INVARIANT_CHECKS = [
 L_MAX_TOLERANCES = [
     ("acceptance", "item_bridge", 3.0),
     ("acceptance", "item_product_inequality", 2.0),
+]
+
+# every float literal in a comparison in src/ whose decimal spelling is no double, a
+# picked decimal tolerance, as (module, function, literal); a derived bound is a power
+# of two (2.0**-50) or computed, and an exact literal (0.0, 0.5, 2.0) an anchor or a
+# factor; adding or dropping one means editing this pin
+FLOAT_TOLERANCES = [
+    ("acceptance", "item_forms_pinch", 1e-12),
+    ("acceptance", "item_prime_pairs", 0.05),
+    ("acceptance", "item_qi_harness", 1e-9),
+    ("acceptance", "item_qi_harness", 1e-9),
 ]
 
 
@@ -183,6 +195,35 @@ def test_the_l_max_tolerances_are_pinned():
     assert sorted(found) == L_MAX_TOLERANCES
     probe = "def f(cfg, r, l):\n    return 2 / cfg['l_max'] + 0.5 / r.l_max + 1.0 / DEFAULT_L_MAX + 3 / l"
     assert l_max_tolerances(ast.parse(probe)) == [("f", 2), ("f", 0.5)]
+
+
+def picked_decimal(node):
+    """Whether node is a float literal whose decimal value no double equals, such as 1e-9."""
+    return isinstance(node, ast.Constant) and type(node.value) is float and Fraction(repr(node.value)) != node.value
+
+
+def float_tolerances(tree, function=None):
+    """(function, literal) of every picked decimal inside a comparison, in source order."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Compare):
+            found += [(function, literal.value) for literal in ast.walk(node) if picked_decimal(literal)]
+            continue
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        found += float_tolerances(node, inner)
+    return found
+
+
+def test_the_float_tolerances_are_pinned():
+    # the bounds of dcbm_forms and of acceptance items 01, 04, 05, 06 and 09 are derived
+    found = [
+        (path.stem, function, literal)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, literal in float_tolerances(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(found) == FLOAT_TOLERANCES
+    probe = "def f(x, l):\n    y = 1e-9\n    return x <= 0.05 + 1e-3 / l and x == 0.5 and 2.0**-50 >= x - 0.1"
+    assert float_tolerances(ast.parse(probe)) == [("f", 0.05), ("f", 1e-3), ("f", 0.1)]
 
 
 def test_a_mutant_run_past_its_time_limit_is_stopped(tmp_path):
