@@ -52,11 +52,12 @@ from .starshape import (
     qi_verify,
     scale,
 )
+from .primes import prime_table
 
 QUANTUM = 2.0**-20
 _PAIR_STREAM = 101  # shared stream for the growth-rate pair corpus
-# items 01 and 04 compare quotients and logs of rates below 4 (sites lie in [0.5, 2]), each
-# rounded within 2^-51, at most five to a comparison: 2^-48 bounds their rounding
+# items 01, 02 and 04 compare quotients below 8 and logs of rates below 4 (sites lie in [0.5, 2]),
+# each rounded within 2^-51, at most five to a comparison: 2^-48 bounds their rounding
 _ROUNDING = 2.0**-48
 
 
@@ -101,24 +102,36 @@ def item_growth_oracle(seed: int, cfg: dict) -> dict:
 
 
 def item_prime_pairs(seed: int, cfg: dict) -> dict:
+    """Both rates lie above the Farey upper end num/den of the rate at the prime bound: the pair infimum rp
+    is that at l_max, at most 1/(q q_lo) <= 1/l_max above the rate, and the prime-pair rate rpp has p >=
+    ceil(q num/den) for each prime q. So rp - rpp <= 1/l_max. A rate is at most 4 (sites lie in [0.5, 2]),
+    so with top the largest prime <= the bound, the largest prime q* <= top/4 has k = ceil(q* num/den) <=
+    top, and the first prime at or after k is at most k - 1 + g < q* num/den + g, g the largest gap between
+    primes <= top: rpp - rp < g/q*. Both come from the prime table; each quotient rounds within 2^-51."""
     model, pairs = growth_pair_corpus(seed)
     bound = cfg["prime_bound"]
+    primes = prime_table(bound).primes  # the table rho_plus_primes reads
+    q_star = int(primes[primes.searchsorted(int(primes[-1]) // 4, side="right") - 1])
+    gap = int(np.diff(primes).max())
     worst = 0.0
     for a, b in pairs:
         rpp = rho_plus_primes(model, a, b, bound)
         rp = rho_plus(model, a, b, cfg["l_max"]).pair_infimum
         worst = max(worst, abs(rpp - rp))
-    return {"passed": worst <= 0.05, "max_gap": worst, "prime_bound": bound}
+    passed = worst <= max(gap / q_star, 1 / cfg["l_max"]) + _ROUNDING
+    return {"passed": passed, "max_gap": worst, "prime_bound": bound}
 
 
 def item_product_inequality(seed: int, cfg: dict) -> dict:
+    """growth_distance checks p p' >= q q' exactly and returns each rate p/q rounded once, so the float product
+    of the two, rounded once more, is at least (1 - u)^3 > 1 - 2^-51 (u = 2^-53)."""
     model, pairs = growth_pair_corpus(seed)
     l_max = cfg["l_max"]
     min_product = math.inf
     for a, b in pairs:
         report = growth_distance(model, a, b, l_max)
         min_product = min(min_product, report.rho_plus * report.rho_minus)
-    return {"passed": min_product >= 1.0 - 2.0 / l_max, "min_product": min_product}
+    return {"passed": min_product >= 1.0 - 2.0**-51, "min_product": min_product}
 
 
 def item_axioms(seed: int, cfg: dict) -> dict:
@@ -271,7 +284,9 @@ def item_qi_harness(seed: int, cfg: dict) -> dict:
 
 def item_forms_pinch(seed: int, cfg: dict) -> dict:
     """Both exact ends of f1 against f1 + L, L = math.log(c), are L; rescaled rounds each f1 + L within half
-    an ulp of max |f2|, which moves each end as much at most, and tol bounds the rounding of each end."""
+    an ulp of max |f2|, which moves each end as much at most, and tol bounds the rounding of each end.
+    lower_le_upper allows each report its own tol, the bound past which dcbm_forms raises, so it can only
+    read true."""
     rng = item_rng(seed, 9)
     manifold = SampledManifold(quantized(rng, 0.5, 2.0, 128), half_dim=2)
     f1 = ContactFormRep(manifold, rng.uniform(-1.0, 1.0, 128))
@@ -289,7 +304,7 @@ def item_forms_pinch(seed: int, cfg: dict) -> dict:
         g1 = ContactFormRep(manifold, rng.uniform(-1.0, 1.0, 128))
         g2 = ContactFormRep(manifold, rng.uniform(-1.0, 1.0, 128))
         report = dcbm_forms(g1, g2, candidates)
-        chain_ok = chain_ok and report.lower <= report.upper + 1e-12
+        chain_ok = chain_ok and report.lower <= report.upper + report.tol
     return {
         "passed": pinch_ok and chain_ok,
         "max_pinch_error": worst_pinch,
@@ -298,20 +313,27 @@ def item_forms_pinch(seed: int, cfg: dict) -> dict:
 
 
 def item_bridge(seed: int, cfg: dict) -> dict:
+    """rgr_vs_cbm returns only with the domain ratio r >= 1 in [lo (1 - w), hi (1 + w)], w = 2^-48, where hi
+    and lo are the larger upper and the larger lower end of the two Farey brackets at l_max. Under either
+    order, the bridge's strict-positive one too, each rate lies in its bracket [p_lo/q_lo, p/q], with p q_lo
+    - p_lo q = 1 and q q_lo >= l_max, and the two rates multiply to at least 1, so hi >= 1. Farey neighbours
+    never straddle 1: either lo < 1 = hi and 0 <= ln r <= w, or hi's own bracket has p_lo >= q_lo and lo at
+    least its lower end, so ln(hi/lo) <= 1/(q p_lo) <= 1/l_max. So ln hi - ln r lies in [-w, 1/l_max + w(1
+    + w)]. p/q rounds within u (u = 2^-53) and each log of a value below 6 (h in [0.5, 2.5]) within an ulp,
+    2u: the 5u they add and w(1 + w) stay under 2^-47."""
     rng = item_rng(seed, 10)
     unit = hamiltonian_to_domain(np.ones(128))
     unit_ok = bool(np.all(unit.fiber.radii == 1.0)) and unit.m_minus == 1.0 and unit.s_empty == 1.0
     worst_gap = 0.0
     all_hold = True
-    tol = 3.0 / cfg["l_max"]
     for _ in range(50):
         h1 = quantized(rng, 0.5, 2.5, 64)
         h2 = quantized(rng, 0.5, 2.5, 64)
         report = rgr_vs_cbm(h1, h2, l_max=cfg["l_max"])
         worst_gap = max(worst_gap, report.gap)
-        all_hold = all_hold and report.d_order >= report.d_cbm - tol
+        all_hold = all_hold and report.d_order >= report.d_cbm - 2.0**-47
     return {
-        "passed": unit_ok and all_hold and worst_gap <= tol,
+        "passed": unit_ok and all_hold and worst_gap <= 1 / cfg["l_max"] + 2.0**-47,
         "unit_hamiltonian_ok": unit_ok,
         "inequality_holds": all_hold,
         "max_equality_gap": worst_gap,

@@ -21,7 +21,6 @@ DEFAULT_GRID_COUNT = 1024
 # largest default grid (uniform_circle, sphere, the skeleton base); larger
 # counts are rejected before any array is allocated
 MAX_GRID_COUNT = 10**6
-_UNIT_TOL = 1e-12
 _FAN = 48  # fan angles on each side of a spoke
 # most (sample angle, spoke) pairs one skeleton evaluates, checked before any
 # angle is built; it bounds work, as the radii take memory linear in the angles
@@ -60,7 +59,20 @@ def _angle_rows(angles) -> tuple[np.ndarray, np.ndarray]:
 class DirectionGrid:
     """A grid is its (count, dimension) matrix of at least MIN_GRID_COUNT unit
     directions, the shared sample points of radial sets; every factory drops
-    or rejects equal rows. The grid keeps a read-only copy of the matrix."""
+    or rejects equal rows. The grid keeps a read-only copy of the matrix.
+
+    A row is a unit vector when its computed norm is within gamma_(d+4) of 1,
+    d the dimension, gamma_k = k u/(1 - k u) and u = 2^-53: the most a row
+    normalised as x/|x| in doubles, then normed again, can be off (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2.1-2.2, 3.1).
+    In any summation order a sum of d squares is within a factor (1 +- u)^d,
+    as each square rounds once and each term meets at most d - 1 additions,
+    so a computed norm is within (1 +- u)^(d/2 + 1) after its square root.
+    Dividing x by its norm rounds each entry once, which moves the row's norm
+    by a factor 1 +- u, and the check norms the row again: d + 3 factors
+    1 +- u, d + 4 with each half power rounded up, is gamma_(d+4) (Higham's
+    Lemma 3.1). So every factory's rows pass, and a row nudged by more fails.
+    """
 
     directions: np.ndarray
 
@@ -70,7 +82,8 @@ class DirectionGrid:
         if self.count < MIN_GRID_COUNT:
             raise InvalidInputError(f"direction grids need at least {MIN_GRID_COUNT} directions")
         # a row of 0 columns has norm 0, so the matrix has at least one column
-        if np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) > _UNIT_TOL:
+        k = (self.dimension + 4) * 2.0**-53
+        if np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) > k / (1 - k):
             raise InvalidInputError("directions must be unit vectors")
 
     @property

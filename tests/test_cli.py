@@ -20,6 +20,7 @@ from cbmlab.errors import InvariantViolation, SearchBoundError
 from cbmlab.forms import ContactFormRep, SampledManifold, dcbm_forms
 from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import DirectionGrid, ball
+from test_starshape import OFF_UNIT_ROWS
 
 GRID = DirectionGrid.uniform_circle(128)
 
@@ -463,6 +464,14 @@ def test_radial_set_of_dimension_439_loads(tmp_path, capsys):
     code, report = run(capsys, "delta", a, a)
     assert code == 0
     assert report["delta"] == 1.0
+
+
+@pytest.mark.parametrize("case", list(OFF_UNIT_ROWS))
+def test_directions_off_unit_norm_exit_two(case, tmp_path, capsys):
+    rows = OFF_UNIT_ROWS[case]
+    a = write(tmp_path / "a.json", {"dimension": rows.shape[1], "radii": [1.0] * len(rows), "directions": rows})
+    assert main(["delta", a, a]) == 2
+    assert capsys.readouterr().err == "error: directions must be unit vectors\n"
 
 
 def test_repeated_directions_exit_two(tmp_path, capsys):

@@ -119,17 +119,13 @@ def test_an_object_of_no_json_type_is_rejected():
 
 
 def own_direction_grid(dimension):
-    """A grid of 64 distinct unit directions in R^dimension, not a default grid;
-    in R^1 they are ±1 moved apart within the unit-vector tolerance."""
-    if dimension == 1:
-        near_one = 1.0 - 2.0**-45 * np.arange(32)
-        return DirectionGrid.from_directions(np.concatenate([near_one, -near_one])[:, None])
+    """A grid of 64 distinct unit directions in R^dimension, not a default grid."""
     points = item_rng(12, dimension).normal(size=(64, dimension))
     return DirectionGrid.from_directions(points / np.linalg.norm(points, axis=1)[:, None])
 
 
 def test_radial_set_round_trip_is_identity():
-    grids = [DirectionGrid.uniform_circle(64), DirectionGrid.sphere(64, 3)] + [own_direction_grid(d) for d in (1, 3, 4)]
+    grids = [DirectionGrid.uniform_circle(64), DirectionGrid.sphere(64, 3)] + [own_direction_grid(d) for d in (3, 4)]
     for grid in grids:
         original = RadialSet(grid, item_rng(12, 0).uniform(0.5, 2.0, grid.count))
         payload = dumps_report(radial_set_to_dict(original))
@@ -154,8 +150,8 @@ def test_narrow_skeletons_round_trip():
     # keeps it once, so its reader does not see a duplicate direction
     rows = skeleton_round_trip(SkeletonSpec(np.zeros(4), 10.0, 1e-12)).grid.directions
     assert len(set(map(tuple, rows.tolist()))) == len(rows)
-    # rows 2.2e-16 apart, far inside the 1e-12 unit-vector tolerance, are
-    # still two directions: a tolerance rule would reject this region
+    # rows 2.2e-16 apart, inside the unit check's bound gamma_6 = 6.7e-16 in the
+    # plane, are still two directions: a tolerance rule would reject this region
     rows = skeleton_round_trip(SkeletonSpec(np.zeros(2), 10.0, 1e-12), base_count=64).grid.directions
     assert np.min(np.linalg.norm(np.diff(rows, axis=0), axis=1)) <= 2.3e-16
 

@@ -17,6 +17,7 @@ from cbmlab.errors import InvalidInputError
 from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import (
     MAX_GRID_COUNT,
+    MIN_GRID_COUNT,
     DirectionGrid,
     QiReport,
     RadialSet,
@@ -35,6 +36,14 @@ from cbmlab.starshape import (
 GRID_ANGLES = 2.0 * math.pi * np.arange(1024) / 1024
 GRID = DirectionGrid.uniform_circle(1024)
 SEED = 99  # Philox key of this file's draws
+# rows off unit norm by more than the grid's rounding bound: the uniform circle scaled by
+# 1 + 9e-13, about 8,100 u (u = 2^-53), and 64 rows +-1 of R^1 moved by up to 31 * 2^-45,
+# since two unit rows are too few for a grid there
+NEAR_ONE = 1.0 - 2.0**-45 * np.arange(32)
+OFF_UNIT_ROWS = {
+    "circle-scaled-by-1+9e-13": DirectionGrid.uniform_circle(1024).directions * (1 + 9e-13),
+    "r1-rows-moved-by-2^-45": np.concatenate([NEAR_ONE, -NEAR_ONE])[:, None],
+}
 
 
 def polar_volume(a):
@@ -147,6 +156,20 @@ class TestGrids:
         pair = [[c, s], [c, math.nextafter(s, 1.0)]]
         assert math.atan2(*pair[0][::-1]) == math.atan2(*pair[1][::-1]) == 2.0
         assert DirectionGrid.from_directions(np.concatenate([GRID.directions, pair])).count == GRID.count + 2
+
+    @pytest.mark.parametrize("case", list(OFF_UNIT_ROWS))
+    def test_rows_off_unit_norm_past_the_rounding_bound_are_rejected(self, case):
+        with pytest.raises(InvalidInputError, match="^directions must be unit vectors$"):
+            DirectionGrid(OFF_UNIT_ROWS[case])
+
+    def test_rows_normalised_in_doubles_are_unit_vectors(self):
+        # every factory count from the least to the largest, 1,000 no multiple of 8, and
+        # seeded rows x/|x| in dimensions 1 to 439, each within the derived gamma_(d+4)
+        for count in (MIN_GRID_COUNT, 1000, MAX_GRID_COUNT):
+            assert DirectionGrid.uniform_circle(count).count == DirectionGrid.sphere(count).count == count
+        for dimension in range(1, 440):
+            x = item_rng(SEED, dimension).normal(size=(MIN_GRID_COUNT, dimension))
+            assert DirectionGrid(x / np.linalg.norm(x, axis=1)[:, None]).dimension == dimension
 
     def test_sphere_samples_are_isotropic(self):
         # mean(x x^T) of a uniform sphere sample is I/3

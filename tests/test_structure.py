@@ -36,18 +36,14 @@ INVARIANT_CHECKS = [
 # every tolerance in src/ written as a number literal over l_max, as (module,
 # function, literal); 1/l_max, the Farey gap 1/n that a bracket at n
 # certifies, is derived and not listed; adding or dropping one means editing this pin
-L_MAX_TOLERANCES = [
-    ("acceptance", "item_bridge", 3.0),
-    ("acceptance", "item_product_inequality", 2.0),
-]
+L_MAX_TOLERANCES = []
 
 # every float literal in a comparison in src/ whose decimal spelling is no double, a
-# picked decimal tolerance, as (module, function, literal); a derived bound is a power
-# of two (2.0**-50) or computed, and an exact literal (0.0, 0.5, 2.0) an anchor or a
-# factor; adding or dropping one means editing this pin
+# picked decimal tolerance, spelt out or through a module-level name, as (module,
+# function, literal); a derived bound is a power of two (2.0**-50) or computed, and an
+# exact literal (0.0, 0.5, 2.0) an anchor or a factor; adding or dropping one means
+# editing this pin
 FLOAT_TOLERANCES = [
-    ("acceptance", "item_forms_pinch", 1e-12),
-    ("acceptance", "item_prime_pairs", 0.05),
     ("acceptance", "item_qi_harness", 1e-9),
     ("acceptance", "item_qi_harness", 1e-9),
 ]
@@ -202,20 +198,38 @@ def picked_decimal(node):
     return isinstance(node, ast.Constant) and type(node.value) is float and Fraction(repr(node.value)) != node.value
 
 
-def float_tolerances(tree, function=None):
-    """(function, literal) of every picked decimal inside a comparison, in source order."""
+def picked_names(module):
+    """{name: literal} of every module-level name assigned a picked decimal."""
+    return {
+        target.id: node.value.value
+        for node in module.body
+        if isinstance(node, ast.Assign) and picked_decimal(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def float_tolerances(tree, function=None, names=None):
+    """(function, literal) of every picked decimal inside a comparison, spelt out or through
+    a module-level name assigned one, in source order."""
+    names = picked_names(tree) if names is None else names
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Compare):
-            found += [(function, literal.value) for literal in ast.walk(node) if picked_decimal(literal)]
+            for leaf in ast.walk(node):
+                if picked_decimal(leaf):
+                    found.append((function, leaf.value))
+                elif isinstance(leaf, ast.Name) and leaf.id in names:
+                    found.append((function, names[leaf.id]))
             continue
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        found += float_tolerances(node, inner)
+        found += float_tolerances(node, inner, names)
     return found
 
 
 def test_the_float_tolerances_are_pinned():
-    # the bounds of dcbm_forms and of acceptance items 01, 04, 05, 06 and 09 are derived
+    # the bounds of dcbm_forms, of the direction grid's unit check and of acceptance items
+    # 01 to 06, 09 and 10 are derived
     found = [
         (path.stem, function, literal)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -224,6 +238,8 @@ def test_the_float_tolerances_are_pinned():
     assert sorted(found) == FLOAT_TOLERANCES
     probe = "def f(x, l):\n    y = 1e-9\n    return x <= 0.05 + 1e-3 / l and x == 0.5 and 2.0**-50 >= x - 0.1"
     assert float_tolerances(ast.parse(probe)) == [("f", 0.05), ("f", 1e-3), ("f", 0.1)]
+    named = "TOL = 1e-12\nEXACT = 0.5\nUNUSED = 0.6\ndef f(x):\n    return abs(x - 1.0) > TOL or x < EXACT"
+    assert float_tolerances(ast.parse(named)) == [("f", 1e-12)]
 
 
 def test_a_mutant_run_past_its_time_limit_is_stopped(tmp_path):
