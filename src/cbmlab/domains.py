@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int
 from .ordered import DEFAULT_L_MAX, OrderedModel, OrderVariant, growth_brackets
-from .starshape import MIN_GRID_COUNT, DirectionGrid, RadialSet, delta, log_delta, scale
+from .starshape import MAX_GRID_COUNT, MIN_GRID_COUNT, DirectionGrid, RadialSet, delta, log_delta, scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +205,7 @@ def hamiltonian_to_domain(h) -> HamiltonianDomain:
     samples, on the uniform circle grid with one direction per site. Every
     sample is finite and positive, as for a positive contact isotopy."""
     values = checked_array(h, "hamiltonian samples", ndim=1, finite=True, positive=True)
-    if values.size < MIN_GRID_COUNT:  # one grid direction per site
-        raise InvalidInputError(f"hamiltonian samples must number at least {MIN_GRID_COUNT}, got {values.size}")
+    checked_int(values.size, "hamiltonian sample count", MIN_GRID_COUNT, MAX_GRID_COUNT)
     with np.errstate(over="ignore"):  # RadialSet rejects a radius that overflows
         radii = 1.0 / values
     return HamiltonianDomain(
@@ -239,8 +238,7 @@ def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
     if v1.size != v2.size:
         raise InvalidInputError("h2 must have one sample per site of h1")
     l_max = checked_int(l_max, "l_max", least=1)
-    if v1.size < MIN_GRID_COUNT:  # one grid direction per site
-        raise InvalidInputError(f"h1 must have at least {MIN_GRID_COUNT} samples, got {v1.size}")
+    checked_int(v1.size, "h1 sample count", MIN_GRID_COUNT, MAX_GRID_COUNT)
     fibers = [hamiltonian_to_domain(v).fiber for v in (v1, v2)]
     model = OrderedModel.additive(v1.shape[0], OrderVariant.STRICT_POSITIVE)
     (top, low), (top_m, low_m) = growth_brackets(model, model.element(v1), model.element(v2), l_max)

@@ -99,11 +99,10 @@ def checked_number(value, name: str, above: float | None = None) -> float:
 
 
 def checked_array(
-    value, name: str, ndim: int | None = None, finite: bool = False, positive: bool = False,
-    integer: bool = False,
+    value, name: str, ndim: int, finite: bool = False, positive: bool = False, integer: bool = False,
 ) -> np.ndarray:
     """value as a read-only float64 array, or int64 array if ``integer``, that
-    shares no memory with value: of ``ndim`` dimensions, if given, with every
+    shares no memory with value: of ``ndim`` dimensions, with every
     entry finite if ``finite`` and > 0 if ``positive``. Otherwise
     InvalidInputError, whose message starts with the array's name."""
     kinds = "integers" if integer else "numbers"
@@ -126,9 +125,8 @@ def checked_array(
                 raise InvalidInputError(message)
     # one copy at most: an array numpy built from a list shares no memory with the caller
     arr = arr.astype(np.int64 if integer else float, copy=arr is value or not arr.flags.owndata)
-    wrong_ndim = ndim is not None and arr.ndim != ndim
-    if wrong_ndim or (finite and not np.isfinite(arr).all()) or (positive and not (arr > 0).all()):
-        shape = "an array" if ndim is None else f"a {ndim}-D array"
-        raise InvalidInputError(f"{name} must be {shape} of {'finite ' * finite}{kinds}{' > 0' * positive}")
+    if arr.ndim != ndim or (finite and not np.isfinite(arr).all()) or (positive and not (arr > 0).all()):
+        contract = f"{'finite ' * finite}{kinds}{' > 0' * positive}"
+        raise InvalidInputError(f"{name} must be a {ndim}-D array of {contract}")
     arr.flags.writeable = False
     return arr

@@ -244,20 +244,13 @@ class SkeletonSpec:
         return self.target_volume / (self.c0 * float(np.sum(np.exp(self.v))))
 
 
-def _check_spoke_samples(angle_count: int, spoke_count: int) -> None:
-    if angle_count * spoke_count > MAX_SPOKE_SAMPLES:
-        raise InvalidInputError(
-            f"{angle_count} sample angles x {spoke_count} spokes exceed the cap of "
-            f"{MAX_SPOKE_SAMPLES} trig samples; use fewer spokes or a smaller grid"
-        )
-
-
 def _skeleton_radii(specs: Sequence[SkeletonSpec], angles: np.ndarray) -> list[np.ndarray]:
     """Each spec's radii at the angles, for specs of one spoke count: the most
     of h = epsilon/2, the central disk, and min(h/|sin d|, L_i/cos d) (h/+0 is
     +inf) over the spokes i whose offset d from the angle has cos d > 0.
     Spoke by spoke, so memory is linear in the angle count; each spoke's cos d
-    and |sin d| serve every spec. Callers check MAX_SPOKE_SAMPLES first."""
+    and |sin d| serve every spec. The angles come from _skeleton_angles, which
+    keeps their count times the spoke count within MAX_SPOKE_SAMPLES."""
     halves = [spec.epsilon / 2.0 for spec in specs]
     lengths = [spec.spoke_lengths.tolist() for spec in specs]
     radii = [np.full(angles.shape, h) for h in halves]
@@ -296,34 +289,41 @@ def _width_fans(spec: SkeletonSpec) -> np.ndarray:
     return np.stack([phi + offsets, phi - offsets], axis=1).ravel()
 
 
-def skeleton_angles(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
-    """Sampling angles adapted to the skeleton: a uniform base grid plus the
-    exact spoke directions and log-spaced fans resolving each spoke's width."""
-    return np.concatenate([_uniform_angles(base_count), spec.spoke_angles, _width_fans(spec)])
-
-
-def _warn_if_wide(spec: SkeletonSpec) -> None:
-    spacing = 2.0 * spec.c0 * math.sin(math.pi / spec.v.size / 2.0)
-    if spec.epsilon >= spacing:
-        warnings.warn(
-            f"skeleton width {spec.epsilon:.3g} is not small against the spoke "
-            f"spacing {spacing:.3g}; the leading-order volume normalization degrades",
-            stacklevel=3,
+def _skeleton_angles(specs: Sequence[SkeletonSpec], base_count: int) -> np.ndarray:
+    """Sampling angles adapted to skeletons of one spoke count: a uniform base
+    grid of base_count angles, the exact spoke directions, then each spec's
+    log-spaced fans resolving its width. The angle count times the spoke
+    count is checked against MAX_SPOKE_SAMPLES before any angle is built, and
+    each spec whose width is not small against its spoke spacing warns,
+    naming the caller of skeleton_region or qi_verify."""
+    base_count = checked_int(base_count, "grid count", 0, MAX_GRID_COUNT)
+    m = specs[0].v.size
+    count = base_count + m + 2 * _FAN * m * len(specs)
+    if count * m > MAX_SPOKE_SAMPLES:
+        raise InvalidInputError(
+            f"{count} sample angles x {m} spokes exceed the cap of "
+            f"{MAX_SPOKE_SAMPLES} trig samples; use fewer spokes or a smaller grid"
         )
+    for spec in specs:
+        spacing = 2.0 * spec.c0 * math.sin(math.pi / m / 2.0)
+        if spec.epsilon >= spacing:
+            warnings.warn(
+                f"skeleton width {spec.epsilon:.3g} is not small against the spoke "
+                f"spacing {spacing:.3g}; the leading-order volume normalization degrades",
+                stacklevel=3,
+            )
+    return np.concatenate([_uniform_angles(base_count), specs[0].spoke_angles, *map(_width_fans, specs)])
 
 
 def skeleton_region(spec: SkeletonSpec, base_count: int = DEFAULT_GRID_COUNT) -> RadialSet:
-    """The thickened skeleton, sampled on the grid of its adaptive angles
-    (``skeleton_angles`` with ``base_count`` uniform base directions).
+    """The thickened skeleton, sampled on the grid of its adaptive angles:
+    ``base_count`` uniform base directions, the spoke directions and the
+    log-spaced fans resolving each spoke's width.
 
     The set is the union of 2k rectangles (length L_i along spoke i,
     half-width epsilon/2) with a central disk of radius epsilon/2.
     """
-    base_count = checked_int(base_count, "grid count", 0, MAX_GRID_COUNT)
-    _warn_if_wide(spec)
-    m = spec.v.size  # the angle count before deduplication, before any angle is built
-    _check_spoke_samples(base_count + (1 + 2 * _FAN) * m, m)
-    angles, rows = _angle_rows(skeleton_angles(spec, base_count))
+    angles, rows = _angle_rows(_skeleton_angles([spec], base_count))
     return RadialSet(DirectionGrid(rows), _skeleton_radii([spec], angles)[0])
 
 
@@ -366,20 +366,13 @@ def qi_verify(
     the continuous regions. A max over those angles depends neither on their
     order nor on repeats, so no grid is sorted or built.
     """
-    base_count = checked_int(base_count, "grid count", 0, MAX_GRID_COUNT)
     c1 = checked_number(c1, "c1", above=0)
     tol = checked_number(tol, "tol")
     spec_v = SkeletonSpec(v, c0, target_volume)
     spec_w = SkeletonSpec(w, c0, target_volume)
     if spec_v.v.size != spec_w.v.size:
         raise InvalidInputError("spoke counts differ")
-    m = spec_v.v.size  # the exact count of the angles below, before any is built
-    _check_spoke_samples(base_count + (1 + 4 * _FAN) * m, m)
-    angles = np.mod(
-        np.concatenate([skeleton_angles(spec_v, base_count), _width_fans(spec_w)]), 2.0 * math.pi
-    )
-    _warn_if_wide(spec_v)
-    _warn_if_wide(spec_w)
+    angles = np.mod(_skeleton_angles([spec_v, spec_w], base_count), 2.0 * math.pi)
     radii_v, radii_w = map(_radii, _skeleton_radii([spec_v, spec_w], angles))
     ld = math.log(_radial_delta(radii_v, radii_w))
     linf = float(np.max(np.abs(spec_v.v - spec_w.v)))

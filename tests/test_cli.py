@@ -140,7 +140,7 @@ def test_ham2dom_unit(tmp_path, capsys):
 
 def test_ham2dom_with_too_few_samples_names_them(tmp_path, capsys):
     assert main(["ham2dom", write(tmp_path / "h.json", [1.0] * 8)]) == 2
-    assert capsys.readouterr().err == "error: hamiltonian samples must number at least 64, got 8\n"
+    assert capsys.readouterr().err == "error: hamiltonian sample count must be an integer in [64, 1000000], got 8\n"
 
 
 def test_a_default_grid_with_too_few_radii_names_them(tmp_path, capsys):

@@ -306,8 +306,16 @@ class TestRgrVsCbm:
             rgr_vs_cbm(1.0, 2.0)
 
     def test_too_few_samples_name_h1(self):
-        with pytest.raises(InvalidInputError, match="^h1 must have at least 64 samples, got 8$"):
+        with pytest.raises(InvalidInputError, match=r"^h1 sample count must be an integer in \[64, 1000000\], got 8$"):
             rgr_vs_cbm(np.ones(8), np.ones(8))
+
+    def test_too_many_samples_are_named_before_any_grid_is_built(self):
+        h = np.ones(starshape.MAX_GRID_COUNT + 1)
+        bound = r"must be an integer in \[64, 1000000\], got 1000001$"
+        with pytest.raises(InvalidInputError, match="^hamiltonian sample count " + bound):
+            hamiltonian_to_domain(h)
+        with pytest.raises(InvalidInputError, match="^h1 sample count " + bound):
+            rgr_vs_cbm(h, h)
 
     def test_l_max_is_checked_before_the_domains_are_built(self):
         # radii 1/h past the float range would fail the domain's own check

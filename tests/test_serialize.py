@@ -214,14 +214,14 @@ NUMBER = st.one_of(
 def test_float_arrays_read_numbers_as_floats_and_reject_booleans_and_strings(rows, cols, data):
     # integers of any size read as numbers; numpy alone reads true as 1.0 and "0" as 0.0
     matrix = [data.draw(st.lists(NUMBER, min_size=cols, max_size=cols)) for _ in range(rows)]
-    for value in (matrix[0], matrix):
-        read = checked_array(value, "x")
+    for value, ndim in ((matrix[0], 1), (matrix, 2)):
+        read = checked_array(value, "x", ndim=ndim)
         assert read.dtype == np.float64 and np.array_equal(read, np.asarray(value, dtype=float))
     i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
     matrix[i][j] = data.draw(st.sampled_from([True, False, "1.0", "0"]))
-    for value in (matrix[i], matrix):
+    for value, ndim in ((matrix[i], 1), (matrix, 2)):
         with pytest.raises(InvalidInputError, match="x must be an array of numbers"):
-            checked_array(value, "x")
+            checked_array(value, "x", ndim=ndim)
 
 
 def test_float_arrays_past_the_float_range_are_rejected():

@@ -29,7 +29,6 @@ from cbmlab.starshape import (
     lshape_array,
     qi_verify,
     scale,
-    skeleton_angles,
     skeleton_region,
 )
 
@@ -97,7 +96,7 @@ class TestGrids:
         makers = (
             DirectionGrid.uniform_circle,
             DirectionGrid.sphere,
-            lambda n: skeleton_angles(spec, n),
+            lambda n: starshape._skeleton_angles([spec], n),
             lambda n: skeleton_region(spec, n),
             lambda n: qi_verify(np.zeros(4), np.zeros(4), base_count=n),
         )
@@ -460,6 +459,31 @@ class TestQiVerify:
             qi_verify(np.zeros(4), np.full(4, 0.1), c0=1.5, target_volume=10.0)
         assert len(record) == 2
 
+    def test_the_trig_sample_cap_admits_exactly_the_angles_times_the_spokes(self, monkeypatch):
+        # at 4 spokes and base 64: 64 + 4 spoke angles + 2 * 48 * 4 fan angles per spec
+        spec = SkeletonSpec(np.zeros(4), 10.0)
+        runs = (
+            (lambda: skeleton_region(spec, base_count=64), (64 + 4 + 384) * 4),
+            (lambda: qi_verify(np.zeros(4), np.full(4, 0.5), base_count=64), (64 + 4 + 2 * 384) * 4),
+        )
+        for run, samples in runs:
+            monkeypatch.setattr(starshape, "MAX_SPOKE_SAMPLES", samples)
+            run()
+            monkeypatch.setattr(starshape, "MAX_SPOKE_SAMPLES", samples - 1)
+            with pytest.raises(InvalidInputError, match="trig samples"):
+                run()
+
+    def test_a_wide_skeleton_warning_names_the_callers_file(self):
+        wide = SkeletonSpec(np.zeros(4), 1.5, 10.0)
+        runs = (
+            lambda: skeleton_region(wide),
+            lambda: qi_verify(np.zeros(4), np.full(4, 0.1), c0=1.5, target_volume=10.0),
+        )
+        for run in runs:
+            with pytest.warns(UserWarning) as record:
+                run()
+            assert record and all(warning.filename == __file__ for warning in record)
+
 
 # -- the skeleton harness before it ran on one angle array, kept as the reference --
 
@@ -588,8 +612,8 @@ class TestSkeletonReference:
         spec = SkeletonSpec(np.array([-4.4, -2.8, -0.3, 1.1]), 10.0)
         h, lengths = spec.epsilon / 2.0, spec.spoke_lengths
         corner = math.atan2(h, float(lengths[0])) / 8.0
-        assert any(angle == corner for angle in skeleton_angles(spec).tolist())
-        assert np.array_equal(skeleton_angles(spec), _reference_skeleton_angles(spec))
+        assert any(angle == corner for angle in starshape._skeleton_angles([spec], 1024).tolist())
+        assert np.array_equal(starshape._skeleton_angles([spec], 1024), _reference_skeleton_angles(spec))
         assert _region_bytes(skeleton_region(spec)) == _region_bytes(_reference_skeleton_region(spec))
 
     def test_a_collapsed_fan_leaves_the_other_fans_alone(self):
@@ -604,7 +628,7 @@ class TestSkeletonReference:
         # spoke 0 lies at angle 0, so its first fan, after the 1024 base and
         # 8 spoke angles, is its offsets themselves
         assert not np.array_equal(joint[0], reference[1032:1080])
-        assert np.array_equal(skeleton_angles(spec), reference)
+        assert np.array_equal(starshape._skeleton_angles([spec], 1024), reference)
         w = spec.v.copy()
         w[0] = 1.0
         with warnings.catch_warnings():

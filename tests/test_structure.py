@@ -18,6 +18,7 @@ from test_errors import ARRAYS, ENTRIES, SCALARS
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(cbmlab.__file__).parent
 MUTANTS = ROOT / "tools" / "mutants.py"
+COVERAGE = ROOT / "tools" / "coverage.py"
 BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
 # every InvariantViolation cross-check, as (module, message up to its first
@@ -250,6 +251,16 @@ def test_a_mutant_run_past_its_time_limit_is_stopped(tmp_path):
     (tmp_path / "test_passes.py").write_text("def test_passes():\n    pass\n")
     assert mutants.tests_pass(tmp_path, tmp_path / "test_hangs.py", timeout=0.5) is None
     assert mutants.tests_pass(tmp_path, tmp_path / "test_passes.py", timeout=60) is True
+
+
+def test_the_coverage_tool_flags_an_if_whose_false_side_never_runs(tmp_path):
+    coverage = load(COVERAGE)
+    source = "def f(x):\n    if x > 0:\n        x = -x\n    return x\n"
+    module = tmp_path / "synthetic.py"
+    module.write_text(source)
+    for xs, found in (([1.0], [(2, "one-sided (its false side never runs)")]), ([1.0, -1.0], [])):
+        _, arcs = coverage.record(lambda: [load(module).f(x) for x in xs], tmp_path)
+        assert [(stmt.lineno, kind) for stmt, kind, _ in coverage.findings(source, arcs[str(module)])] == found
 
 
 def loads(tree, name):
