@@ -8,14 +8,7 @@ domains, one-sided distance bounds between contact forms, and a numerical
 harness for a quasi-isometric embedding built from spoke skeletons.
 """
 
-from .errors import (
-    CbmlabError,
-    InvalidInputError,
-    InvariantViolation,
-    PreconditionError,
-    PrimePairError,
-    SearchBoundError,
-)
+from .errors import CbmlabError, InvalidInputError, InvariantViolation
 from .ordered import (
     Element,
     GrowthRateReport,

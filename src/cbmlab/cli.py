@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, errors, norms, serialize
+from . import acceptance, norms, serialize
 from .domains import (
     csh,
     dc_toric,
@@ -273,17 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(error: type) -> int:
-    """1 for a failed check, 2 for any other package error (malformed input,
-    or an input past a bound or precondition)."""
+    """1 for a failed check (InvariantViolation), 2 for any other package
+    error (InvalidInputError)."""
     return EXIT_ASSERTION if issubclass(error, InvariantViolation) else EXIT_INPUT
 
 
 def _accept_exit_code(report: dict) -> int:
     """The greatest exit code over the failed items, each by the class name its
-    error is recorded under; a failed check counts as an InvariantViolation."""
+    error is recorded under: 1 for an InvariantViolation or a failed check, 2
+    for any other name."""
     failed = [item for item in report["items"] if not item["passed"]]
-    names = [item.get("error", "InvariantViolation").split(":")[0] for item in failed]
-    return max((_exit_code(getattr(errors, name, CbmlabError)) for name in names), default=EXIT_OK)
+    names = [item.get("error", InvariantViolation.__name__).split(":")[0] for item in failed]
+    codes = (EXIT_ASSERTION if name == InvariantViolation.__name__ else EXIT_INPUT for name in names)
+    return max(codes, default=EXIT_OK)
 
 
 def main(argv=None) -> int:

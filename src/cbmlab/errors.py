@@ -23,27 +23,10 @@ class CbmlabError(Exception):
 
 
 class InvalidInputError(CbmlabError):
-    """Inputs are malformed or mutually incompatible (model/grid mismatch)."""
-
-
-class PreconditionError(CbmlabError):
-    """A documented precondition of an operation does not hold."""
-
-
-class SearchBoundError(CbmlabError):
-    """An exponent search exceeded its safety bound."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        super().__init__(f"exponent search exceeded bound {bound}")
-
-
-class PrimePairError(CbmlabError):
-    """No prime ordering pair exists below the given bound."""
-
-    def __init__(self, prime_bound: int):
-        self.prime_bound = prime_bound
-        super().__init__(f"no prime ordering pair found with entries <= {prime_bound}")
+    """Inputs are malformed or mutually incompatible (model/grid mismatch), or
+    lie past a limit of the growth rate: a base that is not dominant, a least
+    exponent past the search bound, or no prime ordering pair below the prime
+    bound."""
 
 
 class InvariantViolation(CbmlabError):

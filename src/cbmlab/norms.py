@@ -40,9 +40,9 @@ def norm(base: Element, arg: Element) -> NormReport:
     least exponent of arg at l = 1 and -nu_minus that of -arg, off the two
     brackets of growth_brackets(base, arg, 1, negated=True). Each is the
     threshold's integer part and its two certificate calls, in O(sites)
-    memory; a ratio beyond the search bound raises SearchBoundError before
+    memory; a ratio beyond the search bound raises InvalidInputError before
     any closed form is checked. The oracle also checks arg's site count and
-    raises PreconditionError for a base that is not dominant.
+    raises InvalidInputError for a base that is not dominant.
 
     growth_brackets checks each bracket against its closed form on the float
     ratios, at the strength monotone rounding permits; at n = 1 that is

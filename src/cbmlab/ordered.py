@@ -22,9 +22,6 @@ from .errors import (
     DOUBLE_MAX,
     InvalidInputError,
     InvariantViolation,
-    PreconditionError,
-    PrimePairError,
-    SearchBoundError,
     checked_array,
     checked_int,
     checked_number,
@@ -159,8 +156,8 @@ class _Oracle:
         return k * den > l * num if strict else k * den >= l * num
 
 
-def _not_dominant(smallest: float) -> PreconditionError:
-    return PreconditionError(f"the order oracle needs a dominant base; its smallest site is {smallest!r}")
+def _not_dominant(smallest: float) -> InvalidInputError:
+    return InvalidInputError(f"the order oracle needs a dominant base; its smallest site is {smallest!r}")
 
 
 def _extreme(sites: list, least: bool) -> tuple[int, int]:
@@ -227,8 +224,8 @@ def min_power(model: OrderedModel, a: Element, b: Element, l: int) -> int:
     It is ceil(l*p/q) off the certified Farey bracket at n = l: two oracle
     calls and O(log l) integer steps. It relies only on the exact oracle's
     threshold and on upward-closedness of the predicate, which both concrete
-    models guarantee, and raises SearchBoundError exactly when |k| passes
-    the search bound. The oracle raises PreconditionError for a base that is
+    models guarantee, and raises InvalidInputError exactly when |k| passes
+    the search bound. The oracle raises InvalidInputError for a base that is
     not dominant.
     """
     l = checked_int(l, "l", least=1)
@@ -258,13 +255,11 @@ def _bracket(oracle: _Oracle, n: int) -> _Bracket:
     p*q_lo - p_lo*q = 1, q + q_lo > n), cross-checks the descent against the
     cross-multiplication in two calls and leaves no fraction with denominator
     <= n between them, so the least exponent of every l <= n is ceil(l*p/q).
-    SearchBoundError is raised when |k| or |ceil(n*p/q)| passes the search
-    bound, that is when some least exponent of an l <= n does.
+    InvalidInputError is raised when |ceil(n*p/q)| passes the search bound,
+    that is when some least exponent of an l <= n does.
     """
     num, den, strict = oracle.threshold
     k = num // den + 1 if strict else -(-num // den)
-    if abs(k) > _SEARCH_BOUND:
-        raise SearchBoundError(_SEARCH_BOUND)
     p_lo, q_lo, p, q = k - 1, 1, k, 1
     s, t, loose = k * den - num, num - (k - 1) * den, not strict  # s >= 0 (> 0 if strict), t > 0 (>= 0)
     while q + q_lo <= n:
@@ -283,7 +278,7 @@ def _bracket(oracle: _Oracle, n: int) -> _Bracket:
     if not (oracle(p, q) and not oracle(p_lo, q_lo) and p * q_lo - p_lo * q == 1 and q + q_lo > n):
         raise InvariantViolation(f"Farey bracket {p_lo}/{q_lo} < {p}/{q} fails its certificate at n={n}")
     if abs(-(-n * p // q)) > _SEARCH_BOUND:  # |k_l| never shrinks as l grows, and k_1 = k
-        raise SearchBoundError(_SEARCH_BOUND)
+        raise InvalidInputError(f"exponent search exceeded bound {_SEARCH_BOUND}")
     return (p, q), (p_lo, q_lo)
 
 
@@ -315,7 +310,7 @@ def rho_plus(model: OrderedModel, a: Element, b: Element, l_max: int = DEFAULT_L
 
     The pair infimum is the p/q of one Farey bracket at l_max, and the limit
     estimate ceil(l_max*p/q)/l_max. The closed form max(b/a) must lie in the
-    bracket. The oracle raises PreconditionError for a base that is not
+    bracket. The oracle raises InvalidInputError for a base that is not
     dominant.
     """
     l_max = checked_int(l_max, "l_max", least=1)
@@ -356,7 +351,7 @@ def _prime_pair(oracle: _Oracle, prime_bound: int, table: PrimeTable | None) -> 
     last_q = min(top, top * den // num)  # num >= 1, as b is dominant
     qs = primes[: primes.searchsorted(last_q, side="right")]
     if not qs.size:
-        raise PrimePairError(prime_bound)
+        raise InvalidInputError(f"no prime ordering pair found with entries <= {prime_bound}")
     k_min = qs * num
     np.floor_divide(k_min, -den, out=k_min)  # -ceil(q*num/den)
     np.negative(k_min, out=k_min)

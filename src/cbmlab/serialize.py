@@ -113,7 +113,7 @@ def radial_set_from_dict(data: Any) -> RadialSet:
     dimension = checked_int(payload.get("dimension"), "dimension")
     radii = checked_array(payload.get("radii"), "radii", ndim=1, finite=True, positive=True)
     if (directions := payload.get("directions")) is not None:
-        grid = DirectionGrid.from_directions(directions)
+        grid = DirectionGrid(directions)
         if grid.dimension != dimension:
             raise InvalidInputError(f"directions must have {dimension} columns, got {grid.dimension}")
     elif dimension in (2, 3):  # a default grid has one direction per radius, checked before it is built

@@ -58,8 +58,8 @@ def _angle_rows(angles) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class DirectionGrid:
     """A grid is its (count, dimension) matrix of at least MIN_GRID_COUNT unit
-    directions, the shared sample points of radial sets; every factory drops
-    or rejects equal rows. The grid keeps a read-only copy of the matrix.
+    directions, no two rows equal, the shared sample points of radial sets;
+    the angle factories drop equal rows. The grid keeps a read-only copy.
 
     A row is a unit vector when its computed norm is within gamma_(d+4) of 1,
     d the dimension, gamma_k = k u/(1 - k u) and u = 2^-53: the most a row
@@ -85,6 +85,8 @@ class DirectionGrid:
         k = (self.dimension + 4) * 2.0**-53
         if np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) > k / (1 - k):
             raise InvalidInputError("directions must be unit vectors")
+        if np.any(_repeats(directions)):
+            raise InvalidInputError("duplicate directions")
 
     @property
     def count(self) -> int:
@@ -102,14 +104,6 @@ class DirectionGrid:
     def from_angles(angles: Sequence[float]) -> "DirectionGrid":
         """2-d grid at the given polar angles, sorted, less the repeated rows."""
         return DirectionGrid(_angle_rows(angles)[1])
-
-    @staticmethod
-    def from_directions(directions) -> "DirectionGrid":
-        """Grid on the given unit directions, in the caller's order; equal rows are rejected."""
-        grid = DirectionGrid(directions)
-        if np.any(_repeats(grid.directions)):
-            raise InvalidInputError("duplicate directions")
-        return grid
 
     @staticmethod
     def sphere(count: int = DEFAULT_GRID_COUNT, dimension: int = 3) -> "DirectionGrid":

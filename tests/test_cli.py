@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cbmlab import acceptance
 from cbmlab.cli import main
-from cbmlab.errors import InvariantViolation, SearchBoundError
+from cbmlab.errors import InvalidInputError, InvariantViolation
 from cbmlab.forms import ContactFormRep, SampledManifold, dcbm_forms
 from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import DirectionGrid, ball
@@ -784,7 +784,7 @@ def test_raising_acceptance_item_is_recorded_and_the_rest_run(tmp_path, capsys, 
     # a raising item exits as its command would: 2 for a search bound the
     # configuration passes, as in `growth`, and 1 for a failed check
     out = tmp_path / "r.json"
-    bound, violation = SearchBoundError(10), InvariantViolation("forced")
+    bound, violation = InvalidInputError("exponent search exceeded bound 10"), InvariantViolation("forced")
     for error, code in [(bound, 2), (violation, 1)]:
         items = [("01-raises", raising(error)), ("02-passes", lambda seed, cfg: {"passed": True})]
         monkeypatch.setattr(acceptance, "ITEMS", items)

@@ -31,7 +31,7 @@ ENTRIES = {
     "OrderedModel.element": (
         "an element", lambda v: OrderedModel.additive(3).element(v).data, [1, 2, 3], False
     ),
-    "DirectionGrid": ("directions", lambda v: DirectionGrid(v).directions, [[1, 0], [0, -1]] * 32, False),
+    "DirectionGrid": ("directions", lambda v: DirectionGrid(v).directions, np.eye(64, dtype=int).tolist(), False),
     "DirectionGrid.from_angles": (
         "angles", lambda v: DirectionGrid.from_angles(v).directions, list(range(64)), False
     ),

@@ -121,7 +121,7 @@ def test_an_object_of_no_json_type_is_rejected():
 def own_direction_grid(dimension):
     """A grid of 64 distinct unit directions in R^dimension, not a default grid."""
     points = item_rng(12, dimension).normal(size=(64, dimension))
-    return DirectionGrid.from_directions(points / np.linalg.norm(points, axis=1)[:, None])
+    return DirectionGrid(points / np.linalg.norm(points, axis=1)[:, None])
 
 
 def test_radial_set_round_trip_is_identity():
@@ -134,6 +134,17 @@ def test_radial_set_round_trip_is_identity():
         assert reparsed.grid.matches(grid)
         assert np.array_equal(reparsed.radii, original.radii)
         assert reparsed.grid.dimension == reparsed.grid.directions.shape[1] == grid.dimension
+
+
+def test_a_set_on_any_grid_reads_back_from_the_json_it_writes():
+    # a repeated row would give one direction two radii, which the reader
+    # rejects; the grid rejects it where it is built, so no such set is written
+    circle = DirectionGrid.uniform_circle(64).directions
+    written = RadialSet(DirectionGrid(circle[::-1]), np.arange(1.0, 65.0))
+    read = radial_set_from_dict(json.loads(dumps_report(radial_set_to_dict(written))))
+    assert read.grid.matches(written.grid) and np.array_equal(read.radii, written.radii)
+    with pytest.raises(InvalidInputError, match="^duplicate directions$"):
+        RadialSet(DirectionGrid(np.vstack([circle, circle[:1]])), np.arange(1.0, 66.0))
 
 
 def skeleton_round_trip(spec, base_count=1024):

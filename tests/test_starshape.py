@@ -108,21 +108,21 @@ class TestGrids:
             DirectionGrid.sphere(256, 3.0)
         assert DirectionGrid.uniform_circle(np.int64(64)).count == 64
 
-    def test_from_directions_keeps_the_callers_order(self):
+    def test_grids_keep_the_callers_order(self):
         perm = item_rng(SEED, 12).permutation(GRID.count)
-        grid = DirectionGrid.from_directions(GRID.directions[perm])
+        grid = DirectionGrid(GRID.directions[perm])
         assert np.array_equal(grid.directions, GRID.directions[perm])
         sphere = DirectionGrid.sphere(256, 3)
-        grid3 = DirectionGrid.from_directions(sphere.directions[::-1])
+        grid3 = DirectionGrid(sphere.directions[::-1])
         assert np.array_equal(grid3.directions, sphere.directions[::-1])
 
-    def test_from_directions_rejects_bad_grids(self):
+    def test_grids_reject_bad_rows(self):
         doubled = np.concatenate([GRID.directions, GRID.directions[:1]])
         sphere = DirectionGrid.sphere(256, 3).directions
         few = sphere[:8]
         for directions in (doubled, GRID.directions[0], np.zeros((64, 0)), few):
             with pytest.raises(InvalidInputError):
-                DirectionGrid.from_directions(directions)
+                DirectionGrid(directions)
         # equal rows give one direction two radii in every dimension
         wide = np.eye(64, 439)
         for directions in (
@@ -132,8 +132,8 @@ class TestGrids:
             wide[[*range(64), 5]],
         ):
             with pytest.raises(InvalidInputError, match="duplicate directions"):
-                DirectionGrid.from_directions(directions)
-        assert DirectionGrid.from_directions(wide).count == 64
+                DirectionGrid(directions)
+        assert DirectionGrid(wide).count == 64
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -154,7 +154,7 @@ class TestGrids:
         c, s = math.cos(2.0), math.sin(2.0)
         pair = [[c, s], [c, math.nextafter(s, 1.0)]]
         assert math.atan2(*pair[0][::-1]) == math.atan2(*pair[1][::-1]) == 2.0
-        assert DirectionGrid.from_directions(np.concatenate([GRID.directions, pair])).count == GRID.count + 2
+        assert DirectionGrid(np.concatenate([GRID.directions, pair])).count == GRID.count + 2
 
     @pytest.mark.parametrize("case", list(OFF_UNIT_ROWS))
     def test_rows_off_unit_norm_past_the_rounding_bound_are_rejected(self, case):
@@ -163,10 +163,11 @@ class TestGrids:
 
     def test_rows_normalised_in_doubles_are_unit_vectors(self):
         # every factory count from the least to the largest, 1,000 no multiple of 8, and
-        # seeded rows x/|x| in dimensions 1 to 439, each within the derived gamma_(d+4)
+        # seeded rows x/|x| in dimensions 2 to 439 (R^1 has two unit rows, not 64
+        # distinct ones), each within the derived gamma_(d+4)
         for count in (MIN_GRID_COUNT, 1000, MAX_GRID_COUNT):
             assert DirectionGrid.uniform_circle(count).count == DirectionGrid.sphere(count).count == count
-        for dimension in range(1, 440):
+        for dimension in range(2, 440):
             x = item_rng(SEED, dimension).normal(size=(MIN_GRID_COUNT, dimension))
             assert DirectionGrid(x / np.linalg.norm(x, axis=1)[:, None]).dimension == dimension
 
@@ -244,7 +245,7 @@ class TestDelta:
 
     def test_the_cube_on_grids_off_the_plane(self):
         # on the coordinate axes of R^439 the cube's radius is the half side
-        axes = DirectionGrid.from_directions(np.eye(64, 439))
+        axes = DirectionGrid(np.eye(64, 439))
         assert np.all(centered_square(2.5, axes).radii == 2.5)
         # the cube [-1, 1]^3 reaches sqrt(3) on the diagonals, and 1/|u|_inf
         # >= sqrt(3) / (1 + sqrt(3) theta) at angle theta from a diagonal,
@@ -538,7 +539,7 @@ def _reference_check_radii(radii):
 
 def _reference_skeleton_region(spec, base_count=1024):
     angles, rows = _reference_angle_rows(_reference_skeleton_angles(spec, base_count))
-    grid = DirectionGrid.from_directions(rows)
+    grid = DirectionGrid(rows)
     return RadialSet(grid, _reference_radii_from_trig(spec, *_reference_spoke_trig(spec, angles)))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import cbmlab
-from cbmlab import acceptance, serialize
+from cbmlab import acceptance, cli, errors, serialize
 from test_acceptance import SEED7_REPORT_SHA256
 from test_errors import ARRAYS, ENTRIES, SCALARS
 
@@ -159,6 +159,17 @@ def test_the_invariant_checks_are_pinned():
         for check in mutants.checks(path.read_text(encoding="utf-8"))
     ]
     assert sorted(found) == INVARIANT_CHECKS
+
+
+def subclasses(cls):
+    """Every class below cls, at any depth."""
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | subclasses(direct)}
+
+
+def test_one_error_class_per_exit_code():
+    # a class the CLI cannot tell apart from another by its exit code is one concept too many
+    package = {cls for cls in subclasses(errors.CbmlabError) if cls.__module__.startswith("cbmlab")}
+    assert {cls: cli._exit_code(cls) for cls in package} == {errors.InvalidInputError: 2, errors.InvariantViolation: 1}
 
 
 def names_l_max(node):

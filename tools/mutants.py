@@ -8,8 +8,9 @@ and runs that module's test file, ``tests/test_<module>.py``, with
 can make it fire. Each mutant run may take ten times as long as the
 unmutated run of its test file; one that runs longer is stopped and counts
 as killed, since a test that hangs under the mutant still notices it. Each
-check is printed as killed, killed (timeout) or survived; the exit code is
-1 if any survives, or if a test file fails before any mutation.
+check is printed as killed, killed (timeout) or survived, and a summary line
+gives the survivors and the wall time; the exit code is 1 if any survives,
+or if a test file fails before any mutation.
 
 Run from anywhere, with the standard library and pytest only:
 
@@ -76,7 +77,7 @@ def tests_pass(copy: Path, test_file: Path, timeout: float | None = None) -> boo
 
 
 def main() -> int:
-    survivors = 0
+    survivors, start = 0, time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for part in ("src", "tests", "bench"):
@@ -87,11 +88,11 @@ def main() -> int:
             if not found:
                 continue
             test_file = copy / "tests" / f"test_{module.stem}.py"
-            start = time.monotonic()
+            unmutated = time.monotonic()
             if not test_file.exists() or not tests_pass(copy, test_file):
                 print(f"{module.name}: {test_file.name} is missing or fails unmutated")
                 return 1
-            timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
+            timeout = TIMEOUT_FACTOR * (time.monotonic() - unmutated)
             target = copy / PACKAGE / module.name
             for check in found:
                 target.write_text(disabled(source, check), encoding="utf-8")
@@ -101,7 +102,7 @@ def main() -> int:
                 condition = " ".join(ast.get_source_segment(source, check.test).split())
                 print(f"{module.name}:{check.lineno}: {verdict}: {condition}")
             target.write_text(source, encoding="utf-8")
-    print(f"{survivors} surviving check(s)")
+    print(f"{survivors} surviving check(s); {time.monotonic() - start:.1f} s")
     return 1 if survivors else 0
 
 
