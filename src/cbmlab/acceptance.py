@@ -4,7 +4,8 @@ Randomness comes from the counter-based Philox generator keyed by
 (seed, item index), so every implementation of this recipe produces the
 same draws. Additive-model samples are quantized to multiples of 2^-20,
 which keeps sums, differences, and small integer multiples of the sampled
-values exact in double precision.
+values exact in double precision. Float comparisons allow gamma_k of their
+counted roundings (u = 2^-53; a value below 2^j rounds within 2^(j-1) u).
 
 No wall-clock data enters the report: identical config and seed must give
 byte-identical output.
@@ -28,7 +29,7 @@ from .domains import (
     rescale_cover,
     rgr_vs_cbm,
 )
-from .errors import CbmlabError, checked_int
+from .errors import CbmlabError, checked_int, rounding_bound
 from .forms import ContactFormRep, ContactMapRep, SampledManifold, dcbm_forms
 from .ordered import (
     DEFAULT_L_MAX,
@@ -56,9 +57,6 @@ from .primes import prime_table
 
 QUANTUM = 2.0**-20
 _PAIR_STREAM = 101  # shared stream for the growth-rate pair corpus
-# items 01, 02 and 04 compare quotients below 8 and logs of rates below 4 (sites lie in [0.5, 2]),
-# each rounded within 2^-51, at most five to a comparison: 2^-48 bounds their rounding
-_ROUNDING = 2.0**-48
 
 
 def item_rng(seed: int, stream: int) -> np.random.Generator:
@@ -84,7 +82,9 @@ def growth_pair_corpus(seed: int, count: int = 100):
 
 
 def item_growth_oracle(seed: int, cfg: dict) -> dict:
-    # each estimate is in [rate, rate + 1/l_max]: p/q - rate <= 1/(q*q_lo), the limit is ceil(l_max*rate)/l_max
+    """Each estimate is in [rate, rate + 1/l_max]: p/q - rate <= 1/(q q_lo), the limit is ceil(l_max rate)/l_max.
+    Rates are at most 4 (sites lie in [0.5, 2]), so five roundings below 8, each end of a difference, the
+    difference, 1/l_max and the sum, meet at the comparison: 4 gamma_5."""
     model, pairs = growth_pair_corpus(seed)
     l_max = cfg["l_max"]
     worst_oracle = worst_forms = 0.0
@@ -94,7 +94,7 @@ def item_growth_oracle(seed: int, cfg: dict) -> dict:
         worst_oracle = max(worst_oracle, abs(est.pair_infimum - oracle), abs(est.limit_estimate - oracle))
         worst_forms = max(worst_forms, abs(est.limit_estimate - est.pair_infimum))
     return {
-        "passed": max(worst_oracle, worst_forms) <= 1 / l_max + _ROUNDING,
+        "passed": max(worst_oracle, worst_forms) <= 1 / l_max + 4 * rounding_bound(5),
         "max_oracle_error": worst_oracle,
         "max_formulation_gap": worst_forms,
         "pairs": len(pairs),
@@ -107,7 +107,8 @@ def item_prime_pairs(seed: int, cfg: dict) -> dict:
     ceil(q num/den) for each prime q. So rp - rpp <= 1/l_max. A rate is at most 4 (sites lie in [0.5, 2]),
     so with top the largest prime <= the bound, the largest prime q* <= top/4 has k = ceil(q* num/den) <=
     top, and the first prime at or after k is at most k - 1 + g < q* num/den + g, g the largest gap between
-    primes <= top: rpp - rp < g/q*. Both come from the prime table; each quotient rounds within 2^-51."""
+    primes <= top: rpp - rp < g/q*. Both come from the prime table. Five roundings below 8, rpp, rp, their
+    difference, the quotient the max picks and the sum, meet at the comparison: 4 gamma_5."""
     model, pairs = growth_pair_corpus(seed)
     bound = cfg["prime_bound"]
     primes = prime_table(bound).primes  # the table rho_plus_primes reads
@@ -118,23 +119,27 @@ def item_prime_pairs(seed: int, cfg: dict) -> dict:
         rpp = rho_plus_primes(model, a, b, bound)
         rp = rho_plus(model, a, b, cfg["l_max"]).pair_infimum
         worst = max(worst, abs(rpp - rp))
-    passed = worst <= max(gap / q_star, 1 / cfg["l_max"]) + _ROUNDING
+    passed = worst <= max(gap / q_star, 1 / cfg["l_max"]) + 4 * rounding_bound(5)
     return {"passed": passed, "max_gap": worst, "prime_bound": bound}
 
 
 def item_product_inequality(seed: int, cfg: dict) -> dict:
     """growth_distance checks p p' >= q q' exactly and returns each rate p/q rounded once, so the float product
-    of the two, rounded once more, is at least (1 - u)^3 > 1 - 2^-51 (u = 2^-53)."""
+    of the two, rounded once more, is at least (1 - u)^3 > 1 - gamma_3: three roundings."""
     model, pairs = growth_pair_corpus(seed)
     l_max = cfg["l_max"]
     min_product = math.inf
     for a, b in pairs:
         report = growth_distance(model, a, b, l_max)
         min_product = min(min_product, report.rho_plus * report.rho_minus)
-    return {"passed": min_product >= 1.0 - 2.0**-51, "min_product": min_product}
+    return {"passed": min_product >= 1.0 - rounding_bound(3), "min_product": min_product}
 
 
 def item_axioms(seed: int, cfg: dict) -> dict:
+    """(a, a) has the bracket 1/1, and (a, b) and (b, a) read the same brackets: self and symmetry are exactly
+    0. Each distance is at most ln(1 + 1/l_max) <= 1/l_max above the exact one, a metric. Ten roundings of 2u
+    meet at the triangle: three rates below 5, whose u moves a log by under 2u, three logs below 2, the sum,
+    the difference, 1/l_max and the sum on the right: 2 gamma_10."""
     rng = item_rng(seed, 4)
     l_max = cfg["l_max"]
     sites = 8
@@ -166,9 +171,7 @@ def item_axioms(seed: int, cfg: dict) -> dict:
         # stabilization raises unless its norm is within 1 of the brackets' exact norm
         norms.stabilization(base, arg1, l_max)
         stab_checked += 1
-    # (a, a) has the bracket 1/1, and (a, b) and (b, a) read the same two brackets; each
-    # distance is at most ln(1 + 1/l_max) <= 1/l_max above the exact one, which is a metric
-    passed = worst_self == worst_sym == 0.0 and worst_triangle <= 1 / l_max + _ROUNDING
+    passed = worst_self == worst_sym == 0.0 and worst_triangle <= 1 / l_max + 2 * rounding_bound(10)
     passed = passed and norm_ok and stab_checked == 50
     return {
         "passed": passed,
@@ -182,13 +185,15 @@ def item_axioms(seed: int, cfg: dict) -> dict:
 
 def item_delta_anchors(seed: int, cfg: dict) -> dict:
     """1,024 is a multiple of 8, so pi/4 = 2 pi 128/1024 is a grid angle and the exact square/disk delta
-    is sqrt 2. With u = 2^-53: every row has max(|x|, |y|) >= |(x, y)|/sqrt 2, and at pi/4, where cos and
-    sin (each within an ulp) differ by 4u at most, max(|x|, |y|) <= (1 + 2u) |(x, y)|/sqrt 2. The norm, the
-    division by it and 1/max round within 4u, math.sqrt within u: the delta is within 10u < _ROUNDING."""
+    is sqrt 2. Counting factors (1 + d)^(+-1), |d| <= u: a row's exact norm is within 3 of 1 (its computed
+    norm 2, the division 1), and max(|x|, |y|) >= |(x, y)|/sqrt 2. At fl(pi)/4, cot is within 2, cos and
+    sin, an ulp off values above 1/2, within 2 each, so with the divisions x/y is within 8 and max(|x|, |y|)
+    within 4 of |(x, y)|/sqrt 2; 1/max rounds once. So the delta is within sqrt(2) gamma_8 of sqrt 2, and
+    math.sqrt(2.0) within u: their difference, exact, is within 2 gamma_8."""
     grid = DirectionGrid.uniform_circle(cfg["grid"])
     balls_exact = delta(ball(1.0, grid), ball(2.0, grid)) == 2.0
     square_disk = delta(centered_square(1.0, grid), ball(1.0, grid))
-    square_ok = abs(square_disk - math.sqrt(2.0)) <= _ROUNDING
+    square_ok = abs(square_disk - math.sqrt(2.0)) <= 2 * rounding_bound(8)
     rng = item_rng(seed, 5)
     radii = rng.uniform(0.5, 2.0, grid.count)
     a = RadialSet(grid, radii)
@@ -205,8 +210,8 @@ def item_delta_anchors(seed: int, cfg: dict) -> dict:
 
 def item_toric_exactness(seed: int, cfg: dict) -> dict:
     """Both ends of dcbm_toric and dc_toric's value are one log_delta: the width is 0 and upper that value.
-    On a scaling pair each ratio c r / r or r / (c r) rounds twice, so delta is within 2u (u = 2^-53) of
-    max(c, 1/c); its log and math.log(c), below 2, round within 2u: each end is within 6u < 2^-50."""
+    On a scaling pair the ratios c r / r and r / (c r) round twice, moving ln delta by gamma_2; it and
+    math.log(c), below 2, are an ulp (2u) off, their difference exact: each end is within 2 gamma_3 of |ln c|."""
     rng = item_rng(seed, 6)
     grid = DirectionGrid.uniform_circle(256)
     worst_width = worst_scaling = 0.0
@@ -224,7 +229,7 @@ def item_toric_exactness(seed: int, cfg: dict) -> dict:
             worst_scaling, abs(iv.lower - abs(math.log(c))), abs(iv.upper - abs(math.log(c)))
         )
     return {
-        "passed": worst_width == 0.0 and worst_scaling <= 2.0**-50 and chain_ok,
+        "passed": worst_width == 0.0 and worst_scaling <= 2 * rounding_bound(3) and chain_ok,
         "max_interval_width": worst_width,
         "max_scaling_error": worst_scaling,
         "upper_le_dc": chain_ok,
@@ -313,14 +318,14 @@ def item_forms_pinch(seed: int, cfg: dict) -> dict:
 
 
 def item_bridge(seed: int, cfg: dict) -> dict:
-    """rgr_vs_cbm returns only with the domain ratio r >= 1 in [lo (1 - w), hi (1 + w)], w = 2^-48, where hi
+    """rgr_vs_cbm returns only with the domain ratio r >= 1 in [lo (1 - w), hi (1 + w)], w = gamma_9, where hi
     and lo are the larger upper and the larger lower end of the two Farey brackets at l_max. Under either
     order, the bridge's strict-positive one too, each rate lies in its bracket [p_lo/q_lo, p/q], with p q_lo
     - p_lo q = 1 and q q_lo >= l_max, and the two rates multiply to at least 1, so hi >= 1. Farey neighbours
     never straddle 1: either lo < 1 = hi and 0 <= ln r <= w, or hi's own bracket has p_lo >= q_lo and lo at
-    least its lower end, so ln(hi/lo) <= 1/(q p_lo) <= 1/l_max. So ln hi - ln r lies in [-w, 1/l_max + w(1
-    + w)]. p/q rounds within u (u = 2^-53) and each log of a value below 6 (h in [0.5, 2.5]) within an ulp,
-    2u: the 5u they add and w(1 + w) stay under 2^-47."""
+    least its lower end, so ln(hi/lo) <= 1/(q p_lo) <= 1/l_max. So ln hi - ln r lies in [-w, 1/l_max + w/(1 -
+    w)], w/(1 - w) = gamma_18/2. p/q rounds within u, each log, below 2 (h in [0.5, 2.5]), within 2u, and the
+    gap, 1/l_max and the sum within u each: gamma_17 bounds both comparisons, the inequality's 6u and w too."""
     rng = item_rng(seed, 10)
     unit = hamiltonian_to_domain(np.ones(128))
     unit_ok = bool(np.all(unit.fiber.radii == 1.0)) and unit.m_minus == 1.0 and unit.s_empty == 1.0
@@ -331,9 +336,9 @@ def item_bridge(seed: int, cfg: dict) -> dict:
         h2 = quantized(rng, 0.5, 2.5, 64)
         report = rgr_vs_cbm(h1, h2, l_max=cfg["l_max"])
         worst_gap = max(worst_gap, report.gap)
-        all_hold = all_hold and report.d_order >= report.d_cbm - 2.0**-47
+        all_hold = all_hold and report.d_order >= report.d_cbm - rounding_bound(17)
     return {
-        "passed": unit_ok and all_hold and worst_gap <= 1 / cfg["l_max"] + 2.0**-47,
+        "passed": unit_ok and all_hold and worst_gap <= 1 / cfg["l_max"] + rounding_bound(17),
         "unit_hamiltonian_ok": unit_ok,
         "inequality_holds": all_hold,
         "max_equality_gap": worst_gap,

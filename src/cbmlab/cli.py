@@ -64,8 +64,11 @@ def _load(path: str):
 def _emit(report: dict, out: str | None) -> None:
     text = serialize.dumps_report(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no write permission: as _load reports it
+            raise InvalidInputError(f"{out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

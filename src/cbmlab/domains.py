@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int
+from .errors import InvalidInputError, InvariantViolation, checked_array, checked_int, rounding_bound
 from .ordered import DEFAULT_L_MAX, OrderedModel, OrderVariant, growth_brackets
 from .starshape import MAX_GRID_COUNT, MIN_GRID_COUNT, DirectionGrid, RadialSet, delta, log_delta, scale
 
@@ -245,16 +245,14 @@ def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
     # the larger end of each side, compared exactly (every q >= 1)
     (p, q), (p_lo, q_lo) = (x if x[0] * y[1] >= y[0] * x[1] else y for x, y in ((top, top_m), (low, low_m)))
     ratio = delta(*fibers)
-    # delta rounds three times on the radii path (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 2nd ed., 2.1-2.2): each radius 1/h,
-    # at least 1/(largest double) > 2^-1024, within 2^-1075, that is 2^-51
-    # relative, even when subnormal, and the radius ratio that is delta >= 1,
-    # a normal double, within 2^-53; so 2^-50 + 2^-53 + O(2^-101) < 2^-48.
-    n, d = ratio.as_integer_ratio()
-    w = 2**48
-    if not (p_lo * d * (w - 1) <= n * q_lo * w and n * q * w <= p * d * (w + 1)):
+    # delta rounds three times on the radii path: each radius 1/h, at least 1/(largest
+    # double) > 2^-1024, within 2^-1075, 4u (u = 2^-53) relative even when subnormal, and
+    # their ratio delta >= 1, a normal double, within u; so delta is within gamma_9
+    # relative (Higham's Lemma 3.3: a quotient of two gamma_4 factors, one rounding)
+    (n, d), (wn, wd) = ratio.as_integer_ratio(), rounding_bound(9).as_integer_ratio()
+    if not (p_lo * d * (wd - wn) <= n * q_lo * wd and n * q * wd <= p * d * (wd + wn)):
         raise InvariantViolation(
-            f"order bracket [{p_lo}/{q_lo}, {p}/{q}] widened by 2^-48 misses the domain ratio {ratio!r}"
+            f"order bracket [{p_lo}/{q_lo}, {p}/{q}] widened by gamma_9 misses the domain ratio {ratio!r}"
         )
     d_order, d_cbm = math.log(p / q), math.log(ratio)
     return RgrCbmReport(d_order=d_order, d_cbm=d_cbm, gap=abs(d_order - d_cbm))

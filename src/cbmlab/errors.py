@@ -36,6 +36,15 @@ class InvariantViolation(CbmlabError):
 DOUBLE_MAX = int(sys.float_info.max)  # the largest double, as an int
 
 
+def rounding_bound(k: int) -> float:
+    """The least double at or above gamma_k = k u/(1 - k u), u = 2^-53, for 0 < k < 2^53:
+    a product of k factors (1 + d)^(+-1), |d| <= u, is within gamma_k of 1 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, Lemma 3.1)."""
+    bound = k / (2**53 - k)  # int true division rounds correctly, so at most one step up
+    n, d = bound.as_integer_ratio()
+    return bound if n * (2**53 - k) >= k * d else math.nextafter(bound, math.inf)
+
+
 def checked_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
     """value as a Python int, if it is an int or a numpy integer (not a bool)
     at least ``least`` and at most ``most``, each bound if given (``most``

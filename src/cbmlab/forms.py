@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DOUBLE_MAX, InvalidInputError, InvariantViolation, checked_array, checked_int, checked_number
+from .errors import rounding_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,19 +182,25 @@ def dcbm_forms(
     """Both one-sided bounds at once, each within tol of its exact value.
 
     Every candidate preserves the subgraph volumes, so lower <= upper holds
-    in exact arithmetic, with equality on pure rescalings. In doubles,
-    rounding n' f and f o phi + g moves each exponent by about
-    eps (|f| + |ln w|), and each volume sum is off by about (sites + 2) eps
-    relative, which the log and the division by n' turn into
-    (sites + 2) eps / n'. So the two ends together are off by at most
-    tol = 4 eps (max(|f1|, |f2|) + max |ln w|) + 2 (sites + 2) eps / n':
+    in exact arithmetic, with equality on pure rescalings. In u = 2^-53,
+    with F = max(|f1|, |f2|), L = max |ln w|, n = n', N sites, and exp and
+    log within an ulp, 2u: a candidate's g = (ln w o phi - ln w)/n is 8uL/n
+    off (two logs, a difference, a division), and two roundings give each
+    width, so upper is 3uF + 12uL/n off; the identity's g is exactly 0, so
+    without candidates L drops out. A volume is N + 3 roundings off (exp 2,
+    times w, N - 1 sums, over n), and n f moves it by u n F; the log of the
+    ratio, one more, then rounds and is divided by n, so lower is
+    2uF + gamma_(2N+7)/n + 3u lower off. With u/n for second-order terms and
+    tol's own rounding, both ends are within
+    tol = gamma_5 F + gamma_3 lower + (gamma_12 L + gamma_(2N+8))/n:
     lower > upper + tol is a violation, and |upper - lower| <= tol pinches.
     """
     lower = dcbm_forms_lower_volume(f1, f2)  # rejects a bad volume ratio before any candidate
     upper = dcbm_forms_upper(f1, f2, candidates)
-    manifold, eps = f1.manifold, sys.float_info.epsilon
-    magnitude = max(np.abs(f1.f).max(), np.abs(f2.f).max()) + np.abs(manifold.log_weights).max()
-    tol = float(4 * eps * magnitude + 2 * (manifold.sites + 2) * eps / manifold.half_dim)
+    manifold, magnitude = f1.manifold, max(np.abs(f1.f).max(), np.abs(f2.f).max())
+    logs = rounding_bound(12) * np.abs(manifold.log_weights).max() if candidates else 0.0
+    logs += rounding_bound(2 * manifold.sites + 8)
+    tol = float(rounding_bound(5) * magnitude + rounding_bound(3) * lower + logs / manifold.half_dim)
     if lower > upper + tol:
         raise InvariantViolation(f"forms bracket crossed: lower {lower!r} > upper {upper!r} + {tol!r}")
     return FormsDistanceReport(upper=upper, lower=lower, tol=tol)

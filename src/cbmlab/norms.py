@@ -61,9 +61,9 @@ def stabilization(base: Element, arg: Element, l_max: int = DEFAULT_L_MAX) -> fl
     Off the brackets (p, q) and (p', q') of growth_brackets(base, arg, l_max,
     negated=True), from one site pass, the exact norm of l_max*arg is
     nu* = max(|ceil(l_max*p/q)|, |ceil(l_max*p'/q')|), and nu must lie within
-    1 of it: the float power rounds l_max and each product, which moves each
-    site ratio by less than 2^-51 relative, and the search bound keeps every
-    exponent within 10^12 < 2^51, so that window holds at most one integer.
+    1 of it: the float power rounds l_max and each product, two roundings, so
+    each site ratio is within gamma_2 relative, under 10^-3 at the search
+    bound's 10^12: that window holds at most one integer.
     """
     l_max = checked_int(l_max, "l_max", least=1)
     model = OrderedModel.additive(base.data.size)

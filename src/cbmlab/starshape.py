@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_array, checked_int, checked_number
+from .errors import InvalidInputError, checked_array, checked_int, checked_number, rounding_bound
 
 MIN_GRID_COUNT = 64
 DEFAULT_GRID_COUNT = 1024
@@ -61,17 +61,15 @@ class DirectionGrid:
     directions, no two rows equal, the shared sample points of radial sets;
     the angle factories drop equal rows. The grid keeps a read-only copy.
 
-    A row is a unit vector when its computed norm is within gamma_(d+4) of 1,
-    d the dimension, gamma_k = k u/(1 - k u) and u = 2^-53: the most a row
-    normalised as x/|x| in doubles, then normed again, can be off (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2.1-2.2, 3.1).
-    In any summation order a sum of d squares is within a factor (1 +- u)^d,
-    as each square rounds once and each term meets at most d - 1 additions,
-    so a computed norm is within (1 +- u)^(d/2 + 1) after its square root.
-    Dividing x by its norm rounds each entry once, which moves the row's norm
-    by a factor 1 +- u, and the check norms the row again: d + 3 factors
-    1 +- u, d + 4 with each half power rounded up, is gamma_(d+4) (Higham's
-    Lemma 3.1). So every factory's rows pass, and a row nudged by more fails.
+    A row is a unit vector when its computed norm is within gamma_(d+4) of 1
+    (errors.rounding_bound), d the dimension: the most a row normalised as
+    x/|x| in doubles, then normed again, can be off (Higham, 2.1-2.2, 3.1). A
+    sum of d squares, in any order, is within a factor (1 +- u)^d, u = 2^-53,
+    as each square rounds once and meets at most d - 1 additions, so a
+    computed norm is within (1 +- u)^(d/2 + 1). Dividing x by its norm rounds
+    each entry once, a factor 1 +- u on the row's norm, and the check norms
+    the row again: d + 3 factors, d + 4 with each half power rounded up. So
+    every factory's rows pass, and a row nudged by more fails.
     """
 
     directions: np.ndarray
@@ -82,8 +80,7 @@ class DirectionGrid:
         if self.count < MIN_GRID_COUNT:
             raise InvalidInputError(f"direction grids need at least {MIN_GRID_COUNT} directions")
         # a row of 0 columns has norm 0, so the matrix has at least one column
-        k = (self.dimension + 4) * 2.0**-53
-        if np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) > k / (1 - k):
+        if np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) > rounding_bound(self.dimension + 4):
             raise InvalidInputError("directions must be unit vectors")
         if np.any(_repeats(directions)):
             raise InvalidInputError("duplicate directions")

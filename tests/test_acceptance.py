@@ -17,6 +17,7 @@ import pytest
 
 from cbmlab import acceptance, serialize
 from cbmlab.cli import main
+from cbmlab.errors import rounding_bound
 from cbmlab.primes import PrimeTable, prime_table
 from cbmlab.starshape import RadialSet
 from test_ordered import count_oracle_calls
@@ -27,7 +28,9 @@ SEED7_REPORT_SHA256 = "c9167f782e475c9cbf10ecc1323f17143e58cad75960af1268b58c90c
 CFG = {"l_max": 1000, "prime_bound": 10_000, "grid": 1024}
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 ITEMS = dict(acceptance.ITEMS)
-GAP = 1 / CFG["l_max"] + acceptance._ROUNDING  # the Farey gap and the rounding items 01 and 04 allow
+# the Farey gap and the rounding items 01 and 04 allow: five roundings within 4u, and ten within 2u
+GAP_01 = 1 / CFG["l_max"] + 4 * rounding_bound(5)
+GAP_04 = 1 / CFG["l_max"] + 2 * rounding_bound(10)
 
 
 def run_item(name, budget=None):
@@ -65,7 +68,7 @@ def test_01_growth_rate_oracle_equivalence():
 def test_02_prime_pair_formula():
     details = run_item("02-prime-pairs", budget=10.0)
     # the largest prime gap below 9,973 is 36, and 2,477 the largest prime <= 9,973/4
-    assert details["max_gap"] <= 36 / 2477 + acceptance._ROUNDING
+    assert details["max_gap"] <= 36 / 2477 + 4 * rounding_bound(5)
 
 
 def test_02_reads_the_shared_prime_table(monkeypatch):
@@ -80,14 +83,14 @@ def test_02_reads_the_shared_prime_table(monkeypatch):
 
 def test_03_growth_rate_product_inequality():
     details = run_item("03-product-inequality")
-    assert details["min_product"] >= 1.0 - 2.0**-51
+    assert details["min_product"] >= 1.0 - rounding_bound(3)
 
 
 def test_04_pseudo_metric_norm_axioms_and_stabilization():
     details = run_item("04-pseudo-metric-and-norms")
     assert details["max_self_distance"] == 0.0
     assert details["max_symmetry_gap"] == 0.0
-    assert details["max_triangle_excess"] <= GAP
+    assert details["max_triangle_excess"] <= GAP_04
     assert details["norm_axioms_ok"]
     assert details["stabilization_cases"] == 50
 
@@ -124,7 +127,7 @@ def test_04_reads_false_on_a_triangle_excess_past_the_farey_gap(monkeypatch):
         return dataclasses.replace(report, distance=triple[0].distance + triple[2].distance + 1.5 / CFG["l_max"])
 
     details = substitute_distance(monkeypatch, change)
-    assert details["max_triangle_excess"] > GAP
+    assert details["max_triangle_excess"] > GAP_04
     assert not details["passed"]
 
 
@@ -134,21 +137,21 @@ def test_01_reads_false_on_a_pair_infimum_past_the_farey_gap(monkeypatch):
         lambda i, estimate: dataclasses.replace(estimate, pair_infimum=estimate.pair_infimum + 1.01 / CFG["l_max"]),
     )
     details = ITEMS["01-growth-oracle"](SEED, CFG)
-    assert details["max_oracle_error"] > GAP
+    assert details["max_oracle_error"] > GAP_01
     assert not details["passed"]
 
 
 def test_05_delta_anchors():
     details = run_item("05-delta-anchors")
     assert details["ball_delta_exact"]
-    assert abs(details["square_disk_delta"] - math.sqrt(2.0)) <= acceptance._ROUNDING
+    assert abs(details["square_disk_delta"] - math.sqrt(2.0)) <= 2 * rounding_bound(8)
     assert details["dyadic_scaling_exact"]
 
 
 def test_06_toric_exactness():
     details = run_item("06-toric-exactness")
     assert details["max_interval_width"] == 0.0
-    assert details["max_scaling_error"] <= 2.0**-50
+    assert details["max_scaling_error"] <= 2 * rounding_bound(3)
     assert details["upper_le_dc"]
 
 
@@ -179,7 +182,7 @@ def test_10_hamiltonian_bridge():
     details = run_item("10-bridge")
     assert details["unit_hamiltonian_ok"]
     assert details["inequality_holds"]
-    assert details["max_equality_gap"] <= 1 / CFG["l_max"] + 2.0**-47
+    assert details["max_equality_gap"] <= 1 / CFG["l_max"] + rounding_bound(17)
 
 
 def test_11_squeezability_certificate():

@@ -257,6 +257,14 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["ham2dom", str(tmp_path / "latin1.json")]) == 2
 
 
+def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys):
+    # a missing directory and a directory each exit 2 with the message _load gives, not a traceback
+    argv = ["qi-verify", "--v", "1,2", "--w", "1,2", "-o"]
+    for out, reason in ((tmp_path / "missing" / "out.json", "No such file or directory"), (tmp_path, "Is a directory")):
+        assert main([*argv, str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+
+
 def test_input_precondition_exits_two(tmp_path, capsys):
     h = write(tmp_path / "h.json", [0.0] * 64)
     assert main(["ham2dom", h]) == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cbmlab import starshape
+from cbmlab import domains, starshape
 from cbmlab.acceptance import QUANTUM, item_rng, quantized
 from cbmlab.domains import (
     BoundInterval,
@@ -18,8 +18,8 @@ from cbmlab.domains import (
     rescale_cover,
     rgr_vs_cbm,
 )
-from cbmlab.errors import InvalidInputError, InvariantViolation
-from cbmlab.ordered import Method, OrderedModel, OrderVariant, growth_distance
+from cbmlab.errors import InvalidInputError, InvariantViolation, rounding_bound
+from cbmlab.ordered import Method, OrderedModel, OrderVariant, growth_brackets, growth_distance
 from cbmlab.starshape import DirectionGrid, RadialSet, ball, delta, scale
 
 GRID = DirectionGrid.uniform_circle(256)
@@ -277,14 +277,32 @@ class TestRgrVsCbm:
     def test_subnormal_radii_stay_within_the_rounding_bound(self):
         # the ratio is exactly 38/27 again, but both radii 1/h are subnormal:
         # delta lands 112/19 units of 2^-53 above 38/27, past a normal-range
-        # bound of 3 ulps and within 2^-48
+        # bound of 3 ulps and within the bridge's gamma_9
         h1, h2 = np.full(64, 1.0133338895882406e308), np.full(64, 1.4261736223834497e308)
         assert Fraction(h2[0]) / Fraction(h1[0]) == Fraction(38, 27)
         excess = Fraction(delta(*(hamiltonian_to_domain(h).fiber for h in (h1, h2)))) / Fraction(38, 27) - 1
-        assert 3 * Fraction(1, 2**53) < excess < Fraction(1, 2**48)
+        assert 3 * Fraction(1, 2**53) < excess <= Fraction(rounding_bound(9))
         report = rgr_vs_cbm(h1, h2)
         assert report.d_order == math.log(38 / 27)
         assert report.d_cbm > report.d_order
+
+    def test_the_order_bracket_is_widened_by_gamma_9_and_no_more(self, monkeypatch):
+        # a domain ratio substituted at the last double inside [lo (1 - w), hi (1 + w)],
+        # w = gamma_9, passes, and the next double out is a violation, at either end
+        h1, h2 = np.ones(64), np.full(64, 2.0)
+        model = OrderedModel.additive(64, OrderVariant.STRICT_POSITIVE)
+        (top, low), (top_m, low_m) = growth_brackets(model, model.element(h1), model.element(h2), 400)
+        hi, lo = max(Fraction(*top), Fraction(*top_m)), max(Fraction(*low), Fraction(*low_m))
+        w = Fraction(rounding_bound(9))
+        for end, out in ((hi * (1 + w), math.inf), (lo * (1 - w), -math.inf)):
+            inside = float(end)
+            if (Fraction(inside) - end) * out > 0:
+                inside = math.nextafter(inside, -out)
+            monkeypatch.setattr(domains, "delta", lambda *fibers: inside)
+            assert rgr_vs_cbm(h1, h2, l_max=400).d_cbm == math.log(inside)
+            monkeypatch.setattr(domains, "delta", lambda *fibers: math.nextafter(inside, out))
+            with pytest.raises(InvariantViolation, match=r"widened by gamma_9 misses the domain ratio"):
+                rgr_vs_cbm(h1, h2, l_max=400)
 
     def test_acceptance_pairs_match_the_order_and_domain_layers_bit_for_bit(self):
         # item 10's pairs at seed 7: the bridge reads the order distance and
@@ -340,7 +358,7 @@ class TestRgrVsCbm:
         # 1e-4 off on either side misses it, where 3 / l_max let it through
         real = starshape._radial_delta
         monkeypatch.setattr(starshape, "_radial_delta", lambda ra, rb: real(ra, rb) * factor)
-        with pytest.raises(InvariantViolation, match=r"^order bracket \[38/27, 1399/994\] widened by 2\^-48 misses"):
+        with pytest.raises(InvariantViolation, match=r"^order bracket \[38/27, 1399/994\] widened by gamma_9 misses"):
             rgr_vs_cbm(np.full(64, 1.0), np.full(64, 38 / 27))
 
 

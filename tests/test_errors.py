@@ -1,11 +1,12 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cbmlab.domains import hamiltonian_to_domain, rgr_vs_cbm
-from cbmlab.errors import InvalidInputError, checked_int
+from cbmlab.errors import InvalidInputError, checked_int, rounding_bound
 from cbmlab.forms import ContactFormRep, ContactMapRep, SampledManifold
 from cbmlab.ordered import Element, OrderedModel
 from cbmlab.serialize import domain_from_dict, element_values_from_json
@@ -211,6 +212,13 @@ def test_an_array_entry_may_be_nan_or_infinite_beside_an_int_past_int64():
     # finiteness is not the array rule, so lshape_array still maps the NaN
     mixed = lshape_array([2**70, math.nan, -math.inf])
     assert mixed.tobytes() == lshape_array(np.array([2.0**70, math.nan, -math.inf])).tobytes()
+
+
+def test_the_rounding_bound_is_the_least_double_at_or_above_gamma_k():
+    # gamma_k = k u/(1 - k u) = k/(2^53 - k), rounded up to a double and by less than one step
+    for k in range(1, 10**4 + 1):
+        bound, gamma = rounding_bound(k), Fraction(k, 2**53 - k)
+        assert Fraction(math.nextafter(bound, 0.0)) < gamma <= Fraction(bound)
 
 
 def test_a_bound_past_int64_prints_as_the_double_it_equals():

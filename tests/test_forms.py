@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from cbmlab import forms
 from cbmlab.acceptance import QUANTUM, item_rng
-from cbmlab.errors import InvalidInputError, InvariantViolation
+from cbmlab.errors import InvalidInputError, InvariantViolation, rounding_bound
 from cbmlab.forms import (
     ContactFormRep,
     ContactMapRep,
@@ -32,11 +31,23 @@ def random_manifold(rng, sites=64, half_dim=2):
     return SampledManifold(w, half_dim)
 
 
-def rounding_bound(f1, f2):
-    """dcbm_forms' tolerance: 4 eps (max |f| + max |ln w|) + 2 (sites + 2) eps / n'."""
-    m, eps = f1.manifold, sys.float_info.epsilon
-    magnitude = max(np.abs(f1.f).max(), np.abs(f2.f).max()) + np.abs(np.log(m.weights)).max()
-    return 4 * eps * magnitude + 2 * (m.sites + 2) * eps / m.half_dim
+def forms_tol(f1, f2, lower, candidates=True):
+    """dcbm_forms' tolerance: gamma_5 F + gamma_3 lower + (gamma_12 L + gamma_(2N+8))/n', with
+    F = max(|f1|, |f2|), L = max |ln w|, dropped without candidates, and N sites."""
+    m, magnitude = f1.manifold, max(np.abs(f1.f).max(), np.abs(f2.f).max())
+    logs = rounding_bound(12) * np.abs(np.log(m.weights)).max() if candidates else 0.0
+    logs += rounding_bound(2 * m.sites + 8)
+    return float(rounding_bound(5) * magnitude + rounding_bound(3) * lower + logs / m.half_dim)
+
+
+def pullback_drift_bound(alpha, moved, lower):
+    """The rounding bound of the volume lower bound between a form and its pullback, whose exact
+    value is 0: gamma_3 F + gamma_3 lower + (gamma_8 L + gamma_(2N+8))/n'. The derived g is 8uL/n'
+    off and f o phi + g rounds once, uF; each volume is N + 3 roundings and n' f, 2uF for both,
+    off, and the log and the division add 3u lower (u = 2^-53, log within an ulp)."""
+    m, magnitude = alpha.manifold, max(np.abs(alpha.f).max(), np.abs(moved.f).max())
+    logs = rounding_bound(8) * np.abs(np.log(m.weights)).max() + rounding_bound(2 * m.sites + 8)
+    return float(rounding_bound(3) * magnitude + rounding_bound(3) * lower + logs / m.half_dim)
 
 
 @st.composite
@@ -94,8 +105,8 @@ class TestPullback:
         alpha, maps = case
         for m in maps:
             moved = pullback(alpha, m)
-            drift = abs(math.log(w_alpha_volume(moved) / w_alpha_volume(alpha)))
-            assert drift / alpha.manifold.half_dim <= rounding_bound(alpha, moved)
+            lower = abs(math.log(w_alpha_volume(moved) / w_alpha_volume(alpha))) / alpha.manifold.half_dim
+            assert lower <= pullback_drift_bound(alpha, moved, lower)
 
     def test_pure_permutation_permutes(self):
         m = uniform_manifold()
@@ -248,6 +259,26 @@ class TestConsistencyAndAxioms:
         m = uniform_manifold()
         f1, f2 = (ContactFormRep(m, np.zeros(m.sites)) for _ in range(2))
         monkeypatch.setattr(forms, "w_alpha_volume", lambda alpha: 2.0 if alpha is f1 else 1.0)
+        with pytest.raises(InvariantViolation, match="forms bracket crossed"):
+            dcbm_forms(f1, f2)
+
+    def test_a_bracket_crossed_past_tol_is_a_violation_and_one_within_it_is_not(self, monkeypatch):
+        # upper substituted at the least double that lower <= upper + tol accepts, and at the double below it
+        rng = item_rng(SEED, 20)
+        m = random_manifold(rng)
+        f1, f2 = (ContactFormRep(m, rng.uniform(-1, 1, m.sites)) for _ in range(2))
+        report = dcbm_forms(f1, f2)
+        lower, tol = report.lower, report.tol
+        assert tol == forms_tol(f1, f2, lower, candidates=False)
+        assert dcbm_forms(f1, f2, [ContactMapRep(m, np.arange(m.sites))]).tol == forms_tol(f1, f2, lower)
+        upper = lower - tol
+        while lower > upper + tol:
+            upper = math.nextafter(upper, math.inf)
+        while not lower > math.nextafter(upper, -math.inf) + tol:
+            upper = math.nextafter(upper, -math.inf)
+        monkeypatch.setattr(forms, "dcbm_forms_upper", lambda *args: upper)
+        assert dcbm_forms(f1, f2).upper == upper
+        monkeypatch.setattr(forms, "dcbm_forms_upper", lambda *args: math.nextafter(upper, -math.inf))
         with pytest.raises(InvariantViolation, match="forms bracket crossed"):
             dcbm_forms(f1, f2)
 

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import cbmlab.starshape as starshape
 from cbmlab.acceptance import item_rng
-from cbmlab.errors import InvalidInputError
+from cbmlab.errors import InvalidInputError, rounding_bound
 from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import (
     MAX_GRID_COUNT,
@@ -160,6 +160,21 @@ class TestGrids:
     def test_rows_off_unit_norm_past_the_rounding_bound_are_rejected(self, case):
         with pytest.raises(InvalidInputError, match="^directions must be unit vectors$"):
             DirectionGrid(OFF_UNIT_ROWS[case])
+
+    @pytest.mark.parametrize("grid", [DirectionGrid.uniform_circle(64), DirectionGrid.sphere(64)])
+    def test_a_row_normed_at_gamma_d_plus_4_passes_and_one_step_further_fails(self, grid):
+        # (1 - k u) e_1 norms to exactly 1 - k u: k = d + 4 is inside gamma_(d+4), k = d + 5 past it
+        d, u = grid.dimension, 2.0**-53
+        assert (d + 4) * u <= rounding_bound(d + 4) < (d + 5) * u
+        rows = grid.directions.copy()
+        for k, passes in ((d + 4, True), (d + 5, False)):
+            rows[0] = np.eye(d)[0] * (1.0 - k * u)
+            assert np.linalg.norm(rows[0]) == 1.0 - k * u
+            if passes:
+                assert DirectionGrid(rows).count == grid.count
+            else:
+                with pytest.raises(InvalidInputError, match="^directions must be unit vectors$"):
+                    DirectionGrid(rows)
 
     def test_rows_normalised_in_doubles_are_unit_vectors(self):
         # every factory count from the least to the largest, 1,000 no multiple of 8, and

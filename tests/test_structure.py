@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import re
 import sys
 import types
@@ -40,10 +41,11 @@ INVARIANT_CHECKS = [
 L_MAX_TOLERANCES = []
 
 # every float literal in a comparison in src/ whose decimal spelling is no double, a
-# picked decimal tolerance, spelt out or through a module-level name, as (module,
-# function, literal); a derived bound is a power of two (2.0**-50) or computed, and an
-# exact literal (0.0, 0.5, 2.0) an anchor or a factor; adding or dropping one means
-# editing this pin
+# picked decimal tolerance, spelt out or through a module-level name, and every literal
+# power of two in a comparison outside errors.py (2.0**-50, 2**48), a picked binary one,
+# as (module, function, literal); a derived bound is computed, by errors.rounding_bound
+# for a rounding, and an exact literal (0.0, 0.5, 2.0) an anchor or a factor; adding or
+# dropping one means editing this pin
 FLOAT_TOLERANCES = [
     ("acceptance", "item_qi_harness", 1e-9),
     ("acceptance", "item_qi_harness", 1e-9),
@@ -221,9 +223,20 @@ def picked_names(module):
     }
 
 
+def power_of_two(node):
+    """The value of node if it is a literal power of two, such as 2.0**-50 or 2**48, else None."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and isinstance(node.left, ast.Constant)):
+        return None
+    negative = isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+    exponent = node.right.operand if negative else node.right
+    if node.left.value != 2 or not isinstance(exponent, ast.Constant) or type(exponent.value) is not int:
+        return None
+    return node.left.value ** (-exponent.value if negative else exponent.value)
+
+
 def float_tolerances(tree, function=None, names=None):
     """(function, literal) of every picked decimal inside a comparison, spelt out or through
-    a module-level name assigned one, in source order."""
+    a module-level name assigned one, and of every literal power of two there, in source order."""
     names = picked_names(tree) if names is None else names
     found = []
     for node in ast.iter_child_nodes(tree):
@@ -233,6 +246,8 @@ def float_tolerances(tree, function=None, names=None):
                     found.append((function, leaf.value))
                 elif isinstance(leaf, ast.Name) and leaf.id in names:
                     found.append((function, names[leaf.id]))
+                elif power_of_two(leaf) is not None:
+                    found.append((function, power_of_two(leaf)))
             continue
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
         found += float_tolerances(node, inner, names)
@@ -240,18 +255,52 @@ def float_tolerances(tree, function=None, names=None):
 
 
 def test_the_float_tolerances_are_pinned():
-    # the bounds of dcbm_forms, of the direction grid's unit check and of acceptance items
-    # 01 to 06, 09 and 10 are derived
+    # the bounds of dcbm_forms, of the direction grid's unit check, of the bridge and of
+    # acceptance items 01 to 06, 09 and 10 are derived; errors.py's powers of two are the
+    # rounding rule itself and the int64 range
     found = [
         (path.stem, function, literal)
         for path in sorted(PACKAGE.glob("*.py"))
         for function, literal in float_tolerances(ast.parse(path.read_text(encoding="utf-8")))
+        if path.stem != "errors" or math.frexp(literal)[0] != 0.5  # a power of two there is no pick
     ]
     assert sorted(found) == FLOAT_TOLERANCES
     probe = "def f(x, l):\n    y = 1e-9\n    return x <= 0.05 + 1e-3 / l and x == 0.5 and 2.0**-50 >= x - 0.1"
-    assert float_tolerances(ast.parse(probe)) == [("f", 0.05), ("f", 1e-3), ("f", 0.1)]
+    assert float_tolerances(ast.parse(probe)) == [("f", 0.05), ("f", 1e-3), ("f", 2.0**-50), ("f", 0.1)]
+    widened = "def g(n, d, w):\n    k = 2**-53\n    return n * 2**48 <= d * (2**48 + 1) and n < 3**2"
+    assert float_tolerances(ast.parse(widened)) == [("g", 2**48), ("g", 2**48)]
     named = "TOL = 1e-12\nEXACT = 0.5\nUNUSED = 0.6\ndef f(x):\n    return abs(x - 1.0) > TOL or x < EXACT"
     assert float_tolerances(ast.parse(named)) == [("f", 1e-12)]
+
+
+def unit_roundoffs(tree):
+    """The source of every float_info.epsilon or finfo(...).eps read and every literal power
+    of two below 1, such as 2.0**-53, in tree, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        epsilon = isinstance(node, ast.Attribute) and node.attr == "epsilon" and "float_info" in ast.unparse(node)
+        eps = isinstance(node, ast.Attribute) and node.attr == "eps" and "finfo(" in ast.unparse(node.value)
+        power = power_of_two(node)
+        if epsilon or eps or (power is not None and power < 1):
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [text for *_, text in sorted(found)]
+
+
+def test_every_rounding_bound_comes_from_errors():
+    # a unit roundoff outside errors.py would be a rounding bound beside errors.rounding_bound;
+    # the one power of two below 1 left is acceptance.QUANTUM, a sampling step and no bound
+    found = [
+        (path.stem, text)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "errors"
+        for text in unit_roundoffs(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("acceptance", "2.0 ** (-20)")]
+    assert acceptance.QUANTUM == 2.0**-20
+    probe = "u = sys.float_info.epsilon / 2\nv = np.finfo(float).eps\nk = (d + 4) * 2.0**-53\nw = 2**48 + 2**-1"
+    assert unit_roundoffs(ast.parse(probe)) == [
+        "sys.float_info.epsilon", "np.finfo(float).eps", "2.0 ** (-53)", "2 ** (-1)"
+    ]
 
 
 def test_a_mutant_run_past_its_time_limit_is_stopped(tmp_path):
