@@ -206,12 +206,13 @@ def hamiltonian_to_domain(h) -> HamiltonianDomain:
     sample is finite and positive, as for a positive contact isotopy."""
     values = checked_array(h, "hamiltonian samples", ndim=1, finite=True, positive=True)
     checked_int(values.size, "hamiltonian sample count", MIN_GRID_COUNT, MAX_GRID_COUNT)
-    with np.errstate(over="ignore"):  # RadialSet rejects a radius that overflows
-        radii = 1.0 / values
+    m_minus, m_plus = float(np.min(values)), float(np.max(values))
+    if 1.0 / m_minus == math.inf:  # the largest radius 1/h, at the least sample, overflows
+        raise InvalidInputError(f"hamiltonian samples must be large enough that 1/h is finite, got {m_minus!r}")
     return HamiltonianDomain(
-        fiber=RadialSet(DirectionGrid.uniform_circle(values.shape[0]), radii),
-        m_minus=float(np.min(values)),
-        m_plus=float(np.max(values)),
+        fiber=RadialSet(DirectionGrid.uniform_circle(values.shape[0]), 1.0 / values),
+        m_minus=m_minus,
+        m_plus=m_plus,
     )
 
 

@@ -111,12 +111,13 @@ def radial_set_to_dict(s: RadialSet) -> dict:
 def radial_set_from_dict(data: Any) -> RadialSet:
     payload = _payload(data, "radial-set", {"dimension", "radii", "directions"})
     dimension = checked_int(payload.get("dimension"), "dimension")
-    radii = checked_array(payload.get("radii"), "radii", ndim=1, finite=True, positive=True)
+    radii = payload.get("radii")  # read by RadialSet's array rule, after the grid
     if (directions := payload.get("directions")) is not None:
         grid = DirectionGrid(directions)
         if grid.dimension != dimension:
             raise InvalidInputError(f"directions must have {dimension} columns, got {grid.dimension}")
     elif dimension in (2, 3):  # a default grid has one direction per radius, checked before it is built
+        radii = checked_array(radii, "radii", ndim=1, finite=True, positive=True)
         count = checked_int(radii.size, "radii count", MIN_GRID_COUNT, MAX_GRID_COUNT)
         grid = DirectionGrid.uniform_circle(count) if dimension == 2 else DirectionGrid.sphere(count)
     else:

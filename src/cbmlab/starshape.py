@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -194,45 +194,44 @@ class SkeletonSpec:
     The thickening width epsilon is solved from the leading-order volume
     normalization target_volume = epsilon * c0 * sum(e^{v_i}); the dropped
     higher-order term is absorbed by the harness's width-correction
-    constant.
+    constant. The spoke angles and lengths, epsilon and each spoke's corner
+    angle atan2(epsilon/2, L_i), where its width fan starts, are derived once.
     """
 
     v: np.ndarray
     c0: float
     target_volume: float = DEFAULT_TARGET_VOLUME
+    spoke_angles: np.ndarray = field(init=False)
+    spoke_lengths: np.ndarray = field(init=False)
+    epsilon: float = field(init=False)
+    corner_angles: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v", checked_array(self.v, "v", ndim=1, finite=True))
-        if self.v.size < 2 or self.v.size % 2 != 0:
+        m = self.v.size
+        if m < 2 or m % 2 != 0:
             raise InvalidInputError("v must have even length 2k >= 2")
         object.__setattr__(self, "c0", checked_number(self.c0, "c0", above=1))
         object.__setattr__(self, "target_volume", checked_number(self.target_volume, "target volume", above=0))
         with np.errstate(over="ignore"):
-            lengths = self.spoke_lengths
+            exp_v = np.exp(self.v)
+            lengths = self.c0 * exp_v
             if not np.all(np.isfinite(lengths)):
                 raise InvalidInputError("spoke lengths c0*e^v must be finite")
             # spokes all of length 0 leave no width to solve for: infinite, rejected below
-            epsilon = self.epsilon if np.any(lengths > 0.0) else math.inf
-        # the width fans start at the corner angle atan2(epsilon/2, L), least at the longest spoke
-        corner = math.atan2(epsilon / 2.0, float(np.max(lengths)))
-        if not (sys.float_info.min <= epsilon < math.inf and corner >= sys.float_info.min):
+            epsilon = self.target_volume / (self.c0 * float(np.sum(exp_v))) if np.any(lengths > 0.0) else math.inf
+        # math.atan2, not np.arctan2, which is an ulp off libm on some corners
+        corners = np.array([math.atan2(epsilon / 2.0, length) for length in lengths.tolist()])
+        if not (sys.float_info.min <= epsilon < math.inf and corners.min() >= sys.float_info.min):
             raise InvalidInputError(
-                f"degenerate spec: width {epsilon:.3g} and its corner angle {corner:.3g} "
+                f"degenerate spec: width {epsilon:.3g} and its corner angle {corners.min():.3g} "
                 "must be positive normal doubles"
             )
-
-    @property
-    def spoke_angles(self) -> np.ndarray:
-        m = self.v.size
-        return np.arange(m) * math.pi / m
-
-    @property
-    def spoke_lengths(self) -> np.ndarray:
-        return self.c0 * np.exp(self.v)
-
-    @property
-    def epsilon(self) -> float:
-        return self.target_volume / (self.c0 * float(np.sum(np.exp(self.v))))
+        angles = np.arange(m) * math.pi / m
+        for name, value in (("spoke_angles", angles), ("spoke_lengths", lengths), ("corner_angles", corners)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 def _skeleton_radii(specs: Sequence[SkeletonSpec], angles: np.ndarray) -> list[np.ndarray]:
@@ -262,12 +261,10 @@ def _width_fans(spec: SkeletonSpec) -> np.ndarray:
 
     The offsets are the bits np.geomspace gives for each spoke alone. One
     np.geomspace over all spokes rounds every row differently once one row
-    has a zero step (a corner angle of pi/2 at 8 spokes), and np.arctan2 is
-    an ulp off math.atan2 on some corners.
+    has a zero step (a corner angle of pi/2 at 8 spokes).
     """
     half_gap = math.pi / spec.v.size / 2.0
-    h = spec.epsilon / 2.0
-    starts = np.array([math.atan2(h, length) for length in spec.spoke_lengths.tolist()]) / 8.0
+    starts = spec.corner_angles / 8.0
     log_start = np.log10(starts)
     log_stop = np.log10(half_gap)
     logs = np.arange(_FAN, dtype=float) * ((log_stop - log_start) / (_FAN - 1))[:, None]

@@ -290,7 +290,7 @@ def test_malformed_element_values_exit_two(tmp_path, capsys):
 
 def test_a_bad_hamiltonian_sample_exits_two_with_one_message(tmp_path, capsys):
     # the samples are read once, by hamiltonian_to_domain's array contract
-    for sample in (math.nan, 0.0, -1.0, "x"):
+    for sample in (math.nan, 0.0, -1.0, "x", 5e-324):  # 1/5e-324 overflows
         h = write(tmp_path / "h.json", [sample] + [1.0] * 63)
         assert main(["ham2dom", h]) == 2
         assert capsys.readouterr().err.startswith("error: hamiltonian samples must be")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,19 @@ class TestHamiltonianBridge:
         with pytest.raises(InvalidInputError, match=message):
             hamiltonian_to_domain(bad)
 
+    def test_a_sample_whose_radius_overflows_is_named(self):
+        # each sample is finite and positive, but its radius 1/h overflows below the least
+        # double with a finite reciprocal; the message names that sample, not the radii
+        least = 5.56268464626801e-309
+        assert 1.0 / least < math.inf == 1.0 / math.nextafter(least, 0.0)
+        assert hamiltonian_to_domain(np.full(64, least)).fiber.radii[0] == 1.0 / least
+        message = "^hamiltonian samples must be large enough that 1/h is finite, got "
+        for sample in (5e-324, math.nextafter(least, 0.0)):
+            with pytest.raises(InvalidInputError, match=message + re.escape(repr(sample)) + "$"):
+                hamiltonian_to_domain(np.r_[np.ones(63), sample])
+        with pytest.raises(InvalidInputError, match=message + "5e-324$"):
+            rgr_vs_cbm(np.ones(64), np.r_[np.ones(63), 5e-324])
+
 
 class TestRgrVsCbm:
     def test_equal_generators(self):
@@ -268,7 +282,7 @@ class TestRgrVsCbm:
     def test_the_radii_path_may_round_above_the_order_distance(self):
         # the ratio 1.3804397583007812 / 0.9808387756347656 is exactly 38/27,
         # the upper end of the order bracket, but d_cbm reads the radii 1/h,
-        # which round above the correctly rounded ratio; the bracket's 2^-48
+        # which round above the correctly rounded ratio; the bracket's gamma_9
         # rounding bound lets this valid pair through
         report = rgr_vs_cbm(np.full(64, 0.9808387756347656), np.full(64, 1.3804397583007812))
         assert report.d_order == math.log(38 / 27)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cbmlab import serialize
+from cbmlab import serialize, starshape
 from cbmlab.acceptance import item_rng
 from cbmlab.errors import InvalidInputError, checked_array
 from cbmlab.forms import ContactFormRep, SampledManifold
@@ -206,6 +206,25 @@ def test_a_default_grid_count_out_of_range_names_the_radii(dimension, count):
     assert radial_set_from_dict({"dimension": dimension, "radii": np.ones(64)}).grid.count == 64
     with pytest.raises(InvalidInputError, match=rf"^radii count must be an integer in \[64, 1000000\], got {count}$"):
         radial_set_from_dict({"dimension": dimension, "radii": np.ones(count)})
+
+
+def test_a_payload_with_directions_reads_its_radii_once(monkeypatch):
+    # the reader reads the radii itself only to count a default grid; past its
+    # directions, RadialSet's array rule reads them, so bad directions are named first
+    reads = []
+
+    def counted(values, name, *args, **kwargs):
+        reads.append(name)
+        return checked_array(values, name, *args, **kwargs)
+
+    monkeypatch.setattr(serialize, "checked_array", counted)
+    monkeypatch.setattr(starshape, "checked_array", counted)
+    for payload, expected in ((FIBER, 1), ({"dimension": 2, "radii": FIBER["radii"]}, 2)):
+        reads.clear()
+        radial_set_from_dict(payload)
+        assert reads.count("radii") == expected
+    with pytest.raises(InvalidInputError, match="^directions must be "):
+        radial_set_from_dict({**FIBER, "radii": 5, "directions": 5})
 
 
 def test_radial_set_bad_payloads():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -338,6 +339,31 @@ class TestSkeleton:
     def test_width_normalization_example(self):
         spec = SkeletonSpec(np.zeros(4), 10.0, 1.0)
         assert spec.epsilon == 1.0 / (10.0 * 4.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        v=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6).map(lambda xs: np.array(xs * 2)),
+        c0=st.floats(1.5, 100.0),
+        target_volume=st.floats(1e-3, 10.0),
+    )
+    def test_derived_fields_are_read_only_and_equal_their_formulas_bit_for_bit(self, v, c0, target_volume):
+        # the formulas the spec once recomputed on every read
+        spec = SkeletonSpec(v, c0, target_volume)
+        m, epsilon = v.size, target_volume / (c0 * float(np.sum(np.exp(v))))
+        formulas = {
+            "spoke_angles": np.arange(m) * math.pi / m,
+            "spoke_lengths": c0 * np.exp(v),
+            "epsilon": epsilon,
+            "corner_angles": np.array([math.atan2(epsilon / 2.0, length) for length in (c0 * np.exp(v)).tolist()]),
+        }
+        for name, value in formulas.items():
+            derived = getattr(spec, name)
+            assert type(derived) is type(value) and np.asarray(derived).tobytes() == np.asarray(value).tobytes(), name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+            if isinstance(derived, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    derived[0] = 0.0
 
     def test_degenerate_spec_rejected(self):
         with pytest.raises(InvalidInputError):

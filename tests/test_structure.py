@@ -18,6 +18,8 @@ from test_errors import ARRAYS, ENTRIES, SCALARS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(cbmlab.__file__).parent
+SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+TREES = {module: ast.parse(source) for module, source in SOURCES.items()}
 MUTANTS = ROOT / "tools" / "mutants.py"
 COVERAGE = ROOT / "tools" / "coverage.py"
 BENCH = ROOT / "bench"
@@ -52,10 +54,10 @@ FLOAT_TOLERANCES = [
 ]
 
 
-def private_sibling_imports(path):
+def private_sibling_imports(tree):
     """(line, module, name) of every underscore name imported from a cbmlab module."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
         module = node.module or ""
@@ -66,16 +68,15 @@ def private_sibling_imports(path):
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) > 1
-    offenders = {path.name: hits for path in modules if (hits := private_sibling_imports(path))}
+    assert len(TREES) > 1
+    offenders = {module: hits for module, tree in TREES.items() if (hits := private_sibling_imports(tree))}
     assert offenders == {}
 
 
-def absolute_imports(path):
-    """(line, top-level module) of every absolute import in path, function bodies included."""
+def absolute_imports(tree):
+    """(line, top-level module) of every absolute import in tree, function bodies included."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -86,9 +87,9 @@ def absolute_imports(path):
 def test_numpy_is_the_one_runtime_dependency():
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     offenders = {
-        path.name: hits
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (hits := [(line, m) for line, m in absolute_imports(path) if m not in allowed])
+        module: hits
+        for module, tree in TREES.items()
+        if (hits := [(line, m) for line, m in absolute_imports(tree) if m not in allowed])
     }
     assert offenders == {}
 
@@ -98,13 +99,11 @@ def test_errors_holds_the_one_integer_rule():
     # number through errors.checked_number or errors.checked_array; a module
     # that reads numbers.Integral, imports numbers or scans entries for bools
     # itself would be a second rule
-    modules = sorted(PACKAGE.glob("*.py"))
-    sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
-    assert [name for name, text in sources.items() if "Integral" in text] == ["errors.py"]
-    importers = [path.name for path in modules if any(m == "numbers" for _, m in absolute_imports(path))]
-    assert importers == ["errors.py"]
+    assert [module for module, text in SOURCES.items() if "Integral" in text] == ["errors"]
+    importers = [module for module, tree in TREES.items() if any(m == "numbers" for _, m in absolute_imports(tree))]
+    assert importers == ["errors"]
     bool_scan = re.compile(r"type\([^()]*\) (?:is|in) \(?(?:np\.)?bool|isinstance\([^()]*\bbool\b")
-    assert [name for name, text in sources.items() if bool_scan.search(text)] == ["errors.py"]
+    assert [module for module, text in SOURCES.items() if bool_scan.search(text)] == ["errors"]
     assert not {"_array", "_number"} & set(vars(serialize))
 
 
@@ -155,11 +154,7 @@ def load(path):
 def test_the_invariant_checks_are_pinned():
     # the checks the mutation audit disables one at a time
     mutants = load(MUTANTS)
-    found = [
-        (path.stem, message_prefix(check))
-        for path in sorted(PACKAGE.glob("*.py"))
-        for check in mutants.checks(path.read_text(encoding="utf-8"))
-    ]
+    found = [(module, message_prefix(check)) for module, source in SOURCES.items() for check in mutants.checks(source)]
     assert sorted(found) == INVARIANT_CHECKS
 
 
@@ -174,53 +169,10 @@ def test_one_error_class_per_exit_code():
     assert {cls: cli._exit_code(cls) for cls in package} == {errors.InvalidInputError: 2, errors.InvariantViolation: 1}
 
 
-def names_l_max(node):
-    """Whether node is l_max: a name, an attribute or a string subscript such as cfg["l_max"]."""
-    name = getattr(node, "id", None) or getattr(node, "attr", None)
-    if isinstance(node, ast.Subscript):
-        name = getattr(node.slice, "value", None)
-    return isinstance(name, str) and name.lower().endswith("l_max")
-
-
-def l_max_tolerances(tree, function=None):
-    """(function, literal) of every number literal other than 1 divided by l_max, in source order."""
-    found = []
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and names_l_max(node.right):
-            numerator = getattr(node.left, "value", None)
-            if type(numerator) in (int, float) and numerator != 1:
-                found.append((function, numerator))
-        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        found += l_max_tolerances(node, inner)
-    return found
-
-
-def test_the_l_max_tolerances_are_pinned():
-    # report.nu / l_max and ceil(l_max*p/q) / l_max divide no literal, and are no tolerance
-    found = [
-        (path.stem, function, literal)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, literal in l_max_tolerances(ast.parse(path.read_text(encoding="utf-8")))
-    ]
-    assert sorted(found) == L_MAX_TOLERANCES
-    probe = "def f(cfg, r, l):\n    return 2 / cfg['l_max'] + 0.5 / r.l_max + 1.0 / DEFAULT_L_MAX + 3 / l"
-    assert l_max_tolerances(ast.parse(probe)) == [("f", 2), ("f", 0.5)]
-
-
 def picked_decimal(node):
-    """Whether node is a float literal whose decimal value no double equals, such as 1e-9."""
-    return isinstance(node, ast.Constant) and type(node.value) is float and Fraction(repr(node.value)) != node.value
-
-
-def picked_names(module):
-    """{name: literal} of every module-level name assigned a picked decimal."""
-    return {
-        target.id: node.value.value
-        for node in module.body
-        if isinstance(node, ast.Assign) and picked_decimal(node.value)
-        for target in node.targets
-        if isinstance(target, ast.Name)
-    }
+    """Whether node is a finite float literal whose decimal value no double equals, such as 1e-9."""
+    value = getattr(node, "value", None)  # a float only on an ast.Constant
+    return type(value) is float and math.isfinite(value) and Fraction(repr(value)) != value
 
 
 def power_of_two(node):
@@ -234,24 +186,53 @@ def power_of_two(node):
     return node.left.value ** (-exponent.value if negative else exponent.value)
 
 
-def float_tolerances(tree, function=None, names=None):
-    """(function, literal) of every picked decimal inside a comparison, spelt out or through
-    a module-level name assigned one, and of every literal power of two there, in source order."""
-    names = picked_names(tree) if names is None else names
-    found = []
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Compare):
-            for leaf in ast.walk(node):
-                if picked_decimal(leaf):
-                    found.append((function, leaf.value))
-                elif isinstance(leaf, ast.Name) and leaf.id in names:
-                    found.append((function, names[leaf.id]))
-                elif power_of_two(leaf) is not None:
-                    found.append((function, power_of_two(leaf)))
-            continue
+def picked_bounds(tree):
+    """{kind: [(function, value), ...]} of the picked bounds in tree, in source order, from one
+    walk: "l_max" and "float" as the pins above describe them, and "roundoff", the source of
+    every float_info.epsilon or finfo(...).eps read and literal power of two below 1."""
+    named = {  # module-level names assigned a picked decimal
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and picked_decimal(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = {"l_max": [], "float": [], "roundoff": []}
+
+    def visit(node, function, compared):
+        power = power_of_two(node)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            right, numerator = node.right, getattr(node.left, "value", None)
+            subscript = getattr(getattr(right, "slice", None), "value", None)  # cfg["l_max"]
+            over = getattr(right, "id", None) or getattr(right, "attr", None) or subscript
+            l_max = isinstance(over, str) and over.lower().endswith("l_max")
+            if l_max and type(numerator) in (int, float) and numerator != 1:
+                found["l_max"].append((function, numerator))
+        if compared:
+            picked = node.value if picked_decimal(node) else named.get(getattr(node, "id", None), power)
+            if picked is not None:
+                found["float"].append((function, picked))
+        epsilon = isinstance(node, ast.Attribute) and node.attr == "epsilon" and "float_info" in ast.unparse(node)
+        eps = isinstance(node, ast.Attribute) and node.attr == "eps" and "finfo(" in ast.unparse(node.value)
+        if epsilon or eps or (power is not None and power < 1):
+            found["roundoff"].append((function, ast.unparse(node)))
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        found += float_tolerances(node, inner, names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner, compared or isinstance(node, ast.Compare))
+
+    visit(tree, None, False)
     return found
+
+
+BOUNDS = {module: picked_bounds(tree) for module, tree in TREES.items()}
+
+
+def test_the_l_max_tolerances_are_pinned():
+    # report.nu / l_max and ceil(l_max*p/q) / l_max divide no literal, and are no tolerance
+    found = [(module, function, literal) for module, bounds in BOUNDS.items() for function, literal in bounds["l_max"]]
+    assert sorted(found) == L_MAX_TOLERANCES
+    probe = "def f(cfg, r, l):\n    return 2 / cfg['l_max'] + 0.5 / r.l_max + 1.0 / DEFAULT_L_MAX + 3 / l"
+    assert picked_bounds(ast.parse(probe))["l_max"] == [("f", 2), ("f", 0.5)]
 
 
 def test_the_float_tolerances_are_pinned():
@@ -259,46 +240,28 @@ def test_the_float_tolerances_are_pinned():
     # acceptance items 01 to 06, 09 and 10 are derived; errors.py's powers of two are the
     # rounding rule itself and the int64 range
     found = [
-        (path.stem, function, literal)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, literal in float_tolerances(ast.parse(path.read_text(encoding="utf-8")))
-        if path.stem != "errors" or math.frexp(literal)[0] != 0.5  # a power of two there is no pick
+        (module, function, literal)
+        for module, bounds in BOUNDS.items()
+        for function, literal in bounds["float"]
+        if module != "errors" or math.frexp(literal)[0] != 0.5  # a power of two there is no pick
     ]
     assert sorted(found) == FLOAT_TOLERANCES
     probe = "def f(x, l):\n    y = 1e-9\n    return x <= 0.05 + 1e-3 / l and x == 0.5 and 2.0**-50 >= x - 0.1"
-    assert float_tolerances(ast.parse(probe)) == [("f", 0.05), ("f", 1e-3), ("f", 2.0**-50), ("f", 0.1)]
+    assert picked_bounds(ast.parse(probe))["float"] == [("f", 0.05), ("f", 1e-3), ("f", 2.0**-50), ("f", 0.1)]
     widened = "def g(n, d, w):\n    k = 2**-53\n    return n * 2**48 <= d * (2**48 + 1) and n < 3**2"
-    assert float_tolerances(ast.parse(widened)) == [("g", 2**48), ("g", 2**48)]
-    named = "TOL = 1e-12\nEXACT = 0.5\nUNUSED = 0.6\ndef f(x):\n    return abs(x - 1.0) > TOL or x < EXACT"
-    assert float_tolerances(ast.parse(named)) == [("f", 1e-12)]
-
-
-def unit_roundoffs(tree):
-    """The source of every float_info.epsilon or finfo(...).eps read and every literal power
-    of two below 1, such as 2.0**-53, in tree, in source order."""
-    found = []
-    for node in ast.walk(tree):
-        epsilon = isinstance(node, ast.Attribute) and node.attr == "epsilon" and "float_info" in ast.unparse(node)
-        eps = isinstance(node, ast.Attribute) and node.attr == "eps" and "finfo(" in ast.unparse(node.value)
-        power = power_of_two(node)
-        if epsilon or eps or (power is not None and power < 1):
-            found.append((node.lineno, node.col_offset, ast.unparse(node)))
-    return [text for *_, text in sorted(found)]
+    assert picked_bounds(ast.parse(widened))["float"] == [("g", 2**48), ("g", 2**48)]
+    named = "TOL = 1e-12\nEXACT = 0.5\nUNUSED = 0.6\ndef f(x):\n    return abs(x - 1.0) > TOL or x < EXACT < 1e999"
+    assert picked_bounds(ast.parse(named))["float"] == [("f", 1e-12)]
 
 
 def test_every_rounding_bound_comes_from_errors():
     # a unit roundoff outside errors.py would be a rounding bound beside errors.rounding_bound;
     # the one power of two below 1 left is acceptance.QUANTUM, a sampling step and no bound
-    found = [
-        (path.stem, text)
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "errors"
-        for text in unit_roundoffs(ast.parse(path.read_text(encoding="utf-8")))
-    ]
+    found = [(m, text) for m, bounds in BOUNDS.items() if m != "errors" for _, text in bounds["roundoff"]]
     assert found == [("acceptance", "2.0 ** (-20)")]
     assert acceptance.QUANTUM == 2.0**-20
     probe = "u = sys.float_info.epsilon / 2\nv = np.finfo(float).eps\nk = (d + 4) * 2.0**-53\nw = 2**48 + 2**-1"
-    assert unit_roundoffs(ast.parse(probe)) == [
+    assert [text for _, text in picked_bounds(ast.parse(probe))["roundoff"]] == [
         "sys.float_info.epsilon", "np.finfo(float).eps", "2.0 ** (-53)", "2 ** (-1)"
     ]
 
@@ -338,53 +301,38 @@ def test_only_ordered_reads_the_model_kind():
     # a model's kind chooses the multiplicative reader in ordered.py and nothing
     # else; an array's dtype.kind is not a model's
     offenders = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in ("ordered.py", "__init__.py"):
+    for module, tree in TREES.items():
+        if module in ("ordered", "__init__"):
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         dtype_kinds = sum(
             isinstance(node, ast.Attribute) and node.attr == "kind"
             and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
             for node in ast.walk(tree)
         )
         if reads := loads(tree, "ModelKind") + loads(tree, "kind") - dtype_kinds:
-            offenders[path.name] = reads
+            offenders[module] = reads
     assert offenders == {}
 
 
-def readme_sketch_names():
-    """The names the README's library sketch imports from cbmlab."""
-    sketch = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library sketch", 1)[1]
-    code = re.search(r"```python\n(.*?)```", sketch, re.S).group(1)
-    return {
-        alias.name
-        for node in ast.walk(ast.parse(code))
-        if isinstance(node, ast.ImportFrom) and node.module == "cbmlab"
-        for alias in node.names
-    }
-
-
 def test_every_exported_name_has_a_caller():
-    # a public name only the tests use is dead code, unless the README shows it to users
-    modules = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in modules]
+    # a public name only the tests use is dead code, even one the README shows to users
+    trees = [tree for module, tree in TREES.items() if module != "__init__"]
     exported = [n for n in cbmlab.__all__ if not isinstance(getattr(cbmlab, n), types.ModuleType)]
     uncalled = {name for name in exported if not any(loads(tree, name) for tree in trees)}
-    assert uncalled - readme_sketch_names() == set()
+    assert uncalled == set()
 
 
 def test_every_public_module_name_has_a_caller():
     # the rule above, for every public top-level def and class of a module,
     # exported or not; methods stay outside it
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     uncalled = {
         f"{module}.{node.name}"
-        for module, tree in trees.items()
+        for module, tree in TREES.items()
         if module != "__init__"
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and not any(loads(other, node.name) for other in trees.values())
+        and not any(loads(other, node.name) for other in TREES.values())
     }
     assert uncalled == set()
 
@@ -406,16 +354,15 @@ def attribute_loads(tree, name):
 
 def test_every_public_method_has_a_caller():
     # the caller rule for the public methods and properties of every class
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     unread = {
         f"{module}.{cls.name}.{node.name}"
-        for module, tree in trees.items()
+        for module, tree in TREES.items()
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("_")
-        and not any(attribute_loads(other, node.name) for other in trees.values())
+        and not any(attribute_loads(other, node.name) for other in TREES.values())
     }
     assert unread == set(UNREAD_METHODS)
 
@@ -505,7 +452,7 @@ def array_contract_checks(tree):
 def test_serialize_holds_the_one_payload_rule():
     # a reader hands its payload to _payload and reads fields only from what
     # that returns, so no lookup can throw a KeyError or TypeError to translate
-    tree = ast.parse(inspect.getsource(serialize))
+    tree = TREES["serialize"]
     readers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_dict")]
     assert len(readers) == 4
     for reader in readers:
@@ -528,9 +475,6 @@ def test_errors_holds_the_one_array_rule():
     # an input array's finiteness and sign are its contract, stated in the one
     # errors.checked_array call; a test of them after that call is a second rule
     offenders = {
-        path.name: hits
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "errors.py"
-        and (hits := array_contract_checks(ast.parse(path.read_text(encoding="utf-8"))))
+        module: hits for module, tree in TREES.items() if module != "errors" and (hits := array_contract_checks(tree))
     }
     assert offenders == {}
