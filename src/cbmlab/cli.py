@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from . import acceptance, norms, serialize
-from .domains import (
-    csh,
-    dc_toric,
-    dcbm_toric,
-    hamiltonian_to_domain,
-    is_squeezable_toric,
-)
+from .domains import csh, dcbm_toric, hamiltonian_to_domain
 from .errors import CbmlabError, InvalidInputError, InvariantViolation
 from .forms import dcbm_forms
 from .ordered import (
@@ -150,20 +144,9 @@ def cmd_dcbm_toric(args) -> dict:
     return dcbm_toric(u, v).to_json_dict()
 
 
-def cmd_dc_toric(args) -> dict:
-    a = serialize.radial_set_from_dict(_load(args.a))
-    b = serialize.radial_set_from_dict(_load(args.b))
-    return dc_toric(a, b).to_json_dict()
-
-
 def cmd_csh(args) -> dict:
     domain = serialize.domain_from_dict(_load(args.u))
     return {"csh": serialize.radial_set_to_dict(csh(domain)), "label": domain.label}
-
-
-def cmd_squeezable(args) -> dict:
-    domain = serialize.domain_from_dict(_load(args.u))
-    return is_squeezable_toric(domain).to_json_dict()
 
 
 def cmd_ham2dom(args) -> dict:
@@ -251,14 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("u")
     p.add_argument("v")
 
-    p = add("dc-toric", cmd_dc_toric, "coarse containment distance of two fibers")
-    p.add_argument("a")
-    p.add_argument("b")
-
     p = add("csh", cmd_csh, "toric shape invariant of a split domain")
-    p.add_argument("u")
-
-    p = add("squeezable", cmd_squeezable, "squeezability certificate for a toric domain")
     p.add_argument("u")
 
     p = add("ham2dom", cmd_ham2dom, "domain of a positive autonomous Hamiltonian")
@@ -275,20 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code(error: type) -> int:
-    """1 for a failed check (InvariantViolation), 2 for any other package
-    error (InvalidInputError)."""
-    return EXIT_ASSERTION if issubclass(error, InvariantViolation) else EXIT_INPUT
+def _exit_code(name: str) -> int:
+    """The exit code of a package error by its class name: 1 for a failed
+    check (InvariantViolation), 2 for any other (InvalidInputError)."""
+    return EXIT_ASSERTION if name == InvariantViolation.__name__ else EXIT_INPUT
 
 
 def _accept_exit_code(report: dict) -> int:
     """The greatest exit code over the failed items, each by the class name its
-    error is recorded under: 1 for an InvariantViolation or a failed check, 2
-    for any other name."""
+    error is recorded under, a failed check counting as an InvariantViolation."""
     failed = [item for item in report["items"] if not item["passed"]]
     names = [item.get("error", InvariantViolation.__name__).split(":")[0] for item in failed]
-    codes = (EXIT_ASSERTION if name == InvariantViolation.__name__ else EXIT_INPUT for name in names)
-    return max(codes, default=EXIT_OK)
+    return max(map(_exit_code, names), default=EXIT_OK)
 
 
 def main(argv=None) -> int:
@@ -298,7 +272,7 @@ def main(argv=None) -> int:
         report = args.fn(args)
         _emit(report, args.out)  # rendering rejects a non-finite number the inputs let through
     except CbmlabError as exc:
-        code = _exit_code(type(exc))
+        code = _exit_code(type(exc).__name__)
         sys.stderr.write(f"{'assertion failed' if code == EXIT_ASSERTION else 'error'}: {exc}\n")
         return code
     if args.command == "accept":

@@ -206,14 +206,16 @@ def hamiltonian_to_domain(h) -> HamiltonianDomain:
     sample is finite and positive, as for a positive contact isotopy."""
     values = checked_array(h, "hamiltonian samples", ndim=1, finite=True, positive=True)
     checked_int(values.size, "hamiltonian sample count", MIN_GRID_COUNT, MAX_GRID_COUNT)
-    m_minus, m_plus = float(np.min(values)), float(np.max(values))
-    if 1.0 / m_minus == math.inf:  # the largest radius 1/h, at the least sample, overflows
-        raise InvalidInputError(f"hamiltonian samples must be large enough that 1/h is finite, got {m_minus!r}")
-    return HamiltonianDomain(
-        fiber=RadialSet(DirectionGrid.uniform_circle(values.shape[0]), 1.0 / values),
-        m_minus=m_minus,
-        m_plus=m_plus,
-    )
+    fiber = _fiber(values, DirectionGrid.uniform_circle(values.shape[0]), "hamiltonian samples")
+    return HamiltonianDomain(fiber=fiber, m_minus=float(np.min(values)), m_plus=float(np.max(values)))
+
+
+def _fiber(values: np.ndarray, grid: DirectionGrid, name: str) -> RadialSet:
+    """The fiber of radii 1/h on the grid, for positive samples h named name."""
+    least = float(np.min(values))
+    if 1.0 / least == math.inf:  # the largest radius 1/h, at the least sample, overflows
+        raise InvalidInputError(f"{name} must be large enough that 1/h is finite, got {least!r}")
+    return RadialSet(grid, 1.0 / values)
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,8 @@ def rgr_vs_cbm(h1, h2, l_max: int = DEFAULT_L_MAX) -> RgrCbmReport:
         raise InvalidInputError("h2 must have one sample per site of h1")
     l_max = checked_int(l_max, "l_max", least=1)
     checked_int(v1.size, "h1 sample count", MIN_GRID_COUNT, MAX_GRID_COUNT)
-    fibers = [hamiltonian_to_domain(v).fiber for v in (v1, v2)]
+    grid = DirectionGrid.uniform_circle(v1.shape[0])
+    fibers = [_fiber(v, grid, name) for v, name in ((v1, "h1"), (v2, "h2"))]
     model = OrderedModel.additive(v1.shape[0], OrderVariant.STRICT_POSITIVE)
     (top, low), (top_m, low_m) = growth_brackets(model, model.element(v1), model.element(v2), l_max)
     # the larger end of each side, compared exactly (every q >= 1)

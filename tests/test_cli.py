@@ -149,18 +149,22 @@ def test_a_default_grid_with_too_few_radii_names_them(tmp_path, capsys):
     assert capsys.readouterr().err == "error: radii count must be an integer in [64, 1000000], got 2\n"
 
 
-def test_csh_and_squeezable(tmp_path, capsys):
+def test_csh_of_a_ball_is_its_fiber(tmp_path, capsys):
     u = write(tmp_path / "u.json", {"base_dim": 2, "fiber": radial_set_to_dict(ball(2.0, GRID)), "label": "B"})
     code, report = run(capsys, "csh", u)
     assert code == 0
     assert all(r == 2.0 for r in report["csh"]["radii"])
-    code, report = run(capsys, "squeezable", u)
-    assert code == 0
-    assert report["squeezable"] is False
-    assert "contradiction" in report["certificate"]
 
 
-@pytest.mark.parametrize("command", ["csh", "dcbm-toric", "squeezable"])
+@pytest.mark.parametrize("command", ["dc-toric", "squeezable"])
+def test_retired_subcommands_are_invalid_choices(command, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "u.json"])
+    assert exited.value.code == 2
+    assert f"argument command: invalid choice: '{command}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["csh", "dcbm-toric"])
 def test_only_toric_domains_load(command, tmp_path, capsys):
     # liouville_weight is optional, and a weight other than 1 is not a split toric domain
     toric = {key: value for key, value in DOMAIN.items() if key != "liouville_weight"}
@@ -172,7 +176,7 @@ def test_only_toric_domains_load(command, tmp_path, capsys):
         assert [line.split(":")[0] for line in lines] == (["error"] if code else [])
 
 
-@pytest.mark.parametrize("command", ["csh", "dcbm-toric", "squeezable"])
+@pytest.mark.parametrize("command", ["csh", "dcbm-toric"])
 def test_base_dim_must_equal_the_fiber_dimension(command, tmp_path, capsys):
     # the fiber of T^*T^n lies in R^n: a planar fiber needs base_dim 2
     for base_dim, code in [(2, 0), (1, 2), (3, 2)]:
@@ -387,9 +391,7 @@ FILE_ARGUMENTS = [
     (["norm", "@0", "@1"], [[1.0, 1.0], [2.0, 1.0]]),
     (["delta", "@0", "@1"], [FIBER, FIBER]),
     (["dcbm-toric", "@0", "@1"], [DOMAIN, DOMAIN]),
-    (["dc-toric", "@0", "@1"], [FIBER, FIBER]),
     (["csh", "@0"], [DOMAIN]),
-    (["squeezable", "@0"], [DOMAIN]),
     (["ham2dom", "@0"], [[1.0] * 64]),
     (["dcbm-forms", "@0", "@1", "--maps", "@2"], [FORM, FORM, {"perm": [0, 1, 2, 3]}]),
 ]
@@ -746,7 +748,7 @@ def test_nan_fiber_direction_exits_two(tmp_path, capsys):
     payload = {"base_dim": 2, "fiber": {"dimension": 2, "radii": [1.0] * GRID.count, "directions": directions}}
     u = tmp_path / "u.json"
     u.write_text(json.dumps(payload))  # json writes NaN
-    assert main(["squeezable", str(u)]) == 2
+    assert main(["csh", str(u)]) == 2
     assert "directions must be a 2-D array of finite numbers" in capsys.readouterr().err
 
 
@@ -847,9 +849,7 @@ COMMANDS = [
     ["norm", "@0", "@1"],
     ["delta", "@0", "@1"],
     ["dcbm-toric", "@0", "@1"],
-    ["dc-toric", "@0", "@1"],
     ["csh", "@0"],
-    ["squeezable", "@0"],
     ["ham2dom", "@0"],
     ["dcbm-forms", "@0", "@1", "--maps", "@2"],
     # "#i" stands for the i-th drawn flag value

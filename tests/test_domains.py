@@ -253,8 +253,6 @@ class TestHamiltonianBridge:
         for sample in (5e-324, math.nextafter(least, 0.0)):
             with pytest.raises(InvalidInputError, match=message + re.escape(repr(sample)) + "$"):
                 hamiltonian_to_domain(np.r_[np.ones(63), sample])
-        with pytest.raises(InvalidInputError, match=message + "5e-324$"):
-            rgr_vs_cbm(np.ones(64), np.r_[np.ones(63), 5e-324])
 
 
 class TestRgrVsCbm:
@@ -270,6 +268,20 @@ class TestRgrVsCbm:
         assert report.d_order == math.log(2.0)
         assert abs(report.d_cbm - math.log(2.0)) <= 1e-12
         assert report.gap <= 3.0 / 400
+
+    def test_a_generator_whose_radius_overflows_is_named(self):
+        tiny = np.r_[np.ones(63), 5e-324]
+        for name, pair in (("h1", (tiny, np.ones(64))), ("h2", (np.ones(64), tiny))):
+            message = f"^{name} must be large enough that 1/h is finite, got 5e-324$"
+            with pytest.raises(InvalidInputError, match=message):
+                rgr_vs_cbm(*pair)
+
+    def test_both_fibers_share_one_grid(self, monkeypatch):
+        # delta then finds the grids equal by identity, not entry by entry
+        built, uniform_circle = [], DirectionGrid.uniform_circle
+        monkeypatch.setattr(DirectionGrid, "uniform_circle", lambda count: built.append(count) or uniform_circle(count))
+        rgr_vs_cbm(np.ones(64), np.full(64, 2.0), l_max=400)
+        assert built == [64]
 
     def test_random_pairs_equality_within_tolerance(self):
         rng = item_rng(SEED, 18)

@@ -166,7 +166,7 @@ def subclasses(cls):
 def test_one_error_class_per_exit_code():
     # a class the CLI cannot tell apart from another by its exit code is one concept too many
     package = {cls for cls in subclasses(errors.CbmlabError) if cls.__module__.startswith("cbmlab")}
-    assert {cls: cli._exit_code(cls) for cls in package} == {errors.InvalidInputError: 2, errors.InvariantViolation: 1}
+    assert {cls: cli._exit_code(cls.__name__) for cls in package} == {errors.InvalidInputError: 2, errors.InvariantViolation: 1}
 
 
 def picked_decimal(node):
