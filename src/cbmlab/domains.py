@@ -1,7 +1,7 @@
 """Split toric contact domains, the star-shaped domains of T^*T^n x S^1:
-covering rescales, toric shape invariants, certified distance bounds,
-squeezability certificates, and the bridge from positive autonomous
-Hamiltonians to fiberwise star-shaped domains."""
+covering rescales, toric shape invariants, distance brackets whose two ends
+are one ln delta of the fibers, squeezability certificates, and the bridge
+from positive autonomous Hamiltonians to fiberwise star-shaped domains."""
 
 from __future__ import annotations
 
@@ -68,8 +68,6 @@ class BoundInterval:
 
     lower: float
     upper: float
-    lower_certificate: str
-    upper_certificate: str
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -78,67 +76,37 @@ class BoundInterval:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "lower_certificate": self.lower_certificate,
-            "upper_certificate": self.upper_certificate,
-        }
+        return {"lower": self.lower, "upper": self.upper}
 
 
 def dcbm_toric(u: SplitToricDomain, v: SplitToricDomain) -> BoundInterval:
     """Certified bracket for the covering-rescale distance of toric domains.
 
-    Both ends are ln delta of the fibers, computed once: the shape-invariant
-    obstruction from below, and from above the identity inclusions of covering
-    rescales, since (1/k) A_U fits inside (1/l) A_V exactly when k/l >=
+    Both ends are ln delta of the fibers, computed once: from below the shape
+    invariant, which an isotopy squeezing one covering rescale into another
+    preserves, forcing the fiber containment ratio; from above the identity
+    inclusions, since (1/k) A_U fits inside (1/l) A_V exactly when k/l >=
     sup(rU/rV) and rationals approach that supremum from above. No independent
     upper witness (an explicit pair (k, l) checked on the grid) is computed.
     """
     value = log_delta(csh(u), csh(v))
-    return BoundInterval(
-        lower=value,
-        upper=value,
-        lower_certificate=(
-            "shape-invariant obstruction: any isotopy squeezing one covering rescale "
-            "into another preserves the fiber invariant, forcing the fiber containment "
-            f"ratio; ln delta(fibers) = {value!r}"
-        ),
-        upper_certificate=(
-            "identity inclusions: rational covering pairs (k, l) with k/l approaching "
-            f"the extremal radial ratio realize the inclusions; ln sup-ratio = {value!r}"
-        ),
-    )
+    return BoundInterval(value, value)
 
 
 @dataclass(frozen=True)
 class DcResult:
-    """Coarse containment distance of two fibers with both certificates."""
+    """Coarse containment distance of two fibers."""
 
     value: float
-    lower_certificate: str
-    upper_certificate: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "lower_certificate": self.lower_certificate,
-            "upper_certificate": self.upper_certificate,
-        }
+        return {"value": self.value}
 
 
 def dc_toric(u_fiber: RadialSet, v_fiber: RadialSet) -> DcResult:
-    """Coarse distance of torus-fiberwise domains: ln delta of the fibers."""
-    value = log_delta(u_fiber, v_fiber)
-    return DcResult(
-        value=value,
-        lower_certificate=(
-            "shape-invariant chain: fiber containment obstructs any smaller scaling"
-        ),
-        upper_certificate=(
-            "identity embeddings after Liouville scaling by the extremal radial ratio"
-        ),
-    )
+    """Coarse distance of torus-fiberwise domains: ln delta of the fibers, both
+    ends of ``dcbm_toric``'s bracket."""
+    return DcResult(log_delta(u_fiber, v_fiber))
 
 
 @dataclass(frozen=True)

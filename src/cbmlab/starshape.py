@@ -140,14 +140,10 @@ def _radii(values) -> np.ndarray:
     return checked_array(values, "radii", ndim=1, finite=True, positive=True)
 
 
-def _require_same_grid(a: RadialSet, b: RadialSet) -> None:
-    if not a.grid.matches(b.grid):
-        raise InvalidInputError("radial sets live on different direction grids")
-
-
 def delta(a: RadialSet, b: RadialSet) -> float:
     """Least C >= 1 with (1/C)a inside b inside C*a, exact on the grid."""
-    _require_same_grid(a, b)
+    if not a.grid.matches(b.grid):
+        raise InvalidInputError("radial sets live on different direction grids")
     return _radial_delta(a.radii, b.radii)
 
 

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +414,39 @@ def test_json_nested_past_the_recursion_limit_exits_two(template, payloads, slot
     assert main([fill(arg, paths, [], []) for arg in template]) == 2
     err = capsys.readouterr().err
     assert "JSON nested too deeply" in err and "Traceback" not in err
+
+
+def documented_reports() -> dict[str, set[str]]:
+    """Each command's top-level report keys, as docs/formats.md lists them under "Report payloads"."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = text.split("\n## Report payloads\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* `([\w-]+)`:[^`\n]*`\{([^}]*)\}`", section, re.MULTILINE)
+    return {command: {key.strip() for key in keys.split(",")} for command, keys in bullets}
+
+
+DOCUMENTED_REPORTS = documented_reports()
+# a valid command line for every subcommand, "@i" standing for its i-th file
+REPORT_ARGUMENTS = {template[0]: (template, payloads) for template, payloads in FILE_ARGUMENTS} | {
+    "skeleton": (["skeleton", "--v", "1,0,0,1", "--grid", "64"], []),
+    "qi-verify": (["qi-verify", "--v", "1,0", "--w", "0,0", "--grid", "64"], []),
+    "accept": (["accept", "--seed", "7"], []),
+}
+
+
+def test_the_formats_doc_lists_a_report_for_every_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    subcommands = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(DOCUMENTED_REPORTS) == sorted(subcommands) == sorted(REPORT_ARGUMENTS)
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENTED_REPORTS))
+def test_each_report_has_the_keys_the_formats_doc_lists(command, tmp_path, capsys):
+    template, payloads = REPORT_ARGUMENTS[command]
+    paths = [write(tmp_path / f"{i}.json", payload) for i, payload in enumerate(payloads)]
+    code, report = run(capsys, *(fill(arg, paths, [], []) for arg in template))
+    assert code == 0
+    assert set(report) == DOCUMENTED_REPORTS[command]
 
 
 CIRCLE = {**FIBER, "directions": DirectionGrid.uniform_circle(64).directions.tolist()}

@@ -130,13 +130,13 @@ class TestDcbmToric:
         for _ in range(10):
             u, v = toric(random_fiber(rng)), toric(random_fiber(rng))
             interval = dcbm_toric(u, v)
-            assert interval.upper <= dc_toric(u.fiber, v.fiber).value + 1e-12
+            assert interval.upper == dc_toric(u.fiber, v.fiber).value
 
     def test_interval_collapses_on_toric_pairs(self):
         rng = item_rng(SEED, 9)
         for _ in range(10):
             interval = dcbm_toric(toric(random_fiber(rng)), toric(random_fiber(rng)))
-            assert interval.upper - interval.lower <= 1e-6
+            assert interval.upper == interval.lower
 
     def test_pseudo_metric_axioms(self):
         rng = item_rng(SEED, 10)
@@ -390,11 +390,11 @@ class TestRgrVsCbm:
 
 def test_crossed_bounds_are_a_violation():
     with pytest.raises(InvariantViolation, match="crossed"):
-        BoundInterval(1.0, 0.0, "", "")
+        BoundInterval(1.0, 0.0)
 
 
 def test_bounds_crossed_by_one_ulp_are_a_violation():
     x = math.log(2.0)
-    assert BoundInterval(x, x, "", "").lower == x
+    assert BoundInterval(x, x).lower == x
     with pytest.raises(InvariantViolation, match="crossed"):
-        BoundInterval(math.nextafter(x, math.inf), x, "", "")
+        BoundInterval(math.nextafter(x, math.inf), x)

@@ -15,7 +15,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 7
 DIGESTS = {
-    "geometry_stream": "a463474aa7f23bf65f9143c262e1e46e6aca84323c49cb5a0a4214b2da875274",
+    "geometry_stream": "2d9c1c05c8f113a78f40f883c277a9664bcc6520a0b88836a83c6888ed49d09e",
     "order_stream": "60fb7cb831d134010566754dd1d513f81147b8faba1665009b8e693a247f2a29",
 }
 
