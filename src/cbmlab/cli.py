@@ -74,22 +74,20 @@ def _vector(text: str) -> np.ndarray:
         raise InvalidInputError(f"bad vector literal {text!r}: {exc}") from exc
 
 
-def _pair(args) -> tuple[OrderedModel, Element, Element]:
-    """The model of --model and --variant, and the elements of files a and b."""
-    payload_a, payload_b = _load(args.a), _load(args.b)
-    variant = OrderVariant(args.variant)
-    if args.model == "multiplicative":
+def _pair(path_a: str, path_b: str, variant: OrderVariant) -> tuple[OrderedModel, Element, Element]:
+    """The elements of files a and b and their model: a JSON number in file a
+    is a multiplicative element, any other payload a grid element."""
+    payload_a, payload_b = _load(path_a), _load(path_b)
+    if type(payload_a) in (int, float):  # a JSON boolean decodes to bool, which is no number here
         model = OrderedModel.multiplicative(variant)
-        a, b = model.element(payload_a), model.element(payload_b)
-    else:
-        values = serialize.element_values_from_json(payload_a)
-        model = OrderedModel.additive(values.shape[0], variant)
-        a, b = model.element(values), model.element(serialize.element_values_from_json(payload_b))
-    return model, a, b
+        return model, model.element(payload_a), model.element(payload_b)
+    values = serialize.element_values_from_json(payload_a)
+    model = OrderedModel.additive(values.shape[0], variant)
+    return model, model.element(values), model.element(serialize.element_values_from_json(payload_b))
 
 
 def cmd_growth(args) -> dict:
-    model, a, b = _pair(args)
+    model, a, b = _pair(args.a, args.b, OrderVariant(args.variant))
     report = growth_distance(
         model, a, b, l_max=args.l_max, method=Method(args.method), prime_bound=args.prime_bound
     )
@@ -97,15 +95,13 @@ def cmd_growth(args) -> dict:
 
 
 def cmd_min_power(args) -> dict:
-    model, a, b = _pair(args)
+    model, a, b = _pair(args.a, args.b, OrderVariant(args.variant))
     return {"l": args.l, "min_power": min_power(model, a, b, args.l)}
 
 
 def cmd_norm(args) -> dict:
-    base_vals = serialize.element_values_from_json(_load(args.base))
-    arg_vals = serialize.element_values_from_json(_load(args.arg))
-    model = OrderedModel.additive(base_vals.shape[0])
-    return norms.norm(model.element(base_vals), model.element(arg_vals)).to_json_dict()
+    _, base, arg = _pair(args.base, args.arg, OrderVariant.NON_STRICT)
+    return norms.norm(base, arg).to_json_dict()
 
 
 def cmd_delta(args) -> dict:
@@ -189,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, fn, help_text)
         p.add_argument("a")
         p.add_argument("b")
-        p.add_argument("--model", choices=["additive", "multiplicative"], default="additive")
         p.add_argument(
             "--variant",
             choices=[v.value for v in OrderVariant],

@@ -14,7 +14,8 @@ from .ordered import DEFAULT_L_MAX, Element, OrderedModel, growth_brackets
 
 @dataclass(frozen=True)
 class NormReport:
-    """Extremal sandwich exponents of arg between powers of the dominant base."""
+    """Extremal sandwich exponents of arg between powers of the dominant base;
+    the report omits base and arg, stored as [ln v] for a multiplicative v."""
 
     nu_plus: int
     nu_minus: int
@@ -23,13 +24,7 @@ class NormReport:
     arg: Element
 
     def to_json_dict(self) -> dict:
-        return {
-            "nu_plus": self.nu_plus,
-            "nu_minus": self.nu_minus,
-            "nu": self.nu,
-            "base": list(map(float, self.base.data)),
-            "arg": list(map(float, self.arg.data)),
-        }
+        return {"nu_plus": self.nu_plus, "nu_minus": self.nu_minus, "nu": self.nu}
 
 
 def norm(base: Element, arg: Element) -> NormReport:

@@ -141,10 +141,9 @@ def domain_from_dict(data: Any) -> SplitToricDomain:
 
 
 def form_from_dict(data: Any) -> ContactFormRep:
-    payload = _payload(data, "contact-form", {"sites", "weights", "half_dim", "f"})
+    """A contact form; its site count is its weight count, so no ``sites`` key."""
+    payload = _payload(data, "contact-form", {"weights", "half_dim", "f"})
     manifold = SampledManifold(weights=payload.get("weights"), half_dim=payload.get("half_dim"))
-    if (sites := checked_int(payload.get("sites", manifold.sites), "sites")) != manifold.sites:
-        raise InvalidInputError(f"sites must be the weight count {manifold.sites}, got {sites}")
     return ContactFormRep(manifold, payload.get("f"))
 
 

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbmlab import acceptance
+from cbmlab import acceptance, norms
 from cbmlab.cli import main
 from cbmlab.errors import InvalidInputError, InvariantViolation
 from cbmlab.forms import ContactFormRep, SampledManifold, dcbm_forms
+from cbmlab.ordered import OrderedModel, OrderVariant, growth_distance, min_power
 from cbmlab.serialize import dumps_report, radial_set_to_dict
 from cbmlab.starshape import DirectionGrid, ball
 from test_starshape import OFF_UNIT_ROWS
@@ -80,17 +81,38 @@ def test_min_power_subcommand(tmp_path, capsys):
 def test_norm_subcommand(tmp_path, capsys):
     base = write(tmp_path / "base.json", [1.0, 1.0])
     arg = write(tmp_path / "arg.json", [2.5, 2.5])
-    code, report = run(capsys, "norm", base, arg)
-    assert code == 0
-    assert (report["nu_plus"], report["nu_minus"], report["nu"]) == (3, 2, 3)
+    assert run(capsys, "norm", base, arg) == (0, {"nu_plus": 3, "nu_minus": 2, "nu": 3})
+    # JSON numbers are multiplicative elements, normed as the one-site [ln v]
+    two, eight = write(tmp_path / "two.json", 2.0), write(tmp_path / "eight.json", 8.0)
+    model = OrderedModel.multiplicative()
+    expected = norms.norm(model.element(2.0), model.element(8.0)).to_json_dict()
+    assert run(capsys, "norm", two, eight) == (0, expected)
+
+
+def test_a_json_number_is_a_multiplicative_element(tmp_path, capsys):
+    two, eight = write(tmp_path / "two.json", 2.0), write(tmp_path / "eight.json", 8.0)
+    model = OrderedModel.multiplicative(OrderVariant.STRICT_POSITIVE)
+    a, b = model.element(2.0), model.element(8.0)
+    code, report = run(capsys, "growth", two, eight, "--variant", "strict-positive", "--l-max", "100")
+    assert (code, report) == (0, growth_distance(model, a, b, l_max=100).to_json_dict())
+    report = {"l": 2, "min_power": min_power(model, a, b, 2)}
+    assert run(capsys, "min-power", two, eight, "--variant", "strict-positive", "--l", "2") == (0, report)
+
+
+def test_a_number_and_an_array_are_no_pair(tmp_path, capsys):
+    # file a's JSON type picks the model, whose reader then rejects file b
+    number, array = write(tmp_path / "number.json", 2.0), write(tmp_path / "array.json", [1.0])
+    for command in ("growth", "min-power", "norm"):
+        assert main([command, number, array]) == 2
+        assert capsys.readouterr().err == "error: a multiplicative element must be a number, not list\n"
+        assert main([command, array, number]) == 2
+        assert capsys.readouterr().err == "error: a grid element must be a 1-D array of finite numbers\n"
 
 
 def test_prime_pairs_without_a_pair_exits_two(tmp_path, capsys):
     a = write(tmp_path / "a.json", 2.0)
     b = write(tmp_path / "b.json", 1000.0)
-    code = main(
-        ["growth", a, b, "--model", "multiplicative", "--method", "prime-pairs", "--prime-bound", "3"]
-    )
+    code = main(["growth", a, b, "--method", "prime-pairs", "--prime-bound", "3"])
     assert code == 2
     assert "no prime ordering pair" in capsys.readouterr().err
 
@@ -250,9 +272,13 @@ def test_integer_literal_past_the_digit_limit_exits_two(tmp_path, capsys):
 def test_boolean_multiplicative_element_exits_two(tmp_path, capsys):
     t = write(tmp_path / "t.json", True)
     two = write(tmp_path / "two.json", 2.0)
-    for pair in ((t, two), (two, t)):
-        assert main(["growth", *pair, "--model", "multiplicative"]) == 2
-        assert "a multiplicative element must be a number, not bool" in capsys.readouterr().err
+    # a boolean in file a is no number, so the grid rule names it; after a number, the multiplicative rule
+    for pair, message in (
+        ((t, two), "a grid element must be an array of numbers"),
+        ((two, t), "a multiplicative element must be a number, not bool"),
+    ):
+        assert main(["growth", *pair]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
@@ -313,7 +339,7 @@ def test_out_of_range_candidate_permutation_exits_two(tmp_path, capsys):
 
 FIBER = {"dimension": 2, "radii": [1.0] * 64}
 DOMAIN = {"base_dim": 2, "liouville_weight": 1.0, "fiber": FIBER, "cover": 1}
-FORM = {"sites": 4, "weights": [1.0] * 4, "half_dim": 2, "f": [0.0] * 4}
+FORM = {"weights": [1.0] * 4, "half_dim": 2, "f": [0.0] * 4}
 
 
 @pytest.mark.parametrize(
@@ -324,11 +350,10 @@ FORM = {"sites": 4, "weights": [1.0] * 4, "half_dim": 2, "f": [0.0] * 4}
         ("dcbm-toric", DOMAIN, "cover", "3"),
         ("dcbm-toric", DOMAIN, "liouville_weight", "1"),
         ("dcbm-forms", FORM, "half_dim", 1.5),
-        ("dcbm-forms", FORM, "sites", 4.7),
         ("dcbm-toric", DOMAIN, "label", None),  # str() printed these as "None" and "True"
         ("dcbm-toric", DOMAIN, "label", True),
     ],
-    ids=["dimension", "base_dim", "cover", "liouville_weight", "half_dim", "sites", "label-null", "label-true"],
+    ids=["dimension", "base_dim", "cover", "liouville_weight", "half_dim", "label-null", "label-true"],
 )
 def test_integer_and_number_fields_are_not_coerced(command, payload, field, value, tmp_path, capsys):
     good = write(tmp_path / "good.json", payload)
@@ -878,9 +903,8 @@ SHAPED = st.one_of(
 # "@i" stands for the file holding the i-th payload
 COMMANDS = [
     ["growth", "@0", "@1", "--l-max", "50"],
-    ["growth", "@0", "@1", "--l-max", "50", "--model", "multiplicative"],
     ["min-power", "@0", "@1", "--l", "#0"],
-    ["min-power", "@0", "@1", "--model", "multiplicative", "--variant", "strict-positive", "--l", "#0"],
+    ["min-power", "@0", "@1", "--variant", "strict-positive", "--l", "#0"],
     ["norm", "@0", "@1"],
     ["delta", "@0", "@1"],
     ["dcbm-toric", "@0", "@1"],
@@ -890,7 +914,7 @@ COMMANDS = [
     # "#i" stands for the i-th drawn flag value
     ["growth", "@0", "@1", "--l-max", "#0"],
     ["growth", "@0", "@1", "--method", "prime-pairs", "--prime-bound", "#0", "--l-max", "#1"],
-    ["growth", "@0", "@1", "--model", "multiplicative", "--method", "limit-sequence", "--l-max", "#0"],
+    ["growth", "@0", "@1", "--method", "limit-sequence", "--l-max", "#0"],
     ["skeleton", "--v", "1,0,0,1", "--grid", "#0"],
     ["qi-verify", "--v", "1,0", "--w", "0,0", "--grid", "#0"],
     # "%i" stands for the i-th drawn real flag value
